@@ -185,95 +185,106 @@ def convergence_radius(spec):
     return math.inf
 
 
-def _check_radius(spec, xi):
-    if spec.kind in _POLE_LIMITED and abs(xi) >= convergence_radius(spec):
+def outside_domain(spec, xi):
+    """Mask of the entries where spec's closed form is not trusted.
+
+    Only pole-limited kinds have such entries: not |xi| < radius, so NaN is
+    outside too.
+    """
+    if spec.kind not in _POLE_LIMITED:
+        return np.zeros(np.shape(xi), dtype=bool)
+    return ~(np.abs(xi) < convergence_radius(spec))
+
+
+def _checked(spec, xi):
+    xi = np.asarray(xi, dtype=float)
+    bad = outside_domain(spec, xi)
+    if bad.any():
+        first = float(xi[bad][0])  # C order
         raise DomainError(
-            f"{spec.kind} evaluated at {xi!r}, outside radius {convergence_radius(spec)!r}"
+            f"{spec.kind} evaluated at {first!r}, outside radius {convergence_radius(spec)!r}"
         )
+    return xi
+
+
+def _horner(coefficients, xi):
+    acc = np.zeros_like(xi)
+    for c in reversed(coefficients):
+        acc = acc * xi + c
+    return acc
+
+
+def _logistic(spec, xi):
+    t = np.exp(-np.abs(xi))  # never overflows
+    return np.where(xi >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def _logistic_slope(spec, xi):
+    s = _logistic(spec, xi)
+    return s * (1.0 - s)
+
+
+def _relu_forms(erf_like, sign):
+    """xi/2 (1 + E(xi/c)) and its slope, for E = erf (sign -1) or erfi (+1)."""
+    def slope(spec, xi):
+        c = spec.sharpness
+        u = xi / c
+        return 0.5 * (1.0 + erf_like(u)) + (xi / (c * _SQRT_PI)) * np.exp(sign * u * u)
+
+    return (lambda spec, xi: 0.5 * xi * (1.0 + erf_like(xi / spec.sharpness)), slope)
+
+
+#: kind -> (associated kind, sigma, sigma'), sigma and sigma' elementwise over float arrays;
+#: already-absolute kinds are their own associated kind
+_KINDS = {
+    "linear": ("linear", lambda spec, xi: xi.copy(), lambda spec, xi: np.ones_like(xi)),
+    "polynomial": (
+        "polynomial",
+        lambda spec, xi: _horner(spec.coefficients, xi),
+        lambda spec, xi: _horner([i * c for i, c in enumerate(spec.coefficients)][1:], xi),
+    ),
+    "erf": ("erfi", lambda spec, xi: _sp_erf(xi),
+            lambda spec, xi: (2.0 / _SQRT_PI) * np.exp(-xi * xi)),
+    "erfi": ("erfi", lambda spec, xi: _sp_erfi(xi),
+             lambda spec, xi: (2.0 / _SQRT_PI) * np.exp(xi * xi)),
+    "tanh": ("tan", lambda spec, xi: np.tanh(xi),
+             lambda spec, xi: 1.0 - np.square(np.tanh(xi))),
+    "tan": ("tan", lambda spec, xi: np.tan(xi), lambda spec, xi: 1.0 + np.square(np.tan(xi))),
+    "logistic": ("logistic_assoc", _logistic, _logistic_slope),
+    "logistic_assoc": (
+        "logistic_assoc",
+        lambda spec, xi: 0.5 * (1.0 + np.tan(xi / 2.0)),
+        lambda spec, xi: 0.25 * (1.0 + np.square(np.tan(xi / 2.0))),
+    ),
+    "exp": ("exp", lambda spec, xi: np.exp(xi), lambda spec, xi: np.exp(xi)),
+    "relu_surrogate": ("relu_surrogate_assoc", *_relu_forms(_sp_erf, -1.0)),
+    "relu_surrogate_assoc": ("relu_surrogate_assoc", *_relu_forms(_sp_erfi, 1.0)),
+}
 
 
 def evaluate(spec, xi):
-    """sigma(xi) by closed form (series only for generic polynomials)."""
-    xi = float(xi)
-    _check_radius(spec, xi)
-    kind = spec.kind
-    if kind == "linear":
-        return xi
-    if kind == "polynomial":
-        acc = 0.0
-        for c in reversed(spec.coefficients):
-            acc = acc * xi + c
-        return acc
-    if kind == "erf":
-        return math.erf(xi)
-    if kind == "erfi":
-        return float(_sp_erfi(xi))
-    if kind == "tanh":
-        return math.tanh(xi)
-    if kind == "tan":
-        return math.tan(xi)
-    if kind == "logistic":
-        if xi >= 0:
-            return 1.0 / (1.0 + math.exp(-xi))
-        t = math.exp(xi)
-        return t / (1.0 + t)
-    if kind == "logistic_assoc":
-        return 0.5 * (1.0 + math.tan(xi / 2.0))
-    if kind == "exp":
-        return math.exp(xi)
-    if kind == "relu_surrogate":
-        return 0.5 * xi * (1.0 + math.erf(xi / spec.sharpness))
-    if kind == "relu_surrogate_assoc":
-        return 0.5 * xi * (1.0 + float(_sp_erfi(xi / spec.sharpness)))
-    raise AssertionError(kind)
+    """sigma(xi) elementwise by closed form; a scalar comes back as np.float64.
+
+    Raises DomainError naming the first entry (C order) outside the domain.
+    """
+    xi = _checked(spec, xi)
+    return _KINDS[spec.kind][1](spec, xi)[()]
 
 
-def evaluate_array(spec, xi):
-    """Vectorized evaluate over a float array (same domain policy)."""
-    xi = np.asarray(xi, dtype=float)
-    if spec.kind in _POLE_LIMITED and xi.size and np.max(np.abs(xi)) >= convergence_radius(spec):
-        bad = float(xi.flat[int(np.argmax(np.abs(xi)))])
-        raise DomainError(
-            f"{spec.kind} evaluated at {bad!r}, outside radius {convergence_radius(spec)!r}"
-        )
-    kind = spec.kind
-    if kind == "linear":
-        return xi.copy()
-    if kind == "polynomial":
-        acc = np.zeros_like(xi)
-        for c in reversed(spec.coefficients):
-            acc = acc * xi + c
-        return acc
-    if kind == "erf":
-        return np.asarray(_sp_erf(xi), dtype=float)
-    if kind == "erfi":
-        return np.asarray(_sp_erfi(xi), dtype=float)
-    if kind == "tanh":
-        return np.tanh(xi)
-    if kind == "tan":
-        return np.tan(xi)
-    if kind == "logistic":
-        out = np.empty_like(xi)
-        pos = xi >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-xi[pos]))
-        t = np.exp(xi[~pos])
-        out[~pos] = t / (1.0 + t)
-        return out
-    if kind == "logistic_assoc":
-        return 0.5 * (1.0 + np.tan(xi / 2.0))
-    if kind == "exp":
-        return np.exp(xi)
-    if kind == "relu_surrogate":
-        return 0.5 * xi * (1.0 + np.asarray(_sp_erf(xi / spec.sharpness), dtype=float))
-    if kind == "relu_surrogate_assoc":
-        return 0.5 * xi * (1.0 + np.asarray(_sp_erfi(xi / spec.sharpness), dtype=float))
-    raise AssertionError(kind)
+def derivative(spec, xi):
+    """sigma'(xi) elementwise by closed form (same domain policy as evaluate)."""
+    xi = _checked(spec, xi)
+    return _KINDS[spec.kind][2](spec, xi)[()]
+
+
+# Aliases kept only because the benchmark's tracer looks these names up.
+evaluate_array = evaluate
+derivative_array = derivative
 
 
 def evaluate_series(spec, xi, terms=None):
     """Partial sum sum_{i<=terms} a_i xi^i (defaults to spec.max_terms)."""
-    xi = float(xi)
-    _check_radius(spec, xi)
+    xi = float(_checked(spec, xi))
     n = spec.max_terms if terms is None else int(terms)
     acc = 0.0
     power = 1.0
@@ -285,87 +296,9 @@ def evaluate_series(spec, xi, terms=None):
     return acc
 
 
-def derivative(spec, xi):
-    """sigma'(xi), closed form."""
-    xi = float(xi)
-    _check_radius(spec, xi)
-    kind = spec.kind
-    if kind == "linear":
-        return 1.0
-    if kind == "polynomial":
-        acc = 0.0
-        for i in range(len(spec.coefficients) - 1, 0, -1):
-            acc = acc * xi + i * spec.coefficients[i]
-        return acc
-    if kind == "erf":
-        return (2.0 / _SQRT_PI) * math.exp(-xi * xi)
-    if kind == "erfi":
-        return (2.0 / _SQRT_PI) * math.exp(xi * xi)
-    if kind == "tanh":
-        t = math.tanh(xi)
-        return 1.0 - t * t
-    if kind == "tan":
-        t = math.tan(xi)
-        return 1.0 + t * t
-    if kind == "logistic":
-        s = evaluate(spec, xi)
-        return s * (1.0 - s)
-    if kind == "logistic_assoc":
-        t = math.tan(xi / 2.0)
-        return 0.25 * (1.0 + t * t)
-    if kind == "exp":
-        return math.exp(xi)
-    if kind in ("relu_surrogate", "relu_surrogate_assoc"):
-        c = spec.sharpness
-        u = xi / c
-        if kind == "relu_surrogate":
-            return 0.5 * (1.0 + math.erf(u)) + (xi / (c * _SQRT_PI)) * math.exp(-u * u)
-        return 0.5 * (1.0 + float(_sp_erfi(u))) + (xi / (c * _SQRT_PI)) * math.exp(u * u)
-    raise AssertionError(kind)
-
-
-def derivative_array(spec, xi):
-    """Vectorized derivative over a float array."""
-    xi = np.asarray(xi, dtype=float)
-    kind = spec.kind
-    if kind == "linear":
-        return np.ones_like(xi)
-    if kind == "tanh":
-        t = np.tanh(xi)
-        return 1.0 - t * t
-    if kind == "erf":
-        return (2.0 / _SQRT_PI) * np.exp(-xi * xi)
-    if kind == "logistic":
-        s = evaluate_array(spec, xi)
-        return s * (1.0 - s)
-    if kind == "exp":
-        return np.exp(xi)
-    if kind == "polynomial":
-        acc = np.zeros_like(xi)
-        for i in range(len(spec.coefficients) - 1, 0, -1):
-            acc = acc * xi + i * spec.coefficients[i]
-        return acc
-    return np.array([derivative(spec, v) for v in np.atleast_1d(xi).ravel()]).reshape(xi.shape)
-
-
 # ---------------------------------------------------------------------------
 # associated function, Lipschitz constants, shape predicates
 # ---------------------------------------------------------------------------
-
-_ASSOCIATED = {
-    "linear": "linear",
-    "erf": "erfi",
-    "tanh": "tan",
-    "logistic": "logistic_assoc",
-    "exp": "exp",
-    "relu_surrogate": "relu_surrogate_assoc",
-    # already-absolute kinds map to themselves
-    "erfi": "erfi",
-    "tan": "tan",
-    "logistic_assoc": "logistic_assoc",
-    "relu_surrogate_assoc": "relu_surrogate_assoc",
-}
-
 
 def associated(spec):
     """The activation with coefficients |a_i| (idempotent)."""
@@ -376,7 +309,7 @@ def associated(spec):
             max_terms=spec.max_terms,
         )
     return ActivationSpec(
-        _ASSOCIATED[spec.kind], sharpness=spec.sharpness, max_terms=spec.max_terms
+        _KINDS[spec.kind][0], sharpness=spec.sharpness, max_terms=spec.max_terms
     )
 
 
@@ -424,7 +357,7 @@ def lipschitz_on(spec, interval_sup):
             f"interval [0, {m}] exceeds the convergence radius of {spec.kind}"
         )
     grid = np.linspace(0.0, m, _GRID_POINTS)
-    return _GRID_INFLATION * float(np.max(np.abs(derivative_array(spec, grid))))
+    return _GRID_INFLATION * float(np.max(np.abs(derivative(spec, grid))))
 
 
 def is_odd_concave(spec):

@@ -21,22 +21,10 @@ from . import netcore
 from . import pushforward as pf
 from .errors import DomainError
 
-VARIANTS = ("krein", "associated")
-
-
-def _specs(arch, variant):
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if variant == "associated":
-        return [act.associated(s) for s in arch.activations]
-    return list(arch.activations)
-
-
-def _eval(spec, value, layer):
-    try:
-        return act.evaluate(spec, value)
-    except DomainError as exc:
-        raise DomainError(f"layer {layer}: {exc}", layer=layer) from exc
+def _is_associated(variant):
+    if variant not in kk.VARIANTS:
+        raise ValueError(f"variant must be one of {kk.VARIANTS}")
+    return variant == "associated"
 
 
 # ---------------------------------------------------------------------------
@@ -56,33 +44,12 @@ def layer_penalty(arch, weights, q, variant="krein", recorder=None):
     d = arch.depth
     if not 0 <= q < d:
         raise ValueError(f"layer {q} out of range")
-    specs = _specs(arch, variant)
-
-    def note(k, value):
-        if recorder is not None:
-            recorder[k] = max(recorder[k], abs(float(value)))
-
-    base = 1.0
-    if q >= 1:
-        t = float(arch.input_dim)
-        for k in range(q):
-            note(k, t)
-            t = _eval(specs[k], t, k)
-            if k <= q - 2:
-                t *= arch.widths[k]
-        base = t
+    assoc = _is_associated(variant)
+    base = kk.chain(arch, arch.input_dim, assoc, layers=range(q), recorder=recorder) if q else 1.0
     rows = np.asarray(weights[q], dtype=float)
     args = np.sum(rows * rows, axis=1) * base
-    s = 0.0
-    for a in args:
-        note(q, a)
-        s += _eval(specs[q], float(a), q)
-    for k in range(q + 1, d):
-        note(k, s)
-        s = _eval(specs[k], s, k)
-        if k <= d - 2:
-            s *= arch.widths[k]
-    return float(s)
+    s = np.sum(kk.chain(arch, args, assoc, layers=[q], recorder=recorder))
+    return float(kk.chain(arch, s, assoc, layers=range(q + 1, d), recorder=recorder))
 
 
 def flat_penalty(arch, weights, variant="krein", recorder=None):
@@ -93,27 +60,12 @@ def flat_penalty(arch, weights, variant="krein", recorder=None):
     because the last width is 1.
     """
     netcore.check_shapes(arch, weights)
-    specs = _specs(arch, variant)
-
-    def note(k, values):
-        if recorder is not None:
-            recorder[k] = max(recorder[k], float(np.max(np.abs(values))))
-
-    w0 = np.asarray(weights[0], dtype=float)
-    args = np.sum(w0 * w0, axis=1)
-    note(0, args)
-    try:
-        t = act.evaluate_array(specs[0], args)
-    except DomainError as exc:
-        raise DomainError(f"layer 0: {exc}", layer=0) from exc
-    for k in range(1, arch.depth):
-        wk = np.asarray(weights[k], dtype=float)
-        args = (wk * wk) @ t
-        note(k, args)
-        try:
-            t = act.evaluate_array(specs[k], args)
-        except DomainError as exc:
-            raise DomainError(f"layer {k}: {exc}", layer=k) from exc
+    assoc = _is_associated(variant)
+    t = None
+    for k, w in enumerate(weights):
+        sq = np.asarray(w, dtype=float) ** 2
+        args = np.sum(sq, axis=1) if k == 0 else sq @ t
+        t = kk.chain(arch, args, assoc, layers=[k], recorder=recorder)
     return float(t[0])
 
 
@@ -202,14 +154,11 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None, empirical_esti
             "the kernel-trace bound is unavailable"
         )
     ball = svm_ball_radius(radius, lip, arch.depth)
-    defn = kk.KernelDefinition(arch, "krein")
-    trace = 0.0
-    for i, x in enumerate(xs):
-        try:
-            trace += kk.associated_kernel(defn, x, x)
-        except DomainError as exc:
-            raise DomainError(f"sample {i}: {exc}", layer=exc.layer, location=i) from exc
-    trace /= xs.shape[0]
+    try:
+        trace = float(np.mean(kk.chain(arch, np.sum(xs * xs, axis=1), associated=True)))
+    except DomainError as exc:
+        i = exc.location
+        raise DomainError(f"sample {i}: {exc}", layer=exc.layer, location=i) from exc
     report = BoundReport(
         weight_ball_radius=radius,
         svm_ball_radius=ball,
@@ -233,7 +182,7 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None, empirical_esti
 
 
 def growth_envelope(arch, xi):
-    """The scalar envelope chaining sigma_q(depth * sqrt(width) * . ).
+    """The envelope chaining sigma_q(depth * sqrt(width) * . ), elementwise over xi.
 
     Requires every activation to be odd and concave on the nonnegative axis
     (so the envelope really dominates the network's norm growth).
@@ -245,10 +194,10 @@ def growth_envelope(arch, xi):
             f"layers {bad} do not qualify"
         )
     d = arch.depth
-    t = _eval(arch.activations[0], float(xi), 0)
+    t = kk.chain(arch, xi, False, layers=[0])
     for k in range(1, d):
-        t = _eval(arch.activations[k], d * math.sqrt(arch.widths[k - 1]) * t, k)
-    return float(t)
+        t = kk.chain(arch, d * math.sqrt(arch.widths[k - 1]) * t, False, layers=[k])
+    return t
 
 
 @dataclass
@@ -257,12 +206,6 @@ class TightBound:
     lipschitz_form: Optional[float]
     bounded_form: Optional[float]
     bounded_layer: Optional[int]
-
-
-def _geomean(values):
-    if not values:
-        return 1.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def tight_bound(arch, radius, sample, n=None):
@@ -277,25 +220,15 @@ def tight_bound(arch, radius, sample, n=None):
     count = xs.shape[0] if n is None else int(n)
     d = arch.depth
     prefactor = max(1.0, float(radius) ** d) / math.sqrt(count)
-    norms = np.sqrt(np.sum(xs * xs, axis=1))
-    env = np.array([growth_envelope(arch, v) for v in norms])
+    sq = np.sum(xs * xs, axis=1)
+    env = growth_envelope(arch, np.sqrt(sq))
     general = prefactor * math.sqrt(float(np.mean(env * env)))
 
-    def try_lips(specs):
-        try:
-            return [act.lipschitz_on(s, math.inf) for s in specs]
-        except ValueError:
-            return None  # some layer is only locally Lipschitz
-
-    sq_mean = float(np.mean(np.sum(xs * xs, axis=1)))
-    lips = try_lips(arch.activations)
+    width_gm, lip, _ = netcore.geometric_means(arch)  # m = inf
     lipschitz_form = None
-    if lips is not None:
-        width_gm = _geomean([float(h) for h in arch.widths])
-        lipschitz_form = (
-            prefactor
-            * (d * math.sqrt(width_gm) * _geomean(lips)) ** d
-            * math.sqrt(sq_mean)
+    if lip is not None:
+        lipschitz_form = prefactor * (d * math.sqrt(width_gm) * lip) ** d * math.sqrt(
+            float(np.mean(sq))
         )
 
     bounded = [q for q, s in enumerate(arch.activations) if act.is_bounded_by_one(s)]
@@ -303,12 +236,15 @@ def tight_bound(arch, radius, sample, n=None):
     bounded_layer = None
     if bounded:
         q = max(bounded)
-        tail_lips = try_lips(arch.activations[q + 1 :])
+        try:
+            tail_lips = [act.lipschitz_on(s, math.inf) for s in arch.activations[q + 1 :]]
+        except ValueError:
+            tail_lips = None  # some layer above is only locally Lipschitz
         if tail_lips is not None:
             bounded_layer = q
             tail_widths = [float(h) for h in arch.widths[q + 1 :]]
             bounded_form = prefactor * (
-                d * math.sqrt(_geomean(tail_widths)) * _geomean(tail_lips)
+                d * math.sqrt(netcore._geomean(tail_widths)) * netcore._geomean(tail_lips)
             ) ** (d - q - 1)
     return TightBound(general, lipschitz_form, bounded_form, bounded_layer)
 

@@ -344,10 +344,8 @@ def run_train_net(cfg, out=None):
     init_obj = netcore.objective(arch, init, dataset, loss, lam, reg_scale)
     weights = netcore.train(arch, dataset, loss, lam, seed, steps, step_size, reg_scale)
     final_obj = netcore.objective(arch, weights, dataset, loss, lam, reg_scale)
-    mean_loss = float(
-        np.mean([netcore.loss_value(loss, y, netcore.forward(arch, weights, x))
-                 for x, y in dataset])
-    )
+    loss_of = netcore.loss_functions(loss)[0]
+    mean_loss = float(np.mean(loss_of(ys, netcore.forward_batch(arch, weights, xs))))
     results = {
         "initial_objective": init_obj,
         "final_objective": final_obj,
@@ -388,9 +386,7 @@ def run_train_ksvm(cfg, out=None):
     elif solver == "gd":
         steps, step_size = _train_section(cfg)
         loss = _loss(cfg)
-        alpha, grad_norm = ksvm.train_gd(
-            gram, ys, lam, loss, _seed(cfg), steps, step_size
-        )
+        alpha, grad_norm = ksvm.train_gd(gram, ys, lam, loss, steps, step_size)
         results["final_gradient_norm"] = grad_norm
     else:
         raise ConfigError("'solver' must be 'eig' or 'gd'")
@@ -412,21 +408,6 @@ def run_train_ksvm(cfg, out=None):
     return _report(cfg, results, warnings=warnings)
 
 
-def _bound_report_dict(report):
-    return {
-        "weight_ball_radius": report.weight_ball_radius,
-        "svm_ball_radius": report.svm_ball_radius,
-        "width_gm": report.width_gm,
-        "lipschitz_gm": report.lipschitz_gm,
-        "kernel_trace_mean": report.kernel_trace_mean,
-        "bound_kernel_trace": report.bound_kernel_trace,
-        "bound_linear": report.bound_linear,
-        "bound_growth": report.bound_growth,
-        "empirical_estimate": report.empirical_estimate,
-        "sample_size": report.sample_size,
-    }
-
-
 def run_compare(cfg, out=None):
     arch = architecture_from_config(cfg)
     if not cfg.get("dataset"):
@@ -440,15 +421,16 @@ def run_compare(cfg, out=None):
     reg_scale = cfg.get("reg_scale")
 
     weights = netcore.train(arch, dataset, loss, lam, seed, steps, step_size, reg_scale)
-    net_pred = [netcore.forward(arch, weights, x) for x in xs]
-    net_loss = float(np.mean([netcore.loss_value(loss, y, f) for y, f in zip(ys, net_pred)]))
+    loss_of = netcore.loss_functions(loss)[0]
+    net_pred = netcore.forward_batch(arch, weights, xs)
+    net_loss = float(np.mean(loss_of(ys, net_pred)))
 
     defn = kk.KernelDefinition(arch, cfg.get("variant", "krein"))
     gram = kk.gram(defn, xs)
     alpha, residual = ksvm.train_squared(gram, ys, lam)
     model = ksvm.TrainedKSVM(alpha, xs, lam, defn)
-    svm_pred = (gram @ alpha).tolist()
-    svm_loss = float(np.mean([netcore.loss_value(loss, y, f) for y, f in zip(ys, svm_pred)]))
+    svm_pred = gram @ alpha
+    svm_loss = float(np.mean(loss_of(ys, svm_pred)))
 
     warnings = []
     bounds = None
@@ -464,7 +446,7 @@ def run_compare(cfg, out=None):
                 hypothesis_draws=cfg.get("hypothesis_draws", trials),
                 seed=seed,
             )
-        bounds = _bound_report_dict(report)
+        bounds = vars(report)
     except (ValueError, DomainError) as exc:
         warnings.append(f"bounds unavailable: {exc}")
 
@@ -518,16 +500,11 @@ def run_bounds(cfg, out=None):
             hypothesis_draws=cfg.get("hypothesis_draws", trials),
             seed=_seed(cfg),
         )
-    results = _bound_report_dict(report)
+    results = dict(vars(report))
     if cfg.get("tight"):
         try:
             tb = analysis.tight_bound(arch, radius, xs, n)
-            results["tight"] = {
-                "general": tb.general,
-                "lipschitz_form": tb.lipschitz_form,
-                "bounded_form": tb.bounded_form,
-                "bounded_layer": tb.bounded_layer,
-            }
+            results["tight"] = vars(tb)
         except ValueError as exc:
             warnings.append(f"tight bound precondition not met: {exc}")
     diagnostics = {
@@ -638,7 +615,8 @@ def main(argv=None):
             cfg["truncation"] = args.trunc
         report = HANDLERS[args.command](cfg, args.out)
         _emit(report, args.out)
-    except (DomainError, NearSingularError, DivergenceError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught before the exit-2 clause
+    except (DomainError, NearSingularError, DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical domain failure: {exc}", file=sys.stderr)
         return 3
     except SizeLimitError as exc:

@@ -34,18 +34,42 @@ class KernelDefinition:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
 
-def _chain(arch, value, associated):
-    for q in range(arch.depth):
-        spec = arch.activations[q]
-        if associated:
-            spec = act.associated(spec)
-        try:
-            value = act.evaluate(spec, value)
+def chain(arch, s, associated, layers=None, recorder=None):
+    """The layer recursion, elementwise over an array ``s`` of inner products.
+
+    Each layer k in ``layers`` (consecutive indices, default all) applies
+    sigma_k (its associated function when ``associated``); the width H_k
+    multiplies in between, not after the last listed layer.  ``recorder`` (a
+    per-layer list) collects the largest |argument| handed to each layer.
+
+    An entry that leaves a layer's domain is masked for the layers above, so
+    the DomainError blames the first violating entry in C order, at the
+    layer where it failed; ``location`` is its flat index (None for 0-d s).
+    """
+    layers = range(arch.depth) if layers is None else layers
+    s = np.asarray(s, dtype=float)
+    failed = np.full(s.shape, -1)  # layer at which each entry left its domain
+    rejected = np.zeros(s.shape)  # the argument it was rejected at
+    specs = [act.associated(a) if associated else a for a in arch.activations]
+    for k in layers:
+        spec = specs[k]
+        if recorder is not None:
+            recorder[k] = max(recorder[k], float(np.max(np.abs(s))))
+        fresh = act.outside_domain(spec, s) & (failed < 0)
+        failed[fresh], rejected[fresh] = k, s[fresh]
+        s = act.evaluate(spec, np.where(failed < 0, s, 0.0))
+        if k != layers[-1]:
+            s = s * arch.widths[k]
+    if np.any(failed >= 0):
+        i = int(np.argmax(failed >= 0))
+        k = int(failed.flat[i])
+        try:  # re-raise the blamed entry's own error
+            act.evaluate(specs[k], rejected.flat[i])
         except DomainError as exc:
-            raise DomainError(f"layer {q}: {exc}", layer=q) from exc
-        if q < arch.depth - 1:
-            value *= arch.widths[q]
-    return value
+            raise DomainError(
+                f"layer {k}: {exc}", layer=k, location=i if s.ndim else None
+            ) from exc
+    return s
 
 
 def _dot(arch, x, xp):
@@ -55,26 +79,17 @@ def _dot(arch, x, xp):
         raise ValueError(
             f"inputs must have shape ({arch.input_dim},), got {x.shape} and {xp.shape}"
         )
-    return float(x @ xp)
-
-
-def kernel(defn, x, xp):
-    """The (possibly indefinite) network kernel K(x, x')."""
-    if defn.variant != "krein":
-        raise ValueError("kernel() is the krein variant; use associated_kernel()")
-    return _chain(defn.arch, _dot(defn.arch, x, xp), associated=False)
-
-
-def associated_kernel(defn, x, xp):
-    """The positive-definite companion Kbar(x, x') (any definition variant)."""
-    return _chain(defn.arch, _dot(defn.arch, x, xp), associated=True)
+    return x @ xp
 
 
 def kernel_value(defn, x, xp):
     """K or Kbar according to defn.variant."""
-    if defn.variant == "krein":
-        return kernel(defn, x, xp)
-    return associated_kernel(defn, x, xp)
+    return chain(defn.arch, _dot(defn.arch, x, xp), defn.variant == "associated")
+
+
+def associated_kernel(defn, x, xp):
+    """The positive-definite companion Kbar(x, x') (any definition variant)."""
+    return chain(defn.arch, _dot(defn.arch, x, xp), associated=True)
 
 
 def kernel_parts(arch, x, xp, truncation, max_entries=pf.DEFAULT_MAX_ENTRIES):
@@ -96,24 +111,25 @@ def kernel_parts(arch, x, xp, truncation, max_entries=pf.DEFAULT_MAX_ENTRIES):
 def gram(defn, points):
     """The Gram matrix over the rows of ``points`` (exactly symmetric).
 
-    Only the upper triangle is evaluated; it is mirrored, so G[i, j] and
-    G[j, i] are bit-identical.  Domain violations are re-raised with the
-    offending entry attached.
+    The chain runs on the upper triangle of X X^T, which is mirrored, so
+    G[i, j] and G[j, i] are bit-identical.  Domain violations are re-raised
+    with the first offending entry (i, j), in row-major order, attached.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be a 2-d array (one row per sample)")
-    n = points.shape[0]
-    out = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i, n):
-            try:
-                out[i, j] = kernel_value(defn, points[i], points[j])
-            except DomainError as exc:
-                raise DomainError(
-                    f"gram entry ({i}, {j}): {exc}",
-                    layer=exc.layer,
-                    location=(i, j),
-                ) from exc
-            out[j, i] = out[i, j]
+    if points.ndim != 2 or points.shape[1] != defn.arch.input_dim:
+        raise ValueError(
+            f"points must be a 2-d array with {defn.arch.input_dim} columns "
+            f"(one row per sample), got shape {points.shape}"
+        )
+    rows, cols = np.triu_indices(points.shape[0])
+    try:
+        upper = chain(defn.arch, (points @ points.T)[rows, cols], defn.variant == "associated")
+    except DomainError as exc:
+        i, j = int(rows[exc.location]), int(cols[exc.location])
+        raise DomainError(
+            f"gram entry ({i}, {j}): {exc}", layer=exc.layer, location=(i, j)
+        ) from exc
+    out = np.empty((points.shape[0],) * 2)
+    out[rows, cols] = upper
+    out[cols, rows] = upper
     return out

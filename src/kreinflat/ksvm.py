@@ -67,74 +67,54 @@ def train_squared(gram, y, lam):
     return SolveResult(alpha, residual)
 
 
-def _loss_derivs(loss, y, f):
-    if loss == "squared":
-        return 2.0 * (f - y)
-    if loss == "logistic":
-        t = -y * f
-        s = np.empty_like(t)
-        pos = t >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-        e = np.exp(t[~pos])
-        s[~pos] = e / (1.0 + e)
-        return -y * s
-    raise ValueError(f"unknown loss {loss!r}")
+def _gradient(alpha, gram, y, lam, loss):
+    f = gram @ alpha
+    return gram @ (netcore.loss_functions(loss)[1](y, f) / gram.shape[0] + 2.0 * lam * alpha)
+
+
+def _objective(alpha, gram, y, lam, loss):
+    with np.errstate(over="ignore"):  # inf is meaningful to divergence checks
+        emp = float(np.mean(netcore.loss_functions(loss)[0](y, gram @ alpha)))
+        reg = float(lam * alpha @ gram @ alpha)
+    return ObjectiveParts(emp + reg, emp, reg)
 
 
 def objective_gradient(alpha, gram, y, lam, loss="squared"):
     """Gradient of the stabilized risk with respect to alpha."""
     gram, y = _check_system(gram, y)
-    alpha = np.asarray(alpha, dtype=float)
-    n = gram.shape[0]
-    f = gram @ alpha
-    return gram @ (_loss_derivs(loss, y, f) / n + 2.0 * lam * alpha)
+    return _gradient(np.asarray(alpha, dtype=float), gram, y, lam, loss)
 
 
 def stabilized_objective(alpha, gram, y, lam, loss="squared"):
     """(total, empirical, regularizer); the regularizer may be negative."""
     gram, y = _check_system(gram, y)
-    alpha = np.asarray(alpha, dtype=float)
-    with np.errstate(over="ignore"):  # inf is meaningful to divergence checks
-        f = gram @ alpha
-        if loss == "squared":
-            emp = float(np.mean((f - y) ** 2))
-        elif loss == "logistic":
-            emp = float(np.mean(np.logaddexp(0.0, -y * f)))
-        else:
-            raise ValueError(f"unknown loss {loss!r}")
-        reg = float(lam * alpha @ gram @ alpha)
-    return ObjectiveParts(emp + reg, emp, reg)
+    return _objective(np.asarray(alpha, dtype=float), gram, y, lam, loss)
 
 
-def train_gd(gram, y, lam, loss="squared", seed=0, steps=500, step_size=0.05):
+def train_gd(gram, y, lam, loss="squared", steps=500, step_size=0.05):
     """Plain gradient descent on the stabilized risk from alpha = 0.
 
-    Deterministic given its arguments (the seed is reserved for stochastic
-    variants).  Returns (alpha, final gradient norm); raises DivergenceError
+    Deterministic given its arguments.  The system is validated once, at
+    entry.  Returns (alpha, final gradient norm); raises DivergenceError
     when the risk or an iterate stops being finite.
     """
     gram, y = _check_system(gram, y)
-    del seed  # descent from alpha = 0 has no randomness
     alpha = np.zeros_like(y)
     for _ in range(steps):
-        g = objective_gradient(alpha, gram, y, lam, loss)
-        alpha = alpha - step_size * g
+        alpha = alpha - step_size * _gradient(alpha, gram, y, lam, loss)
         if not np.all(np.isfinite(alpha)):
             raise DivergenceError("alpha became non-finite during descent")
-        if not math.isfinite(stabilized_objective(alpha, gram, y, lam, loss).total):
+        if not math.isfinite(_objective(alpha, gram, y, lam, loss).total):
             raise DivergenceError("stabilized risk became non-finite during descent")
-    grad_norm = float(np.linalg.norm(objective_gradient(alpha, gram, y, lam, loss)))
+    grad_norm = float(np.linalg.norm(_gradient(alpha, gram, y, lam, loss)))
     return GDResult(alpha, grad_norm)
 
 
 def predict(model, x):
     """f*(x) = sum_i alpha_i K(x, x_i) under the model's kernel variant."""
-    return float(
-        sum(
-            a * kk.kernel_value(model.kernel_def, x, xi)
-            for a, xi in zip(model.alpha, model.training_points)
-        )
-    )
+    defn = model.kernel_def
+    s = model.training_points @ np.asarray(x, dtype=float)
+    return float(model.alpha @ kk.chain(defn.arch, s, defn.variant == "associated"))
 
 
 # ---------------------------------------------------------------------------

@@ -99,97 +99,94 @@ def init_weights(arch, seed):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _layers(arch, weights, x):
-    """Pre- and post-activation vectors per layer for a single input."""
+def _layers(arch, weights, xs):
+    """Pre- and post-activation arrays per layer, each (H_q, N), for an (N, D) batch."""
     check_shapes(arch, weights)
-    z = np.asarray(x, dtype=float)
-    if z.shape != (arch.input_dim,):
-        raise ValueError(f"input shape {z.shape} != ({arch.input_dim},)")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
+        raise ValueError(f"inputs must have shape (N, {arch.input_dim}), got {xs.shape}")
+    z = xs.T
     pres, posts = [], []
     for q, w in enumerate(weights):
-        pre = w @ z
-        z = act.evaluate_array(arch.activations[q], pre)
-        pres.append(pre)
+        pres.append(w @ z)
+        z = act.evaluate(arch.activations[q], pres[-1])
         posts.append(z)
     return pres, posts
 
+
 def forward(arch, weights, x):
-    """f(x) for one input, as a float."""
-    _, posts = _layers(arch, weights, x)
-    return float(posts[-1][0])
+    """f(x) for one input, as a float (a batch of one)."""
+    return float(forward_batch(arch, weights, np.asarray(x, dtype=float)[None])[0])
 
 
 def forward_batch(arch, weights, xs):
     """f over the rows of an (N, D) array; returns shape (N,)."""
-    check_shapes(arch, weights)
-    xs = np.asarray(xs, dtype=float)
-    z = xs.T
-    for q, w in enumerate(weights):
-        z = act.evaluate_array(arch.activations[q], w @ z)
-    return z[0]
+    return _layers(arch, weights, xs)[1][-1][0]
 
 
 # ---------------------------------------------------------------------------
 # losses and risk
 # ---------------------------------------------------------------------------
 
-def loss_value(loss, y, f):
-    if loss == "squared":
-        r = f - y
-        return r * r if abs(r) < 1e154 else math.inf  # avoid float overflow raise
-    if loss == "logistic":
-        # log(1 + exp(-y f)), overflow-safe
-        return float(np.logaddexp(0.0, -y * f))
-    raise ValueError(f"unknown loss {loss!r}")
+_SIGMOID = act.logistic()
 
 
-def _loss_deriv(loss, y, f):
-    """d loss / d f."""
-    if loss == "squared":
-        return 2.0 * (f - y)
-    if loss == "logistic":
-        t = -y * f
-        if t >= 0:
-            s = 1.0 / (1.0 + math.exp(-t))
-        else:
-            e = math.exp(t)
-            s = e / (1.0 + e)
-        return -y * s
-    raise ValueError(f"unknown loss {loss!r}")
+def _squared(y, f):
+    r = f - y
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(np.abs(r) < 1e154, r * r, math.inf)  # inf where r*r overflows
 
 
-def _as_dataset(dataset):
-    pairs = [(np.asarray(x, dtype=float), float(y)) for x, y in dataset]
+#: loss -> (value, d value / d f), elementwise over target and output arrays
+_LOSS_TABLE = {
+    "squared": (_squared, lambda y, f: 2.0 * (f - y)),
+    # log(1 + exp(-y f)), overflow-safe
+    "logistic": (
+        lambda y, f: np.logaddexp(0.0, -y * f),
+        lambda y, f: -y * act.evaluate(_SIGMOID, -y * f),
+    ),
+}
+LOSSES = tuple(_LOSS_TABLE)
+
+
+def loss_functions(loss):
+    """(value, derivative) of a named loss, both elementwise over (y, f) arrays."""
+    if loss not in _LOSS_TABLE:
+        raise ValueError(f"unknown loss {loss!r}")
+    return _LOSS_TABLE[loss]
+
+
+def _as_batch(dataset):
+    """(X, y) arrays from (x, y) pairs."""
+    pairs = list(dataset)
     if not pairs:
         raise ValueError("dataset is empty")
-    return pairs
+    xs, ys = zip(*pairs)
+    return np.array(xs, dtype=float), np.array(ys, dtype=float)
 
 
 def objective(arch, weights, dataset, loss, lam, reg_scale=None):
     """Mean loss + lam * reg_scale * sum_q ||W_q||_F^2 (reg_scale default 1/depth)."""
-    pairs = _as_dataset(dataset)
+    xs, ys = _as_batch(dataset)
     scale = 1.0 / arch.depth if reg_scale is None else float(reg_scale)
-    emp = sum(loss_value(loss, y, forward(arch, weights, x)) for x, y in pairs) / len(pairs)
+    emp = float(np.mean(loss_functions(loss)[0](ys, forward_batch(arch, weights, xs))))
     reg = lam * scale * sum(weights.frobenius_sq())
     return emp + reg
 
 
 def gradient(arch, weights, dataset, loss, lam, reg_scale=None):
-    """Exact gradient of objective() w.r.t. every weight matrix."""
-    pairs = _as_dataset(dataset)
+    """Exact gradient of objective() w.r.t. every weight matrix, by batched backprop."""
+    xs, ys = _as_batch(dataset)
     scale = 1.0 / arch.depth if reg_scale is None else float(reg_scale)
-    grads = [2.0 * lam * scale * w for w in weights]
-    n = len(pairs)
-    for x, y in pairs:
-        pres, posts = _layers(arch, weights, x)
-        f = float(posts[-1][0])
-        delta = np.array([_loss_deriv(loss, y, f) / n])
-        for q in range(arch.depth - 1, -1, -1):
-            delta = delta * act.derivative_array(arch.activations[q], pres[q])
-            below = posts[q - 1] if q > 0 else np.asarray(x, dtype=float)
-            grads[q] += np.outer(delta, below)
-            if q > 0:
-                delta = weights[q].T @ delta
+    pres, posts = _layers(arch, weights, xs)
+    delta = loss_functions(loss)[1](ys, posts[-1]) / xs.shape[0]  # (1, N)
+    grads = [None] * arch.depth
+    for q in range(arch.depth - 1, -1, -1):
+        delta = delta * act.derivative(arch.activations[q], pres[q])
+        below = posts[q - 1] if q > 0 else xs.T
+        grads[q] = 2.0 * lam * scale * weights[q] + delta @ below.T
+        if q > 0:
+            delta = weights[q].T @ delta
     return WeightSet(tuple(grads))
 
 
@@ -227,6 +224,9 @@ def train(arch, dataset, loss, lam, seed, steps, step_size, reg_scale=None):
 # ---------------------------------------------------------------------------
 
 def _geomean(values):
+    """Geometric mean: 1 for no values, 0 if any is 0, inf if any is inf."""
+    if not values:
+        return 1.0
     if any(v == 0.0 for v in values):
         return 0.0
     if any(math.isinf(v) for v in values):

@@ -107,7 +107,7 @@ def _max_nested_argument(arch, weights, x):
     for q in range(arch.depth):
         z = weights.matrices[q] @ h
         peak = max(peak, float(np.max(np.abs(z))))
-        h = act.evaluate_array(arch.activations[q], z)
+        h = act.evaluate(arch.activations[q], z)
     return peak
 
 
@@ -177,7 +177,7 @@ def test_criterion_03_kernel_identity_both_variants():
         adef = kk.KernelDefinition(arch, variant="associated")
         worst_poly = max(
             worst_poly,
-            abs(kk.kernel(kdef, x, xp) - pf.flat_inner(metric, phi, phip)),
+            abs(kk.kernel_value(kdef, x, xp) - pf.flat_inner(metric, phi, phip)),
             abs(kk.kernel_value(adef, x, xp) - pf.flat_inner(folded, phi, phip)),
         )
         accepted += 1
@@ -198,7 +198,7 @@ def test_criterion_03_kernel_identity_both_variants():
         adef = kk.KernelDefinition(arch, variant="associated")
         worst_erf = max(
             worst_erf,
-            abs(kk.kernel(kdef, x, xp) - pf.flat_inner(metric, phi, phip)),
+            abs(kk.kernel_value(kdef, x, xp) - pf.flat_inner(metric, phi, phip)),
             abs(kk.kernel_value(adef, x, xp) - pf.flat_inner(folded, phi, phip)),
         )
     assert worst_erf <= 1e-6

@@ -10,6 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kreinflat import activations as act
 from kreinflat.errors import DomainError
@@ -162,12 +165,24 @@ def test_pole_limited_kinds_raise_outside_radius():
 
 
 def test_evaluate_array_matches_scalar():
+    # reference values come from the math module's closed forms, element by element
+    c = 0.1
+    cases = [
+        (act.tanh(), math.tanh),
+        (act.erf(), math.erf),
+        (act.logistic(), lambda x: 1.0 / (1.0 + math.exp(-x))),
+        (act.relu_surrogate(c), lambda x: 0.5 * x * (1.0 + math.erf(x / c))),
+        (act.polynomial((0.1, 0.5, 0.2)), lambda x: 0.1 + 0.5 * x + 0.2 * x * x),
+        (act.exp(), math.exp),
+        (act.associated(act.tanh()), math.tan),
+        (act.associated(act.logistic()), lambda x: 0.5 * (1.0 + math.tan(x / 2.0))),
+    ]
     xs = np.linspace(-1.2, 1.2, 41)
-    for spec in (act.tanh(), act.erf(), act.logistic(), act.relu_surrogate(0.1),
-                 act.polynomial((0.1, 0.5, 0.2))):
-        vals = act.evaluate_array(spec, xs)
+    for spec, closed_form in cases:
+        vals = act.evaluate(spec, xs)
+        assert vals.shape == xs.shape
         for x, v in zip(xs, vals):
-            assert v == pytest.approx(act.evaluate(spec, float(x)), rel=1e-12, abs=1e-15)
+            assert v == pytest.approx(closed_form(float(x)), rel=1e-12, abs=1e-15)
 
 
 def test_derivative_matches_finite_differences():
@@ -177,6 +192,49 @@ def test_derivative_matches_finite_differences():
         for xi in (-0.8, -0.1, 0.4, 1.1):
             fd = (act.evaluate(spec, xi + h) - act.evaluate(spec, xi - h)) / (2 * h)
             assert act.derivative(spec, xi) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+EVERY_KIND = (
+    act.linear(), act.polynomial((0.1, 0.5, -0.2, 0.3)), act.erf(), act.associated(act.erf()),
+    act.tanh(), act.associated(act.tanh()), act.logistic(), act.associated(act.logistic()),
+    act.exp(), act.relu_surrogate(0.3), act.associated(act.relu_surrogate(0.3)),
+)
+
+
+def test_every_kind_is_covered():
+    assert {s.kind for s in EVERY_KIND} == set(act.BASE_KINDS) | set(act.DERIVED_KINDS)
+
+
+@given(
+    st.sampled_from(EVERY_KIND),
+    hnp.arrays(float, st.integers(1, 12), elements=st.floats(-1.5, 1.5)),
+)
+def test_array_calls_equal_scalar_calls(spec, xs):
+    values, slopes = act.evaluate(spec, xs), act.derivative(spec, xs)
+    assert values.shape == slopes.shape == xs.shape
+    for x, v, d in zip(xs, values, slopes):
+        one_v, one_d = act.evaluate(spec, x), act.derivative(spec, x)
+        assert type(one_v) is type(one_d) is np.float64
+        assert v == one_v and d == one_d
+
+
+@given(st.sampled_from(EVERY_KIND), st.floats(-1.3, 1.3))
+def test_derivative_matches_central_differences(spec, xi):
+    h = 1e-6
+    fd = (act.evaluate(spec, xi + h) - act.evaluate(spec, xi - h)) / (2 * h)
+    assert act.derivative(spec, xi) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def test_nan_is_outside_the_domain():
+    t = act.associated(act.tanh())
+    for fn in (act.evaluate, act.derivative):
+        with pytest.raises(DomainError, match="evaluated at nan,"):
+            fn(t, math.nan)
+    # the first violating entry in C order is named, as a plain float
+    with pytest.raises(DomainError, match=r"tan evaluated at 2\.0, outside radius"):
+        act.evaluate(t, np.array([[0.1, 2.0], [math.nan, 3.0]]))
+    # kinds without a pole keep propagating NaN
+    assert math.isnan(act.evaluate(act.tanh(), math.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +311,8 @@ def test_interval_lipschitz_is_an_upper_bound():
         L = act.lipschitz_on(spec, m)
         xs = rng.uniform(0.0, m, size=200)
         ys = rng.uniform(0.0, m, size=200)
-        fx = act.evaluate_array(spec, xs)
-        fy = act.evaluate_array(spec, ys)
+        fx = act.evaluate(spec, xs)
+        fy = act.evaluate(spec, ys)
         gap = np.abs(fx - fy) - L * np.abs(xs - ys)
         assert np.max(gap) <= 1e-12
 

@@ -296,6 +296,15 @@ def test_bound_net_domain_error_carries_sample_index():
     assert info.value.location == 1
 
 
+def test_bound_net_blames_nan_sample_before_inf():
+    arch = netcore.Architecture(1, (1,), (act.tanh(),))
+    xs = np.array([[0.1], [math.nan], [math.inf]])
+    with pytest.raises(DomainError) as info:
+        analysis.rademacher_bound_net(arch, 1.0, xs)
+    assert info.value.location == 1
+    assert info.value.layer == 0
+
+
 def test_bound_net_sample_validation():
     arch = lin_arch(2, (1,))
     with pytest.raises(ValueError):

@@ -298,6 +298,17 @@ def test_domain_failure_exits_3(tmp_path, capsys):
     assert "numerical domain failure" in capsys.readouterr().err
 
 
+def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError but is a numerical failure, not bad input
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path))
+    assert run("kernel", cfg) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # training front ends
 # ---------------------------------------------------------------------------
@@ -399,7 +410,7 @@ def test_compare_single_sample_closed_form(tmp_path):
     assert run("compare", cfg, out) == 0
     report = read_report(out)
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
-    k = kk.kernel(kk.KernelDefinition(arch), xs[0], xs[0])
+    k = kk.kernel_value(kk.KernelDefinition(arch), xs[0], xs[0])
     alpha = ys[0] / (k + 0.5)
     assert report["results"]["ksvm"]["predictions"][0] == pytest.approx(
         k * alpha, rel=1e-12

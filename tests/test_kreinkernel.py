@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kreinflat import activations as act
 from kreinflat import kreinkernel as kk
@@ -24,14 +26,14 @@ def test_linear_two_layers_is_width_times_dot():
     defn = kk.KernelDefinition(arch)
     x = np.array([1.0, 2.0, -1.0])
     xp = np.array([0.5, 0.0, 2.0])
-    assert kk.kernel(defn, x, xp) == pytest.approx(4.0 * float(x @ xp), rel=1e-15)
+    assert kk.kernel_value(defn, x, xp) == pytest.approx(4.0 * float(x @ xp), rel=1e-15)
 
 
 def test_linear_three_layers_multiplies_all_inner_widths():
     arch = arch_of(2, (2, 3, 1), (act.linear(),) * 3)
     defn = kk.KernelDefinition(arch)
     x = np.array([1.0, 1.0])
-    assert kk.kernel(defn, x, x) == pytest.approx(12.0)
+    assert kk.kernel_value(defn, x, x) == pytest.approx(12.0)
 
 
 def test_depth_one_kernel_is_activation_of_dot():
@@ -40,7 +42,7 @@ def test_depth_one_kernel_is_activation_of_dot():
     x = np.array([0.5, 0.25])
     xp = np.array([1.0, -0.2])
     s = float(x @ xp)
-    assert kk.kernel(defn, x, xp) == pytest.approx(math.tanh(s), rel=1e-15)
+    assert kk.kernel_value(defn, x, xp) == pytest.approx(math.tanh(s), rel=1e-15)
 
 
 def test_tanh_depth_two_frozen_value():
@@ -48,7 +50,7 @@ def test_tanh_depth_two_frozen_value():
     arch = arch_of(1, (2, 1), (act.tanh(), act.tanh()))
     defn = kk.KernelDefinition(arch)
     x = np.array([0.5])
-    assert kk.kernel(defn, x, x) == pytest.approx(0.4540873098866514, rel=1e-14)
+    assert kk.kernel_value(defn, x, x) == pytest.approx(0.4540873098866514, rel=1e-14)
 
 
 def test_associated_tanh_depth_one_is_tan():
@@ -69,7 +71,7 @@ def test_associated_equals_kernel_for_nonnegative_streams():
         x = rng.uniform(-1.0, 1.0, size=2)
         xp = rng.uniform(-1.0, 1.0, size=2)
         assert kk.associated_kernel(defn, x, xp) == pytest.approx(
-            kk.kernel(defn, x, xp), rel=1e-15
+            kk.kernel_value(defn, x, xp), rel=1e-15
         )
 
 
@@ -79,7 +81,7 @@ def test_kernel_symmetric_in_arguments():
     rng = np.random.default_rng(4)
     x = rng.normal(size=3)
     xp = rng.normal(size=3)
-    assert kk.kernel(defn, x, xp) == kk.kernel(defn, xp, x)
+    assert kk.kernel_value(defn, x, xp) == kk.kernel_value(defn, xp, x)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +93,8 @@ def test_variant_validation():
     with pytest.raises(ValueError):
         kk.KernelDefinition(arch, "positive")
     defn = kk.KernelDefinition(arch, "associated")
-    with pytest.raises(ValueError):
-        kk.kernel(defn, np.array([0.1]), np.array([0.1]))
+    x = np.array([0.1])
+    assert kk.kernel_value(defn, x, x) == kk.associated_kernel(defn, x, x)
 
 
 def test_kernel_value_dispatches_on_variant():
@@ -109,9 +111,9 @@ def test_input_shape_validation():
     arch = arch_of(2, (1,), (act.linear(),))
     defn = kk.KernelDefinition(arch)
     with pytest.raises(ValueError):
-        kk.kernel(defn, np.array([1.0]), np.array([1.0, 2.0]))
+        kk.kernel_value(defn, np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        kk.kernel(defn, np.ones((2, 2)), np.ones(2))
+        kk.kernel_value(defn, np.ones((2, 2)), np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def test_parts_reassemble_polynomial_kernel_exactly():
         x = rng.uniform(-0.8, 0.8, size=2)
         xp = rng.uniform(-0.8, 0.8, size=2)
         kp, km = kk.kernel_parts(arch, x, xp, truncation=9)
-        assert kp - km == pytest.approx(kk.kernel(defn, x, xp), abs=1e-12)
+        assert kp - km == pytest.approx(kk.kernel_value(defn, x, xp), abs=1e-12)
         assert kp + km == pytest.approx(kk.associated_kernel(defn, x, xp), abs=1e-12)
     # on the diagonal both parts are sums of squares, and the negative cubic
     # slot makes the minus side strictly active
@@ -144,7 +146,7 @@ def test_parts_track_both_chains_for_analytic_layers():
         x = rng.uniform(-0.4, 0.4, size=2)
         xp = rng.uniform(-0.4, 0.4, size=2)
         kp, km = kk.kernel_parts(arch, x, xp, truncation=11)
-        assert kp - km == pytest.approx(kk.kernel(defn, x, xp), abs=1e-8)
+        assert kp - km == pytest.approx(kk.kernel_value(defn, x, xp), abs=1e-8)
         assert kp + km == pytest.approx(kk.associated_kernel(defn, x, xp), abs=1e-8)
     # erf towers really are indefinite: the minus side is live on the diagonal
     x = np.array([0.4, 0.4])
@@ -172,7 +174,7 @@ def test_associated_dominates_kernel_on_diagonal():
         x = rng.uniform(-0.4, 0.4, size=2)
         kbar = kk.associated_kernel(defn, x, x)
         assert kbar >= 0.0
-        assert kbar + 1e-15 >= abs(kk.kernel(defn, x, x))
+        assert kbar + 1e-15 >= abs(kk.kernel_value(defn, x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,7 @@ def test_gram_matches_pairwise_kernel():
     for i in range(4):
         for j in range(4):
             assert G[i, j] == pytest.approx(
-                kk.kernel(defn, pts[i], pts[j]), rel=1e-15
+                kk.kernel_value(defn, pts[i], pts[j]), rel=1e-15
             )
 
 
@@ -246,6 +248,48 @@ def test_gram_domain_error_reports_entry_and_layer():
     assert info.value.layer == 0
 
 
+def test_gram_domain_error_blames_first_entry_across_layers():
+    # (0, 0): 0.81 passes layer 0, but 2 tan(0.81) > pi/2 fails layer 1;
+    # (1, 1): 1.69 already fails layer 0, yet (0, 0) comes first in row-major order
+    arch = arch_of(1, (2, 1), (act.tanh(), act.tanh()))
+    defn = kk.KernelDefinition(arch, "associated")
+    with pytest.raises(DomainError) as info:
+        kk.gram(defn, np.array([[0.9], [1.3]]))
+    assert info.value.location == (0, 0)
+    assert info.value.layer == 1
+
+
+_KINDS = (act.linear(), act.erf(), act.tanh(), act.polynomial((0.0, 1.0, -0.3, 0.2)))
+
+
+@given(
+    st.integers(1, 3),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.lists(st.sampled_from(_KINDS), min_size=3, max_size=3),
+    st.sampled_from(kk.VARIANTS),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_gram_is_bit_symmetric_and_matches_kernel_value(dim, hidden, kinds, variant, n, seed):
+    widths = tuple(hidden) + (1,)
+    defn = kk.KernelDefinition(arch_of(dim, widths, kinds[: len(widths)]), variant)
+    pts = np.random.default_rng(seed).uniform(-0.6, 0.6, size=(n, dim))
+    try:
+        G = kk.gram(defn, pts)
+    except DomainError as exc:
+        i, j = exc.location
+        with pytest.raises(DomainError):
+            kk.kernel_value(defn, pts[i], pts[j])
+        return
+    assert np.array_equal(G, G.T)
+    for i in range(n):
+        for j in range(n):
+            # X X^T and a per-pair dot may round differently in the last place
+            assert G[i, j] == pytest.approx(
+                kk.kernel_value(defn, pts[i], pts[j]), rel=1e-12, abs=1e-14
+            )
+
+
 # ---------------------------------------------------------------------------
 # chain vs flat features
 # ---------------------------------------------------------------------------
@@ -263,4 +307,4 @@ def test_kernel_equals_flat_feature_inner_product():
         fx = pf.flatten_feature_map(arch, x, 4)
         fxp = pf.flatten_feature_map(arch, xp, 4)
         lhs = pf.flat_inner(g, fx, fxp)
-        assert lhs == pytest.approx(kk.kernel(defn, x, xp), abs=1e-10)
+        assert lhs == pytest.approx(kk.kernel_value(defn, x, xp), abs=1e-10)

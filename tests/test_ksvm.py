@@ -216,6 +216,17 @@ def test_gd_divergence_detected():
         ksvm.train_gd(G, y, lam=1.0, steps=500, step_size=10.0)
 
 
+def test_gd_validates_the_system_once(monkeypatch):
+    calls = []
+    check = ksvm._check_system
+    monkeypatch.setattr(ksvm, "_check_system", lambda g, y: calls.append(1) or check(g, y))
+    G = np.array([[1.0, 0.4], [0.4, 2.0]])
+    ksvm.train_gd(G, np.array([0.3, -1.2]), 0.7, steps=20)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="symmetric"):
+        ksvm.train_gd(np.array([[1.0, 0.4], [0.0, 2.0]]), np.zeros(2), 0.7, steps=1)
+
+
 def test_gd_deterministic():
     G = np.array([[1.0, 0.4], [0.4, 2.0]])
     y = np.array([0.3, -1.2])
@@ -240,7 +251,7 @@ def test_predict_is_kernel_combination():
     model = _toy_model()
     x = np.array([0.25, -0.1])
     want = sum(
-        a * kk.kernel(model.kernel_def, x, p)
+        a * kk.kernel_value(model.kernel_def, x, p)
         for a, p in zip(model.alpha, model.training_points)
     )
     assert ksvm.predict(model, x) == pytest.approx(want, rel=1e-15)
@@ -251,7 +262,7 @@ def test_predict_unit_alpha_reads_one_column():
     model.alpha = np.array([1.0, 0.0, 0.0])
     x = np.array([0.6, 0.2])
     assert ksvm.predict(model, x) == pytest.approx(
-        kk.kernel(model.kernel_def, x, model.training_points[0]), rel=1e-15
+        kk.kernel_value(model.kernel_def, x, model.training_points[0]), rel=1e-15
     )
 
 

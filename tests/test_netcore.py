@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinflat import activations as act
 from kreinflat import netcore
@@ -152,6 +154,27 @@ def test_gradient_matches_finite_differences(loss):
         want = _fd_gradient(arch, w, data, loss, lam)
         for g, f in zip(got, want):
             np.testing.assert_allclose(g, f, rtol=1e-5, atol=1e-7)
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(1, 3),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.lists(st.sampled_from((act.tanh(), act.erf(), act.logistic(), act.linear(),
+                              act.polynomial((0.0, 1.0, 0.2)))), min_size=3, max_size=3),
+    st.integers(1, 5),
+    st.sampled_from(netcore.LOSSES),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_gradient_matches_finite_differences(dim, hidden, specs, n, loss, seed):
+    widths = tuple(hidden) + (1,)
+    arch = netcore.Architecture(dim, widths, tuple(specs[: len(widths)]))
+    rng = np.random.default_rng(seed)
+    w = netcore.init_weights(arch, seed=seed)
+    data = list(zip(rng.normal(scale=0.5, size=(n, dim)), rng.choice([-1.0, 1.0], size=n)))
+    got = netcore.gradient(arch, w, data, loss, 0.05)
+    for g, f in zip(got, _fd_gradient(arch, w, data, loss, 0.05)):
+        np.testing.assert_allclose(g, f, rtol=1e-5, atol=1e-7)
 
 
 def test_gradient_regularizer_only():
