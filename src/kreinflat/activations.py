@@ -189,21 +189,22 @@ def outside_domain(spec, xi):
     """Mask of the entries where spec's closed form is not trusted.
 
     Only pole-limited kinds have such entries: not |xi| < radius, so NaN is
-    outside too.
+    outside too.  Other kinds get a scalar False that broadcasts to xi.
     """
     if spec.kind not in _POLE_LIMITED:
-        return np.zeros(np.shape(xi), dtype=bool)
+        return np.False_
     return ~(np.abs(xi) < convergence_radius(spec))
 
 
 def _checked(spec, xi):
     xi = np.asarray(xi, dtype=float)
-    bad = outside_domain(spec, xi)
-    if bad.any():
-        first = float(xi[bad][0])  # C order
-        raise DomainError(
-            f"{spec.kind} evaluated at {first!r}, outside radius {convergence_radius(spec)!r}"
-        )
+    if spec.kind in _POLE_LIMITED:
+        bad = outside_domain(spec, xi)
+        if bad.any():
+            first = float(xi[bad][0])  # C order
+            raise DomainError(
+                f"{spec.kind} evaluated at {first!r}, outside radius {convergence_radius(spec)!r}"
+            )
     return xi
 
 

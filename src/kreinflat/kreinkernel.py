@@ -48,23 +48,27 @@ def chain(arch, s, associated, layers=None, recorder=None):
     """
     layers = range(arch.depth) if layers is None else layers
     s = np.asarray(s, dtype=float)
-    failed = np.full(s.shape, -1)  # layer at which each entry left its domain
-    rejected = np.zeros(s.shape)  # the argument it was rejected at
+    dead = blame = None  # masked entries; (flat index, layer, argument) of the first
     specs = [act.associated(a) if associated else a for a in arch.activations]
     for k in layers:
         spec = specs[k]
         if recorder is not None:
             recorder[k] = max(recorder[k], float(np.max(np.abs(s))))
-        fresh = act.outside_domain(spec, s) & (failed < 0)
-        failed[fresh], rejected[fresh] = k, s[fresh]
-        s = act.evaluate(spec, np.where(failed < 0, s, 0.0))
+        fresh = act.outside_domain(spec, s)
+        if dead is not None:
+            fresh &= ~dead
+        if fresh.any():
+            i = int(np.argmax(fresh))
+            if blame is None or i < blame[0]:
+                blame = i, k, float(s.flat[i])
+            dead = fresh if dead is None else dead | fresh
+        s = act.evaluate(spec, s if dead is None else np.where(dead, 0.0, s))
         if k != layers[-1]:
             s = s * arch.widths[k]
-    if np.any(failed >= 0):
-        i = int(np.argmax(failed >= 0))
-        k = int(failed.flat[i])
+    if blame is not None:
+        i, k, arg = blame
         try:  # re-raise the blamed entry's own error
-            act.evaluate(specs[k], rejected.flat[i])
+            act.evaluate(specs[k], arg)
         except DomainError as exc:
             raise DomainError(
                 f"layer {k}: {exc}", layer=k, location=i if s.ndim else None
@@ -121,15 +125,15 @@ def gram(defn, points):
             f"points must be a 2-d array with {defn.arch.input_dim} columns "
             f"(one row per sample), got shape {points.shape}"
         )
-    rows, cols = np.triu_indices(points.shape[0])
+    upper = np.triu(np.ones((points.shape[0],) * 2, dtype=bool))
+    out = points @ points.T
     try:
-        upper = chain(defn.arch, (points @ points.T)[rows, cols], defn.variant == "associated")
+        values = chain(defn.arch, out[upper], defn.variant == "associated")
     except DomainError as exc:
-        i, j = int(rows[exc.location]), int(cols[exc.location])
+        i, j = (int(ix[exc.location]) for ix in np.nonzero(upper))
         raise DomainError(
             f"gram entry ({i}, {j}): {exc}", layer=exc.layer, location=(i, j)
         ) from exc
-    out = np.empty((points.shape[0],) * 2)
-    out[rows, cols] = upper
-    out[cols, rows] = upper
+    out[upper] = values
+    out.T[upper] = values  # the mirror: out.T walks the lower triangle in the same order
     return out

@@ -20,7 +20,6 @@ import numpy as np
 from . import activations as act
 from .errors import DivergenceError, DomainError
 
-LOSSES = ("squared", "logistic")
 _DIGITS = "%.17g"
 
 
