@@ -13,10 +13,12 @@ domain failures (series domain violations, near-singular solves, divergence).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
+import secrets
 import sys
 
 import numpy as np
@@ -109,9 +111,12 @@ def load_dataset(path, input_dim):
         if len(row) != input_dim + 1:
             raise ConfigError(f"dataset line {lineno}: expected {input_dim + 1} columns")
         try:
-            data.append([float(v) for v in row])
+            values = [float(v) for v in row]
         except ValueError as exc:
             raise ConfigError(f"dataset line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"dataset line {lineno}: values must be finite")
+        data.append(values)
     if not data:
         raise ConfigError("dataset has no samples")
     table = np.array(data, dtype=float)
@@ -191,11 +196,20 @@ def render_report(report):
 
 
 def write_text(path, text):
-    """Atomic write: temp file in the same directory, then rename."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Atomic write: a temp file of unique name in the same directory, then rename.
+
+    The temp file is removed when writing or renaming fails.
+    """
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _emit(report, out):
@@ -231,8 +245,7 @@ def run_flatten(cfg, out=None):
     trunc = _truncation(cfg)
     weights = _weights_for(cfg, arch)
     metric = pf.flatten_metric(arch, trunc)
-    vq = [pf.pushforward_weights(arch, weights, q, trunc) for q in range(arch.depth)]
-    vnn = pf.flat_weight(arch, weights, trunc)
+    vq, vnn = pf.pushed_weights(arch, weights, trunc)
 
     warnings = []
     diagnostics = {
@@ -244,12 +257,12 @@ def run_flatten(cfg, out=None):
     if cfg.get("dataset"):
         xs, _ = load_dataset(cfg["dataset"], arch.input_dim)
         probe = xs[0]
-        residual = 0.0
-        for x in xs:
-            f = netcore.forward(arch, weights, x)
-            flat = pf.flat_eval(vnn, pf.flatten_feature_map(arch, x, trunc), metric)
-            residual = max(residual, abs(f - flat) / (1.0 + abs(f)))
-        results["max_equivalence_residual"] = residual
+        gv = metric.values * vnn.values
+        # one 1-D sum per row, as flat_eval takes it: a sum along an axis of
+        # the block rounds differently
+        flat = np.array([np.sum(row) for phi in pf.feature_blocks(arch, xs, trunc) for row in phi * gv])
+        f = netcore.forward_batch(arch, weights, xs)
+        results["max_equivalence_residual"] = float(np.max(np.abs(f - flat) / (1.0 + np.abs(f))))
         results["dataset_rows"] = int(xs.shape[0])
     else:
         probe = np.ones(arch.input_dim)

@@ -40,6 +40,11 @@ from .errors import SizeLimitError
 DEFAULT_TRUNCATION = 8
 DEFAULT_MAX_ENTRIES = 200_000
 
+# Byte ceiling on the transient arrays of one row block of the batched
+# feature map.  Whole batches of tower-sized inputs cost tens of MB; blocks
+# of a few rows keep that near 2 MB at no measurable cost in time.
+_BLOCK_BYTES = 2 << 20
+
 
 # ---------------------------------------------------------------------------
 # multi-indices
@@ -57,91 +62,18 @@ def multinomial(exponents):
     return math.factorial(total) // denom
 
 
-class MultiIndex:
-    """A sparse multi-index over ``n`` positions, graded-lex comparable."""
+def _multinomials(exps):
+    """Row-wise multinomial of a nonnegative (m, w) exponent array, as floats.
 
-    __slots__ = ("n", "pairs")
-
-    def __init__(self, n, pairs=()):
-        norm = tuple(sorted((int(p), int(e)) for p, e in pairs if e != 0))
-        for p, e in norm:
-            if not 0 <= p < n:
-                raise ValueError(f"position {p} out of range for n={n}")
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
-        if len({p for p, _ in norm}) != len(norm):
-            raise ValueError("duplicate positions")
-        self.n = int(n)
-        self.pairs = norm
-
-    @classmethod
-    def from_exponents(cls, exponents):
-        exponents = tuple(int(e) for e in exponents)
-        return cls(len(exponents), tuple((p, e) for p, e in enumerate(exponents) if e))
-
-    @property
-    def exponents(self):
-        dense = [0] * self.n
-        for p, e in self.pairs:
-            dense[p] = e
-        return tuple(dense)
-
-    @property
-    def degree(self):
-        return sum(e for _, e in self.pairs)
-
-    def _lex_cmp(self, other):
-        # dense lexicographic comparison without materializing dense tuples
-        ia = ib = 0
-        pa, pb = self.pairs, other.pairs
-        while ia < len(pa) or ib < len(pb):
-            posa = pa[ia][0] if ia < len(pa) else self.n
-            posb = pb[ib][0] if ib < len(pb) else other.n
-            if posa == posb:
-                ea, eb = pa[ia][1], pb[ib][1]
-                if ea != eb:
-                    return -1 if ea < eb else 1
-                ia += 1
-                ib += 1
-            elif posa < posb:
-                return 1  # self nonzero where other is zero
-            else:
-                return -1
-        return 0
-
-    def _cmp(self, other):
-        if not isinstance(other, MultiIndex):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("multi-indices over different dimensions")
-        if self.degree != other.degree:
-            return -1 if self.degree < other.degree else 1
-        return self._lex_cmp(other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiIndex)
-            and self.n == other.n
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.pairs))
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __repr__(self):
-        return f"MultiIndex({self.n}, {self.pairs})"
+    Exact integers from a factorial table, each rounded once, so every value
+    equals float(multinomial(row)).
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    degrees = exps.sum(axis=1)
+    fact = np.array(
+        [math.factorial(k) for k in range(int(degrees.max(initial=0)) + 1)], dtype=object
+    )
+    return (fact[degrees] // np.prod(fact[exps], axis=1)).astype(float)
 
 
 def iter_exponents(n, max_degree):
@@ -179,25 +111,27 @@ class SeriesVector:
         self._space = space
         self._entries = None
 
-    def _keys(self):
-        return self._space.keys()
-
     @property
     def entries(self):
-        """dict MultiIndex -> value over the nonzero stored entries."""
+        """dict exponent tuple -> value over the nonzero stored entries.
+
+        An exponent tuple has one entry per position of the space: an input
+        coordinate for plain vectors and level 0, a slot above level 0.
+        """
         if self._entries is None:
-            keys = self._keys()
+            rows = self._space.exponent_rows().tolist()
             self._entries = {
-                k: float(v) for k, v in zip(keys, self.values) if v != 0.0
+                tuple(k): v for k, v in zip(rows, self.values.tolist()) if v != 0.0
             }
         return self._entries
 
-    def value_at(self, index):
-        if not isinstance(index, MultiIndex):
-            index = MultiIndex.from_exponents(index)
-        if index.degree > self.truncation or index.n != self.dimension:
+    def value_at(self, exponents):
+        key = tuple(int(e) for e in exponents)
+        if any(e < 0 for e in key):
+            raise ValueError("exponents must be nonnegative")
+        if len(key) != self.dimension or sum(key) > self.truncation:
             return 0.0
-        return self.entries.get(index, 0.0)
+        return self.entries.get(key, 0.0)
 
     def aligned_with(self, other):
         return isinstance(other, SeriesVector) and self._space is other._space
@@ -245,25 +179,48 @@ def flat_eval(weight_vec, feature_vec, metric_vec):
 
 
 # ---------------------------------------------------------------------------
+# index spaces: the dump layout every space shares
+# ---------------------------------------------------------------------------
+
+class _IndexSpace:
+    """Stored indices with composed exponents and tags; caches its dump layout."""
+
+    __slots__ = ("_layout",)
+
+    def dump_layout(self):
+        """(permutation, line prefixes) of a dump, computed once per space.
+
+        Rows sort by (degree, exponents, tag); the sort is stable, so ties
+        keep stored order.  prefixes[j] belongs to row permutation[j].
+        """
+        if self._layout is None:
+            exps = [tuple(row) for row in self.composed_exponents().tolist()]
+            tags = self.tags()
+            keys = [(sum(e), e, t) for e, t in zip(exps, tags)]
+            perm = sorted(range(len(keys)), key=keys.__getitem__)
+            prefixes = [" ".join(map(str, exps[i])) + f" | {tags[i]} | " for i in perm]
+            self._layout = (np.array(perm, dtype=np.intp), prefixes)
+        return self._layout
+
+
+# ---------------------------------------------------------------------------
 # plain (dense) spaces: monomial features and push-forward weights on R^n
 # ---------------------------------------------------------------------------
 
-class _PlainSpace:
-    __slots__ = ("n", "truncation", "exps", "_key_cache")
+class _PlainSpace(_IndexSpace):
+    __slots__ = ("n", "truncation", "exps")
 
     def __init__(self, n, truncation):
         self.n = n
         self.truncation = truncation
         self.exps = np.array(list(iter_exponents(n, truncation)), dtype=np.int64)
-        self._key_cache = None
+        self._layout = None
 
-    def keys(self):
-        if self._key_cache is None:
-            self._key_cache = [MultiIndex.from_exponents(tuple(e)) for e in self.exps]
-        return self._key_cache
+    def exponent_rows(self):
+        return self.exps
 
     def stable_keys(self):
-        return [tuple(int(v) for v in e) for e in self.exps]
+        return [tuple(e) for e in self.exps.tolist()]
 
     def composed_exponents(self):
         return self.exps
@@ -298,12 +255,8 @@ def gamma_weights(spec, n, truncation):
     """The pushed metric on R^n: gamma_i = multinomial(|i|; i) * a_{|i|}."""
     space = _plain_space(int(n), int(truncation))
     degs = space.exps.sum(axis=1)
-    coeff = {int(k): act.taylor_coefficient(spec, int(k)) for k in set(degs.tolist())}
-    vals = np.array(
-        [multinomial(e) * coeff[int(k)] for e, k in zip(space.exps.tolist(), degs)],
-        dtype=float,
-    )
-    return SeriesVector(n, truncation, vals, space)
+    coeff = np.array([act.taylor_coefficient(spec, k) for k in range(int(truncation) + 1)])
+    return SeriesVector(n, truncation, _multinomials(space.exps) * coeff[degs], space)
 
 
 def pushforward_check(spec, vectors, mu, truncation):
@@ -331,109 +284,118 @@ def pushforward_check(spec, vectors, mu, truncation):
 # the flattening tower
 # ---------------------------------------------------------------------------
 
-class _Level:
-    """One composition level: slots, stored indices, and their invariants."""
+class _Level(_IndexSpace):
+    """One composition level: slots, stored indices, and their invariants.
+
+    Row i of terms_pos/terms_exp holds index i's (slot, exponent) pairs in
+    ascending slot order, padded with the pad slot n_slots and exponent 0.
+    """
 
     __slots__ = (
         "level",
         "n_slots",
         "slot_block",
         "slot_prev",
-        "input_dim",
         "terms_pos",
         "terms_exp",
         "own_degree",
         "composed_degree",
-        "mnom",
         "gamma",
         "metric",
         "block_profile",
         "xexp",
-        "pairs_list",
         "prev",
-        "truncation",
-        "_key_cache",
+        "_power_exps",
+        "_gather",
+        "_tags",
         "_stable_cache",
     )
 
-    def keys(self):
-        if self._key_cache is None:
-            self._key_cache = [MultiIndex(self.n_slots, p) for p in self.pairs_list]
-        return self._key_cache
+    def _pairs(self):
+        """Each stored index's (slot, exponent) pairs, row by row."""
+        return (
+            [(p, e) for p, e in zip(prow, erow) if e]
+            for prow, erow in zip(self.terms_pos.tolist(), self.terms_exp.tolist())
+        )
 
-    def _stable_slot(self, pos):
-        if self.level == 0:
-            return int(pos)
-        prev_stable = self.prev.stable_keys()
-        return (int(self.slot_block[pos]), prev_stable[int(self.slot_prev[pos])])
+    def exponent_rows(self):
+        """Dense exponents over the slots, shape (m, n_slots)."""
+        dense = np.zeros((len(self.own_degree), self.n_slots + 1), dtype=np.int64)
+        np.put_along_axis(dense, self.terms_pos, self.terms_exp, axis=1)
+        return dense[:, : self.n_slots]
 
     def stable_keys(self):
         if self._stable_cache is None:
             if self.level == 0:
-                self._stable_cache = [
-                    tuple(int(v) for v in row) for row in self.xexp
-                ]
+                self._stable_cache = [tuple(row) for row in self.xexp.tolist()]
             else:
+                prev_stable = self.prev.stable_keys()
+                slot = [
+                    (b, prev_stable[k])
+                    for b, k in zip(self.slot_block.tolist(), self.slot_prev.tolist())
+                ]
                 self._stable_cache = [
-                    tuple(sorted((self._stable_slot(p), int(e)) for p, e in pairs))
-                    for pairs in self.pairs_list
+                    tuple(sorted((slot[p], e) for p, e in pairs)) for pairs in self._pairs()
                 ]
         return self._stable_cache
 
     def composed_exponents(self):
         return self.xexp
 
-    def _tag(self, pairs):
-        if self.level == 0:
-            return "-"
-        parts = []
-        for pos, e in pairs:
-            b = int(self.slot_block[pos])
-            k = int(self.slot_prev[pos])
-            inner = self.prev._tag(self.prev.pairs_list[k])
-            piece = f"{b}:({inner})"
-            if e > 1:
-                piece += f"^{e}"
-            parts.append(piece)
-        return "*".join(parts) if parts else "1"
-
     def tags(self):
-        if self.level == 0:
-            out = []
-            for pairs in self.pairs_list:
-                if not pairs:
-                    out.append("1")
-                else:
-                    out.append(
-                        "*".join(
-                            f"x{p}^{e}" if e > 1 else f"x{p}" for p, e in pairs
-                        )
-                    )
-            return out
-        return [self._tag(p) for p in self.pairs_list]
+        """Tags built once, bottom-up from the tags of the level below.
+
+        Level 0 names input monomials (x0^2*x1); above it a slot reads
+        block:(child tag), where children at level 0 print as "-".
+        """
+        if self._tags is None:
+            if self.level == 0:
+                pieces = [f"x{p}" for p in range(self.n_slots)]
+            else:
+                prev = self.prev
+                child = prev.tags() if prev.level > 0 else ["-"] * len(prev.own_degree)
+                pieces = [
+                    f"{b}:({child[k]})"
+                    for b, k in zip(self.slot_block.tolist(), self.slot_prev.tolist())
+                ]
+            self._tags = [
+                "*".join(pieces[p] + (f"^{e}" if e > 1 else "") for p, e in pairs) or "1"
+                for pairs in self._pairs()
+            ]
+        return self._tags
 
     def compose(self, slot_values):
-        """prod over packed terms of slot_values[pos]**exp, vectorized."""
-        padded = np.concatenate([np.asarray(slot_values, dtype=float), [1.0]])
-        return np.prod(padded[self.terms_pos] ** self.terms_exp, axis=1)
+        """prod over packed terms of slot_values[..., pos]**exp, per leading row.
+
+        Powers come from a table of every slot value to every exponent, built
+        by an elementwise power over a full exponent array: numpy's fast path
+        for a broadcast scalar exponent rounds differently.  Each index then
+        multiplies its gathered table entries left to right.
+        """
+        s = np.asarray(slot_values, dtype=float)
+        lead = s.shape[:-1]
+        rows = s.reshape(-1, self.n_slots)
+        padded = np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
+        table = np.power(padded[:, None, :], self._power_exps).reshape(len(rows), -1)
+        out = np.take(table, self._gather[0], axis=1)
+        if len(self._gather) > 1:
+            factor = np.empty_like(out)
+            for col in self._gather[1:]:
+                out *= np.take(table, col, axis=1, out=factor)
+        return out.reshape(lead + (len(self.own_degree),))
 
 
 class FlatSpace:
     """All levels of the truncated flat space for one architecture."""
 
-    def __init__(self, arch, truncation, levels, max_entries):
+    def __init__(self, arch, truncation, levels):
         self.arch = arch
         self.truncation = truncation
         self.levels = levels
-        self.max_entries = max_entries
 
     @property
     def top(self):
         return self.levels[-1]
-
-
-def _support(spec, truncation):
-    return [k for k in act.support_degrees(spec, truncation)]
 
 
 def level_counts(arch, truncation):
@@ -448,7 +410,7 @@ def level_counts(arch, truncation):
     # histogram of composed degree over stored indices of the previous level
     hist = {1: arch.input_dim}  # level-0 "slots" are the D inputs, degree 1
     for q in range(arch.depth):
-        supp = _support(arch.activations[q], trunc)
+        supp = act.support_degrees(arch.activations[q], trunc)
         if q > 0:
             hist = {cd: arch.widths[q - 1] * m for cd, m in hist.items()}
         max_own = max(supp) if supp else 0
@@ -473,64 +435,114 @@ def level_counts(arch, truncation):
     return counts
 
 
-def _enumerate_indices(slot_cdeg, supp, trunc, limit):
-    """Multisets over slots with own degree in supp and composed degree <= trunc.
+def _multisets(m, e):
+    """Every multiset of e draws from range(m) as padded (index, count) rows.
 
-    Slots are visited in ascending composed-degree order so budget overruns
-    break the scan early; output is re-sorted into a canonical order.
+    Row r lists its distinct indices ascending; pads are index -1, count 0.
     """
-    n = len(slot_cdeg)
-    supp_set = set(supp)
-    if not supp_set:
-        return []
-    max_own = max(supp_set)
-    order = sorted(range(n), key=lambda s: (slot_cdeg[s], s))
-    cds = [slot_cdeg[s] for s in order]
-    out = []
-    if 0 in supp_set:
-        out.append(((), 0, 0))
-
-    def record(pairs, own, comp):
-        out.append((tuple(sorted(pairs)), own, comp))
-        if len(out) > limit:
-            raise SizeLimitError(
-                f"more than {limit} flat entries at one level",
-                requested=len(out),
-                limit=limit,
-            )
-
-    def rec(start, pairs, own, comp):
-        for j in range(start, n):
-            cd = cds[j]
-            if comp + cd > trunc:
-                break
-            cap = max_own - own
-            if cd > 0:
-                cap = min(cap, (trunc - comp) // cd)
-            pos = order[j]
-            for e in range(1, cap + 1):
-                new_own = own + e
-                new_comp = comp + e * cd
-                pairs.append((pos, e))
-                if new_own in supp_set:
-                    record(pairs, new_own, new_comp)
-                if new_own < max_own:
-                    rec(j + 1, pairs, new_own, new_comp)
-                pairs.pop()
-
-    if max_own > 0:
-        rec(0, [], 0, 0)
-    out.sort(key=lambda item: (item[1], item[0]))
-    return out
+    draws = np.arange(m, dtype=np.int64)[:, None]
+    for _ in range(e - 1):  # extend each nondecreasing draw by every j >= its last
+        last = draws[:, -1]
+        fan = m - last
+        parent = np.repeat(np.arange(len(draws)), fan)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        draws = np.hstack([draws[parent], (last[parent] + offset)[:, None]])
+    starts = np.ones(draws.shape, dtype=bool)
+    starts[:, 1:] = draws[:, 1:] != draws[:, :-1]
+    run = np.cumsum(starts, axis=1) - 1
+    rows = np.broadcast_to(np.arange(len(draws))[:, None], draws.shape)
+    index = np.full(draws.shape, -1, dtype=np.int64)
+    count = np.zeros(draws.shape, dtype=np.int64)
+    index[rows, run] = draws
+    np.add.at(count, (rows, run), 1)
+    return index, count
 
 
-def _pack_level(level_no, arch, prev, enumerated, trunc):
+def _compact(pos, exp):
+    """Sort each row's pairs by slot with pads (-1) last; drop all-pad columns."""
+    order = np.argsort(np.where(pos < 0, np.iinfo(np.int64).max, pos), axis=1, kind="stable")
+    pos = np.take_along_axis(pos, order, axis=1)
+    exp = np.take_along_axis(exp, order, axis=1)
+    width = int((pos >= 0).sum(axis=1).max(initial=0))
+    return pos[:, :width], exp[:, :width]
+
+
+def _level_indices(slot_cdeg, supp, trunc):
+    """The stored indices of one level, in stored order.
+
+    level_counts' dynamic program with index arrays in place of counts: slots
+    are taken in groups of equal composed degree, ascending, and each partial
+    index is extended by every multiset of e slots of the group.  A partial
+    index is kept only while it can still be stored: its own degree is in the
+    support, or some larger support degree stays within the truncation when
+    every further exponent costs the next group's composed degree.  Stored
+    indices are sorted by own degree, then by their (slot, exponent) pairs as
+    a tuple.
+
+    Returns (own degree, composed degree, slots, exponents); slots and
+    exponents are (m, w) with pads -1 and 0.
+    """
+    max_own = max(supp, default=0)
+    in_supp = np.isin(np.arange(max_own + 1), supp)
+    # the smallest support degree above each own degree (beyond max_own: none)
+    above = np.full(max_own + 2, trunc + 1, dtype=np.int64)
+    for k in range(max_own - 1, -1, -1):
+        above[k] = k + 1 if in_supp[k + 1] else above[k + 1]
+    own = np.zeros(1, dtype=np.int64)
+    comp = np.zeros(1, dtype=np.int64)
+    pos = np.zeros((1, 0), dtype=np.int64)
+    exp = np.zeros((1, 0), dtype=np.int64)
+    groups = np.unique(slot_cdeg).tolist()
+    for gi, cd in enumerate(groups):
+        nxt = groups[gi + 1] if gi + 1 < len(groups) else None
+
+        def live(o, c):
+            if nxt is None:
+                return in_supp[o]
+            return in_supp[o] | ((above[o] <= max_own) & (c + (above[o] - o) * nxt <= trunc))
+
+        slots = np.flatnonzero(slot_cdeg == cd)
+        keep = live(own, comp)
+        parts = [(own[keep], comp[keep], pos[keep], exp[keep])]
+        for e in range(1, max_own + 1):
+            fits = (own + e <= max_own) & (comp + e * cd <= trunc)
+            if not fits.any():
+                break  # both bounds only tighten as e grows
+            rows = np.flatnonzero(fits)
+            rows = rows[live(own[rows] + e, comp[rows] + e * cd)]
+            if rows.size == 0:
+                continue
+            index, count = _multisets(len(slots), e)
+            r = np.repeat(rows, len(index))
+            g = np.tile(np.arange(len(index)), rows.size)
+            picked = np.where(index[g] >= 0, slots[index[g]], -1)
+            parts.append((own[r] + e, comp[r] + e * cd,
+                          np.hstack([pos[r], picked]), np.hstack([exp[r], count[g]])))
+        width = max(p[2].shape[1] for p in parts)
+        own = np.concatenate([p[0] for p in parts])
+        comp = np.concatenate([p[1] for p in parts])
+        pos, exp = _compact(
+            np.vstack([np.pad(p[2], ((0, 0), (0, width - p[2].shape[1])), constant_values=-1)
+                       for p in parts]),
+            np.vstack([np.pad(p[3], ((0, 0), (0, width - p[3].shape[1]))) for p in parts]),
+        )
+    keep = in_supp[own]
+    own, comp, pos, exp = own[keep], comp[keep], pos[keep], exp[keep]
+    # np.lexsort's last key is the primary one; a pad (-1) sorts before any
+    # slot, so a pair tuple sorts before its extensions
+    keys = [own]
+    for col in range(pos.shape[1]):
+        keys += [pos[:, col], exp[:, col]]
+    order = np.lexsort(keys[::-1])
+    return own[order], comp[order], pos[order], exp[order]
+
+
+def _pack_level(level_no, arch, prev, trunc):
     lv = _Level.__new__(_Level)
     lv.level = level_no
     lv.prev = prev
-    lv.truncation = trunc
-    lv.input_dim = arch.input_dim
-    lv._key_cache = None
+    lv._layout = None
+    lv._tags = None
     lv._stable_cache = None
     if level_no == 0:
         lv.n_slots = arch.input_dim
@@ -540,35 +552,36 @@ def _pack_level(level_no, arch, prev, enumerated, trunc):
         slot_xexp = np.eye(arch.input_dim, dtype=np.int64)
     else:
         h = arch.widths[level_no - 1]
-        n_prev = len(prev.pairs_list)
+        n_prev = len(prev.own_degree)
         lv.n_slots = h * n_prev
         lv.slot_block = np.repeat(np.arange(h, dtype=np.int64), n_prev)
         lv.slot_prev = np.tile(np.arange(n_prev, dtype=np.int64), h)
         slot_cdeg = np.tile(prev.composed_degree, h)
         slot_xexp = np.tile(prev.xexp, (h, 1))
 
-    pairs_list = [item[0] for item in enumerated]
-    lv.pairs_list = pairs_list
-    m = len(pairs_list)
-    width = max((len(p) for p in pairs_list), default=1) or 1
-    terms_pos = np.full((m, width), lv.n_slots, dtype=np.int64)  # pad slot
-    terms_exp = np.zeros((m, width), dtype=np.int64)
-    for row, pairs in enumerate(pairs_list):
-        for col, (pos, e) in enumerate(pairs):
-            terms_pos[row, col] = pos
-            terms_exp[row, col] = e
+    spec = arch.activations[level_no]
+    supp = act.support_degrees(spec, trunc)
+    own, comp, pos, exp = _level_indices(slot_cdeg, supp, trunc)
+    m = len(own)
+    if pos.shape[1] == 0:  # keep one (pad) column
+        pos = np.full((m, 1), -1, dtype=np.int64)
+        exp = np.zeros((m, 1), dtype=np.int64)
+    terms_pos = np.where(pos < 0, lv.n_slots, pos)  # pad slot
+    terms_exp = exp
+    width = terms_pos.shape[1]
     lv.terms_pos = terms_pos
     lv.terms_exp = terms_exp
-    lv.own_degree = np.array([item[1] for item in enumerated], dtype=np.int64)
-    lv.composed_degree = np.array([item[2] for item in enumerated], dtype=np.int64)
-    lv.mnom = np.array(
-        [float(multinomial([e for _, e in pairs])) for pairs in pairs_list]
+    lv.own_degree = own
+    lv.composed_degree = comp
+    coeff = np.array([act.taylor_coefficient(spec, k) for k in range(trunc + 1)])
+    lv.gamma = _multinomials(terms_exp) * coeff[own]
+
+    # compose(): exponent grid of the power table and flat gather indices
+    max_exp = int(terms_exp.max(initial=0))
+    lv._power_exps = np.repeat(np.arange(max_exp + 1, dtype=np.int64), lv.n_slots + 1).reshape(
+        max_exp + 1, lv.n_slots + 1
     )
-    coeff = {
-        int(k): act.taylor_coefficient(arch.activations[level_no], int(k))
-        for k in set(lv.own_degree.tolist())
-    }
-    lv.gamma = lv.mnom * np.array([coeff[int(k)] for k in lv.own_degree])
+    lv._gather = list(terms_exp.T * (lv.n_slots + 1) + terms_pos.T)
 
     # composed input exponents
     xexp = np.zeros((m, arch.input_dim), dtype=np.int64)
@@ -600,13 +613,25 @@ def _pack_level(level_no, arch, prev, enumerated, trunc):
 
 
 @lru_cache(maxsize=24)
+def _tower(arch, trunc):
+    levels = []
+    prev = None
+    for q in range(arch.depth):
+        prev = _pack_level(q, arch, prev, trunc)
+        levels.append(prev)
+    return FlatSpace(arch, trunc, levels)
+
+
 def flat_space(arch, truncation, max_entries=DEFAULT_MAX_ENTRIES):
-    """Build (and cache) the flattening tower for an architecture."""
+    """The flattening tower of an architecture, built once per (arch, truncation).
+
+    The size guard runs on every call, so a cached tower is still refused to
+    a caller whose max_entries it exceeds.
+    """
     trunc = int(truncation)
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
-    counts = level_counts(arch, trunc)
-    worst = max(counts)
+    worst = max(level_counts(arch, trunc))
     if worst > max_entries:
         raise SizeLimitError(
             f"flat space needs {worst} entries at one level "
@@ -614,47 +639,60 @@ def flat_space(arch, truncation, max_entries=DEFAULT_MAX_ENTRIES):
             requested=worst,
             limit=max_entries,
         )
-    prev = None
-    levels = []
-    for q in range(arch.depth):
-        if q == 0:
-            slot_cdeg = [1] * arch.input_dim
-        else:
-            slot_cdeg = np.tile(prev.composed_degree, arch.widths[q - 1]).tolist()
-        supp = _support(arch.activations[q], trunc)
-        enumerated = _enumerate_indices(slot_cdeg, supp, trunc, max_entries)
-        level = _pack_level(q, arch, prev, enumerated, trunc)
-        if len(level.pairs_list) != counts[q]:
-            raise AssertionError(
-                f"enumeration produced {len(level.pairs_list)} indices, "
-                f"count recursion said {counts[q]}"
-            )
-        levels.append(level)
-        prev = level
-    return FlatSpace(arch, trunc, levels, max_entries)
+    return _tower(arch, trunc)
+
+
+flat_space.cache_info = _tower.cache_info
+flat_space.cache_clear = _tower.cache_clear
 
 
 # ---------------------------------------------------------------------------
 # the flat vectors
 # ---------------------------------------------------------------------------
 
-def _feature_values(space, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (space.arch.input_dim,):
-        raise ValueError(f"input shape {x.shape} != ({space.arch.input_dim},)")
-    vals = None
+def _feature_values(space, xs):
+    """Feature values of every level for the rows of xs: (N, m_q) per level."""
+    vals = xs
     out = []
     for level in space.levels:
-        if level.level == 0:
-            vals = np.prod(x[None, :] ** level.xexp, axis=1)
-        else:
-            vals = level.compose(np.tile(vals, space.arch.widths[level.level - 1]))
+        if level.level > 0:
+            vals = np.tile(vals, (1, space.arch.widths[level.level - 1]))
+        vals = level.compose(vals)
         out.append(vals)
     return out
 
 
+def _block_rows(space):
+    """Rows per block of the batched feature map, from _BLOCK_BYTES."""
+    # per row and level: the power table, the product and one gathered factor
+    row_bytes = 8 * sum(lv._power_exps.size + 2 * len(lv.own_degree) for lv in space.levels)
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def feature_blocks(arch, xs, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
+    """Top-level features of the rows of xs (N, D), one row block at a time.
+
+    Yields (n_b, m) arrays whose rows follow xs; the block size keeps each
+    block's transient arrays under a fixed byte ceiling.
+    """
+    space = flat_space(arch, truncation, max_entries)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
+        raise ValueError(f"inputs of shape {xs.shape} are not rows of length {arch.input_dim}")
+    step = _block_rows(space)
+    for start in range(0, len(xs), step):
+        yield _feature_values(space, xs[start : start + step])[-1]
+
+
 def _wrap(space, level, values):
     return SeriesVector(level.n_slots, space.truncation, values, level)
+
+
+def _point_features(space, x):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (space.arch.input_dim,):
+        raise ValueError(f"input shape {x.shape} != ({space.arch.input_dim},)")
+    return [v[0] for v in _feature_values(space, x[None])]
 
 
 def flatten_feature_map(
@@ -667,7 +705,7 @@ def flatten_feature_map(
     stored support of the first activation).
     """
     space = flat_space(arch, truncation, max_entries)
-    values = _feature_values(space, x)
+    values = _point_features(space, x)
     pick = arch.depth - 1 if level is None else int(level)
     return _wrap(space, space.levels[pick], values[pick])
 
@@ -675,7 +713,7 @@ def flatten_feature_map(
 def feature_levels(arch, x, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
     """Every intermediate feature vector, bottom to top."""
     space = flat_space(arch, truncation, max_entries)
-    values = _feature_values(space, x)
+    values = _point_features(space, x)
     return [_wrap(space, lv, v) for lv, v in zip(space.levels, values)]
 
 
@@ -724,29 +762,40 @@ def _weight_values(space, weights, q):
     return vals
 
 
+def _checked_space(arch, weights, truncation, max_entries):
+    from .netcore import check_shapes
+
+    check_shapes(arch, weights)
+    return flat_space(arch, truncation, max_entries)
+
+
+def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
+    """Every layer's weights pushed to the top of the flat space, in one pass.
+
+    Returns (layers, flat): the per-layer vectors and their elementwise
+    product, the flat machine's weight vector.
+    """
+    space = _checked_space(arch, weights, truncation, max_entries)
+    layers = [_weight_values(space, weights, q) for q in range(arch.depth)]
+    flat = np.ones(len(space.top.own_degree))
+    for vals in layers:
+        flat = flat * vals
+    return [_wrap(space, space.top, v) for v in layers], _wrap(space, space.top, flat)
+
+
 def pushforward_weights(
     arch, weights, q, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES
 ):
     """Layer q's weights pushed to the top of the flat space."""
-    from .netcore import check_shapes
-
-    check_shapes(arch, weights)
+    space = _checked_space(arch, weights, truncation, max_entries)
     if not 0 <= q < arch.depth:
         raise ValueError(f"layer {q} out of range")
-    space = flat_space(arch, truncation, max_entries)
     return _wrap(space, space.top, _weight_values(space, weights, q))
 
 
 def flat_weight(arch, weights, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
     """The flat machine's weight vector: elementwise product over all layers."""
-    from .netcore import check_shapes
-
-    check_shapes(arch, weights)
-    space = flat_space(arch, truncation, max_entries)
-    vals = np.ones(len(space.top.pairs_list))
-    for q in range(arch.depth):
-        vals = vals * _weight_values(space, weights, q)
-    return _wrap(space, space.top, vals)
+    return pushed_weights(arch, weights, truncation, max_entries)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -760,17 +809,8 @@ def dump_series(vec):
     coordinates (composed through all levels for tower vectors); the tag
     pins down which hierarchical index the line belongs to.
     """
-    xexp = np.asarray(vec.composed_exponents())
-    tags = vec.tags()
-    rows = []
-    for i, v in enumerate(vec.values):
-        if v == 0.0:
-            continue
-        e = tuple(int(t) for t in xexp[i])
-        rows.append((sum(e), e, tags[i], float(v)))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    lines = [
-        " ".join(str(t) for t in e) + f" | {tag} | " + "%.17g" % v
-        for _, e, tag, v in rows
-    ]
+    perm, prefixes = vec._space.dump_layout()
+    vals = vec.values[perm]
+    keep = np.flatnonzero(vals != 0.0)
+    lines = [prefixes[j] + "%.17g" % v for j, v in zip(keep.tolist(), vals[keep].tolist())]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: configs, reports, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -154,11 +155,65 @@ def test_seed_override_changes_initialization(tmp_path):
     assert w1 != w2
 
 
+# sha256 of the six dumps of a 3-level tanh tower, taken before the tower was
+# built from index arrays; 2,240 distinct "exponents | tag" prefixes share its
+# 3,288 lines, so the bytes also pin the stored order that breaks their ties
+GOLDEN_DUMPS = {
+    "feature_map": "bc6e905b7d00224ae14e168b82629984f52284b391e4bb322e4bb7cc78e562ff",
+    "flat_weight": "268a7539a1d34145529d4d0a65eb6f6a0162a691789e2a97b881960fe1a19513",
+    "metric": "56c9ff191281cc89ebc47654907002aae8ebfdc001f3c9377598620a16b3f2e3",
+    "weight_layer0": "af07c39a61ae743b8ec670164bbfb08d731ded2214e22ca980925451a474f0c7",
+    "weight_layer1": "ce416017675a3993c7648416d2c5ca7157e93145d1c6728b547fab63a2cc2d86",
+    "weight_layer2": "d782cc9b4450b0c967f8893c349c2fac58b75bfbdf51198d51177698790bcf12",
+}
+
+
+def test_flatten_dumps_match_golden_digests(tmp_path):
+    (tmp_path / "data.csv").write_text(
+        "x0,x1,y\n0.25,-0.5,0.1\n-0.125,0.375,-0.2\n0.5,0.0625,0.3\n"
+    )
+    cfg = write_json(tmp_path / "cfg.json", {
+        "architecture": {
+            "input_dim": 2, "widths": [2, 2, 1], "activations": ["tanh", "tanh", "tanh"],
+        },
+        "truncation": 5,
+        "seed": 3,
+        "dataset": str(tmp_path / "data.csv"),
+    })
+    out = str(tmp_path / "report.json")
+    assert run("flatten", cfg, out) == 0
+    files = read_report(out)["results"]["dump_files"]
+    digests = {
+        name: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for name, f in files.items()
+    }
+    assert digests == GOLDEN_DUMPS
+
+
 def test_atomic_write_leaves_no_temp(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", poly_config(tmp_path))
     out = str(tmp_path / "report.json")
     assert run("flatten", cfg, out) == 0
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+def test_write_text_temp_names_are_unique(tmp_path):
+    out = tmp_path / "report.json"
+    # a fixed temp name would collide with this leftover of another run
+    (tmp_path / "report.json.tmp").mkdir()
+    cli.write_text(str(out), "one\n")
+    cli.write_text(str(out), "two\n")
+    assert out.read_text() == "two\n"
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "report.json.tmp"]
+
+
+def test_write_text_failure_leaves_no_temp(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # renaming a file onto a directory fails
+    with pytest.raises(OSError):
+        cli.write_text(str(target), "text\n")
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(target) == []
 
 
 def test_out_creates_missing_directories(tmp_path):
@@ -221,6 +276,15 @@ def test_bad_dataset_value(tmp_path):
     (tmp_path / "data.csv").write_text("x0,x1,y\n0.1,oops,0.3\n")
     cfg = write_json(tmp_path / "cfg.json", obj)
     assert run("flatten", cfg) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_dataset_value_names_its_line(tmp_path, capsys, value):
+    obj = poly_config(tmp_path)
+    (tmp_path / "data.csv").write_text(f"x0,x1,y\n0.1,0.2,0.3\n\n0.1,{value},0.3\n")
+    cfg = write_json(tmp_path / "cfg.json", obj)
+    assert run("flatten", cfg) == 2
+    assert "dataset line 4: values must be finite" in capsys.readouterr().err
 
 
 def test_dataset_column_count(tmp_path):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kreinflat import activations as act
 from kreinflat import netcore
@@ -53,12 +55,14 @@ def test_monomial_features_values():
     assert v.value_at((1, 2)) == 18.0
     assert v.value_at((0, 0)) == 1.0
     assert v.value_at((3, 0)) == 8.0
+    assert v.entries[(1, 2)] == 18.0
+    assert v.value_at((2, 2)) == 0.0  # degree above the truncation
+    assert v.value_at((1, 1, 0)) == 0.0  # another dimension
 
 
 def test_monomial_features_all_ones():
     v = pf.monomial_features(np.array([1.0, 1.0, 1.0]), 2)
-    vals = list(v.entries.values())
-    assert vals and all(x == 1.0 for x in vals)
+    assert v.entries == {expo: 1.0 for expo in pf.iter_exponents(3, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +124,7 @@ def test_gamma_constant_term():
 def test_gamma_linear_is_indicator_of_degree_one():
     g = pf.gamma_weights(act.linear(), 3, 3)
     for idx, val in g.entries.items():
-        assert idx.degree == 1 and val == 1.0
+        assert sum(idx) == 1 and val == 1.0
     assert len(g.entries) == 3
 
 
@@ -219,8 +223,7 @@ def test_flat_equivalence_depth_one_is_weights_on_monomials():
     phi = pf.flatten_feature_map(arch, x, 1)
     assert pf.flat_eval(v, phi, g) == pytest.approx(0.5 - 2.0 - 1.0, rel=1e-14)
     # weight entries are exactly the matrix entries on the degree-1 slots
-    vals = sorted(v.entries.values())
-    assert vals == sorted([0.5, -1.0, 2.0])
+    assert v.entries == {(1, 0, 0): 0.5, (0, 1, 0): -1.0, (0, 0, 1): 2.0}
 
 
 def test_semiflat_product_equals_forward():
@@ -329,8 +332,131 @@ def test_level_counts_match_enumeration():
     arch = poly_arch(2, (3, 2, 1), [[0.0, 1.0, 0.4], [0.0, 0.8], [0.0, 1.0, 0.1]])
     counts = pf.level_counts(arch, 6)
     space = pf.flat_space(arch, 6)
-    got = [len(lvl.pairs_list) for lvl in space.levels]
+    got = [len(lvl.own_degree) for lvl in space.levels]
     assert got == counts
+
+
+def _reference_indices(slot_cdeg, supp, trunc):
+    """Depth-first search over slot multisets, then the stored-order sort:
+    (pairs, own degree, composed degree) by own degree, then pair tuple."""
+    n = len(slot_cdeg)
+    max_own = max(supp)
+    out = [((), 0, 0)] if 0 in supp else []
+
+    def rec(start, pairs, own, comp):
+        for pos in range(start, n):
+            cd = slot_cdeg[pos]
+            cap = max_own - own
+            if cd > 0:
+                cap = min(cap, (trunc - comp) // cd)
+            for e in range(1, cap + 1):
+                pairs.append((pos, e))
+                if own + e in supp:
+                    out.append((tuple(pairs), own + e, comp + e * cd))
+                if own + e < max_own:
+                    rec(pos + 1, pairs, own + e, comp + e * cd)
+                pairs.pop()
+
+    rec(0, [], 0, 0)
+    out.sort(key=lambda item: (item[1], item[0]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "arch, trunc",
+    [
+        (poly_arch(2, (3, 2, 1), [[0.0, 1.0, 0.4], [0.0, 0.8], [0.0, 1.0, 0.1]]), 6),
+        (netcore.Architecture(2, (2, 2, 1), (act.tanh(),) * 3), 5),
+        # a constant term stores the empty index, so slots of composed degree 0 occur
+        (netcore.Architecture(2, (2, 1), (act.logistic(), act.logistic())), 3),
+        (poly_arch(1, (2, 2, 1), [[0.2, 1.0, 0.0, 0.5]] * 3), 6),
+    ],
+)
+def test_levels_store_the_reference_enumeration_in_order(arch, trunc):
+    space = pf.flat_space(arch, trunc)
+    for lv in space.levels:
+        slot_cdeg = (
+            [1] * arch.input_dim if lv.level == 0
+            else np.tile(lv.prev.composed_degree, arch.widths[lv.level - 1]).tolist()
+        )
+        supp = act.support_degrees(arch.activations[lv.level], trunc)
+        got = [
+            (tuple(pairs), own, comp)
+            for pairs, own, comp in zip(
+                lv._pairs(), lv.own_degree.tolist(), lv.composed_degree.tolist()
+            )
+        ]
+        assert got == _reference_indices(slot_cdeg, supp, trunc)
+        want_mnom = [float(pf.multinomial([e for _, e in pairs])) for pairs, _, _ in got]
+        spec = arch.activations[lv.level]
+        coeff = [act.taylor_coefficient(spec, k) for k in lv.own_degree.tolist()]
+        assert lv.gamma.tolist() == [m * c for m, c in zip(want_mnom, coeff)]
+
+
+def test_compose_matches_gathered_powers():
+    arch = netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3)
+    space = pf.flat_space(arch, 5)
+    rng = np.random.default_rng(5)
+    for lv in space.levels:
+        slots = rng.uniform(-1.5, 1.5, size=(3, lv.n_slots))
+        padded = np.concatenate([slots, np.ones((3, 1))], axis=1)
+        powers = padded[:, lv.terms_pos] ** lv.terms_exp  # elementwise, full arrays
+        want = powers[:, :, 0]
+        for col in range(1, powers.shape[2]):
+            want = want * powers[:, :, col]
+        got = lv.compose(slots)
+        assert got.tobytes() == want.tobytes()
+        assert lv.compose(slots[1]).tobytes() == want[1].tobytes()
+
+
+def test_flat_space_cache_key_is_arch_and_truncation():
+    arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.25], [0.0, 0.5, 0.0, 0.125]])
+    before = pf.flat_space.cache_info()
+    spellings = [
+        pf.flat_space(arch, 5),
+        pf.flat_space(arch, 5, pf.DEFAULT_MAX_ENTRIES),
+        pf.flat_space(arch, 5, max_entries=pf.DEFAULT_MAX_ENTRIES),
+        pf.flat_space(arch, 5, max_entries=60_000),
+        pf.flat_space(arch, np.int64(5)),
+    ]
+    after = pf.flat_space.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == len(spellings) - 1
+    assert all(space is spellings[0] for space in spellings)
+    # the size guard still applies to a cached tower
+    worst = max(pf.level_counts(arch, 5))
+    with pytest.raises(SizeLimitError):
+        pf.flat_space(arch, 5, max_entries=worst - 1)
+    assert pf.flat_space(arch, 5, max_entries=worst) is spellings[0]
+
+
+BATCH_ARCH = netcore.Architecture(2, (3, 1), (act.tanh(), act.erf()))
+
+
+@given(
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_feature_blocks_bit_equal_per_row_feature_map(n, seed):
+    xs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
+    space = pf.flat_space(BATCH_ARCH, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        # a ceiling of three rows per block, so n spans several blocks
+        row_bytes = pf._BLOCK_BYTES // pf._block_rows(space)
+        mp.setattr(pf, "_BLOCK_BYTES", 3 * row_bytes)
+        assert pf._block_rows(space) == 3
+        blocks = list(pf.feature_blocks(BATCH_ARCH, xs, 5))
+    assert [len(b) for b in blocks] == [min(3, n - i) for i in range(0, n, 3)]
+    batch = np.vstack(blocks)
+    rows = np.stack([pf.flatten_feature_map(BATCH_ARCH, x, 5).values for x in xs])
+    assert batch.tobytes() == rows.tobytes()
+
+
+def test_feature_blocks_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        list(pf.feature_blocks(BATCH_ARCH, np.zeros(2), 5))
+    with pytest.raises(ValueError):
+        list(pf.feature_blocks(BATCH_ARCH, np.zeros((4, 3)), 5))
 
 
 def test_size_limit_guard():
