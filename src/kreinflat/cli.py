@@ -260,7 +260,8 @@ def run_flatten(cfg, out=None):
         gv = metric.values * vnn.values
         # one 1-D sum per row, as flat_eval takes it: a sum along an axis of
         # the block rounds differently
-        flat = np.array([np.sum(row) for phi in pf.feature_blocks(arch, xs, trunc) for row in phi * gv])
+        blocks = pf.feature_blocks(arch, xs, trunc)
+        flat = np.array([np.sum(row) for phi in blocks for row in phi * gv])
         f = netcore.forward_batch(arch, weights, xs)
         results["max_equivalence_residual"] = float(np.max(np.abs(f - flat) / (1.0 + np.abs(f))))
         results["dataset_rows"] = int(xs.shape[0])

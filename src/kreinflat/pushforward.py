@@ -21,8 +21,10 @@ f(x) = sum_i g_i v_i phi_i(x):
     input degrees are both capped by the truncation.
 
 Index storage is flat numpy: packed (slot, exponent) term arrays per level,
-plus per-index multinomials, metric values, composed input exponents and
-per-block degree profiles.  A size guard (SizeLimitError) bounds the
+built by the same dynamic program that counts them, plus per-index gamma
+coefficients, metric values, composed input exponents and per-block degree
+profiles.  Each level also caches its dump layout (tags, sort order, line
+prefixes) once a dump asks for it.  A size guard (SizeLimitError) bounds the
 materialized entry count; exact per-level counts are available cheaply via
 level_counts() without enumerating anything.
 """
@@ -194,12 +196,18 @@ class _IndexSpace:
         keep stored order.  prefixes[j] belongs to row permutation[j].
         """
         if self._layout is None:
-            exps = [tuple(row) for row in self.composed_exponents().tolist()]
+            xexp = self.composed_exponents()
             tags = self.tags()
-            keys = [(sum(e), e, t) for e, t in zip(exps, tags)]
-            perm = sorted(range(len(keys)), key=keys.__getitem__)
-            prefixes = [" ".join(map(str, exps[i])) + f" | {tags[i]} | " for i in perm]
-            self._layout = (np.array(perm, dtype=np.intp), prefixes)
+            rows, row_of = np.unique(xexp, axis=0, return_inverse=True)
+            _, tag_rank = np.unique(np.array(tags, dtype=object), return_inverse=True)
+            # np.lexsort's last key is the primary one
+            perm = np.lexsort([tag_rank.ravel(), *xexp.T[::-1], xexp.sum(axis=1)])
+            heads = [" ".join(map(str, row)) for row in rows.tolist()]
+            prefixes = [
+                f"{heads[r]} | {tags[i]} | "
+                for i, r in zip(perm.tolist(), row_of.ravel()[perm].tolist())
+            ]
+            self._layout = (perm, prefixes)
         return self._layout
 
 
@@ -350,18 +358,27 @@ class _Level(_IndexSpace):
         """
         if self._tags is None:
             if self.level == 0:
-                pieces = [f"x{p}" for p in range(self.n_slots)]
+                slots = [f"x{p}" for p in range(self.n_slots)]
             else:
                 prev = self.prev
                 child = prev.tags() if prev.level > 0 else ["-"] * len(prev.own_degree)
-                pieces = [
+                slots = [
                     f"{b}:({child[k]})"
                     for b, k in zip(self.slot_block.tolist(), self.slot_prev.tolist())
                 ]
-            self._tags = [
-                "*".join(pieces[p] + (f"^{e}" if e > 1 else "") for p, e in pairs) or "1"
-                for pairs in self._pairs()
-            ]
+            # pieces laid out like compose's power table, so _gather picks a
+            # row's pieces column by column; the pad slot and exponent 0 are ""
+            pieces = np.full(self._power_exps.shape, "", dtype=object)
+            for e in range(1, len(pieces)):
+                pieces[e, :-1] = [s + (f"^{e}" if e > 1 else "") for s in slots]
+            pieces = pieces.ravel()
+            tags = pieces[self._gather[0]]
+            for col in self._gather[1:]:
+                part = pieces[col]
+                more = part != ""
+                tags[more] = tags[more] + "*" + part[more]
+            tags[tags == ""] = "1"
+            self._tags = tags.tolist()
         return self._tags
 
     def compose(self, slot_values):
@@ -378,10 +395,9 @@ class _Level(_IndexSpace):
         padded = np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
         table = np.power(padded[:, None, :], self._power_exps).reshape(len(rows), -1)
         out = np.take(table, self._gather[0], axis=1)
-        if len(self._gather) > 1:
-            factor = np.empty_like(out)
-            for col in self._gather[1:]:
-                out *= np.take(table, col, axis=1, out=factor)
+        factor = np.empty_like(out)
+        for col in self._gather[1:]:
+            out *= np.take(table, col, axis=1, out=factor)
         return out.reshape(lead + (len(self.own_degree),))
 
 

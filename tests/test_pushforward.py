@@ -466,6 +466,17 @@ def test_size_limit_guard():
         pf.flat_space(arch, 27, max_entries=100_000)
 
 
+def test_tags_name_slots_bottom_up():
+    arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
+    level0, level1 = pf.flat_space(arch, 2).levels
+    assert level0.tags() == ["x0", "x1", "x0*x1", "x0^2", "x1^2"]
+    # above level 0 a slot is block:(child tag); level-0 children print as "-"
+    assert level1.tags() == ["0:(-)"] * 5 + ["1:(-)"] * 5 + [
+        "0:(-)*0:(-)", "0:(-)*1:(-)", "0:(-)*1:(-)", "0:(-)^2",
+        "0:(-)*1:(-)", "0:(-)*1:(-)", "0:(-)^2", "1:(-)*1:(-)", "1:(-)^2", "1:(-)^2",
+    ]
+
+
 def test_dump_series_format():
     arch = poly_arch(2, (1,), [[0.0, 1.0]])
     w = netcore.WeightSet((np.array([[2.0, -3.0]]),))
