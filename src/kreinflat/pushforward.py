@@ -659,7 +659,6 @@ def flat_space(arch, truncation, max_entries=DEFAULT_MAX_ENTRIES):
 
 
 flat_space.cache_info = _tower.cache_info
-flat_space.cache_clear = _tower.cache_clear
 
 
 # ---------------------------------------------------------------------------
