@@ -151,10 +151,6 @@ class SeriesVector:
         """Total input-coordinate exponents per stored index, shape (m, D)."""
         return self._space.composed_exponents()
 
-    def tags(self):
-        """Human-readable block-structure tag per stored index."""
-        return self._space.tags()
-
     def __repr__(self):
         return (
             f"SeriesVector(dim={self.dimension}, trunc={self.truncation}, "
