@@ -626,10 +626,17 @@ def _pack_level(level_no, arch, prev, trunc):
 
 @lru_cache(maxsize=24)
 def _tower(arch, trunc):
+    """Every level of the tower; each must store exactly level_counts' count."""
+    counts = level_counts(arch, trunc)
     levels = []
     prev = None
     for q in range(arch.depth):
         prev = _pack_level(q, arch, prev, trunc)
+        if len(prev.own_degree) != counts[q]:
+            raise AssertionError(
+                f"level {q} stores {len(prev.own_degree)} indices, "
+                f"the count recursion says {counts[q]}"
+            )
         levels.append(prev)
     return FlatSpace(arch, trunc, levels)
 
@@ -680,13 +687,13 @@ def _block_rows(space):
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
-def feature_blocks(arch, xs, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
+def feature_blocks(arch, xs, truncation=DEFAULT_TRUNCATION):
     """Top-level features of the rows of xs (N, D), one row block at a time.
 
     Yields (n_b, m) arrays whose rows follow xs; the block size keeps each
     block's transient arrays under a fixed byte ceiling.
     """
-    space = flat_space(arch, truncation, max_entries)
+    space = flat_space(arch, truncation)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
         raise ValueError(f"inputs of shape {xs.shape} are not rows of length {arch.input_dim}")

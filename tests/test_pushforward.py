@@ -336,6 +336,19 @@ def test_level_counts_match_enumeration():
     assert got == counts
 
 
+def test_tower_refuses_a_level_that_misses_an_index(monkeypatch):
+    arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.3], [0.0, 0.7, 0.2]])
+    build = pf._level_indices
+    monkeypatch.setattr(
+        pf, "_level_indices", lambda *args: tuple(a[:-1] for a in build(*args))
+    )
+    with pytest.raises(AssertionError, match="level 0 stores"):
+        pf.flat_space(arch, 4)
+    monkeypatch.undo()
+    # the refused tower was not cached
+    assert [len(lv.own_degree) for lv in pf.flat_space(arch, 4).levels] == pf.level_counts(arch, 4)
+
+
 def _reference_indices(slot_cdeg, supp, trunc):
     """Depth-first search over slot multisets, then the stored-order sort:
     (pairs, own degree, composed degree) by own degree, then pair tuple."""
