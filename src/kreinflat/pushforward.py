@@ -448,7 +448,7 @@ def level_counts(arch, truncation):
 
 
 def _multisets(m, e):
-    """Every multiset of e draws from range(m) as padded (index, count) rows.
+    """Every multiset of e draws from range(m) as (index, count) rows of width e.
 
     Row r lists its distinct indices ascending; pads are index -1, count 0.
     """
@@ -470,80 +470,63 @@ def _multisets(m, e):
     return index, count
 
 
-def _compact(pos, exp):
-    """Sort each row's pairs by slot with pads (-1) last; drop all-pad columns."""
-    order = np.argsort(np.where(pos < 0, np.iinfo(np.int64).max, pos), axis=1, kind="stable")
-    pos = np.take_along_axis(pos, order, axis=1)
-    exp = np.take_along_axis(exp, order, axis=1)
-    width = int((pos >= 0).sum(axis=1).max(initial=0))
-    return pos[:, :width], exp[:, :width]
-
-
 def _level_indices(slot_cdeg, supp, trunc):
     """The stored indices of one level, in stored order.
 
     level_counts' dynamic program with index arrays in place of counts: slots
-    are taken in groups of equal composed degree, ascending, and each partial
-    index is extended by every multiset of e slots of the group.  A partial
-    index is kept only while it can still be stored: its own degree is in the
-    support, or some larger support degree stays within the truncation when
-    every further exponent costs the next group's composed degree.  Stored
-    indices are sorted by own degree, then by their (slot, exponent) pairs as
-    a tuple.
+    are taken in groups of equal composed degree, ascending, and every
+    partial index is extended by each multiset of e slots of the group that
+    keeps its own degree <= max(supp) and its composed degree <= trunc.  A
+    partial index that is not stored and cannot take a slot of a later group
+    is dropped.  A row's pairs fill its columns from the left, so max(supp)
+    columns always suffice.  Stored indices (own degree in supp) are sorted
+    by own degree, then by their (slot, exponent) pairs as a tuple.
 
     Returns (own degree, composed degree, slots, exponents); slots and
     exponents are (m, w) with pads -1 and 0.
     """
     max_own = max(supp, default=0)
-    in_supp = np.isin(np.arange(max_own + 1), supp)
-    # the smallest support degree above each own degree (beyond max_own: none)
-    above = np.full(max_own + 2, trunc + 1, dtype=np.int64)
-    for k in range(max_own - 1, -1, -1):
-        above[k] = k + 1 if in_supp[k + 1] else above[k + 1]
     own = np.zeros(1, dtype=np.int64)
     comp = np.zeros(1, dtype=np.int64)
-    pos = np.zeros((1, 0), dtype=np.int64)
-    exp = np.zeros((1, 0), dtype=np.int64)
+    pos = np.full((1, max_own), -1, dtype=np.int64)
+    exp = np.zeros((1, max_own), dtype=np.int64)
     groups = np.unique(slot_cdeg).tolist()
-    for gi, cd in enumerate(groups):
-        nxt = groups[gi + 1] if gi + 1 < len(groups) else None
+    for cd, nxt in zip(groups, groups[1:] + [trunc + 1]):
 
-        def live(o, c):
-            if nxt is None:
-                return in_supp[o]
-            return in_supp[o] | ((above[o] <= max_own) & (c + (above[o] - o) * nxt <= trunc))
+        def alive(o, c):  # stored, or able to take a slot of a later group
+            return np.isin(o, supp) | ((o < max_own) & (c + nxt <= trunc))
 
         slots = np.flatnonzero(slot_cdeg == cd)
-        keep = live(own, comp)
+        keep = alive(own, comp)
         parts = [(own[keep], comp[keep], pos[keep], exp[keep])]
         for e in range(1, max_own + 1):
-            fits = (own + e <= max_own) & (comp + e * cd <= trunc)
-            if not fits.any():
+            rows = np.flatnonzero((own + e <= max_own) & (comp + e * cd <= trunc))
+            if rows.size == 0:
                 break  # both bounds only tighten as e grows
-            rows = np.flatnonzero(fits)
-            rows = rows[live(own[rows] + e, comp[rows] + e * cd)]
+            rows = rows[alive(own[rows] + e, comp[rows] + e * cd)]
             if rows.size == 0:
                 continue
             index, count = _multisets(len(slots), e)
             r = np.repeat(rows, len(index))
             g = np.tile(np.arange(len(index)), rows.size)
-            picked = np.where(index[g] >= 0, slots[index[g]], -1)
-            parts.append((own[r] + e, comp[r] + e * cd,
-                          np.hstack([pos[r], picked]), np.hstack([exp[r], count[g]])))
-        width = max(p[2].shape[1] for p in parts)
-        own = np.concatenate([p[0] for p in parts])
-        comp = np.concatenate([p[1] for p in parts])
-        pos, exp = _compact(
-            np.vstack([np.pad(p[2], ((0, 0), (0, width - p[2].shape[1])), constant_values=-1)
-                       for p in parts]),
-            np.vstack([np.pad(p[3], ((0, 0), (0, width - p[3].shape[1]))) for p in parts]),
-        )
-    keep = in_supp[own]
+            new_pos, new_exp = pos[r], exp[r]
+            cols = np.count_nonzero(new_exp, axis=1)[:, None] + np.arange(e)
+            np.put_along_axis(new_pos, cols, np.where(index[g] >= 0, slots[index[g]], -1), axis=1)
+            np.put_along_axis(new_exp, cols, count[g], axis=1)
+            parts.append((own[r] + e, comp[r] + e * cd, new_pos, new_exp))
+        own, comp, pos, exp = (np.concatenate(a) for a in zip(*parts))
+    keep = np.isin(own, supp)
     own, comp, pos, exp = own[keep], comp[keep], pos[keep], exp[keep]
+    # each row's pairs by slot, pads last; then drop the all-pad columns
+    order = np.argsort(np.where(pos < 0, len(slot_cdeg), pos), axis=1, kind="stable")
+    pos = np.take_along_axis(pos, order, axis=1)
+    exp = np.take_along_axis(exp, order, axis=1)
+    width = int(np.count_nonzero(exp, axis=1).max(initial=0))
+    pos, exp = pos[:, :width], exp[:, :width]
     # np.lexsort's last key is the primary one; a pad (-1) sorts before any
     # slot, so a pair tuple sorts before its extensions
     keys = [own]
-    for col in range(pos.shape[1]):
+    for col in range(width):
         keys += [pos[:, col], exp[:, col]]
     order = np.lexsort(keys[::-1])
     return own[order], comp[order], pos[order], exp[order]

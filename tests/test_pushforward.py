@@ -383,6 +383,8 @@ def _reference_indices(slot_cdeg, supp, trunc):
         # a constant term stores the empty index, so slots of composed degree 0 occur
         (netcore.Architecture(2, (2, 1), (act.logistic(), act.logistic())), 3),
         (poly_arch(1, (2, 2, 1), [[0.2, 1.0, 0.0, 0.5]] * 3), 6),
+        # support {1, 4}: own degrees 2 and 3 are carried, never stored
+        (poly_arch(2, (3, 1), [[0.0, 1.0, 0.0, 0.0, 0.3]] * 2), 8),
     ],
 )
 def test_levels_store_the_reference_enumeration_in_order(arch, trunc):
