@@ -108,15 +108,10 @@ def load_dataset(path, input_dim):
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) != input_dim + 1:
-            raise ConfigError(f"dataset line {lineno}: expected {input_dim + 1} columns")
         try:
-            values = [float(v) for v in row]
+            data.append(netcore.read_floats(row, lineno, input_dim + 1))
         except ValueError as exc:
-            raise ConfigError(f"dataset line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"dataset line {lineno}: values must be finite")
-        data.append(values)
+            raise ConfigError(f"dataset {exc}") from exc
     if not data:
         raise ConfigError("dataset has no samples")
     table = np.array(data, dtype=float)
@@ -161,10 +156,7 @@ def _weights_for(cfg, arch):
             raise ConfigError(f"cannot read weights: {exc}") from exc
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"malformed weights file: {exc}") from exc
-        try:
-            netcore.check_shapes(arch, weights)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        netcore.check_shapes(arch, weights)  # ValueError: exit 2
         return weights
     return netcore.init_weights(arch, _seed(cfg))
 
@@ -347,7 +339,6 @@ def run_train_net(cfg, out=None):
     if not cfg.get("dataset"):
         raise ConfigError("train-net needs a 'dataset'")
     xs, ys = load_dataset(cfg["dataset"], arch.input_dim)
-    dataset = list(zip(xs, ys))
     loss = _loss(cfg)
     lam = _positive(cfg, "lambda")
     steps, step_size = _train_section(cfg)
@@ -355,9 +346,9 @@ def run_train_net(cfg, out=None):
     seed = _seed(cfg)
 
     init = netcore.init_weights(arch, seed)
-    init_obj = netcore.objective(arch, init, dataset, loss, lam, reg_scale)
-    weights = netcore.train(arch, dataset, loss, lam, seed, steps, step_size, reg_scale)
-    final_obj = netcore.objective(arch, weights, dataset, loss, lam, reg_scale)
+    init_obj = netcore.objective(arch, init, xs, ys, loss, lam, reg_scale)
+    weights = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
+    final_obj = netcore.objective(arch, weights, xs, ys, loss, lam, reg_scale)
     loss_of = netcore.loss_functions(loss)[0]
     mean_loss = float(np.mean(loss_of(ys, netcore.forward_batch(arch, weights, xs))))
     results = {
@@ -427,14 +418,13 @@ def run_compare(cfg, out=None):
     if not cfg.get("dataset"):
         raise ConfigError("compare needs a 'dataset'")
     xs, ys = load_dataset(cfg["dataset"], arch.input_dim)
-    dataset = list(zip(xs, ys))
     loss = _loss(cfg)
     lam = _positive(cfg, "lambda")
     steps, step_size = _train_section(cfg)
     seed = _seed(cfg)
     reg_scale = cfg.get("reg_scale")
 
-    weights = netcore.train(arch, dataset, loss, lam, seed, steps, step_size, reg_scale)
+    weights = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
     loss_of = netcore.loss_functions(loss)[0]
     net_pred = netcore.forward_batch(arch, weights, xs)
     net_loss = float(np.mean(loss_of(ys, net_pred)))
@@ -467,7 +457,7 @@ def run_compare(cfg, out=None):
     results = {
         "network": {
             "mean_loss": net_loss,
-            "objective": netcore.objective(arch, weights, dataset, loss, lam, reg_scale),
+            "objective": netcore.objective(arch, weights, xs, ys, loss, lam, reg_scale),
             "predictions": net_pred,
         },
         "ksvm": {

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import activations as act
 from . import kreinkernel as kk
 from . import netcore
 from .errors import DivergenceError, NearSingularError
@@ -67,46 +68,52 @@ def train_squared(gram, y, lam):
     return SolveResult(alpha, residual)
 
 
-def _gradient(alpha, gram, y, lam, loss):
-    f = gram @ alpha
+def _gradient(alpha, gram, y, lam, loss, f):
+    """Gradient of the risk at alpha, given f = gram @ alpha."""
     return gram @ (netcore.loss_functions(loss)[1](y, f) / gram.shape[0] + 2.0 * lam * alpha)
 
 
 def _objective(alpha, gram, y, lam, loss):
+    """Risk parts at alpha, and f = gram @ alpha for the next gradient."""
     with np.errstate(over="ignore"):  # inf is meaningful to divergence checks
-        emp = float(np.mean(netcore.loss_functions(loss)[0](y, gram @ alpha)))
+        f = gram @ alpha
+        emp = float(np.mean(netcore.loss_functions(loss)[0](y, f)))
         reg = float(lam * alpha @ gram @ alpha)
-    return ObjectiveParts(emp + reg, emp, reg)
+    return ObjectiveParts(emp + reg, emp, reg), f
 
 
 def objective_gradient(alpha, gram, y, lam, loss="squared"):
     """Gradient of the stabilized risk with respect to alpha."""
     gram, y = _check_system(gram, y)
-    return _gradient(np.asarray(alpha, dtype=float), gram, y, lam, loss)
+    alpha = np.asarray(alpha, dtype=float)
+    return _gradient(alpha, gram, y, lam, loss, gram @ alpha)
 
 
 def stabilized_objective(alpha, gram, y, lam, loss="squared"):
     """(total, empirical, regularizer); the regularizer may be negative."""
     gram, y = _check_system(gram, y)
-    return _objective(np.asarray(alpha, dtype=float), gram, y, lam, loss)
+    return _objective(np.asarray(alpha, dtype=float), gram, y, lam, loss)[0]
 
 
 def train_gd(gram, y, lam, loss="squared", steps=500, step_size=0.05):
     """Plain gradient descent on the stabilized risk from alpha = 0.
 
     Deterministic given its arguments.  The system is validated once, at
-    entry.  Returns (alpha, final gradient norm); raises DivergenceError
-    when the risk or an iterate stops being finite.
+    entry; each step's gradient reuses the ``gram @ alpha`` of the previous
+    divergence check.  Returns (alpha, final gradient norm); raises
+    DivergenceError when the risk or an iterate stops being finite.
     """
     gram, y = _check_system(gram, y)
     alpha = np.zeros_like(y)
+    f = gram @ alpha
     for _ in range(steps):
-        alpha = alpha - step_size * _gradient(alpha, gram, y, lam, loss)
+        alpha = alpha - step_size * _gradient(alpha, gram, y, lam, loss, f)
         if not np.all(np.isfinite(alpha)):
             raise DivergenceError("alpha became non-finite during descent")
-        if not math.isfinite(_objective(alpha, gram, y, lam, loss).total):
+        parts, f = _objective(alpha, gram, y, lam, loss)
+        if not math.isfinite(parts.total):
             raise DivergenceError("stabilized risk became non-finite during descent")
-    grad_norm = float(np.linalg.norm(_gradient(alpha, gram, y, lam, loss)))
+    grad_norm = float(np.linalg.norm(_gradient(alpha, gram, y, lam, loss, f)))
     return GDResult(alpha, grad_norm)
 
 
@@ -129,15 +136,11 @@ def _spec_tokens(spec):
     return [spec.kind]
 
 
-def _spec_from_tokens(tokens):
-    from . import activations as act
-
-    kind = tokens[0]
+def _spec_from_tokens(tokens, lineno):
+    kind, params = tokens[0], netcore.read_floats(tokens[1:], lineno)
     if kind == "polynomial":
-        return act.polynomial(tuple(float(t) for t in tokens[1:]))
-    if kind in ("relu_surrogate", "relu_surrogate_assoc"):
-        return act.ActivationSpec(kind, sharpness=float(tokens[1]))
-    return act.ActivationSpec(kind)
+        return act.polynomial(tuple(params))
+    return act.ActivationSpec(kind, sharpness=params[0] if params else None)
 
 
 def save_model(path, model):
@@ -160,35 +163,37 @@ def save_model(path, model):
 
 
 def load_model(path):
+    """Model from a save_model file; ValueError for a missing key, or naming the line
+    of a point row of the wrong width, an alpha count other than the point count
+    or a non-finite number."""
     with open(path) as fh:
-        rows = [r for r in fh.read().split("\n") if r.strip()]
-    fields = {}
+        rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
+    fields = {}  # head -> (tokens, line number); points -> (rows, line number)
     specs = []
-    points = []
     pos = 0
     while pos < len(rows):
-        tokens = rows[pos].split()
-        head = tokens[0]
-        if head == "activation":
-            specs.append(_spec_from_tokens(tokens[1:]))
-        elif head == "points":
-            count = int(tokens[1])
-            points = [
-                [float(v) for v in rows[pos + 1 + r].split()] for r in range(count)
-            ]
-            pos += count
-        else:
-            fields[head] = tokens[1:]
+        lineno, (head, *tokens) = rows[pos]
         pos += 1
+        if head == "activation":
+            specs.append(_spec_from_tokens(tokens, lineno))
+        elif head == "points":
+            fields[head] = rows[pos : pos + int(tokens[0])], lineno
+            pos += int(tokens[0])
+        else:
+            fields[head] = tokens, lineno
+    missing = [k for k in ("lambda", "variant", "input_dim", "widths", "points", "alpha")
+               if k not in fields]
+    if missing:
+        raise ValueError(f"model file lacks {', '.join(missing)}")
     arch = netcore.Architecture(
-        input_dim=int(fields["input_dim"][0]),
-        widths=tuple(int(h) for h in fields["widths"]),
+        input_dim=int(fields["input_dim"][0][0]),
+        widths=tuple(int(h) for h in fields["widths"][0]),
         activations=tuple(specs),
     )
-    defn = kk.KernelDefinition(arch, fields["variant"][0])
+    points = [netcore.read_floats(t, n, arch.input_dim) for n, t in fields["points"][0]]
     return TrainedKSVM(
-        alpha=np.array([float(a) for a in fields["alpha"]]),
-        training_points=np.array(points, dtype=float),
-        lam=float(fields["lambda"][0]),
-        kernel_def=defn,
+        alpha=np.array(netcore.read_floats(*fields["alpha"], len(points))),
+        training_points=np.array(points, dtype=float).reshape(len(points), arch.input_dim),
+        lam=netcore.read_floats(*fields["lambda"], 1)[0],
+        kernel_def=kk.KernelDefinition(arch, fields["variant"][0][0]),
     )

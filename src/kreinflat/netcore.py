@@ -155,30 +155,18 @@ def loss_functions(loss):
     return _LOSS_TABLE[loss]
 
 
-def _as_batch(dataset):
-    """(X, y) arrays from (x, y) pairs."""
-    pairs = list(dataset)
-    if not pairs:
-        raise ValueError("dataset is empty")
-    xs, ys = zip(*pairs)
-    return np.array(xs, dtype=float), np.array(ys, dtype=float)
-
-
-def objective(arch, weights, dataset, loss, lam, reg_scale=None):
-    """Mean loss + lam * reg_scale * sum_q ||W_q||_F^2 (reg_scale default 1/depth)."""
-    xs, ys = _as_batch(dataset)
-    scale = 1.0 / arch.depth if reg_scale is None else float(reg_scale)
-    emp = float(np.mean(loss_functions(loss)[0](ys, forward_batch(arch, weights, xs))))
-    reg = lam * scale * sum(weights.frobenius_sq())
-    return emp + reg
-
-
-def gradient(arch, weights, dataset, loss, lam, reg_scale=None):
-    """Exact gradient of objective() w.r.t. every weight matrix, by batched backprop."""
-    xs, ys = _as_batch(dataset)
-    scale = 1.0 / arch.depth if reg_scale is None else float(reg_scale)
+def _risk(arch, weights, xs, ys, loss, lam, reg_scale, with_gradient=True):
+    """(objective, gradient or None) at ``weights`` from one forward and backprop pass."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     pres, posts = _layers(arch, weights, xs)
-    delta = loss_functions(loss)[1](ys, posts[-1]) / xs.shape[0]  # (1, N)
+    if not ys.size or ys.shape != (xs.shape[0],):
+        raise ValueError(f"targets must have shape ({xs.shape[0]},) with N >= 1, got {ys.shape}")
+    scale = 1.0 / arch.depth if reg_scale is None else float(reg_scale)
+    value, deriv = loss_functions(loss)
+    obj = float(np.mean(value(ys, posts[-1][0]))) + lam * scale * sum(weights.frobenius_sq())
+    if not with_gradient:
+        return obj, None
+    delta = deriv(ys, posts[-1]) / xs.shape[0]  # (1, N)
     grads = [None] * arch.depth
     for q in range(arch.depth - 1, -1, -1):
         delta = delta * act.derivative(arch.activations[q], pres[q])
@@ -186,31 +174,43 @@ def gradient(arch, weights, dataset, loss, lam, reg_scale=None):
         grads[q] = 2.0 * lam * scale * weights[q] + delta @ below.T
         if q > 0:
             delta = weights[q].T @ delta
-    return WeightSet(tuple(grads))
+    return obj, WeightSet(tuple(grads))
 
 
-def train(arch, dataset, loss, lam, seed, steps, step_size, reg_scale=None):
-    """Plain gradient descent from the seeded init.
+def objective(arch, weights, xs, ys, loss, lam, reg_scale=None):
+    """Mean loss over the rows of (N, D) ``xs`` against (N,) ``ys``, plus
+    lam * reg_scale * sum_q ||W_q||_F^2 (reg_scale default 1/depth)."""
+    return _risk(arch, weights, xs, ys, loss, lam, reg_scale, False)[0]
 
-    Returns the final iterate when it does not exceed the initial objective,
-    otherwise the best iterate seen; raises DivergenceError on non-finite
-    values.  Bit-deterministic for fixed inputs.
+
+def gradient(arch, weights, xs, ys, loss, lam, reg_scale=None):
+    """Exact gradient of objective() w.r.t. every weight matrix, by batched backprop."""
+    return _risk(arch, weights, xs, ys, loss, lam, reg_scale)[1]
+
+
+def train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale=None):
+    """Plain gradient descent from the seeded init on (N, D) ``xs``, (N,) ``ys``.
+
+    One forward and backprop pass per step gives the new iterate's objective
+    and the next gradient.  Returns the final iterate when it does not exceed
+    the initial objective, otherwise the best iterate seen; raises
+    DivergenceError on non-finite values.  Bit-deterministic for fixed inputs.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     weights = init_weights(arch, seed)
-    init_obj = objective(arch, weights, dataset, loss, lam, reg_scale)
+    init_obj, g = _risk(arch, weights, xs, ys, loss, lam, reg_scale)
     if not math.isfinite(init_obj):
         raise DivergenceError("objective not finite at initialization")
     best, best_obj = weights, init_obj
     current, current_obj = weights, init_obj
-    for _ in range(steps):
-        g = gradient(arch, current, dataset, loss, lam, reg_scale)
+    for step in range(1, steps + 1):
         mats = tuple(w - step_size * gw for w, gw in zip(current, g))
         if any(not np.all(np.isfinite(m)) for m in mats):
             raise DivergenceError("weights became non-finite during descent")
         current = WeightSet(mats)
-        current_obj = objective(arch, current, dataset, loss, lam, reg_scale)
+        current_obj, g = _risk(arch, current, xs, ys, loss, lam, reg_scale, step < steps)
         if not math.isfinite(current_obj):
             raise DivergenceError("objective became non-finite during descent")
         if current_obj < best_obj:
@@ -283,20 +283,32 @@ def save_weights(path, weights):
         fh.write("\n".join(lines) + "\n")
 
 
+def read_floats(tokens, lineno, count=None):
+    """Floats of file line ``lineno``; ValueError names the line of a bad value or count."""
+    if count is not None and len(tokens) != count:
+        raise ValueError(f"line {lineno}: expected {count} values, got {len(tokens)}")
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"line {lineno}: values must be finite")
+    return values
+
+
 def load_weights(path):
+    """Weights from a save_weights file; ValueError names a malformed or non-finite line."""
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    rows = [t for t in tokens if t.strip()]
-    depth = int(rows[0])
+        rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
+    depth = int(rows[0][1][0])
     mats = []
     pos = 1
     for _ in range(depth):
-        h, f = (int(t) for t in rows[pos].split())
-        pos += 1
-        block = [[float(v) for v in rows[pos + r].split()] for r in range(h)]
-        pos += h
-        m = np.array(block, dtype=float)
-        if m.shape != (h, f):
-            raise ValueError(f"malformed weight block: got {m.shape}, header said {(h, f)}")
-        mats.append(m)
+        n, header = rows[pos]
+        h, f = (int(t) for t in header)
+        block = [read_floats(tokens, r, f) for r, tokens in rows[pos + 1 : pos + 1 + h]]
+        if len(block) != h:
+            raise ValueError(f"line {n}: header says {h} rows, file has {len(block)}")
+        pos += 1 + h
+        mats.append(np.array(block, dtype=float).reshape(h, f))
     return WeightSet(tuple(mats))

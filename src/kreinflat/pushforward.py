@@ -711,13 +711,6 @@ def flatten_feature_map(
     return _wrap(space, space.levels[pick], values[pick])
 
 
-def feature_levels(arch, x, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
-    """Every intermediate feature vector, bottom to top."""
-    space = flat_space(arch, truncation, max_entries)
-    values = _point_features(space, x)
-    return [_wrap(space, lv, v) for lv, v in zip(space.levels, values)]
-
-
 def flatten_metric(
     arch,
     truncation=DEFAULT_TRUNCATION,

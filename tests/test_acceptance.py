@@ -484,13 +484,14 @@ def test_criterion_09_gradient_finite_difference():
         specs = tuple(kinds[int(rng.integers(3))]() for _ in range(d))
         arch = netcore.Architecture(dim, widths, specs)
         weights = _uniform_weights(rng, arch, 0.6)
-        data = [
+        pairs = [
             (rng.uniform(-0.5, 0.5, size=dim), float(rng.normal()))
             for _ in range(int(rng.integers(2, 6)))
         ]
+        xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
         loss = "squared" if i % 2 == 0 else "logistic"
         lam = float(rng.uniform(0.0, 1.0))
-        grad = netcore.gradient(arch, weights, data, loss, lam)
+        grad = netcore.gradient(arch, weights, xs, ys, loss, lam)
         for q in range(d):
             for idx in np.ndindex(weights.matrices[q].shape):
                 probes = []
@@ -498,7 +499,7 @@ def test_criterion_09_gradient_finite_difference():
                     mats = [m.copy() for m in weights.matrices]
                     mats[q][idx] += sign * step
                     shifted = netcore.WeightSet(tuple(mats))
-                    probes.append(netcore.objective(arch, shifted, data, loss, lam))
+                    probes.append(netcore.objective(arch, shifted, xs, ys, loss, lam))
                 want = (probes[0] - probes[1]) / (2.0 * step)
                 got = grad.matrices[q][idx]
                 assert abs(got - want) <= 1e-5 * (1.0 + abs(want))

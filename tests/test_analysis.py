@@ -202,8 +202,8 @@ def test_weight_ball_radius_matches_objective_regularizer():
     arch = netcore.Architecture(1, (2, 1), (act.tanh(), act.tanh()))
     w = as_weights([[0.5], [1.0]], [[0.3, -0.2]])
     x = np.array([0.4])
-    data = [(x, netcore.forward(arch, w, x))]  # zero loss by construction
-    j = netcore.objective(arch, w, data, "squared", lam=1.0)
+    y = netcore.forward(arch, w, x)  # zero loss by construction
+    j = netcore.objective(arch, w, [x], [y], "squared", lam=1.0)
     assert j == pytest.approx(analysis.weight_ball_radius(arch, w), rel=1e-12)
 
 

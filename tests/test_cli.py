@@ -287,6 +287,30 @@ def test_non_finite_dataset_value_names_its_line(tmp_path, capsys, value):
     assert "dataset line 4: values must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_weights_file_names_its_line(tmp_path, capsys, value):
+    weights = tmp_path / "weights.txt"
+    weights.write_text(f"2\n1 2\n0.5 {value}\n\n1 1\n0.7\n")
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [1, 1], "activations": ["tanh", "tanh"]},
+        "truncation": 3,
+        "weights": str(weights),
+        "dataset": write_dataset(tmp_path / "data.csv", np.array([[0.1, 0.2]]), np.array([0.0])),
+    }
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    out = tmp_path / "report.json"
+    assert run("flatten", cfg, str(out)) == 2
+    assert "malformed weights file: line 3: values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weights_of_the_wrong_shape_exit_2(tmp_path, capsys):
+    cfg_obj = poly_config(tmp_path, weights=admissible_weights_file(tmp_path))
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    assert run("flatten", cfg) == 2
+    assert "invalid configuration: weight shapes" in capsys.readouterr().err
+
+
 def test_dataset_column_count(tmp_path):
     obj = poly_config(tmp_path)
     (tmp_path / "data.csv").write_text("x0,x1,y\n0.1,0.2\n")

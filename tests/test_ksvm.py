@@ -1,9 +1,13 @@
 """Stabilized kernel machines: eigensolver path, descent path, model files."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kreinflat import activations as act
 from kreinflat import kreinkernel as kk
@@ -235,6 +239,64 @@ def test_gd_deterministic():
     np.testing.assert_array_equal(a1, a2)
 
 
+def _reference_train_gd(gram, y, lam, loss, steps, step_size):
+    """The descent loop before train_gd reused gram @ alpha: the gradient and
+    the divergence check each compute their own product."""
+    alpha = np.zeros_like(y)
+    for _ in range(steps):
+        alpha = alpha - step_size * ksvm.objective_gradient(alpha, gram, y, lam, loss)
+        if not np.all(np.isfinite(alpha)):
+            raise DivergenceError("alpha became non-finite during descent")
+        if not math.isfinite(ksvm.stabilized_objective(alpha, gram, y, lam, loss).total):
+            raise DivergenceError("stabilized risk became non-finite during descent")
+    return alpha, float(np.linalg.norm(ksvm.objective_gradient(alpha, gram, y, lam, loss)))
+
+
+def _random_gram(rng, n):
+    raw = rng.normal(size=(n, n))
+    return (raw + raw.T) / 2.0  # indefinite
+
+
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+@pytest.mark.parametrize("n, lam, steps, step_size", [
+    (1, 0.3, 1, 0.05), (5, 0.7, 50, 0.02), (17, 0.1, 200, 0.01), (40, 1.5, 30, 0.002),
+])
+def test_gd_equals_reference_loop_bitwise(loss, n, lam, steps, step_size):
+    rng = np.random.default_rng(n)
+    gram, y = _random_gram(rng, n), rng.normal(size=n)
+    want = _reference_train_gd(gram, y, lam, loss, steps, step_size)
+    got = ksvm.train_gd(gram, y, lam, loss, steps, step_size)
+    assert got.alpha.tobytes() == want[0].tobytes()
+    assert got.grad_norm == want[1]
+
+
+def test_gd_on_network_gram_equals_reference_loop_bitwise():
+    arch = netcore.Architecture(4, (8, 1), (act.erf(), act.erf()))
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=(60, 4))
+    gram, y = kk.gram(kk.KernelDefinition(arch), xs), np.tanh(xs[:, 0])
+    want = _reference_train_gd(gram, y, 0.5, "squared", 100, 0.002)
+    got = ksvm.train_gd(gram, y, 0.5, "squared", 100, 0.002)
+    assert got.alpha.tobytes() == want[0].tobytes()
+    assert got.grad_norm == want[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("step_size, message", [
+    (10.0, "stabilized risk became non-finite"),
+    (1e308, "alpha became non-finite"),
+])
+def test_gd_diverges_where_reference_loop_does(step_size, message):
+    G = np.diag([5.0, 3.0])
+    y = np.array([1.0, 1.0])
+    with pytest.raises(DivergenceError) as want:
+        _reference_train_gd(G, y, 1.0, "squared", 500, step_size)
+    with pytest.raises(DivergenceError) as got:
+        ksvm.train_gd(G, y, 1.0, "squared", 500, step_size)
+    assert str(got.value) == str(want.value)
+    assert message in str(got.value)
+
+
 # ---------------------------------------------------------------------------
 # prediction and model files
 # ---------------------------------------------------------------------------
@@ -312,3 +374,80 @@ def test_model_roundtrip_parameterized_specs(tmp_path):
     assert back.kernel_def.arch.activations[1].coefficients == (0.0, 1.0, -0.5)
     x = np.array([0.3])
     assert ksvm.predict(back, x) == ksvm.predict(model, x)
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.sampled_from(kk.VARIANTS),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from(
+        (act.tanh(), act.erf(), act.relu_surrogate(0.1 + 1 / 3), act.polynomial((0.1, 1 / 3, -2.5e-7)))
+    ),
+    st.data(),
+)
+def test_model_roundtrip_keeps_every_float(dim, n, variant, lam, spec, data):
+    arch = netcore.Architecture(dim, (2, 1), (spec, act.tanh()))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    pts = np.array(data.draw(st.lists(floats, min_size=n * dim, max_size=n * dim)),
+                   dtype=float).reshape(n, dim)
+    alpha = np.array(data.draw(st.lists(floats, min_size=n, max_size=n)), dtype=float)
+    model = ksvm.TrainedKSVM(alpha, pts, lam, kk.KernelDefinition(arch, variant))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        ksvm.save_model(path, model)
+        back = ksvm.load_model(path)
+    assert back.alpha.tobytes() == alpha.tobytes()
+    assert back.training_points.shape == (n, dim)
+    assert back.training_points.tobytes() == pts.tobytes()
+    assert back.lam == lam
+    assert back.kernel_def == model.kernel_def
+
+
+def _edited_model_file(tmp_path, lineno, text):
+    """The toy model's file with line ``lineno`` (1-based) replaced, or dropped for None.
+
+    Lines: 1 lambda, 2 variant, 3 input_dim, 4 widths, 5-6 activation,
+    7 points 3, 8-10 point rows, 11 alpha.
+    """
+    path = tmp_path / "model.txt"
+    ksvm.save_model(path, _toy_model())
+    lines = path.read_text().splitlines()
+    if text is None:
+        del lines[lineno - 1]
+    else:
+        lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("lineno, key", [
+    (1, "lambda"), (2, "variant"), (3, "input_dim"), (4, "widths"), (7, "points"), (11, "alpha"),
+])
+def test_load_model_refuses_missing_key(tmp_path, lineno, key):
+    with pytest.raises(ValueError, match=f"model file lacks {key}"):
+        ksvm.load_model(_edited_model_file(tmp_path, lineno, None))
+
+
+def test_load_model_refuses_alpha_count_other_than_point_count(tmp_path):
+    path = _edited_model_file(tmp_path, 11, "alpha 0.7 -0.3")
+    with pytest.raises(ValueError, match="line 11: expected 3 values, got 2"):
+        ksvm.load_model(path)
+
+
+def test_load_model_refuses_point_row_of_wrong_width(tmp_path):
+    path = _edited_model_file(tmp_path, 9, "-0.2 0.4 0.9")
+    with pytest.raises(ValueError, match="line 9: expected 2 values, got 3"):
+        ksvm.load_model(path)
+
+
+@pytest.mark.parametrize("lineno, text", [
+    (1, "lambda nan"),
+    (5, "activation polynomial 0 inf"),
+    (8, "0.3 -inf"),
+    (11, "alpha 0.7 NaN 0.2"),
+])
+def test_load_model_refuses_non_finite_number(tmp_path, lineno, text):
+    path = _edited_model_file(tmp_path, lineno, text)
+    with pytest.raises(ValueError, match=f"line {lineno}: values must be finite"):
+        ksvm.load_model(path)
