@@ -58,6 +58,8 @@ class ActivationSpec:
                 raise ValueError("polynomial kind needs a coefficient tuple")
             object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
             a = self.coefficients
+            if not all(map(math.isfinite, a)):
+                raise ValueError("coefficients must be finite")
             if a[0] < 0:
                 raise ValueError("constant coefficient a_0 must be nonnegative")
             if len(a) < 2 or a[1] <= 0:
@@ -66,8 +68,8 @@ class ActivationSpec:
             raise ValueError(f"{self.kind} takes no coefficient tuple")
         if self.kind in ("relu_surrogate", "relu_surrogate_assoc"):
             c = _DEFAULT_SHARPNESS if self.sharpness is None else float(self.sharpness)
-            if c <= 0:
-                raise ValueError("sharpness must be positive")
+            if not 0 < c < math.inf:  # NaN fails too
+                raise ValueError("sharpness must be positive and finite")
             object.__setattr__(self, "sharpness", c)
         elif self.sharpness is not None:
             raise ValueError(f"{self.kind} takes no sharpness")

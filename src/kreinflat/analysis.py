@@ -9,6 +9,7 @@ sparsity profile of the flat weight/metric pair.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,6 +21,10 @@ from . import kreinkernel as kk
 from . import netcore
 from . import pushforward as pf
 from .errors import DomainError
+
+#: memory ceiling of one block of the Monte-Carlo estimate (hypothesis draws or sign trials)
+_BLOCK_BYTES = 512 << 10
+
 
 def _is_associated(variant):
     if variant not in kk.VARIANTS:
@@ -253,6 +258,63 @@ def tight_bound(arch, radius, sample, n=None):
 # empirical Rademacher complexity (Monte-Carlo lower estimate)
 # ---------------------------------------------------------------------------
 
+def _hypothesis_block(arch, radius, xs, rng, k):
+    """Outputs (k, N) of k weight sets drawn for the ball of ``radius``.
+
+    Each draw takes its standard normals for all layers in one run of the
+    stream (draw-major), so the stream is consumed the same way whatever k
+    is.  Draws outside the ball or leaving a pole-limited domain get NaN
+    rows; the caller rejects every row that is not finite.
+    """
+    shapes = arch.layer_shapes()
+    z = rng.standard_normal((k, sum(h * f for h, f in shapes)))
+    mats, start = [], 0
+    for h, f in shapes:
+        std = math.sqrt(0.5 * radius / (h * f))  # the expected ball radius is half the target
+        mats.append(std * z[:, start : start + h * f].reshape(k, h, f))
+        start += h * f
+    values = np.full((k, xs.shape[0]), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite draws are rejected
+        # weight_ball_radius per draw, summed in the same order
+        inside = (1.0 / arch.depth) * sum(np.sum(w * w, axis=(1, 2)) for w in mats) <= radius
+        try:
+            values[inside] = netcore.forward_batch(
+                arch, netcore.WeightSet(tuple(w[inside] for w in mats)), xs
+            )
+        except DomainError:  # reject only the draws whose own pass leaves the domain
+            for i in np.flatnonzero(inside):
+                with contextlib.suppress(DomainError):
+                    values[i] = netcore.forward_batch(
+                        arch, netcore.WeightSet(tuple(w[i] for w in mats)), xs
+                    )
+    return values
+
+
+def _exact_grid(pool, n):
+    """Round ``pool`` in place to the binary grid on which sums of n signed entries are exact.
+
+    With every |entry| <= 2^e and the grid 2^(e - 53 + ceil(log2 n)), each
+    partial sum of n entries times +-1 is a whole number of grid steps no
+    larger than 2^53, so a product with sign vectors is exact in any order:
+    its blocking, BLAS kernel and thread count cannot change a bit.  An entry
+    moves by at most half a step, less than n 2^-52 of the largest entry:
+    within the error bound of a float sum of n such entries.
+    """
+    peak = max(float(np.max(pool)), -float(np.min(pool)))
+    if peak > 0.0:
+        shift = math.frexp(peak)[1] - 53 + (n - 1).bit_length()
+        np.ldexp(pool, -shift, out=pool)
+        np.rint(pool, out=pool)
+        np.ldexp(pool, shift, out=pool)
+    return pool
+
+
+def _count(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def empirical_rademacher(
     arch, radius, sample, trials=200, hypothesis_draws=200, seed=0
 ):
@@ -261,53 +323,55 @@ def empirical_rademacher(
     Hypotheses are weight sets drawn from per-layer Gaussians scaled so the
     expected ball radius is half the target, rejection-sampled (at most 10
     attempts each) into the radius ball and the evaluable domain.  One shared
-    hypothesis pool serves every sign trial; trials and draws get their own
-    derived seeds, so the result only depends on the arguments.
+    hypothesis pool serves every sign trial.  ``SeedSequence(seed)`` spawns one
+    stream for the pool and one for the signs: every draw's first attempt
+    comes before any retry, and trial signs are drawn trial-major, so the
+    result only depends on the arguments, not on the _BLOCK_BYTES blocks it
+    is computed in.
 
     The true complexity takes a supremum over the whole ball, so this is a
     lower estimate by construction.
     """
     xs = _sample_array(arch, sample)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError("radius must be nonnegative and finite")
+    trials = _count("trials", trials)
+    draws = _count("hypothesis_draws", hypothesis_draws)
     n = xs.shape[0]
-    root = np.random.SeedSequence(seed)
-    pool_seq, eps_seq = root.spawn(2)
-    pool_children = pool_seq.spawn(hypothesis_draws)
-    eps_children = eps_seq.spawn(trials)
+    pool_rng, sign_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
 
-    shapes = arch.layer_shapes()
-    rows = []
-    for child in pool_children:
-        rng = np.random.default_rng(child)
-        for _ in range(10):
-            mats = [
-                rng.normal(0.0, math.sqrt(0.5 * radius / (h * f)) if radius > 0 else 0.0,
-                           size=(h, f))
-                for h, f in shapes
-            ]
-            weights = netcore.WeightSet(tuple(mats))
-            if weight_ball_radius(arch, weights) > radius:
-                continue
-            try:
-                values = netcore.forward_batch(arch, weights, xs)
-            except DomainError:
-                continue
-            if not np.all(np.isfinite(values)):
-                continue
-            rows.append(values)
+    # per draw: its normals, weights and their copy, every layer's pre- and
+    # post-activations and its output row
+    params = sum(h * f for h, f in arch.layer_shapes())
+    per_block = max(1, _BLOCK_BYTES // (8 * (3 * params + (2 * sum(arch.widths) + 1) * n)))
+    pool = np.empty((draws, n))
+    pending = np.arange(draws)
+    for _ in range(10):
+        rejected = []
+        for start in range(0, pending.size, per_block):
+            ids = pending[start : start + per_block]
+            values = _hypothesis_block(arch, radius, xs, pool_rng, ids.size)
+            ok = np.isfinite(values).all(axis=1)
+            pool[ids[ok]] = values[ok]
+            rejected.append(ids[~ok])
+        pending = np.concatenate(rejected)
+        if not pending.size:
             break
-    if not rows:
+    if pending.size:
+        pool = np.delete(pool, pending, axis=0)
+    if not pool.size:
         raise DomainError(
             "no admissible hypothesis draw found inside the radius ball"
         )
-    pool = np.vstack(rows)  # (accepted, N)
-    total = 0.0
-    for child in eps_children:
-        rng = np.random.default_rng(child)
-        eps = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        total += float(np.max(np.abs(pool @ eps))) / n
-    return total / trials
+    pool = _exact_grid(pool, n)
+
+    # per trial: its signs as integers and floats, and the product column and its abs
+    per_block = max(1, _BLOCK_BYTES // (16 * (n + pool.shape[0])))
+    peaks = np.empty(trials)
+    for start in range(0, trials, per_block):
+        eps = sign_rng.integers(0, 2, size=(min(per_block, trials - start), n)) * 2.0 - 1.0
+        np.max(np.abs(pool @ eps.T), axis=0, out=peaks[start : start + eps.shape[0]])
+    return float(np.mean(peaks)) / n
 
 
 # ---------------------------------------------------------------------------

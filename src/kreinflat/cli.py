@@ -126,9 +126,45 @@ def _positive(cfg, key, default=None, integer=False):
         value = int(value) if integer else float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{key}' must be a number: {exc}") from exc
-    if value <= 0:
-        raise ConfigError(f"'{key}' must be positive")
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ConfigError(f"'{key}' must be positive and finite")
     return value
+
+
+def _reg_scale(cfg):
+    """The optional regularizer scale: None (1/depth) or a finite number >= 0."""
+    value = cfg.get("reg_scale")
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf
+    ):
+        raise ConfigError("'reg_scale' must be a finite nonnegative number")
+    return value
+
+
+def _positive_numbers(cfg, key, default):
+    """The list of positive finite numbers under ``key``."""
+    value = cfg.get(key, default)
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf for v in value
+    ):
+        raise ConfigError(f"'{key}' must be a list of positive finite numbers")
+    return value
+
+
+def _count(cfg, key, default):
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"'{key}' must be a nonnegative integer")
+    return value
+
+
+def _monte_carlo(cfg):
+    """(trials, hypothesis_draws) of the Monte-Carlo estimate; 0 trials (the default) skips it."""
+    trials = _count(cfg, "trials", 0)
+    draws = _count(cfg, "hypothesis_draws", trials)
+    if trials and not draws:
+        raise ConfigError("'hypothesis_draws' must be at least 1")
+    return trials, draws
 
 
 def _seed(cfg):
@@ -314,16 +350,16 @@ def run_kernel(cfg, out=None):
     return _report(cfg, results, warnings=warnings)
 
 
-def _train_section(cfg):
+def _train_section(cfg, min_steps=1):
     section = cfg.get("train", {})
     if not isinstance(section, dict):
         raise ConfigError("'train' must be an object")
     steps = section.get("steps", 200)
-    if not isinstance(steps, int) or steps < 0:
-        raise ConfigError("'train.steps' must be a nonnegative integer")
+    if not isinstance(steps, int) or steps < min_steps:
+        raise ConfigError(f"'train.steps' must be an integer >= {min_steps}")
     step_size = section.get("step_size", 0.05)
-    if not isinstance(step_size, (int, float)) or step_size <= 0:
-        raise ConfigError("'train.step_size' must be positive")
+    if not isinstance(step_size, (int, float)) or not 0 < step_size < math.inf:
+        raise ConfigError("'train.step_size' must be positive and finite")
     return steps, float(step_size)
 
 
@@ -342,7 +378,7 @@ def run_train_net(cfg, out=None):
     loss = _loss(cfg)
     lam = _positive(cfg, "lambda")
     steps, step_size = _train_section(cfg)
-    reg_scale = cfg.get("reg_scale")
+    reg_scale = _reg_scale(cfg)
     seed = _seed(cfg)
 
     init = netcore.init_weights(arch, seed)
@@ -389,7 +425,7 @@ def run_train_ksvm(cfg, out=None):
         alpha, residual = ksvm.train_squared(gram, ys, lam)
         results["stationarity_residual"] = residual
     elif solver == "gd":
-        steps, step_size = _train_section(cfg)
+        steps, step_size = _train_section(cfg, min_steps=0)
         loss = _loss(cfg)
         alpha, grad_norm = ksvm.train_gd(gram, ys, lam, loss, steps, step_size)
         results["final_gradient_norm"] = grad_norm
@@ -422,7 +458,8 @@ def run_compare(cfg, out=None):
     lam = _positive(cfg, "lambda")
     steps, step_size = _train_section(cfg)
     seed = _seed(cfg)
-    reg_scale = cfg.get("reg_scale")
+    reg_scale = _reg_scale(cfg)
+    trials, draws = _monte_carlo(cfg)
 
     weights = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
     loss_of = netcore.loss_functions(loss)[0]
@@ -440,14 +477,13 @@ def run_compare(cfg, out=None):
     bounds = None
     try:
         report = analysis.rademacher_bound_net(arch, weights, xs)
-        trials = cfg.get("trials", 0)
         if trials:
             report.empirical_estimate = analysis.empirical_rademacher(
                 arch,
                 report.weight_ball_radius,
                 xs,
                 trials=trials,
-                hypothesis_draws=cfg.get("hypothesis_draws", trials),
+                hypothesis_draws=draws,
                 seed=seed,
             )
         bounds = vars(report)
@@ -487,21 +523,21 @@ def run_bounds(cfg, out=None):
         weights = None
     else:
         weights = _weights_for(cfg, arch)
-        radius = analysis.weight_ball_radius(arch, weights, cfg.get("reg_scale"))
+        radius = analysis.weight_ball_radius(arch, weights, _reg_scale(cfg))
     n = cfg.get("n", int(xs.shape[0]))
     if not isinstance(n, int) or n < 1:
         raise ConfigError("'n' must be a positive integer")
+    trials, draws = _monte_carlo(cfg)
 
     warnings = []
     report = analysis.rademacher_bound_net(arch, radius, xs, n)
-    trials = cfg.get("trials", 0)
     if trials:
         report.empirical_estimate = analysis.empirical_rademacher(
             arch,
             radius,
             xs,
             trials=trials,
-            hypothesis_draws=cfg.get("hypothesis_draws", trials),
+            hypothesis_draws=draws,
             seed=_seed(cfg),
         )
     results = dict(vars(report))
@@ -522,13 +558,15 @@ def run_sparsity(cfg, out=None):
     arch = architecture_from_config(cfg)
     trunc = _truncation(cfg)
     weights = _weights_for(cfg, arch)
+    epsilons = _positive_numbers(cfg, "epsilons", [1e-2, 1e-4, 1e-6])
     metric = pf.flatten_metric(arch, trunc)
     vnn = pf.flat_weight(arch, weights, trunc)
-    radius = analysis.weight_ball_radius(arch, weights, cfg.get("reg_scale"))
+    radius = analysis.weight_ball_radius(arch, weights, _reg_scale(cfg))
 
     warnings = []
-    intervals = cfg.get("intervals")
-    if intervals is None:
+    if cfg.get("intervals") is not None:
+        intervals = _positive_numbers(cfg, "intervals", None)
+    else:
         realized = analysis.chain_intervals(arch, weights, "associated")
         intervals = [max(m, 1e-9) for m in realized]
     width_gm, _, lbar = netcore.geometric_means(arch, intervals)
@@ -550,7 +588,6 @@ def run_sparsity(cfg, out=None):
         input_dim=arch.input_dim,
         weight_ball_radius=radius,
     )
-    epsilons = cfg.get("epsilons", [1e-2, 1e-4, 1e-6])
     profile = analysis.sparsity_profile(metric, vnn, arch.depth, constants, epsilons)
     results = {
         "bridge_norm": profile.bridge_norm,

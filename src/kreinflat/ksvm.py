@@ -140,6 +140,8 @@ def _spec_from_tokens(tokens, lineno):
     kind, params = tokens[0], netcore.read_floats(tokens[1:], lineno)
     if kind == "polynomial":
         return act.polynomial(tuple(params))
+    if len(params) > 1:
+        raise ValueError(f"line {lineno}: {kind} takes at most one parameter, got {len(params)}")
     return act.ActivationSpec(kind, sharpness=params[0] if params else None)
 
 

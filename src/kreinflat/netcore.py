@@ -79,10 +79,12 @@ class WeightSet:
             return [float(np.sum(w * w)) for w in self.matrices]
 
 
-def check_shapes(arch, weights):
+def check_shapes(arch, weights, stack=()):
+    """ValueError unless every matrix has the shape ``stack + (H_q, H_{q-1})``."""
     shapes = [w.shape for w in weights]
-    if shapes != arch.layer_shapes():
-        raise ValueError(f"weight shapes {shapes} do not match {arch.layer_shapes()}")
+    expected = [tuple(stack) + s for s in arch.layer_shapes()]
+    if shapes != expected:
+        raise ValueError(f"weight shapes {shapes} do not match {expected}")
 
 
 def init_weights(arch, seed):
@@ -98,9 +100,10 @@ def init_weights(arch, seed):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _layers(arch, weights, xs):
-    """Pre- and post-activation arrays per layer, each (H_q, N), for an (N, D) batch."""
-    check_shapes(arch, weights)
+def _layers(arch, weights, xs, stack=()):
+    """Pre- and post-activation arrays per layer, each stack + (H_q, N), for an (N, D)
+    batch; ``stack`` is the leading shape every weight matrix carries."""
+    check_shapes(arch, weights, stack)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
         raise ValueError(f"inputs must have shape (N, {arch.input_dim}), got {xs.shape}")
@@ -119,8 +122,14 @@ def forward(arch, weights, x):
 
 
 def forward_batch(arch, weights, xs):
-    """f over the rows of an (N, D) array; returns shape (N,)."""
-    return _layers(arch, weights, xs)[1][-1][0]
+    """f over the rows of an (N, D) array; returns shape (N,).
+
+    Matrices stacked along a leading axis, W_q of shape (k, H_q, H_{q-1}),
+    hold k weight sets; f then comes back as (k, N), each row bit-equal to
+    that weight set's own forward pass.
+    """
+    stack = np.shape(weights[0])[:-2] if len(weights) else ()
+    return _layers(arch, weights, xs, stack)[1][-1][..., 0, :]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinflat import activations as act
 from kreinflat import analysis
@@ -438,6 +440,120 @@ def test_empirical_rademacher_validation():
     arch = netcore.Architecture(1, (1,), (act.tanh(),))
     with pytest.raises(ValueError):
         analysis.empirical_rademacher(arch, -1.0, np.array([[0.1]]))
+
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(radius=math.nan), dict(radius=math.inf), dict(trials=0), dict(trials=2.5),
+    dict(hypothesis_draws=0), dict(hypothesis_draws=-3), dict(trials=True),
+])
+def test_empirical_rademacher_refuses_bad_radius_and_counts(kwargs):
+    arch = netcore.Architecture(1, (1,), (act.tanh(),))
+    args = dict(radius=0.5, trials=5, hypothesis_draws=5)
+    args.update(kwargs)
+    with pytest.raises(ValueError, match="radius|trials|hypothesis_draws"):
+        analysis.empirical_rademacher(arch, args.pop("radius"), np.array([[0.1]]), **args)
+
+
+def _reference_estimate(arch, radius, xs, trials, draws, seed):
+    """The estimator as a per-draw, per-trial loop over the same two streams.
+
+    Returns the estimate and the rejections counted by reason.
+    """
+    pool_rng, sign_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    n = xs.shape[0]
+    rows, reasons = {}, {"radius": 0, "domain": 0, "non-finite": 0}
+    pending = list(range(draws))
+    for _ in range(10):  # first attempts of every draw, then the retries
+        rejected = []
+        for i in pending:
+            weights = netcore.WeightSet(tuple(
+                math.sqrt(0.5 * radius / (h * f)) * pool_rng.standard_normal(h * f).reshape(h, f)
+                for h, f in arch.layer_shapes()
+            ))
+            reason = None
+            if analysis.weight_ball_radius(arch, weights) > radius:
+                reason = "radius"
+            else:
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        values = netcore.forward_batch(arch, weights, xs)
+                except DomainError:
+                    reason = "domain"
+                else:
+                    if not np.all(np.isfinite(values)):
+                        reason = "non-finite"
+            if reason is None:
+                rows[i] = values
+            else:
+                reasons[reason] += 1
+                rejected.append(i)
+        pending = rejected
+    pool = analysis._exact_grid(np.array([rows[i] for i in sorted(rows)]), n)
+    peaks = [
+        np.max(np.abs(pool @ (sign_rng.integers(0, 2, size=n) * 2.0 - 1.0)))
+        for _ in range(trials)
+    ]
+    return float(np.mean(peaks)) / n, reasons
+
+
+# (architecture, radius, input scale, the rejection reason the case exercises)
+_MC_CASES = {
+    "radius": (netcore.Architecture(2, (2, 1), (act.tanh(), act.erf())), 0.8, 1.0, "radius"),
+    "non-finite": (netcore.Architecture(1, (1, 1), (act.exp(), act.exp())), 2000.0, 1.0,
+                   "non-finite"),
+    # a pole-limited kind that configs cannot name: only Python builds this net
+    "domain": (netcore.Architecture(2, (3, 1), (act.ActivationSpec("tan"),) * 2), 6.0, 0.7,
+               "domain"),
+    "erf-deep": (netcore.Architecture(5, (16, 8, 1), (act.erf(),) * 3), 1.5, 1.0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MC_CASES))
+def test_empirical_rademacher_matches_per_draw_reference(case, monkeypatch):
+    arch, radius, scale, reason = _MC_CASES[case]
+    xs = np.random.default_rng(11).uniform(-scale, scale, size=(37, arch.input_dim))
+    want, reasons = _reference_estimate(arch, radius, xs, 45, 60, seed=5)
+    if reason is not None:
+        assert reasons[reason] > 0  # the case really takes its rejection path
+    got = analysis.empirical_rademacher(arch, radius, xs, trials=45, hypothesis_draws=60, seed=5)
+    assert got == want
+    with monkeypatch.context() as mp:  # one draw and one trial per block
+        mp.setattr(analysis, "_BLOCK_BYTES", 1)
+        assert analysis.empirical_rademacher(
+            arch, radius, xs, trials=45, hypothesis_draws=60, seed=5
+        ) == want
+
+
+def test_hypothesis_block_rejects_only_the_draws_leaving_the_domain():
+    arch, radius, scale, _ = _MC_CASES["domain"]
+    xs = np.random.default_rng(11).uniform(-scale, scale, size=(37, 2))
+    values = analysis._hypothesis_block(arch, radius, xs, np.random.default_rng(2), 12)
+    finite = np.isfinite(values).all(axis=1)
+    assert finite.any() and not finite.all()
+    assert np.isnan(values[~finite]).all()
+
+
+def test_empirical_rademacher_without_admissible_draw_raises_domain_error():
+    arch = netcore.Architecture(1, (1,), (act.ActivationSpec("tan"),))
+    with pytest.raises(DomainError, match="no admissible hypothesis"):
+        analysis.empirical_rademacher(arch, 1e6, np.array([[100.0]]), trials=3, hypothesis_draws=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 12), st.integers(-300, 300), st.integers(0, 2**32 - 1))
+def test_exact_grid_makes_sign_sums_exact(n, rows, exponent, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((rows, n)) * 10.0**exponent
+    q = analysis._exact_grid(pool.copy(), n)
+    peak = np.max(np.abs(pool))
+    assert np.max(np.abs(q - pool)) < n * 2.0**-52 * peak
+    eps = rng.integers(0, 2, size=(n, 5)) * 2.0 - 1.0
+    product = q @ eps
+    for j in range(5):
+        column = q @ eps[:, j]  # a matrix-vector product, summed in another order
+        exact = [math.fsum(row * eps[:, j]) for row in q]
+        assert column.tobytes() == product[:, j].tobytes() == np.array(exact).tobytes()
 
 
 # ---------------------------------------------------------------------------

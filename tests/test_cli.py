@@ -594,6 +594,90 @@ def test_bounds_weights_seed_default_radius(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["bounds", "compare"])
+@pytest.mark.parametrize("counts, key", [
+    ({"trials": -5}, "trials"),
+    ({"trials": 2.5}, "trials"),
+    ({"trials": "10"}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"trials": 10, "hypothesis_draws": -3}, "hypothesis_draws"),
+    ({"trials": 10, "hypothesis_draws": 0}, "hypothesis_draws"),
+    ({"trials": 10, "hypothesis_draws": 1.5}, "hypothesis_draws"),
+])
+def test_bad_monte_carlo_counts_exit_2_naming_the_key(tmp_path, capsys, command, counts, key):
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, **counts))
+    assert run(command, cfg) == 2
+    assert f"invalid configuration: '{key}'" in capsys.readouterr().err
+
+
+def test_compare_runs_the_monte_carlo_estimate(tmp_path, capsys):
+    cfg_obj = tanh_config(tmp_path, trials=30, hypothesis_draws=20, train={"steps": 5})
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    assert run("compare", cfg) == 0
+    bounds = json.loads(capsys.readouterr().out)["results"]["bounds"]
+    assert 0.0 < bounds["empirical_estimate"] <= bounds["bound_kernel_trace"]
+
+
+# ---------------------------------------------------------------------------
+# config numbers: finite, and the offending key named
+# ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("bounds", {"radius": NAN}, "radius"),
+    ("bounds", {"radius": INF}, "radius"),
+    ("bounds", {"reg_scale": NAN}, "reg_scale"),
+    ("bounds", {"reg_scale": INF}, "reg_scale"),
+    ("train-net", {"lambda": NAN}, "lambda"),
+    ("train-net", {"lambda": INF}, "lambda"),
+    ("train-net", {"train": {"step_size": NAN}}, "train.step_size"),
+    ("train-net", {"train": {"step_size": INF}}, "train.step_size"),
+    ("train-net", {"reg_scale": NAN}, "reg_scale"),
+    ("train-ksvm", {"lambda": NAN}, "lambda"),
+    ("train-ksvm", {"solver": "gd", "train": {"step_size": NAN}}, "train.step_size"),
+    ("compare", {"reg_scale": INF}, "reg_scale"),
+    ("sparsity", {"reg_scale": NAN}, "reg_scale"),
+    ("sparsity", {"epsilons": [1e-3, NAN]}, "epsilons"),
+    ("sparsity", {"epsilons": [INF]}, "epsilons"),
+    ("sparsity", {"intervals": [INF, 1.0]}, "intervals"),
+    ("sparsity", {"intervals": [NAN, 1.0]}, "intervals"),
+    ("sparsity", {"intervals": 0.5}, "intervals"),
+])
+def test_non_finite_config_number_exits_2_naming_the_key(tmp_path, capsys, command, extra, key):
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, **extra))
+    assert run(command, cfg) == 2
+    assert f"invalid configuration: '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "relu_surrogate", "sharpness": NAN},
+    {"kind": "relu_surrogate", "sharpness": INF},
+    {"kind": "polynomial", "coefficients": [0.0, 1.0, NAN]},
+    {"kind": "polynomial", "coefficients": [0.0, INF]},
+])
+def test_non_finite_activation_parameter_exits_2(tmp_path, capsys, entry):
+    cfg_obj = tanh_config(tmp_path)
+    cfg_obj["architecture"]["activations"][0] = entry
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    assert run("bounds", cfg) == 2
+    assert "invalid configuration: bad activation entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-net", "compare"])
+def test_zero_train_steps_exit_2_naming_the_key(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, train={"steps": 0}))
+    assert run(command, cfg) == 2
+    assert "invalid configuration: 'train.steps' must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_train_ksvm_gd_allows_zero_steps(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, solver="gd", train={"steps": 0}))
+    assert run("train-ksvm", cfg) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["final_gradient_norm"] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # sparsity
 # ---------------------------------------------------------------------------

@@ -451,3 +451,10 @@ def test_load_model_refuses_non_finite_number(tmp_path, lineno, text):
     path = _edited_model_file(tmp_path, lineno, text)
     with pytest.raises(ValueError, match=f"line {lineno}: values must be finite"):
         ksvm.load_model(path)
+
+
+@pytest.mark.parametrize("text", ["activation relu_surrogate 0.25 7", "activation tanh 0.5 1"])
+def test_load_model_refuses_extra_activation_parameters(tmp_path, text):
+    path = _edited_model_file(tmp_path, 5, text)
+    with pytest.raises(ValueError, match="line 5: .* takes at most one parameter, got 2"):
+        ksvm.load_model(path)

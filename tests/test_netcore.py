@@ -73,6 +73,25 @@ def test_forward_batch_matches_loop():
         assert f == pytest.approx(netcore.forward(arch, w, x), rel=1e-14)
 
 
+
+def test_forward_batch_stacked_weight_sets_bit_equal_to_each_set():
+    arch = netcore.Architecture(3, (16, 8, 1), (act.erf(), act.tanh(), act.erf()))
+    sets = [netcore.init_weights(arch, seed=s) for s in range(5)]
+    stack = netcore.WeightSet(tuple(np.stack(ws) for ws in zip(*sets)))
+    xs = np.random.default_rng(3).normal(size=(40, 3))
+    out = netcore.forward_batch(arch, stack, xs)
+    assert out.shape == (5, 40)
+    for row, w in zip(out, sets):
+        assert row.tobytes() == netcore.forward_batch(arch, w, xs).tobytes()
+
+
+def test_forward_batch_refuses_ragged_stack():
+    arch = lin_arch(2, (2, 1))
+    ragged = as_weights(np.zeros((3, 2, 2)), np.zeros((4, 1, 2)))
+    with pytest.raises(ValueError, match="do not match"):
+        netcore.forward_batch(arch, ragged, np.zeros((1, 2)))
+
+
 # ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------
