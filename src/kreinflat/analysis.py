@@ -94,11 +94,19 @@ def weight_ball_radius(arch, weights, reg_scale=None):
     return scale * sum(weights.frobenius_sq())
 
 
+def _power(base, exponent):
+    """base ** exponent, or inf where the float power overflows: a vacuous bound."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def svm_ball_radius(radius, lipschitz, depth):
     """(L * radius)^depth: the flat ball that contains the network family."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return (lipschitz * radius) ** depth
+    return _power(lipschitz * radius, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +187,7 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None, empirical_esti
     sq_mean = float(np.mean(np.sum(xs * xs, axis=1)))
     if all(s.kind == "linear" for s in arch.activations):
         report.bound_linear = math.sqrt(
-            (width_gm * lip * radius) ** arch.depth * sq_mean / count
+            _power(width_gm * lip * radius, arch.depth) * sq_mean / count
         )
     if all(act.is_odd_concave(s) for s in arch.activations):
         report.bound_growth = tight_bound(arch, radius, xs, count).general
@@ -224,7 +232,7 @@ def tight_bound(arch, radius, sample, n=None):
     xs = _sample_array(arch, sample)
     count = xs.shape[0] if n is None else int(n)
     d = arch.depth
-    prefactor = max(1.0, float(radius) ** d) / math.sqrt(count)
+    prefactor = max(1.0, _power(float(radius), d)) / math.sqrt(count)
     sq = np.sum(xs * xs, axis=1)
     env = growth_envelope(arch, np.sqrt(sq))
     general = prefactor * math.sqrt(float(np.mean(env * env)))

@@ -20,6 +20,7 @@ import math
 import os
 import secrets
 import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,37 +43,123 @@ class ConfigError(ValueError):
 # configuration
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()  # the default of a key that a run must give
+
+_ALL = ("flatten", "kernel", "train-net", "train-ksvm", "compare", "bounds", "sparsity")
+_FIT = ("train-net", "train-ksvm", "compare")
+_MC = ("compare", "bounds")
+# type: (description, test of one value); a "<type> list" key holds a list of them
+_TYPES = {
+    "integer": ("an integer", lambda v: type(v) is int),
+    "number": (
+        "a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max
+    ),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "path": ("a path string", lambda v: type(v) is str),
+    "choice": ("", lambda v: type(v) is str),
+    "object": ("an object", lambda v: type(v) is dict),
+    "activation": ("an activation name or object", lambda v: type(v) in (str, dict)),
+}
+_RANGES = {
+    "": lambda v: True,
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 0 and < 2**64": lambda v: 0 <= v < 2**64,
+}
+
+
+@dataclass(frozen=True)
+class Key:
+    """A config key: its type, range (or choices), default, and the commands that
+    read it.  ``by_command`` replaces fields of the entry for one command."""
+
+    type: str
+    commands: tuple
+    default: object = REQUIRED
+    range: str = ""
+    choices: tuple = ()
+    by_command: dict = field(default_factory=dict)
+
+
+CONFIG_KEYS = {
+    "architecture": Key("object", _ALL),
+    "architecture.input_dim": Key("integer", _ALL, range=">= 1"),
+    "architecture.widths": Key("integer list", _ALL, range=">= 1"),
+    "architecture.activations": Key("activation list", _ALL),
+    "dataset": Key("path", _ALL[:-1], by_command={"flatten": {"default": None}}),  # not sparsity
+    "weights": Key("path", ("flatten", "bounds", "sparsity"), None),
+    "seed": Key("integer", ("flatten", "train-net", "compare", "bounds", "sparsity"), 0,
+                ">= 0 and < 2**64"),
+    "truncation": Key("integer", ("flatten", "sparsity"), DEFAULT_TRUNCATION, ">= 1"),
+    "lambda": Key("number", _FIT, range="> 0"),
+    "reg_scale": Key("number", ("train-net", "compare", "bounds", "sparsity"), None, ">= 0"),
+    "loss": Key("choice", _FIT, "squared", choices=netcore.LOSSES),
+    "variant": Key("choice", ("kernel", "train-ksvm", "compare"), "krein", choices=kk.VARIANTS),
+    "solver": Key("choice", ("train-ksvm",), "eig", choices=("eig", "gd")),
+    "train": Key("object", _FIT, {}),
+    "train.steps": Key("integer", _FIT, 200, ">= 1", by_command={"train-ksvm": {"range": ">= 0"}}),
+    "train.step_size": Key("number", _FIT, 0.05, "> 0"),
+    "trials": Key("integer", _MC, 0, ">= 0"),
+    "hypothesis_draws": Key("integer", _MC, None, ">= 1"),
+    "radius": Key("number", ("bounds",), None, "> 0"),
+    "n": Key("integer", ("bounds",), None, ">= 1"),
+    "tight": Key("bool", ("bounds",), False),
+    "epsilons": Key("number list", ("sparsity",), [1e-2, 1e-4, 1e-6], "> 0"),
+    "intervals": Key("number list", ("sparsity",), None, "> 0"),
+}
+
+
+class Config(dict):
+    """The raw JSON config of one run, echoed as is in its report; ``command`` is set
+    to the subcommand that reads it."""
+
+
+def _fits(spec, value):
+    """Whether one value (one element of a list key) has the key's type and range."""
+    if not _TYPES[spec.type.removesuffix(" list")][1](value):
+        return False
+    return value in spec.choices if spec.choices else _RANGES[spec.range](value)
+
+
+def _get(cfg, key):
+    """Config ``key`` checked against its CONFIG_KEYS entry; numbers come back as floats.
+
+    A dotted key is a field of an object key.  A missing (or null) key gives
+    the default.  A missing required key, or a value of the wrong type or out
+    of range, raises ConfigError naming the key.
+    """
+    spec = CONFIG_KEYS[key]
+    spec = replace(spec, **spec.by_command.get(cfg.command, {}))
+    parent, _, name = key.rpartition(".")
+    value = (_get(cfg, parent) if parent else cfg).get(name)
+    if value is None:
+        if spec.default is REQUIRED:
+            raise ConfigError(f"'{key}' is required")
+        return spec.default
+    kind = spec.type.removesuffix(" list")
+    many = kind != spec.type
+    values = value if many else [value]
+    if many != (type(value) is list) or not all(_fits(spec, v) for v in values):
+        choices = spec.choices and "one of " + ", ".join(spec.choices)
+        expected = " ".join(filter(None, (_TYPES[kind][0], spec.range, choices)))
+        raise ConfigError(f"'{key}' must be {'a list, each ' if many else ''}{expected}")
+    return float(value) if spec.type == "number" else value
+
+
 def _activation_from_entry(entry):
     try:
         if isinstance(entry, str):
             return act.ActivationSpec(entry)
-        if isinstance(entry, dict):
-            kind = entry.get("kind")
-            kwargs = {}
-            if "coefficients" in entry:
-                kwargs["coefficients"] = tuple(entry["coefficients"])
-            if "sharpness" in entry:
-                kwargs["sharpness"] = entry["sharpness"]
-            if "max_terms" in entry:
-                kwargs["max_terms"] = entry["max_terms"]
-            return act.ActivationSpec(kind, **kwargs)
+        return act.ActivationSpec(**entry)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad activation entry {entry!r}: {exc}") from exc
-    raise ConfigError(f"bad activation entry {entry!r}")
 
 
 def architecture_from_config(cfg):
-    spec = cfg.get("architecture")
-    if not isinstance(spec, dict):
-        raise ConfigError("config needs an 'architecture' object")
-    try:
-        input_dim = int(spec["input_dim"])
-        widths = tuple(int(h) for h in spec["widths"])
-        acts = tuple(_activation_from_entry(e) for e in spec["activations"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad architecture section: {exc}") from exc
+    input_dim = _get(cfg, "architecture.input_dim")
+    widths = _get(cfg, "architecture.widths")
+    acts = [_activation_from_entry(e) for e in _get(cfg, "architecture.activations")]
     try:
         return netcore.Architecture(input_dim, widths, acts)
     except ValueError as exc:
@@ -118,74 +205,9 @@ def load_dataset(path, input_dim):
     return table[:, :input_dim], table[:, input_dim]
 
 
-def _positive(cfg, key, default=None, integer=False):
-    value = cfg.get(key, default)
-    if value is None:
-        raise ConfigError(f"config needs '{key}'")
-    try:
-        value = int(value) if integer else float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' must be a number: {exc}") from exc
-    if not 0 < value < math.inf:  # NaN fails too
-        raise ConfigError(f"'{key}' must be positive and finite")
-    return value
-
-
-def _reg_scale(cfg):
-    """The optional regularizer scale: None (1/depth) or a finite number >= 0."""
-    value = cfg.get("reg_scale")
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf
-    ):
-        raise ConfigError("'reg_scale' must be a finite nonnegative number")
-    return value
-
-
-def _positive_numbers(cfg, key, default):
-    """The list of positive finite numbers under ``key``."""
-    value = cfg.get(key, default)
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf for v in value
-    ):
-        raise ConfigError(f"'{key}' must be a list of positive finite numbers")
-    return value
-
-
-def _count(cfg, key, default):
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"'{key}' must be a nonnegative integer")
-    return value
-
-
-def _monte_carlo(cfg):
-    """(trials, hypothesis_draws) of the Monte-Carlo estimate; 0 trials (the default) skips it."""
-    trials = _count(cfg, "trials", 0)
-    draws = _count(cfg, "hypothesis_draws", trials)
-    if trials and not draws:
-        raise ConfigError("'hypothesis_draws' must be at least 1")
-    return trials, draws
-
-
-def _seed(cfg):
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError("'seed' must be an unsigned 64-bit integer")
-    return seed
-
-
-def _truncation(cfg):
-    t = cfg.get("truncation", DEFAULT_TRUNCATION)
-    if not isinstance(t, int) or t < 1:
-        raise ConfigError("'truncation' must be an integer >= 1")
-    return t
-
-
 def _weights_for(cfg, arch):
-    path = cfg.get("weights")
+    path = _get(cfg, "weights")
     if path is not None:
-        if not isinstance(path, str):
-            raise ConfigError("'weights' must be a path to a weights file")
         try:
             weights = netcore.load_weights(path)
         except OSError as exc:
@@ -194,7 +216,7 @@ def _weights_for(cfg, arch):
             raise ConfigError(f"malformed weights file: {exc}") from exc
         netcore.check_shapes(arch, weights)  # ValueError: exit 2
         return weights
-    return netcore.init_weights(arch, _seed(cfg))
+    return netcore.init_weights(arch, _get(cfg, "seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +292,7 @@ def _stem(out):
 
 def run_flatten(cfg, out=None):
     arch = architecture_from_config(cfg)
-    trunc = _truncation(cfg)
+    trunc = _get(cfg, "truncation")
     weights = _weights_for(cfg, arch)
     metric = pf.flatten_metric(arch, trunc)
     vq, vnn = pf.pushed_weights(arch, weights, trunc)
@@ -282,8 +304,9 @@ def run_flatten(cfg, out=None):
     }
     results = {"truncation": trunc}
 
-    if cfg.get("dataset"):
-        xs, _ = load_dataset(cfg["dataset"], arch.input_dim)
+    path = _get(cfg, "dataset")
+    if path is not None:
+        xs, _ = load_dataset(path, arch.input_dim)
         probe = xs[0]
         gv = metric.values * vnn.values
         # one 1-D sum per row, as flat_eval takes it: a sum along an axis of
@@ -329,12 +352,8 @@ def _gram_diagnostics(gram):
 
 def run_kernel(cfg, out=None):
     arch = architecture_from_config(cfg)
-    variant = cfg.get("variant", "krein")
-    if variant not in kk.VARIANTS:
-        raise ConfigError(f"'variant' must be one of {kk.VARIANTS}")
-    if not cfg.get("dataset"):
-        raise ConfigError("kernel needs a 'dataset'")
-    xs, _ = load_dataset(cfg["dataset"], arch.input_dim)
+    variant = _get(cfg, "variant")
+    xs, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
     gram = kk.gram(kk.KernelDefinition(arch, variant), xs)
     results = {"variant": variant, "n": int(xs.shape[0])}
     results.update(_gram_diagnostics(gram))
@@ -344,42 +363,20 @@ def run_kernel(cfg, out=None):
         warnings.append("no --out given: gram CSV skipped")
     else:
         path = f"{stem}.gram.csv"
-        lines = [",".join("%.17g" % v for v in row) for row in gram]
-        write_text(path, "\n".join(lines) + "\n")
+        row_format = ",".join(["%.17g"] * gram.shape[1])
+        write_text(path, "\n".join(row_format % tuple(row) for row in gram.tolist()) + "\n")
         results["gram_csv"] = os.path.basename(path)
     return _report(cfg, results, warnings=warnings)
 
 
-def _train_section(cfg, min_steps=1):
-    section = cfg.get("train", {})
-    if not isinstance(section, dict):
-        raise ConfigError("'train' must be an object")
-    steps = section.get("steps", 200)
-    if not isinstance(steps, int) or steps < min_steps:
-        raise ConfigError(f"'train.steps' must be an integer >= {min_steps}")
-    step_size = section.get("step_size", 0.05)
-    if not isinstance(step_size, (int, float)) or not 0 < step_size < math.inf:
-        raise ConfigError("'train.step_size' must be positive and finite")
-    return steps, float(step_size)
-
-
-def _loss(cfg):
-    loss = cfg.get("loss", "squared")
-    if loss not in netcore.LOSSES:
-        raise ConfigError(f"'loss' must be one of {netcore.LOSSES}")
-    return loss
-
-
 def run_train_net(cfg, out=None):
     arch = architecture_from_config(cfg)
-    if not cfg.get("dataset"):
-        raise ConfigError("train-net needs a 'dataset'")
-    xs, ys = load_dataset(cfg["dataset"], arch.input_dim)
-    loss = _loss(cfg)
-    lam = _positive(cfg, "lambda")
-    steps, step_size = _train_section(cfg)
-    reg_scale = _reg_scale(cfg)
-    seed = _seed(cfg)
+    xs, ys = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    loss = _get(cfg, "loss")
+    lam = _get(cfg, "lambda")
+    steps, step_size = _get(cfg, "train.steps"), _get(cfg, "train.step_size")
+    reg_scale = _get(cfg, "reg_scale")
+    seed = _get(cfg, "seed")
 
     init = netcore.init_weights(arch, seed)
     init_obj = netcore.objective(arch, init, xs, ys, loss, lam, reg_scale)
@@ -409,34 +406,24 @@ def run_train_net(cfg, out=None):
 
 def run_train_ksvm(cfg, out=None):
     arch = architecture_from_config(cfg)
-    if not cfg.get("dataset"):
-        raise ConfigError("train-ksvm needs a 'dataset'")
-    xs, ys = load_dataset(cfg["dataset"], arch.input_dim)
-    variant = cfg.get("variant", "krein")
-    if variant not in kk.VARIANTS:
-        raise ConfigError(f"'variant' must be one of {kk.VARIANTS}")
-    lam = _positive(cfg, "lambda")
+    xs, ys = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    variant = _get(cfg, "variant")
+    lam = _get(cfg, "lambda")
+    solver = _get(cfg, "solver")
+    loss = _get(cfg, "loss")
     defn = kk.KernelDefinition(arch, variant)
     gram = kk.gram(defn, xs)
-    solver = cfg.get("solver", "eig")
     results = {"variant": variant, "n": int(xs.shape[0]), "solver": solver}
     results.update(_gram_diagnostics(gram))
     if solver == "eig":
         alpha, residual = ksvm.train_squared(gram, ys, lam)
         results["stationarity_residual"] = residual
-    elif solver == "gd":
-        steps, step_size = _train_section(cfg, min_steps=0)
-        loss = _loss(cfg)
+    else:
+        steps, step_size = _get(cfg, "train.steps"), _get(cfg, "train.step_size")
         alpha, grad_norm = ksvm.train_gd(gram, ys, lam, loss, steps, step_size)
         results["final_gradient_norm"] = grad_norm
-    else:
-        raise ConfigError("'solver' must be 'eig' or 'gd'")
-    parts = ksvm.stabilized_objective(alpha, gram, ys, lam, _loss(cfg))
-    results["stabilized_objective"] = {
-        "total": parts.total,
-        "empirical": parts.empirical,
-        "regularizer": parts.regularizer,
-    }
+    parts = ksvm.stabilized_objective(alpha, gram, ys, lam, loss)
+    results["stabilized_objective"] = parts._asdict()
     stem = _stem(out)
     warnings = []
     if stem is None:
@@ -449,24 +436,34 @@ def run_train_ksvm(cfg, out=None):
     return _report(cfg, results, warnings=warnings)
 
 
+def _bound_report(arch, weights_or_radius, xs, n, trials, draws, seed):
+    """Every bound of the net, with the Monte-Carlo estimate when ``trials`` > 0."""
+    report = analysis.rademacher_bound_net(arch, weights_or_radius, xs, n)
+    if trials:
+        report.empirical_estimate = analysis.empirical_rademacher(
+            arch, report.weight_ball_radius, xs, trials=trials, hypothesis_draws=draws, seed=seed
+        )
+    return report
+
+
 def run_compare(cfg, out=None):
     arch = architecture_from_config(cfg)
-    if not cfg.get("dataset"):
-        raise ConfigError("compare needs a 'dataset'")
-    xs, ys = load_dataset(cfg["dataset"], arch.input_dim)
-    loss = _loss(cfg)
-    lam = _positive(cfg, "lambda")
-    steps, step_size = _train_section(cfg)
-    seed = _seed(cfg)
-    reg_scale = _reg_scale(cfg)
-    trials, draws = _monte_carlo(cfg)
+    xs, ys = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    loss = _get(cfg, "loss")
+    lam = _get(cfg, "lambda")
+    steps, step_size = _get(cfg, "train.steps"), _get(cfg, "train.step_size")
+    seed = _get(cfg, "seed")
+    reg_scale = _get(cfg, "reg_scale")
+    trials = _get(cfg, "trials")
+    draws = _get(cfg, "hypothesis_draws") or trials
+    variant = _get(cfg, "variant")
 
     weights = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
     loss_of = netcore.loss_functions(loss)[0]
     net_pred = netcore.forward_batch(arch, weights, xs)
     net_loss = float(np.mean(loss_of(ys, net_pred)))
 
-    defn = kk.KernelDefinition(arch, cfg.get("variant", "krein"))
+    defn = kk.KernelDefinition(arch, variant)
     gram = kk.gram(defn, xs)
     alpha, residual = ksvm.train_squared(gram, ys, lam)
     model = ksvm.TrainedKSVM(alpha, xs, lam, defn)
@@ -476,17 +473,7 @@ def run_compare(cfg, out=None):
     warnings = []
     bounds = None
     try:
-        report = analysis.rademacher_bound_net(arch, weights, xs)
-        if trials:
-            report.empirical_estimate = analysis.empirical_rademacher(
-                arch,
-                report.weight_ball_radius,
-                xs,
-                trials=trials,
-                hypothesis_draws=draws,
-                seed=seed,
-            )
-        bounds = vars(report)
+        bounds = vars(_bound_report(arch, weights, xs, None, trials, draws, seed))
     except (ValueError, DomainError) as exc:
         warnings.append(f"bounds unavailable: {exc}")
 
@@ -515,33 +502,18 @@ def run_compare(cfg, out=None):
 
 def run_bounds(cfg, out=None):
     arch = architecture_from_config(cfg)
-    if not cfg.get("dataset"):
-        raise ConfigError("bounds needs a 'dataset'")
-    xs, _ = load_dataset(cfg["dataset"], arch.input_dim)
-    if cfg.get("radius") is not None:
-        radius = _positive(cfg, "radius")
-        weights = None
-    else:
+    xs, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    radius = _get(cfg, "radius")
+    if radius is None:
         weights = _weights_for(cfg, arch)
-        radius = analysis.weight_ball_radius(arch, weights, _reg_scale(cfg))
-    n = cfg.get("n", int(xs.shape[0]))
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("'n' must be a positive integer")
-    trials, draws = _monte_carlo(cfg)
+        radius = analysis.weight_ball_radius(arch, weights, _get(cfg, "reg_scale"))
+    n = _get(cfg, "n") or int(xs.shape[0])
+    trials = _get(cfg, "trials")
+    draws = _get(cfg, "hypothesis_draws") or trials
 
     warnings = []
-    report = analysis.rademacher_bound_net(arch, radius, xs, n)
-    if trials:
-        report.empirical_estimate = analysis.empirical_rademacher(
-            arch,
-            radius,
-            xs,
-            trials=trials,
-            hypothesis_draws=draws,
-            seed=_seed(cfg),
-        )
-    results = dict(vars(report))
-    if cfg.get("tight"):
+    results = dict(vars(_bound_report(arch, radius, xs, n, trials, draws, _get(cfg, "seed"))))
+    if _get(cfg, "tight"):
         try:
             tb = analysis.tight_bound(arch, radius, xs, n)
             results["tight"] = vars(tb)
@@ -556,17 +528,16 @@ def run_bounds(cfg, out=None):
 
 def run_sparsity(cfg, out=None):
     arch = architecture_from_config(cfg)
-    trunc = _truncation(cfg)
+    trunc = _get(cfg, "truncation")
     weights = _weights_for(cfg, arch)
-    epsilons = _positive_numbers(cfg, "epsilons", [1e-2, 1e-4, 1e-6])
+    epsilons = _get(cfg, "epsilons")
     metric = pf.flatten_metric(arch, trunc)
     vnn = pf.flat_weight(arch, weights, trunc)
-    radius = analysis.weight_ball_radius(arch, weights, _reg_scale(cfg))
+    radius = analysis.weight_ball_radius(arch, weights, _get(cfg, "reg_scale"))
 
     warnings = []
-    if cfg.get("intervals") is not None:
-        intervals = _positive_numbers(cfg, "intervals", None)
-    else:
+    intervals = _get(cfg, "intervals")
+    if intervals is None:
         realized = analysis.chain_intervals(arch, weights, "associated")
         intervals = [max(m, 1e-9) for m in realized]
     width_gm, _, lbar = netcore.geometric_means(arch, intervals)
@@ -590,23 +561,14 @@ def run_sparsity(cfg, out=None):
     )
     profile = analysis.sparsity_profile(metric, vnn, arch.depth, constants, epsilons)
     results = {
-        "bridge_norm": profile.bridge_norm,
-        "bridge_bound": profile.bridge_bound,
-        "weight_sup": profile.weight_sup,
-        "weight_sup_bound": profile.weight_sup_bound,
-        "valid_epsilon_max": profile.valid_epsilon_max,
+        **vars(profile),
         "epsilon_counts": [
             {"epsilon": e, "count": c, "ceiling": cap}
             for e, c, cap in profile.epsilon_counts
         ],
     }
     diagnostics = {
-        "constants": {
-            "width_gm": width_gm,
-            "lipschitz_assoc_gm": lbar,
-            "input_dim": arch.input_dim,
-            "weight_ball_radius": radius,
-        },
+        "constants": vars(constants),
         "intervals": list(intervals),
         "stored_top_entries": int(len(vnn.values)),
     }
@@ -645,15 +607,12 @@ def main(argv=None):
         if args.out:
             parent = os.path.dirname(os.path.abspath(args.out))
             os.makedirs(parent, exist_ok=True)
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must be an unsigned 64-bit integer")
-            cfg["seed"] = args.seed
-        if args.trunc is not None:
-            if args.trunc < 1:
-                raise ConfigError("--trunc must be >= 1")
-            cfg["truncation"] = args.trunc
+        cfg = Config(load_config(args.config))
+        cfg.command = args.command
+        for key, value in (("seed", args.seed), ("truncation", args.trunc)):
+            if value is not None:
+                cfg[key] = value
+                _get(cfg, key)
         report = HANDLERS[args.command](cfg, args.out)
         _emit(report, args.out)
     # LinAlgError subclasses ValueError, so it must be caught before the exit-2 clause

@@ -238,6 +238,21 @@ def test_bound_ball_arithmetic():
         analysis.rademacher_bound_ball(1.0, 1.0, 0)
 
 
+def test_overflowing_bounds_are_infinite():
+    # (L * radius)^depth, (width * L * radius)^depth and radius^depth overflow a
+    # float; each bound that holds one is vacuous, never an error or a NaN
+    xs = np.array([[0.3, -0.2], [0.1, 0.4]])
+    for arch in (lin_arch(2, (2, 1)), netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))):
+        report = analysis.rademacher_bound_net(arch, 1e308, xs)
+        assert report.svm_ball_radius == math.inf
+        assert report.bound_kernel_trace == math.inf
+        assert report.bound_growth == math.inf
+        tight = analysis.tight_bound(arch, 1e308, xs)
+        assert tight.general == tight.lipschitz_form == math.inf
+    assert report.bound_linear is None
+    assert analysis.rademacher_bound_net(lin_arch(2, (2, 1)), 1e308, xs).bound_linear == math.inf
+
+
 def test_bound_net_linear_frozen_example():
     # geometric width 2 (widths 4 and 1), unit ball, unit-norm inputs, n = 100
     arch = lin_arch(3, (4, 1))

@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: configs, reports, exit codes, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinflat import cli, ksvm, netcore
 from kreinflat import activations as act
@@ -353,6 +358,12 @@ def test_kernel_gram_csv(tmp_path):
     gram = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert gram.shape == (6, 6)
     np.testing.assert_array_equal(gram, gram.T)
+    # the per-row template writes the bytes of one "%.17g" per value
+    xs, _ = cli.load_dataset(report["config_echo"]["dataset"], 2)
+    arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
+    exact = kk.gram(kk.KernelDefinition(arch, "krein"), xs)
+    per_value = "\n".join(",".join("%.17g" % v for v in row) for row in exact) + "\n"
+    assert (tmp_path / res["gram_csv"]).read_bytes() == per_value.encode()
 
 
 def test_kernel_associated_variant(tmp_path, capsys):
@@ -676,6 +687,185 @@ def test_train_ksvm_gd_allows_zero_steps(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, solver="gd", train={"steps": 0}))
     assert run("train-ksvm", cfg) == 0
     assert json.loads(capsys.readouterr().out)["results"]["final_gradient_norm"] > 0.0
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("bounds", {"n": True}, "n"),
+    ("flatten", {"truncation": True}, "truncation"),
+    ("flatten", {"seed": True}, "seed"),
+    ("bounds", {"radius": True}, "radius"),
+    ("train-net", {"lambda": True}, "lambda"),
+    ("train-net", {"lambda": "0.5"}, "lambda"),
+    ("train-net", {"train": {"steps": True}}, "train.steps"),
+    ("bounds", {"tight": "no"}, "tight"),
+    ("flatten", {"architecture": {"input_dim": 2.9, "widths": [2, 1],
+                                  "activations": ["tanh", "tanh"]}}, "architecture.input_dim"),
+    ("flatten", {"dataset": ["data.csv"]}, "dataset"),
+    ("compare", {"trials": 0, "hypothesis_draws": 0}, "hypothesis_draws"),
+])
+def test_bools_strings_and_fractions_are_refused_naming_the_key(
+    tmp_path, capsys, command, extra, key
+):
+    cfg_obj = tanh_config(tmp_path)
+    cfg_obj.update(extra)  # "n" is also tanh_config's sample count
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    assert run(command, cfg) == 2
+    assert f"invalid configuration: '{key}' must be" in capsys.readouterr().err
+
+
+def test_dataset_that_is_a_number_exits_2(tmp_path):
+    # a number is no file name: open() would take it for a file descriptor
+    # (2 closes the caller's stderr), so it runs in a process of its own
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, dataset=2))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kreinflat.cli", "flatten", "--config", cfg],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "invalid configuration: 'dataset' must be a path string" in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--seed", "-1", "seed"),
+    ("--seed", str(2**64), "seed"),
+    ("--trunc", "0", "truncation"),
+])
+@pytest.mark.parametrize("command", ["flatten", "kernel"])
+def test_overrides_are_checked_as_their_keys(tmp_path, capsys, command, flag, value, key):
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path))
+    assert run(command, cfg, extra=[flag, value]) == 2
+    assert f"invalid configuration: '{key}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("activations", [["tanh", "tanh"], ["linear", "linear"]])
+def test_overflowing_bounds_report_inf(tmp_path, capsys, activations):
+    cfg_obj = tanh_config(tmp_path, radius=1e308, trials=3, tight=True)
+    cfg_obj["architecture"]["activations"] = activations
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    assert run("bounds", cfg) == 0
+    text = capsys.readouterr().out
+    assert "nan" not in text
+    res = json.loads(text)["results"]
+    assert res["svm_ball_radius"] == res["bound_kernel_trace"] == "inf"
+    assert res["tight"]["general"] == "inf"
+    assert res["bound_linear"] == ("inf" if activations[0] == "linear" else None)
+
+
+# ---------------------------------------------------------------------------
+# the config key table
+# ---------------------------------------------------------------------------
+
+def full_config(tmp_path):
+    """A config that every command runs on, reading every key it can."""
+    return tanh_config(
+        tmp_path, n=6, truncation=3, solver="gd", train={"steps": 2}, intervals=[0.5, 0.5]
+    )
+
+
+def test_every_read_is_a_key_the_table_lists_for_the_command(tmp_path, monkeypatch, capsys):
+    cfg = write_json(tmp_path / "cfg.json", full_config(tmp_path))
+    reads = []
+    get = cli._get
+
+    def recording(cfg, key):
+        reads.append((cfg.command, key))
+        return get(cfg, key)
+
+    monkeypatch.setattr(cli, "_get", recording)
+    for command in cli.HANDLERS:
+        assert run(command, cfg) == 0, command
+    assert [(c, k) for c, k in reads if c not in cli.CONFIG_KEYS[k].commands] == []
+    assert {k for _, k in reads} == set(cli.CONFIG_KEYS)
+
+
+NONFINITE = st.sampled_from([NAN, INF, -INF])
+NEGATIVE = st.one_of(st.integers(max_value=-1), st.floats(max_value=-1e-6, allow_infinity=False))
+
+
+def bad_families(spec, kind):
+    """Strategies for values that are not a ``kind`` value of the key, one per
+    family: non-finite, negative, zero where the range excludes it, bools,
+    strings, fractions for integers, objects and lists."""
+    zero_ok = spec.range.startswith(">= 0")
+    families = [NONFINITE, NEGATIVE]
+    zeros = [z for z in (0, 0.0) if not (zero_ok and (kind == "number" or type(z) is int))]
+    if zeros:
+        families.append(st.sampled_from(zeros))
+    if kind != "bool":
+        families.append(st.booleans())
+    if kind not in ("path", "activation"):
+        families.append(st.text(max_size=4).filter(lambda s: s not in spec.choices))
+    if kind == "integer":
+        families.append(st.floats(0.5, 100).filter(lambda v: not v.is_integer()))
+    if kind not in ("object", "activation"):
+        families.append(st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+    if kind != "list":
+        families.append(st.lists(st.integers(), max_size=2))
+    return families
+
+
+@pytest.fixture(scope="module")
+def key_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("keys")
+
+
+@pytest.mark.parametrize("key", sorted(cli.CONFIG_KEYS))
+@settings(max_examples=2)
+@given(data=st.data())
+def test_a_bad_value_of_any_key_exits_2_naming_it(key_dir, key, data):
+    spec = cli.CONFIG_KEYS[key]
+    kind = spec.type.removesuffix(" list")
+    families = bad_families(spec, kind)
+    if kind != spec.type:  # a non-list, or a list with one bad element per family
+        families = bad_families(spec, "list") + [
+            st.lists(f, min_size=1, max_size=2) for f in families
+        ]
+    for value in data.draw(st.tuples(*families)):
+        cfg_obj = full_config(key_dir)
+        parent, _, name = key.rpartition(".")
+        (cfg_obj.setdefault(parent, {}) if parent else cfg_obj)[name] = value
+        cfg = key_dir / "cfg.json"
+        cfg.write_text(json.dumps(cfg_obj))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(spec.commands[0], str(cfg))
+        assert code == 2, (value, err.getvalue())
+        assert f"invalid configuration: '{key}' must be" in err.getvalue()
+
+
+def _cell(spec, field):
+    """The README text of one field of a table entry, without its remark."""
+    if field == "default":
+        if spec.default is cli.REQUIRED:
+            return "required"
+        return "none" if spec.default is None else json.dumps(spec.default)
+    if spec.choices:
+        return "one of " + ", ".join(spec.choices)
+    return spec.range or "—"
+
+
+def test_readme_table_matches_the_config_keys():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    header = "| key | type | range | default | commands |"
+    lines = readme[readme.index(header):].split("\n")[2:]
+    rows = [line.split(" | ") for line in lines[: lines.index("")]]
+    assert [row[0].strip("|` ") for row in rows] == list(cli.CONFIG_KEYS)
+    for (_, type_, range_, default, commands), (key, spec) in zip(rows, cli.CONFIG_KEYS.items()):
+        assert type_ == spec.type, key
+        assert commands.rstrip(" |") == (
+            "all" if spec.commands == tuple(cli.HANDLERS) else ", ".join(spec.commands)
+        ), key
+        for field, cell in (("range", range_), ("default", default)):
+            # each text may carry a remark in parentheses; a command's own
+            # value follows as "; <command>: <text>"
+            texts = [_cell(spec, field)] + [
+                f"{command}: {_cell(cli.replace(spec, **fields), field)}"
+                for command, fields in spec.by_command.items()
+                if field in fields
+            ]
+            remark = r"( \([^)]*\))?"
+            assert re.fullmatch("; ".join(re.escape(t) + remark for t in texts), cell), (key, cell)
 
 
 # ---------------------------------------------------------------------------
