@@ -31,6 +31,8 @@ DERIVED_KINDS = ("tan", "erfi", "logistic_assoc", "relu_surrogate_assoc")
 
 # kinds whose closed form is only trusted inside the convergence radius
 _POLE_LIMITED = {"tan", "logistic_assoc"}
+# kinds whose coefficients come from _ode_fractions, and the series they use
+_ODE_SERIES = {"tanh": "tanh", "tan": "tan", "logistic": "logistic", "logistic_assoc": "logistic"}
 
 _DEFAULT_SHARPNESS = 0.01
 
@@ -151,14 +153,8 @@ def taylor_coefficient(spec, i):
         return _erf_coefficient(i)
     if kind == "erfi":
         return abs(_erf_coefficient(i))
-    if kind == "tanh":
-        return float(_ode_fractions("tanh", i)[i])
-    if kind == "tan":
-        return float(_ode_fractions("tan", i)[i])
-    if kind == "logistic":
-        return float(_ode_fractions("logistic", i)[i])
-    if kind == "logistic_assoc":
-        return abs(float(_ode_fractions("logistic", i)[i]))
+    if kind in _ODE_SERIES:
+        return taylor_series(spec, i)[i]
     if kind == "exp":
         return 1.0 / math.factorial(i)
     if kind in ("relu_surrogate", "relu_surrogate_assoc"):
@@ -172,9 +168,17 @@ def taylor_coefficient(spec, i):
     raise AssertionError(kind)
 
 
+def taylor_series(spec, up_to):
+    """[a_0, ..., a_up_to]; an ODE kind builds its exact series once, in one pass."""
+    if spec.kind not in _ODE_SERIES:
+        return [taylor_coefficient(spec, i) for i in range(up_to + 1)]
+    a = [float(f) for f in _ode_fractions(_ODE_SERIES[spec.kind], up_to)[: up_to + 1]]
+    return [abs(v) for v in a] if spec.kind == "logistic_assoc" else a
+
+
 def support_degrees(spec, up_to):
     """Degrees i <= up_to with a_i != 0, ascending."""
-    return [i for i in range(up_to + 1) if taylor_coefficient(spec, i) != 0.0]
+    return [i for i, a in enumerate(taylor_series(spec, up_to)) if a != 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +295,7 @@ def evaluate_series(spec, xi, terms=None):
     n = spec.max_terms if terms is None else int(terms)
     acc = 0.0
     power = 1.0
-    for i in range(n + 1):
-        a = taylor_coefficient(spec, i)
+    for a in taylor_series(spec, n):
         if a != 0.0:
             acc += a * power
         power *= xi

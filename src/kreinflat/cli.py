@@ -65,6 +65,8 @@ _RANGES = {
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
+    # integers that meet float arithmetic stay exact as floats
+    ">= 1 and < 2**53": lambda v: 1 <= v < 2**53,
     ">= 0 and < 2**64": lambda v: 0 <= v < 2**64,
 }
 
@@ -84,8 +86,8 @@ class Key:
 
 CONFIG_KEYS = {
     "architecture": Key("object", _ALL),
-    "architecture.input_dim": Key("integer", _ALL, range=">= 1"),
-    "architecture.widths": Key("integer list", _ALL, range=">= 1"),
+    "architecture.input_dim": Key("integer", _ALL, range=">= 1 and < 2**53"),
+    "architecture.widths": Key("integer list", _ALL, range=">= 1 and < 2**53"),
     "architecture.activations": Key("activation list", _ALL),
     "dataset": Key("path", _ALL[:-1], by_command={"flatten": {"default": None}}),  # not sparsity
     "weights": Key("path", ("flatten", "bounds", "sparsity"), None),
@@ -103,7 +105,7 @@ CONFIG_KEYS = {
     "trials": Key("integer", _MC, 0, ">= 0"),
     "hypothesis_draws": Key("integer", _MC, None, ">= 1"),
     "radius": Key("number", ("bounds",), None, "> 0"),
-    "n": Key("integer", ("bounds",), None, ">= 1"),
+    "n": Key("integer", ("bounds",), None, ">= 1 and < 2**53"),
     "tight": Key("bool", ("bounds",), False),
     "epsilons": Key("number list", ("sparsity",), [1e-2, 1e-4, 1e-6], "> 0"),
     "intervals": Key("number list", ("sparsity",), None, "> 0"),
@@ -137,6 +139,11 @@ def _get(cfg, key):
         if spec.default is REQUIRED:
             raise ConfigError(f"'{key}' is required")
         return spec.default
+    return _checked(key, spec, value)
+
+
+def _checked(key, spec, value):
+    """A non-null value of ``key`` checked against ``spec``, as _get returns it."""
     kind = spec.type.removesuffix(" list")
     many = kind != spec.type
     values = value if many else [value]
@@ -147,10 +154,17 @@ def _get(cfg, key):
     return float(value) if spec.type == "number" else value
 
 
+# the numeric fields of an activation object, typed as config keys are
+_ACTIVATION_FIELDS = {"coefficients": "number list", "sharpness": "number", "max_terms": "integer"}
+
+
 def _activation_from_entry(entry):
     try:
         if isinstance(entry, str):
             return act.ActivationSpec(entry)
+        for name, type_ in _ACTIVATION_FIELDS.items():
+            if entry.get(name) is not None:
+                _checked(name, Key(type_, ()), entry[name])
         return act.ActivationSpec(**entry)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad activation entry {entry!r}: {exc}") from exc
@@ -363,8 +377,7 @@ def run_kernel(cfg, out=None):
         warnings.append("no --out given: gram CSV skipped")
     else:
         path = f"{stem}.gram.csv"
-        row_format = ",".join(["%.17g"] * gram.shape[1])
-        write_text(path, "\n".join(row_format % tuple(row) for row in gram.tolist()) + "\n")
+        write_text(path, "\n".join(netcore.text_rows(gram, ",")) + "\n")
         results["gram_csv"] = os.path.basename(path)
     return _report(cfg, results, warnings=warnings)
 

@@ -130,9 +130,9 @@ def predict(model, x):
 
 def _spec_tokens(spec):
     if spec.kind == "polynomial":
-        return ["polynomial"] + [netcore._DIGITS % c for c in spec.coefficients]
+        return ["polynomial", *netcore.exact_text(spec.coefficients).tolist()]
     if spec.kind in ("relu_surrogate", "relu_surrogate_assoc"):
-        return [spec.kind, netcore._DIGITS % spec.sharpness]
+        return [spec.kind, netcore.exact_text(spec.sharpness).item()]
     return [spec.kind]
 
 
@@ -148,7 +148,7 @@ def _spec_from_tokens(tokens, lineno):
 def save_model(path, model):
     arch = model.kernel_def.arch
     lines = [
-        "lambda " + netcore._DIGITS % model.lam,
+        "lambda " + netcore.exact_text(model.lam).item(),
         f"variant {model.kernel_def.variant}",
         f"input_dim {arch.input_dim}",
         "widths " + " ".join(str(h) for h in arch.widths),
@@ -157,9 +157,8 @@ def save_model(path, model):
         lines.append("activation " + " ".join(_spec_tokens(spec)))
     pts = np.asarray(model.training_points, dtype=float)
     lines.append(f"points {pts.shape[0]}")
-    for row in pts:
-        lines.append(" ".join(netcore._DIGITS % v for v in row))
-    lines.append("alpha " + " ".join(netcore._DIGITS % a for a in model.alpha))
+    lines += netcore.text_rows(pts)
+    lines += ["alpha " + row for row in netcore.text_rows([model.alpha])]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

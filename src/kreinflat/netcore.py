@@ -20,8 +20,6 @@ import numpy as np
 from . import activations as act
 from .errors import DivergenceError, DomainError
 
-_DIGITS = "%.17g"
-
 
 @dataclass(frozen=True)
 class Architecture:
@@ -282,12 +280,26 @@ def geometric_means(arch, intervals=None):
 # serialization: plain decimal text, exact float round trip
 # ---------------------------------------------------------------------------
 
+def exact_text(values):
+    """The "%.17g" text of every value, as an object array of the values' shape;
+    each distinct bit pattern is formatted once (so -0.0 stays "-0")."""
+    v = np.asarray(values, dtype=float)
+    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
+    distinct = tuple(bits.view(float).tolist())
+    text = np.array(("%.17g " * len(distinct) % distinct).split(), dtype=object)
+    return text[inverse.ravel()].reshape(v.shape)
+
+
+def text_rows(matrix, sep=" "):
+    """One line per row of a 2-D array: its exact values joined by sep."""
+    return [sep.join(row) for row in exact_text(matrix).tolist()]
+
+
 def save_weights(path, weights):
     lines = [str(len(weights.matrices))]
     for w in weights:
         lines.append(f"{w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(_DIGITS % v for v in row))
+        lines += text_rows(w)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -37,6 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import activations as act
+from . import netcore
 from .errors import SizeLimitError
 
 DEFAULT_TRUNCATION = 8
@@ -189,20 +190,23 @@ class _IndexSpace:
         """(permutation, line prefixes) of a dump, computed once per space.
 
         Rows sort by (degree, exponents, tag); the sort is stable, so ties
-        keep stored order.  prefixes[j] belongs to row permutation[j].
+        keep stored order.  prefixes[j], an object array of str, belongs to
+        row permutation[j].
         """
         if self._layout is None:
             xexp = self.composed_exponents()
             tags = self.tags()
-            rows, row_of = np.unique(xexp, axis=0, return_inverse=True)
-            _, tag_rank = np.unique(np.array(tags, dtype=object), return_inverse=True)
+            rank = {t: r for r, t in enumerate(sorted(set(tags)))}
+            tag_rank = np.array([rank[t] for t in tags], dtype=np.int64)
             # np.lexsort's last key is the primary one
-            perm = np.lexsort([tag_rank.ravel(), *xexp.T[::-1], xexp.sum(axis=1)])
-            heads = [" ".join(map(str, row)) for row in rows.tolist()]
-            prefixes = [
-                f"{heads[r]} | {tags[i]} | "
-                for i, r in zip(perm.tolist(), row_of.ravel()[perm].tolist())
-            ]
+            perm = np.lexsort([tag_rank, *xexp.T[::-1], xexp.sum(axis=1)])
+            # equal exponent rows are adjacent in sorted order: one head per run
+            rows = xexp[perm]
+            starts = np.ones(len(rows), dtype=bool)
+            starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+            heads = np.array([" ".join(map(str, r)) for r in rows[starts].tolist()], dtype=object)
+            tag_text = np.array(tags, dtype=object)[perm]
+            prefixes = heads[np.cumsum(starts) - 1] + " | " + tag_text + " | "
             self._layout = (perm, prefixes)
         return self._layout
 
@@ -259,7 +263,7 @@ def gamma_weights(spec, n, truncation):
     """The pushed metric on R^n: gamma_i = multinomial(|i|; i) * a_{|i|}."""
     space = _plain_space(int(n), int(truncation))
     degs = space.exps.sum(axis=1)
-    coeff = np.array([act.taylor_coefficient(spec, k) for k in range(int(truncation) + 1)])
+    coeff = np.array(act.taylor_series(spec, int(truncation)))
     return SeriesVector(n, truncation, _multinomials(space.exps) * coeff[degs], space)
 
 
@@ -309,8 +313,8 @@ class _Level(_IndexSpace):
         "block_profile",
         "xexp",
         "prev",
-        "_power_exps",
-        "_gather",
+        "max_exp",
+        "_tables",
         "_tags",
         "_stable_cache",
     )
@@ -362,14 +366,13 @@ class _Level(_IndexSpace):
                     f"{b}:({child[k]})"
                     for b, k in zip(self.slot_block.tolist(), self.slot_prev.tolist())
                 ]
-            # pieces laid out like compose's power table, so _gather picks a
-            # row's pieces column by column; the pad slot and exponent 0 are ""
-            pieces = np.full(self._power_exps.shape, "", dtype=object)
-            for e in range(1, len(pieces)):
-                pieces[e, :-1] = [s + (f"^{e}" if e > 1 else "") for s in slots]
-            pieces = pieces.ravel()
-            tags = pieces[self._gather[0]]
-            for col in self._gather[1:]:
+            # pieces laid out like compose's table over all slots, so its
+            # gather picks a row's pieces column by column; exponent 0 is ""
+            _, gather = self._table(self.n_slots)
+            powers = [f"{s}^{e}" for e in range(2, self.max_exp + 1) for s in slots]
+            pieces = np.array([""] + slots + powers, dtype=object)
+            tags = pieces[gather[0]]
+            for col in gather[1:]:
                 part = pieces[col]
                 more = part != ""
                 tags[more] = tags[more] + "*" + part[more]
@@ -377,22 +380,42 @@ class _Level(_IndexSpace):
             self._tags = tags.tolist()
         return self._tags
 
-    def compose(self, slot_values):
-        """prod over packed terms of slot_values[..., pos]**exp, per leading row.
+    def _table(self, period):
+        """(exponents >= 2, gather columns) of compose's table, once per period.
 
-        Powers come from a table of every slot value to every exponent, built
-        by an elementwise power over a full exponent array: numpy's fast path
-        for a broadcast scalar exponent rounds differently.  Each index then
+        A table row is [1.0 | values | values**2 | values**3 | ...], each
+        block of values ``period`` long; the period must divide the slot count.
+        """
+        if period not in self._tables:
+            if self.n_slots % period:
+                raise ValueError(f"{period} values do not tile {self.n_slots} slots")
+            exps = np.repeat(np.arange(2, self.max_exp + 1, dtype=np.int64), period)
+            e = self.terms_exp
+            index = np.where(e == 0, 0, period * (e - 1) + 1 + self.terms_pos % period)
+            self._tables[period] = (exps.reshape(-1, period), list(index.T))
+        return self._tables[period]
+
+    def compose(self, values):
+        """prod over packed terms of slot value**exp, per leading row.
+
+        ``values`` covers the slots or one period of them: slot s reads
+        values[..., s % L] for L = values.shape[-1].  A level's input is the
+        level below repeated over the blocks, so it is passed untiled and each
+        distinct value is powered once.  The table holds 1.0 (exponent 0 and
+        the pad slot), each value (exponent 1) and the powers >= 2, built by
+        an elementwise power over a full exponent array: numpy's fast path for
+        a broadcast scalar exponent rounds differently.  Each index then
         multiplies its gathered table entries left to right.
         """
-        s = np.asarray(slot_values, dtype=float)
-        lead = s.shape[:-1]
-        rows = s.reshape(-1, self.n_slots)
-        padded = np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
-        table = np.power(padded[:, None, :], self._power_exps).reshape(len(rows), -1)
-        out = np.take(table, self._gather[0], axis=1)
+        s = np.asarray(values, dtype=float)
+        lead, period = s.shape[:-1], s.shape[-1]
+        exps, gather = self._table(period)
+        rows = s.reshape(-1, period)
+        powers = np.power(rows[:, None, :], exps).reshape(len(rows), -1)
+        table = np.concatenate([np.ones((len(rows), 1)), rows, powers], axis=1)
+        out = np.take(table, gather[0], axis=1)
         factor = np.empty_like(out)
-        for col in self._gather[1:]:
+        for col in gather[1:]:
             out *= np.take(table, col, axis=1, out=factor)
         return out.reshape(lead + (len(self.own_degree),))
 
@@ -536,13 +559,11 @@ def _pack_level(level_no, arch, prev, trunc):
     lv = _Level.__new__(_Level)
     lv.level = level_no
     lv.prev = prev
-    lv._layout = None
-    lv._tags = None
-    lv._stable_cache = None
+    lv._layout = lv._tags = lv._stable_cache = None
+    lv._tables = {}  # compose()'s exponents and gather columns per period
     if level_no == 0:
         lv.n_slots = arch.input_dim
-        lv.slot_block = None
-        lv.slot_prev = None
+        lv.slot_block = lv.slot_prev = None
         slot_cdeg = np.ones(arch.input_dim, dtype=np.int64)
         slot_xexp = np.eye(arch.input_dim, dtype=np.int64)
     else:
@@ -555,55 +576,30 @@ def _pack_level(level_no, arch, prev, trunc):
         slot_xexp = np.tile(prev.xexp, (h, 1))
 
     spec = arch.activations[level_no]
-    supp = act.support_degrees(spec, trunc)
-    own, comp, pos, exp = _level_indices(slot_cdeg, supp, trunc)
+    own, comp, pos, exp = _level_indices(slot_cdeg, act.support_degrees(spec, trunc), trunc)
     m = len(own)
     if pos.shape[1] == 0:  # keep one (pad) column
         pos = np.full((m, 1), -1, dtype=np.int64)
         exp = np.zeros((m, 1), dtype=np.int64)
-    terms_pos = np.where(pos < 0, lv.n_slots, pos)  # pad slot
-    terms_exp = exp
-    width = terms_pos.shape[1]
-    lv.terms_pos = terms_pos
-    lv.terms_exp = terms_exp
+    lv.terms_pos = np.where(pos < 0, lv.n_slots, pos)  # pad slot
+    lv.terms_exp = exp
     lv.own_degree = own
     lv.composed_degree = comp
-    coeff = np.array([act.taylor_coefficient(spec, k) for k in range(trunc + 1)])
-    lv.gamma = _multinomials(terms_exp) * coeff[own]
+    lv.gamma = _multinomials(exp) * np.array(act.taylor_series(spec, trunc))[own]
+    lv.max_exp = int(exp.max(initial=0))
 
-    # compose(): exponent grid of the power table and flat gather indices
-    max_exp = int(terms_exp.max(initial=0))
-    lv._power_exps = np.repeat(np.arange(max_exp + 1, dtype=np.int64), lv.n_slots + 1).reshape(
-        max_exp + 1, lv.n_slots + 1
-    )
-    lv._gather = list(terms_exp.T * (lv.n_slots + 1) + terms_pos.T)
-
-    # composed input exponents
-    xexp = np.zeros((m, arch.input_dim), dtype=np.int64)
-    padded_xexp = np.vstack([slot_xexp, np.zeros((1, arch.input_dim), dtype=np.int64)])
-    for col in range(width):
-        xexp += terms_exp[:, col : col + 1] * padded_xexp[terms_pos[:, col]]
-    lv.xexp = xexp
-
-    # per-block degree profile (weight generators need it above level 0)
+    # composed input exponents, and (above level 0) the per-block degree
+    # profile the weight generators need; the pad slot has exponent 0
+    padded_xexp = np.vstack([slot_xexp, np.zeros_like(slot_xexp[:1])])
+    lv.xexp = np.einsum("mw,mwd->md", exp, padded_xexp[lv.terms_pos])
+    lv.block_profile = None
     if level_no >= 1:
-        h = arch.widths[level_no - 1]
-        bp = np.zeros((m, h), dtype=np.int64)
-        padded_block = np.concatenate([lv.slot_block, [0]])
-        rows = np.arange(m)
-        for col in range(width):
-            blocks = padded_block[terms_pos[:, col]]
-            np.add.at(bp, (rows, blocks), terms_exp[:, col])
-        lv.block_profile = bp
-    else:
-        lv.block_profile = None
+        lv.block_profile = np.zeros((m, h), dtype=np.int64)
+        blocks = np.append(lv.slot_block, 0)[lv.terms_pos]
+        np.add.at(lv.block_profile, (np.arange(m)[:, None], blocks), exp)
 
     # metric recursion: g = gamma o phi(previous metric replicated over blocks)
-    if level_no == 0:
-        lv.metric = lv.gamma.copy()
-    else:
-        slot_metric = np.tile(prev.metric, arch.widths[level_no - 1])
-        lv.metric = lv.gamma * lv.compose(slot_metric)
+    lv.metric = lv.gamma.copy() if level_no == 0 else lv.gamma * lv.compose(prev.metric)
     return lv
 
 
@@ -656,17 +652,19 @@ def _feature_values(space, xs):
     vals = xs
     out = []
     for level in space.levels:
-        if level.level > 0:
-            vals = np.tile(vals, (1, space.arch.widths[level.level - 1]))
-        vals = level.compose(vals)
+        vals = level.compose(vals)  # untiled: compose repeats it over the blocks
         out.append(vals)
     return out
 
 
 def _block_rows(space):
     """Rows per block of the batched feature map, from _BLOCK_BYTES."""
-    # per row and level: the power table, the product and one gathered factor
-    row_bytes = 8 * sum(lv._power_exps.size + 2 * len(lv.own_degree) for lv in space.levels)
+    # per row and level: the powers, the table (over the untiled values of the
+    # level below), the product and one gathered factor
+    row_bytes = 0
+    for lv in space.levels:
+        period = len(lv.prev.own_degree) if lv.prev else lv.n_slots
+        row_bytes += 8 * (2 * max(lv.max_exp, 1) * period + 2 * len(lv.own_degree))
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
@@ -689,13 +687,6 @@ def _wrap(space, level, values):
     return SeriesVector(level.n_slots, space.truncation, values, level)
 
 
-def _point_features(space, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (space.arch.input_dim,):
-        raise ValueError(f"input shape {x.shape} != ({space.arch.input_dim},)")
-    return [v[0] for v in _feature_values(space, x[None])]
-
-
 def flatten_feature_map(
     arch, x, truncation=DEFAULT_TRUNCATION, *, level=None, max_entries=DEFAULT_MAX_ENTRIES
 ):
@@ -706,9 +697,11 @@ def flatten_feature_map(
     stored support of the first activation).
     """
     space = flat_space(arch, truncation, max_entries)
-    values = _point_features(space, x)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (arch.input_dim,):
+        raise ValueError(f"input shape {x.shape} != ({arch.input_dim},)")
     pick = arch.depth - 1 if level is None else int(level)
-    return _wrap(space, space.levels[pick], values[pick])
+    return _wrap(space, space.levels[pick], _feature_values(space, x[None])[pick][0])
 
 
 def flatten_metric(
@@ -752,14 +745,12 @@ def _weight_values(space, weights, q):
     gen = np.prod(w[:, None, :] ** base[None, :, :], axis=2)  # (H_q, n_idx_q)
     vals = stack.compose(gen.reshape(-1))
     for lvl in range(q + 2, d):
-        vals = levels[lvl].compose(np.tile(vals, arch.widths[lvl - 1]))
+        vals = levels[lvl].compose(vals)
     return vals
 
 
 def _checked_space(arch, weights, truncation, max_entries):
-    from .netcore import check_shapes
-
-    check_shapes(arch, weights)
+    netcore.check_shapes(arch, weights)
     return flat_space(arch, truncation, max_entries)
 
 
@@ -806,5 +797,5 @@ def dump_series(vec):
     perm, prefixes = vec._space.dump_layout()
     vals = vec.values[perm]
     keep = np.flatnonzero(vals != 0.0)
-    lines = [prefixes[j] + "%.17g" % v for j, v in zip(keep.tolist(), vals[keep].tolist())]
+    lines = (prefixes[keep] + netcore.exact_text(vals[keep])).tolist()
     return "\n".join(lines) + ("\n" if lines else "")

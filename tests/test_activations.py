@@ -82,6 +82,25 @@ def test_polynomial_coefficients_verbatim():
     assert [act.taylor_coefficient(s, i) for i in range(5)] == [0.0, 2.0, 0.0, -0.5, 0.0]
 
 
+@pytest.mark.parametrize("spec", [
+    act.linear(), act.erf(), act.tanh(), act.logistic(), act.exp(), act.relu_surrogate(0.5),
+    act.polynomial((0.0, 1.0, 0.25)), act.associated(act.tanh()),
+    act.associated(act.logistic()), act.associated(act.erf()),
+])
+def test_taylor_series_is_the_coefficient_stream(spec):
+    assert act.taylor_series(spec, 25) == [act.taylor_coefficient(spec, i) for i in range(26)]
+    assert act.taylor_series(spec, -1) == []
+
+
+def test_support_degrees_builds_the_exact_series_once():
+    # one _ode_fractions(kind, up_to) call, not one per degree: per-degree
+    # calls each rebuild the series, O(T^3) in all
+    act._ode_fractions.cache_clear()
+    assert act.support_degrees(act.tanh(), 150) == list(range(1, 151, 2))
+    assert act.support_degrees(act.associated(act.logistic()), 150)[:2] == [0, 1]
+    assert act._ode_fractions.cache_info().misses == 2
+
+
 def test_coefficient_stream_is_deterministic():
     s = act.tanh()
     first = [act.taylor_coefficient(s, i) for i in range(20)]

@@ -358,7 +358,7 @@ def test_kernel_gram_csv(tmp_path):
     gram = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert gram.shape == (6, 6)
     np.testing.assert_array_equal(gram, gram.T)
-    # the per-row template writes the bytes of one "%.17g" per value
+    # the exact-text writer gives the bytes of one "%.17g" per value
     xs, _ = cli.load_dataset(report["config_echo"]["dataset"], 2)
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
     exact = kk.gram(kk.KernelDefinition(arch, "krein"), xs)
@@ -676,6 +676,48 @@ def test_non_finite_activation_parameter_exits_2(tmp_path, capsys, entry):
     assert "invalid configuration: bad activation entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"kind": "relu_surrogate", "sharpness": True}, "'sharpness' must be a finite number"),
+    ({"kind": "relu_surrogate", "sharpness": "0.5"}, "'sharpness' must be a finite number"),
+    ({"kind": "tanh", "max_terms": 2.5}, "'max_terms' must be an integer"),
+    ({"kind": "tanh", "max_terms": True}, "'max_terms' must be an integer"),
+    ({"kind": "polynomial", "coefficients": [0.0, True]},
+     "'coefficients' must be a list, each a finite number"),
+])
+@pytest.mark.parametrize("command", ["flatten", "kernel"])
+def test_activation_fields_take_the_config_table_types(tmp_path, capsys, command, entry, message):
+    cfg_obj = tanh_config(tmp_path)
+    cfg_obj["architecture"]["activations"][0] = entry
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    assert run(command, cfg) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration: bad activation entry" in err and message in err
+
+
+def test_activation_fields_of_the_right_types_still_run(tmp_path):
+    cfg_obj = tanh_config(tmp_path, truncation=3)
+    cfg_obj["architecture"]["activations"] = [
+        {"kind": "relu_surrogate", "sharpness": 1}, {"kind": "tanh", "max_terms": 12}
+    ]
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"n": 10**400}, "n"),
+    ({"n": 2**53}, "n"),
+    ({"architecture": {"input_dim": 10**400, "widths": [2, 1],
+                       "activations": ["tanh", "tanh"]}}, "architecture.input_dim"),
+    ({"architecture": {"input_dim": 2, "widths": [10**400, 1],
+                       "activations": ["tanh", "tanh"]}}, "architecture.widths"),
+])
+def test_huge_integers_that_meet_float_arithmetic_exit_2(tmp_path, capsys, extra, key):
+    # a 401-digit n raised OverflowError in the bound's float division (exit 1)
+    cfg_obj = tanh_config(tmp_path, radius=1.0)
+    cfg_obj.update(extra)  # "n" is also tanh_config's sample count
+    assert run("bounds", write_json(tmp_path / "cfg.json", cfg_obj)) == 2
+    assert f"invalid configuration: '{key}' must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train-net", "compare"])
 def test_zero_train_steps_exit_2_naming_the_key(tmp_path, capsys, command):
     cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, train={"steps": 0}))
@@ -786,7 +828,8 @@ NEGATIVE = st.one_of(st.integers(max_value=-1), st.floats(max_value=-1e-6, allow
 def bad_families(spec, kind):
     """Strategies for values that are not a ``kind`` value of the key, one per
     family: non-finite, negative, zero where the range excludes it, bools,
-    strings, fractions for integers, objects and lists."""
+    strings, fractions for integers, objects, lists and integers above an
+    upper bound."""
     zero_ok = spec.range.startswith(">= 0")
     families = [NONFINITE, NEGATIVE]
     zeros = [z for z in (0, 0.0) if not (zero_ok and (kind == "number" or type(z) is int))]
@@ -802,6 +845,9 @@ def bad_families(spec, kind):
         families.append(st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
     if kind != "list":
         families.append(st.lists(st.integers(), max_size=2))
+    too_large = re.search(r"< 2\*\*(\d+)", spec.range)
+    if too_large:
+        families.append(st.integers(min_value=2 ** int(too_large.group(1))))
     return families
 
 

@@ -440,6 +440,39 @@ def test_init_weights_shapes_and_determinism():
         assert np.array_equal(a, b)
 
 
+# values whose text is easy to get wrong: signed zeros, infinities, NaNs of
+# either sign and another payload, the smallest and largest subnormals
+_SPECIAL_BITS = np.array(
+    [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+     0xFFF8000000000000, 0x7FF8000000000001, 1, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(float)
+
+
+@given(
+    st.lists(st.one_of(st.sampled_from(_SPECIAL_BITS.tolist()), st.floats()), max_size=30),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_exact_text_is_the_per_value_format(values, copies, rnd):
+    values = values * copies  # repeats, in shuffled order
+    rnd.shuffle(values)
+    arr = np.array(values, dtype=float)
+    assert netcore.exact_text(arr).tolist() == ["%.17g" % v for v in values]
+    if values:
+        grid = arr.reshape(copies, -1)
+        assert netcore.text_rows(grid, ",") == [
+            ",".join("%.17g" % v for v in row) for row in grid.tolist()
+        ]
+
+
+def test_exact_text_keeps_the_shape():
+    assert netcore.exact_text(-0.0).shape == ()
+    assert netcore.exact_text(-0.0).item() == "-0"
+    assert netcore.exact_text(np.zeros((2, 0))).shape == (2, 0)
+    assert netcore.text_rows(np.zeros((1, 0))) == [""]
+
+
 def test_weight_roundtrip_is_exact(tmp_path):
     arch = netcore.Architecture(2, (3, 1), (act.erf(), act.linear()))
     w = netcore.init_weights(arch, seed=21)

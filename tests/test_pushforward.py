@@ -424,6 +424,54 @@ def test_compose_matches_gathered_powers():
         assert lv.compose(slots[1]).tobytes() == want[1].tobytes()
 
 
+def _tiled_compose(lv, slot_values):
+    """compose as it was before the table went untiled: every slot value
+    (the level below tiled over the blocks) to every exponent, 0 and 1 too."""
+    rows = np.asarray(slot_values, dtype=float).reshape(-1, lv.n_slots)
+    padded = np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
+    exps = np.repeat(np.arange(lv.max_exp + 1), lv.n_slots + 1).reshape(-1, lv.n_slots + 1)
+    table = np.power(padded[:, None, :], exps).reshape(len(rows), -1)
+    gather = list(lv.terms_exp.T * (lv.n_slots + 1) + lv.terms_pos.T)
+    out = np.take(table, gather[0], axis=1)
+    for col in gather[1:]:
+        out *= np.take(table, col, axis=1)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _tiled(space, lv, values):
+    return values if lv.level == 0 else np.tile(values, (1, space.arch.widths[lv.level - 1]))
+
+
+@pytest.mark.parametrize("arch, trunc", [
+    (netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3), 5),
+    (netcore.Architecture(3, (2, 2, 1), (act.erf(), act.logistic(), act.exp())), 5),
+    (poly_arch(2, (2, 1), [[0.5, 1.0, 0.3, -0.2], [0.1, 1.0, 0.0, 0.4]]), 6),
+])
+def test_untiled_compose_is_the_tiled_full_table_bit_for_bit(arch, trunc):
+    space = pf.flat_space(arch, trunc)
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-1.5, 1.5, size=(7, arch.input_dim))
+    xs[0] = 0.0
+    xs[1, 0] = -0.0
+    vals = xs
+    for lv, got in zip(space.levels, pf._feature_values(space, xs)):
+        vals = _tiled_compose(lv, _tiled(space, lv, vals))
+        assert _same_bits(got, vals), lv.level
+    for lv in space.levels[1:]:  # the metric recursion
+        want = lv.gamma * _tiled_compose(lv, _tiled(space, lv, lv.prev.metric[None]))[0]
+        assert _same_bits(lv.metric, want), lv.level
+
+
+def test_compose_refuses_values_that_do_not_tile_the_slots():
+    lv = pf.flat_space(netcore.Architecture(2, (3, 1), (act.tanh(),) * 2), 3).levels[1]
+    with pytest.raises(ValueError):
+        lv.compose(np.ones(lv.n_slots - 1))
+
+
 def test_flat_space_cache_key_is_arch_and_truncation():
     arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.25], [0.0, 0.5, 0.0, 0.125]])
     before = pf.flat_space.cache_info()
@@ -503,6 +551,37 @@ def test_dump_series_format():
     exps = head[0].split()
     assert all(tok.isdigit() for tok in exps)
     float(head[2])  # parses as a number
+
+
+def _per_line_dump(vec):
+    """The dump as one "%.17g" per line, its rows sorted by (degree,
+    exponents, tag) with a stable sort."""
+    xexp = vec.composed_exponents().tolist()
+    tags = vec._space.tags()
+    order = sorted(range(len(tags)), key=lambda i: (sum(xexp[i]), xexp[i], tags[i]))
+    values = vec.values.tolist()
+    return "".join(
+        f"{' '.join(map(str, xexp[i]))} | {tags[i]} | " + "%.17g" % values[i] + "\n"
+        for i in order
+        if values[i] != 0.0
+    )
+
+
+def test_tower_dumps_are_the_per_line_format():
+    arch = netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3)
+    weights = netcore.init_weights(arch, seed=4)
+    layers, flat = pf.pushed_weights(arch, weights, 5)
+    dumps = [
+        pf.flatten_feature_map(arch, np.array([0.03, -0.02]), 5),
+        pf.flatten_metric(arch, 5),
+        flat,
+        *layers,
+    ]
+    for vec in dumps:
+        got, want = pf.dump_series(vec).split("\n"), _per_line_dump(vec).split("\n")
+        first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        assert first is None, (got[first], want[first])
+        assert len(got) == len(want) > 1000
 
 
 def test_flat_eval_requires_aligned_spaces():
