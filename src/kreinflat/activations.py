@@ -118,18 +118,23 @@ def _ode_fractions(kind, n):
     tanh:     a' = 1 - a*a, a_0 = 0
     tan:      a' = 1 + a*a, a_0 = 0
     logistic: a' = a - a*a, a_0 = 1/2
+
+    Runs on the integers c_m = a_m * m! * s**(m + 1) (s = 2 for logistic, else
+    1), where a*a becomes sum_j C(m, j) c_j c_(m-j), skipping zero terms.
     """
-    a = [Fraction(1, 2) if kind == "logistic" else Fraction(0)]
+    c = [1 if kind == "logistic" else 0]
+    binom = [1]  # C(m, j) for j = 0..m
     for m in range(n):
-        conv = sum(a[j] * a[m - j] for j in range(m + 1))
+        conv = sum(binom[j] * c[j] * c[m - j] for j in range(m + 1) if c[j] and c[m - j])
         if kind == "tanh":
-            nxt = (Fraction(1 if m == 0 else 0) - conv) / (m + 1)
+            c.append((m == 0) - conv)
         elif kind == "tan":
-            nxt = (Fraction(1 if m == 0 else 0) + conv) / (m + 1)
+            c.append((m == 0) + conv)
         else:
-            nxt = (a[m] - conv) / (m + 1)
-        a.append(nxt)
-    return tuple(a)
+            c.append(2 * c[m] - conv)
+        binom = [1] + [binom[j] + binom[j + 1] for j in range(m)] + [1]
+    s = 2 if kind == "logistic" else 1
+    return tuple(Fraction(cm, math.factorial(m) * s ** (m + 1)) for m, cm in enumerate(c))
 
 
 def _erf_coefficient(i):

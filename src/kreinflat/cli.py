@@ -68,6 +68,9 @@ _RANGES = {
     # integers that meet float arithmetic stay exact as floats
     ">= 1 and < 2**53": lambda v: 1 <= v < 2**53,
     ">= 0 and < 2**64": lambda v: 0 <= v < 2**64,
+    # Monte-Carlo counts size arrays of that many rows
+    ">= 0 and < 2**20": lambda v: 0 <= v < 2**20,
+    ">= 1 and < 2**20": lambda v: 1 <= v < 2**20,
 }
 
 
@@ -102,8 +105,8 @@ CONFIG_KEYS = {
     "train": Key("object", _FIT, {}),
     "train.steps": Key("integer", _FIT, 200, ">= 1", by_command={"train-ksvm": {"range": ">= 0"}}),
     "train.step_size": Key("number", _FIT, 0.05, "> 0"),
-    "trials": Key("integer", _MC, 0, ">= 0"),
-    "hypothesis_draws": Key("integer", _MC, None, ">= 1"),
+    "trials": Key("integer", _MC, 0, ">= 0 and < 2**20"),
+    "hypothesis_draws": Key("integer", _MC, None, ">= 1 and < 2**20"),
     "radius": Key("number", ("bounds",), None, "> 0"),
     "n": Key("integer", ("bounds",), None, ">= 1 and < 2**53"),
     "tight": Key("bool", ("bounds",), False),

@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from . import activations as act
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, SizeLimitError
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,19 @@ def check_shapes(arch, weights, stack=()):
         raise ValueError(f"weight shapes {shapes} do not match {expected}")
 
 
+# Most weights init_weights allocates: 128 MiB of float64.
+MAX_WEIGHTS = 1 << 24
+
+
 def init_weights(arch, seed):
-    """Gaussian init, std 0.5/sqrt(fan_in) per layer, from one seeded stream."""
+    """Gaussian init, std 0.5/sqrt(fan_in) per layer, from one seeded stream;
+    SizeLimitError, before allocating, past MAX_WEIGHTS weights in all."""
+    shapes = arch.layer_shapes()
+    count = sum(h * f for h, f in shapes)
+    if count > MAX_WEIGHTS:
+        raise SizeLimitError(f"{count} weights in layers of shapes {shapes} (limit {MAX_WEIGHTS})")
     rng = np.random.default_rng(seed)
-    mats = [
-        rng.normal(0.0, 0.5 / math.sqrt(f), size=(h, f)) for h, f in arch.layer_shapes()
-    ]
+    mats = [rng.normal(0.0, 0.5 / math.sqrt(f), size=(h, f)) for h, f in shapes]
     return WeightSet(tuple(mats))
 
 

@@ -21,12 +21,12 @@ f(x) = sum_i g_i v_i phi_i(x):
     input degrees are both capped by the truncation.
 
 Index storage is flat numpy: packed (slot, exponent) term arrays per level,
-built by the same dynamic program that counts them, plus per-index gamma
-coefficients, metric values, composed input exponents and per-block degree
-profiles.  Each level also caches its dump layout (tags, sort order, line
-prefixes) once a dump asks for it.  A size guard (SizeLimitError) bounds the
-materialized entry count; exact per-level counts are available cheaply via
-level_counts() without enumerating anything.
+enumerated by count pattern (how many slots each group of equal composed
+degree gives), plus per-index gamma coefficients, metric values, composed
+input exponents and per-block degree profiles.  Each level also caches its
+dump layout (tags, sort order, line prefixes) once a dump asks for it.  A size
+guard (SizeLimitError) bounds the materialized entry count; exact per-level
+counts are available cheaply via level_counts() without enumerating anything.
 """
 
 from __future__ import annotations
@@ -69,14 +69,35 @@ def _multinomials(exps):
     """Row-wise multinomial of a nonnegative (m, w) exponent array, as floats.
 
     Exact integers from a factorial table, each rounded once, so every value
-    equals float(multinomial(row)).
+    equals float(multinomial(row)).  Rows are keyed by their degree and sorted
+    exponents, so each distinct multiset is computed once.
     """
-    exps = np.asarray(exps, dtype=np.int64)
+    exps = np.sort(np.asarray(exps, dtype=np.int64), axis=1)
     degrees = exps.sum(axis=1)
-    fact = np.array(
-        [math.factorial(k) for k in range(int(degrees.max(initial=0)) + 1)], dtype=object
-    )
-    return (fact[degrees] // np.prod(fact[exps], axis=1)).astype(float)
+    top = int(degrees.max(initial=0))
+    keys = _packed_keys(np.column_stack([degrees, exps]), top + 1)
+    order = np.lexsort(keys[::-1])
+    heads = np.ones(len(order), dtype=bool)
+    heads[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
+    fact = np.array([math.factorial(k) for k in range(top + 1)], dtype=object)
+    first = order[heads]
+    values = (fact[degrees[first]] // np.prod(fact[exps[first]], axis=1)).astype(float)
+    out = np.empty(len(order))
+    out[order] = values[np.cumsum(heads) - 1]
+    return out
+
+
+def _packed_keys(cols, radix):
+    """int64 keys, most significant first, that order the rows of cols (entries
+    in range(radix)) as their columns do; each key packs as many columns as fit."""
+    per = max(1, 63 // int(radix).bit_length())
+    keys = []
+    for start in range(0, cols.shape[1], per):
+        key = np.zeros(len(cols), dtype=np.int64)
+        for col in cols[:, start : start + per].T:
+            key = key * radix + col
+        keys.append(key)
+    return keys
 
 
 def iter_exponents(n, max_degree):
@@ -368,8 +389,8 @@ class _Level(_IndexSpace):
                 ]
             # pieces laid out like compose's table over all slots, so its
             # gather picks a row's pieces column by column; exponent 0 is ""
-            _, gather = self._table(self.n_slots)
-            powers = [f"{s}^{e}" for e in range(2, self.max_exp + 1) for s in slots]
+            power_slots, power_exps, gather = self._table(self.n_slots)
+            powers = [f"{slots[p]}^{e}" for p, e in zip(power_slots.tolist(), power_exps.tolist())]
             pieces = np.array([""] + slots + powers, dtype=object)
             tags = pieces[gather[0]]
             for col in gather[1:]:
@@ -381,18 +402,24 @@ class _Level(_IndexSpace):
         return self._tags
 
     def _table(self, period):
-        """(exponents >= 2, gather columns) of compose's table, once per period.
+        """(slots, exponents, gather columns) of compose's table, once per period.
 
-        A table row is [1.0 | values | values**2 | values**3 | ...], each
-        block of values ``period`` long; the period must divide the slot count.
+        A table row is [1.0 | values | powers]: the values are ``period`` long
+        (the period must divide the slot count), and there is one power
+        values[slot]**exponent per distinct (slot mod period, exponent >= 2)
+        pair that some stored index uses.
         """
         if period not in self._tables:
             if self.n_slots % period:
                 raise ValueError(f"{period} values do not tile {self.n_slots} slots")
-            exps = np.repeat(np.arange(2, self.max_exp + 1, dtype=np.int64), period)
             e = self.terms_exp
-            index = np.where(e == 0, 0, period * (e - 1) + 1 + self.terms_pos % period)
-            self._tables[period] = (exps.reshape(-1, period), list(index.T))
+            slot = self.terms_pos % period
+            high = e >= 2
+            pairs, pair_id = np.unique(slot[high] * (self.max_exp + 1) + e[high], return_inverse=True)
+            index = np.where(e == 0, 0, 1 + slot)
+            index[high] = 1 + period + pair_id
+            # columns copied contiguous: take is slower over strided indices
+            self._tables[period] = (*divmod(pairs, self.max_exp + 1), list(index.T.copy()))
         return self._tables[period]
 
     def compose(self, values):
@@ -400,23 +427,27 @@ class _Level(_IndexSpace):
 
         ``values`` covers the slots or one period of them: slot s reads
         values[..., s % L] for L = values.shape[-1].  A level's input is the
-        level below repeated over the blocks, so it is passed untiled and each
-        distinct value is powered once.  The table holds 1.0 (exponent 0 and
-        the pad slot), each value (exponent 1) and the powers >= 2, built by
-        an elementwise power over a full exponent array: numpy's fast path for
-        a broadcast scalar exponent rounds differently.  Each index then
-        multiplies its gathered table entries left to right.
+        level below repeated over the blocks, so it is passed untiled.  The
+        table holds 1.0 (exponent 0 and the pad slot), each value (exponent 1)
+        and only the powers >= 2 that some index uses, built by an elementwise
+        power over an exponent array: numpy's fast path for a broadcast scalar
+        exponent rounds differently.  Each index then multiplies its gathered
+        table entries left to right, one row at a time.
         """
         s = np.asarray(values, dtype=float)
         lead, period = s.shape[:-1], s.shape[-1]
-        exps, gather = self._table(period)
+        power_slots, power_exps, gather = self._table(period)
         rows = s.reshape(-1, period)
-        powers = np.power(rows[:, None, :], exps).reshape(len(rows), -1)
-        table = np.concatenate([np.ones((len(rows), 1)), rows, powers], axis=1)
-        out = np.take(table, gather[0], axis=1)
-        factor = np.empty_like(out)
-        for col in gather[1:]:
-            out *= np.take(table, col, axis=1, out=factor)
+        table = np.concatenate(
+            [np.ones((len(rows), 1)), rows, np.power(rows[:, power_slots], power_exps)], axis=1
+        )
+        out = np.empty((len(rows), len(self.own_degree)))
+        factor = np.empty(len(self.own_degree))
+        # mode="clip" (the columns are in range) lets take write into out directly
+        for row, entries in zip(out, table):
+            entries.take(gather[0], out=row, mode="clip")
+            for col in gather[1:]:
+                row *= entries.take(col, out=factor, mode="clip")
         return out.reshape(lead + (len(self.own_degree),))
 
 
@@ -433,23 +464,26 @@ class FlatSpace:
         return self.levels[-1]
 
 
-def level_counts(arch, truncation):
+def level_counts(arch, truncation, max_entries=None):
     """Exact stored-index count per level, computed without enumeration.
 
     Dynamic program over (composed degree, own degree) using the multiset
     generating function of the slot histogram; used both by the size guard
-    and by architecture generators that must stay desk-sized.
+    and by architecture generators that must stay desk-sized.  With
+    max_entries, SizeLimitError as soon as a level's partial count passes it:
+    that count only grows as slot groups are added.
     """
     trunc = int(truncation)
     counts = []
     # histogram of composed degree over stored indices of the previous level
     hist = {1: arch.input_dim}  # level-0 "slots" are the D inputs, degree 1
     for q in range(arch.depth):
-        supp = act.support_degrees(arch.activations[q], trunc)
+        supp = set(act.support_degrees(arch.activations[q], trunc))
         if q > 0:
             hist = {cd: arch.widths[q - 1] * m for cd, m in hist.items()}
-        max_own = max(supp) if supp else 0
+        max_own = max(supp, default=0)
         table = {(0, 0): 1}
+        stored = int(0 in supp)
         for cd, m in sorted(hist.items()):
             new = dict(table)
             for (t, k), ways in table.items():
@@ -460,99 +494,113 @@ def level_counts(arch, truncation):
                     w = ways * math.comb(m + e - 1, e)
                     key = (t2, k + e)
                     new[key] = new.get(key, 0) + w
+                    if k + e in supp:
+                        stored += w
+                if max_entries is not None and stored > max_entries:
+                    raise SizeLimitError(
+                        f"flat space needs more than {max_entries} entries at level {q}; "
+                        "lower the truncation or the widths", requested=stored, limit=max_entries
+                    )
             table = new
         level_hist = {}
         for (t, k), ways in table.items():
             if k in supp:
                 level_hist[t] = level_hist.get(t, 0) + ways
-        counts.append(sum(level_hist.values()))
+        counts.append(stored)
         hist = level_hist
     return counts
 
 
-def _multisets(m, e):
-    """Every multiset of e draws from range(m) as (index, count) rows of width e.
+def _ranges(sizes):
+    """(owner, offset) over the concatenation of range(size) for each size."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    Row r lists its distinct indices ascending; pads are index -1, count 0.
+
+def _multisets(m, e):
+    """Every multiset of at most e draws from range(m), as (index, count) rows.
+
+    Returns (index, count, starts): the multisets of k draws are rows
+    starts[k]:starts[k + 1].  A row lists its distinct indices ascending,
+    padded with index -1 and count 0 to width min(m, e).
     """
-    draws = np.arange(m, dtype=np.int64)[:, None]
-    for _ in range(e - 1):  # extend each nondecreasing draw by every j >= its last
-        last = draws[:, -1]
-        fan = m - last
-        parent = np.repeat(np.arange(len(draws)), fan)
-        offset = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+    width = min(m, e)
+    index, count = [np.full((1, width), -1, dtype=np.int64)], [np.zeros((1, width), np.int64)]
+    draws = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, e + 1):  # extend each nondecreasing draw by every j >= its last
+        last = draws[:, -1] if k > 1 else np.zeros(1, dtype=np.int64)
+        parent, offset = _ranges(m - last)
         draws = np.hstack([draws[parent], (last[parent] + offset)[:, None]])
-    starts = np.ones(draws.shape, dtype=bool)
-    starts[:, 1:] = draws[:, 1:] != draws[:, :-1]
-    run = np.cumsum(starts, axis=1) - 1
-    rows = np.broadcast_to(np.arange(len(draws))[:, None], draws.shape)
-    index = np.full(draws.shape, -1, dtype=np.int64)
-    count = np.zeros(draws.shape, dtype=np.int64)
-    index[rows, run] = draws
-    np.add.at(count, (rows, run), 1)
-    return index, count
+        starts = np.ones(draws.shape, dtype=bool)
+        starts[:, 1:] = draws[:, 1:] != draws[:, :-1]
+        cell = np.arange(len(draws))[:, None] * width + np.cumsum(starts, axis=1) - 1
+        index.append(np.full((len(draws), width), -1, dtype=np.int64))
+        index[-1].reshape(-1)[cell[starts]] = draws[starts]
+        count.append(np.bincount(cell.reshape(-1), minlength=index[-1].size).reshape(-1, width))
+    sizes = [len(i) for i in index]
+    return np.concatenate(index), np.concatenate(count), np.cumsum([0] + sizes)
 
 
 def _level_indices(slot_cdeg, supp, trunc):
     """The stored indices of one level, in stored order.
 
-    level_counts' dynamic program with index arrays in place of counts: slots
-    are taken in groups of equal composed degree, ascending, and every
-    partial index is extended by each multiset of e slots of the group that
-    keeps its own degree <= max(supp) and its composed degree <= trunc.  A
-    partial index that is not stored and cannot take a slot of a later group
-    is dropped.  A row's pairs fill its columns from the left, so max(supp)
-    columns always suffice.  Stored indices (own degree in supp) are sorted
-    by own degree, then by their (slot, exponent) pairs as a tuple.
+    Slots fall into groups of equal composed degree.  A count pattern takes
+    k_g slots (with repetition) from each group g, with sum k_g in supp and
+    sum k_g * cd_g <= trunc; its indices are the Cartesian product of the
+    groups' multisets, every pattern's at once.  A row's pairs are sorted by
+    slot; the stored order is by own degree, then by the (slot, exponent)
+    pairs as a tuple.
 
     Returns (own degree, composed degree, slots, exponents); slots and
     exponents are (m, w) with pads -1 and 0.
     """
-    max_own = max(supp, default=0)
-    own = np.zeros(1, dtype=np.int64)
-    comp = np.zeros(1, dtype=np.int64)
-    pos = np.full((1, max_own), -1, dtype=np.int64)
-    exp = np.zeros((1, max_own), dtype=np.int64)
-    groups = np.unique(slot_cdeg).tolist()
-    for cd, nxt in zip(groups, groups[1:] + [trunc + 1]):
-
-        def alive(o, c):  # stored, or able to take a slot of a later group
-            return np.isin(o, supp) | ((o < max_own) & (c + nxt <= trunc))
-
-        slots = np.flatnonzero(slot_cdeg == cd)
-        keep = alive(own, comp)
-        parts = [(own[keep], comp[keep], pos[keep], exp[keep])]
-        for e in range(1, max_own + 1):
-            rows = np.flatnonzero((own + e <= max_own) & (comp + e * cd <= trunc))
-            if rows.size == 0:
-                break  # both bounds only tighten as e grows
-            rows = rows[alive(own[rows] + e, comp[rows] + e * cd)]
-            if rows.size == 0:
-                continue
-            index, count = _multisets(len(slots), e)
-            r = np.repeat(rows, len(index))
-            g = np.tile(np.arange(len(index)), rows.size)
-            new_pos, new_exp = pos[r], exp[r]
-            cols = np.count_nonzero(new_exp, axis=1)[:, None] + np.arange(e)
-            np.put_along_axis(new_pos, cols, np.where(index[g] >= 0, slots[index[g]], -1), axis=1)
-            np.put_along_axis(new_exp, cols, count[g], axis=1)
-            parts.append((own[r] + e, comp[r] + e * cd, new_pos, new_exp))
-        own, comp, pos, exp = (np.concatenate(a) for a in zip(*parts))
+    supp = np.asarray(supp, dtype=np.int64)
+    max_own = int(supp.max(initial=0))
+    cds, group = np.unique(slot_cdeg, return_inverse=True)
+    # count patterns, group by group; a partial pattern that is not stored and
+    # cannot take a slot of a later group is dropped
+    pattern = np.zeros((1, 0), dtype=np.int64)
+    own = comp = np.zeros(1, dtype=np.int64)
+    for cd, nxt in zip(cds.tolist(), cds[1:].tolist() + [trunc + 1]):
+        room = max_own - own if cd == 0 else np.minimum(max_own - own, (trunc - comp) // cd)
+        row, add = _ranges(room + 1)
+        own, comp = own[row] + add, comp[row] + add * cd
+        keep = np.isin(own, supp) | ((own < max_own) & (comp + nxt <= trunc))
+        pattern = np.column_stack([pattern[row], add])[keep]
+        own, comp = own[keep], comp[keep]
     keep = np.isin(own, supp)
-    own, comp, pos, exp = own[keep], comp[keep], pos[keep], exp[keep]
-    # each row's pairs by slot, pads last; then drop the all-pad columns
-    order = np.argsort(np.where(pos < 0, len(slot_cdeg), pos), axis=1, kind="stable")
-    pos = np.take_along_axis(pos, order, axis=1)
-    exp = np.take_along_axis(exp, order, axis=1)
-    width = int(np.count_nonzero(exp, axis=1).max(initial=0))
-    pos, exp = pos[:, :width], exp[:, :width]
-    # np.lexsort's last key is the primary one; a pad (-1) sorts before any
-    # slot, so a pair tuple sorts before its extensions
-    keys = [own]
-    for col in range(width):
-        keys += [pos[:, col], exp[:, col]]
-    order = np.lexsort(keys[::-1])
-    return own[order], comp[order], pos[order], exp[order]
+    pattern, own, comp = pattern[keep], own[keep], comp[keep]
+    # a row's offset in its pattern's product, read in mixed radix, picks one
+    # multiset per group
+    tables = [_multisets(np.count_nonzero(group == g), pattern[:, g].max(initial=0))
+              for g in range(len(cds))]
+    sizes = np.ones(len(pattern), dtype=np.int64)
+    for g, (_, _, starts) in enumerate(tables):
+        sizes *= np.diff(starts)[pattern[:, g]]
+    rows, offset = _ranges(sizes)
+    # a pair (slot, exponent) is the code (slot + 1) * radix + exponent; pads
+    # hold a code above every pair while rows are sorted, then 0
+    radix = max_own + 1
+    pad = (len(slot_cdeg) + 1) * radix
+    codes = np.full((len(rows), max_own), pad, dtype=np.int64)
+    free = np.arange(len(rows)) * max_own  # each row's next flat cell
+    for g, (index, count, starts) in enumerate(tables):
+        k = pattern[rows, g]
+        n = np.diff(starts)[k]
+        pick = starts[k] + offset % n
+        offset //= n
+        slot = np.flatnonzero(group == g)[index] + 1
+        for col in np.where(count > 0, slot * radix + count, 0)[pick].T:
+            r = np.flatnonzero(col)
+            codes.reshape(-1)[free[r]] = col[r]
+            free[r] += 1
+    codes.sort(axis=1)
+    codes = codes[:, : int(np.count_nonzero(codes < pad, axis=1).max(initial=0))]
+    codes[codes == pad] = 0  # so a pair tuple sorts before its extensions
+    own, comp = own[rows], comp[rows]
+    order = np.lexsort(_packed_keys(np.column_stack([own, codes]), pad)[::-1])
+    codes = codes[order]
+    return own[order], comp[order], codes // radix - 1, codes % radix
 
 
 def _pack_level(level_no, arch, prev, trunc):
@@ -593,10 +641,10 @@ def _pack_level(level_no, arch, prev, trunc):
     padded_xexp = np.vstack([slot_xexp, np.zeros_like(slot_xexp[:1])])
     lv.xexp = np.einsum("mw,mwd->md", exp, padded_xexp[lv.terms_pos])
     lv.block_profile = None
-    if level_no >= 1:
-        lv.block_profile = np.zeros((m, h), dtype=np.int64)
-        blocks = np.append(lv.slot_block, 0)[lv.terms_pos]
-        np.add.at(lv.block_profile, (np.arange(m)[:, None], blocks), exp)
+    if level_no >= 1:  # exponent sums per (index, block): small integers, exact in float64
+        cells = np.arange(m)[:, None] * h + np.append(lv.slot_block, 0)[lv.terms_pos]
+        profile = np.bincount(cells.ravel(), exp.ravel(), minlength=m * h)
+        lv.block_profile = profile.astype(np.int64).reshape(m, h)
 
     # metric recursion: g = gamma o phi(previous metric replicated over blocks)
     lv.metric = lv.gamma.copy() if level_no == 0 else lv.gamma * lv.compose(prev.metric)
@@ -629,14 +677,7 @@ def flat_space(arch, truncation, max_entries=DEFAULT_MAX_ENTRIES):
     trunc = int(truncation)
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
-    worst = max(level_counts(arch, trunc))
-    if worst > max_entries:
-        raise SizeLimitError(
-            f"flat space needs {worst} entries at one level "
-            f"(limit {max_entries}); lower the truncation or the widths",
-            requested=worst,
-            limit=max_entries,
-        )
+    level_counts(arch, trunc, max_entries)  # the size guard
     return _tower(arch, trunc)
 
 
@@ -659,12 +700,13 @@ def _feature_values(space, xs):
 
 def _block_rows(space):
     """Rows per block of the batched feature map, from _BLOCK_BYTES."""
-    # per row and level: the powers, the table (over the untiled values of the
-    # level below), the product and one gathered factor
+    # per row and level: the table (1.0, the untiled values of the level below
+    # and the used powers), the gathered power bases and the product
     row_bytes = 0
     for lv in space.levels:
         period = len(lv.prev.own_degree) if lv.prev else lv.n_slots
-        row_bytes += 8 * (2 * max(lv.max_exp, 1) * period + 2 * len(lv.own_degree))
+        powers = len(lv._table(period)[1])
+        row_bytes += 8 * (1 + period + 3 * powers + len(lv.own_degree))
     return max(1, _BLOCK_BYTES // row_bytes)
 
 

@@ -101,6 +101,26 @@ def test_support_degrees_builds_the_exact_series_once():
     assert act._ode_fractions.cache_info().misses == 2
 
 
+def _fraction_series(kind, n):
+    """The ODE series by Fraction arithmetic, term by term."""
+    a = [Fraction(1, 2) if kind == "logistic" else Fraction(0)]
+    for m in range(n):
+        conv = sum(a[j] * a[m - j] for j in range(m + 1))
+        if kind == "tanh":
+            nxt = (Fraction(1 if m == 0 else 0) - conv) / (m + 1)
+        elif kind == "tan":
+            nxt = (Fraction(1 if m == 0 else 0) + conv) / (m + 1)
+        else:
+            nxt = (a[m] - conv) / (m + 1)
+        a.append(nxt)
+    return tuple(a)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "tan", "logistic"])
+def test_integer_ode_recursion_is_the_fraction_series(kind):
+    assert act._ode_fractions(kind, 60) == _fraction_series(kind, 60)
+
+
 def test_coefficient_stream_is_deterministic():
     s = act.tanh()
     first = [act.taylor_coefficient(s, i) for i in range(20)]

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -334,6 +335,28 @@ def test_size_guard_exits_2(tmp_path):
     del obj["dataset"]
     cfg = write_json(tmp_path / "cfg.json", obj)
     assert run("flatten", cfg) == 2
+
+
+def test_size_guard_stops_counting_at_the_limit(tmp_path, capsys):
+    # counting every level of this tower to the end took 45 s
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, truncation=600))
+    start = time.perf_counter()
+    assert run("flatten", cfg) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "size guard: flat space needs more than 200000 entries at level 1" in (
+        capsys.readouterr().err
+    )
+
+
+def test_too_many_weights_to_initialize_exit_2_naming_the_size(tmp_path, capsys):
+    # 2**52 inputs passed the table and raised numpy's allocation error (exit 1)
+    cfg_obj = tanh_config(tmp_path)
+    cfg_obj["architecture"] = {"input_dim": 2**52, "widths": [1], "activations": ["tanh"]}
+    del cfg_obj["dataset"]
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 2
+    assert f"size guard: {2**52} weights in layers of shapes [(1, {2**52})]" in (
+        capsys.readouterr().err
+    )
 
 
 def test_unknown_command_rejected():
@@ -716,6 +739,18 @@ def test_huge_integers_that_meet_float_arithmetic_exit_2(tmp_path, capsys, extra
     cfg_obj.update(extra)  # "n" is also tanh_config's sample count
     assert run("bounds", write_json(tmp_path / "cfg.json", cfg_obj)) == 2
     assert f"invalid configuration: '{key}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"trials": 10**400}, "trials"),
+    ({"trials": 2**20}, "trials"),
+    ({"trials": 3, "hypothesis_draws": 10**400}, "hypothesis_draws"),
+])
+def test_huge_monte_carlo_counts_exit_2_naming_the_key(tmp_path, capsys, extra, key):
+    # a 401-digit trials failed in numpy: "Maximum allowed dimension exceeded"
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, radius=1.0, **extra))
+    assert run("bounds", cfg) == 2
+    assert f"invalid configuration: '{key}' must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train-net", "compare"])

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kreinflat import activations as act
@@ -214,6 +214,21 @@ def test_flat_equivalence_polynomial_exact():
             assert abs(f - flat) <= 1e-9 * (1.0 + abs(f))
 
 
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 2))
+def test_flat_evaluation_is_the_forward_pass(seed, extra):
+    # truncation at least the composed degree: the identity holds up to rounding
+    rng = np.random.default_rng(seed)
+    arch, w, _ = random_poly_net(rng, max_depth=3, max_width=2, max_deg=3)
+    trunc = math.prod(len(a.coefficients) - 1 for a in arch.activations) + extra
+    assume(max(pf.level_counts(arch, trunc)) <= 5000)
+    xs = rng.uniform(-1.0, 1.0, size=(5, arch.input_dim))
+    _, v = pf.pushed_weights(arch, w, trunc)
+    gv = pf.flatten_metric(arch, trunc).values * v.values
+    terms = np.vstack(list(pf.feature_blocks(arch, xs, trunc))) * gv
+    f = netcore.forward_batch(arch, w, xs)
+    assert np.all(np.abs(terms.sum(axis=1) - f) <= 1e-9 * np.abs(terms).sum(axis=1))
+
+
 def test_flat_equivalence_depth_one_is_weights_on_monomials():
     arch = poly_arch(3, (1,), [[0.0, 1.0]])
     w = netcore.WeightSet((np.array([[0.5, -1.0, 2.0]]),))
@@ -408,6 +423,112 @@ def test_levels_store_the_reference_enumeration_in_order(arch, trunc):
         assert lv.gamma.tolist() == [m * c for m, c in zip(want_mnom, coeff)]
 
 
+def _dp_multisets(m, e):
+    """Every multiset of e draws from range(m) as (index, count) rows of width e."""
+    draws = np.arange(m, dtype=np.int64)[:, None]
+    for _ in range(e - 1):
+        last = draws[:, -1]
+        fan = m - last
+        parent = np.repeat(np.arange(len(draws)), fan)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        draws = np.hstack([draws[parent], (last[parent] + offset)[:, None]])
+    starts = np.ones(draws.shape, dtype=bool)
+    starts[:, 1:] = draws[:, 1:] != draws[:, :-1]
+    run = np.cumsum(starts, axis=1) - 1
+    rows = np.broadcast_to(np.arange(len(draws))[:, None], draws.shape)
+    index = np.full(draws.shape, -1, dtype=np.int64)
+    count = np.zeros(draws.shape, dtype=np.int64)
+    index[rows, run] = draws
+    np.add.at(count, (rows, run), 1)
+    return index, count
+
+
+def _dp_level_indices(slot_cdeg, supp, trunc):
+    """The level builder before count patterns: level_counts' dynamic program
+    with index arrays, extending partial indices one slot group at a time,
+    then one np.lexsort over own degree and every (slot, exponent) column."""
+    slot_cdeg = np.asarray(slot_cdeg, dtype=np.int64)
+    max_own = max(supp, default=0)
+    own = np.zeros(1, dtype=np.int64)
+    comp = np.zeros(1, dtype=np.int64)
+    pos = np.full((1, max_own), -1, dtype=np.int64)
+    exp = np.zeros((1, max_own), dtype=np.int64)
+    groups = np.unique(slot_cdeg).tolist()
+    for cd, nxt in zip(groups, groups[1:] + [trunc + 1]):
+
+        def alive(o, c):
+            return np.isin(o, supp) | ((o < max_own) & (c + nxt <= trunc))
+
+        slots = np.flatnonzero(slot_cdeg == cd)
+        keep = alive(own, comp)
+        parts = [(own[keep], comp[keep], pos[keep], exp[keep])]
+        for e in range(1, max_own + 1):
+            rows = np.flatnonzero((own + e <= max_own) & (comp + e * cd <= trunc))
+            if rows.size == 0:
+                break
+            rows = rows[alive(own[rows] + e, comp[rows] + e * cd)]
+            if rows.size == 0:
+                continue
+            index, count = _dp_multisets(len(slots), e)
+            r = np.repeat(rows, len(index))
+            g = np.tile(np.arange(len(index)), rows.size)
+            new_pos, new_exp = pos[r], exp[r]
+            cols = np.count_nonzero(new_exp, axis=1)[:, None] + np.arange(e)
+            np.put_along_axis(new_pos, cols, np.where(index[g] >= 0, slots[index[g]], -1), axis=1)
+            np.put_along_axis(new_exp, cols, count[g], axis=1)
+            parts.append((own[r] + e, comp[r] + e * cd, new_pos, new_exp))
+        own, comp, pos, exp = (np.concatenate(a) for a in zip(*parts))
+    keep = np.isin(own, supp)
+    own, comp, pos, exp = own[keep], comp[keep], pos[keep], exp[keep]
+    order = np.argsort(np.where(pos < 0, len(slot_cdeg), pos), axis=1, kind="stable")
+    pos = np.take_along_axis(pos, order, axis=1)
+    exp = np.take_along_axis(exp, order, axis=1)
+    width = int(np.count_nonzero(exp, axis=1).max(initial=0))
+    pos, exp = pos[:, :width], exp[:, :width]
+    keys = [own]
+    for col in range(width):
+        keys += [pos[:, col], exp[:, col]]
+    order = np.lexsort(keys[::-1])
+    return own[order], comp[order], pos[order], exp[order]
+
+
+@given(
+    slot_cdeg=st.lists(st.integers(0, 6), min_size=1, max_size=7),
+    supp=st.sets(st.integers(0, 6), max_size=4),
+    trunc=st.integers(1, 6),
+)
+def test_count_patterns_give_the_dynamic_program_in_order(slot_cdeg, supp, trunc):
+    supp = sorted(supp)
+    got = pf._level_indices(np.array(slot_cdeg, dtype=np.int64), supp, trunc)
+    want = _dp_level_indices(slot_cdeg, supp, trunc)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@given(
+    width_rows=st.integers(1, 12).flatmap(lambda w: st.tuples(
+        st.just(w), st.lists(st.lists(st.integers(0, 15), min_size=w, max_size=w), max_size=30)
+    ))
+)
+def test_multinomials_are_the_exact_integers_rounded_once(width_rows):
+    # wide rows of large exponents need more than one packed key
+    width, rows = width_rows
+    exps = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    assert pf._multinomials(exps).tolist() == [float(pf.multinomial(row)) for row in rows]
+
+
+def test_level_counts_stop_past_the_limit():
+    arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
+    counts = pf.level_counts(arch, 9)
+    assert pf.level_counts(arch, 9, max_entries=max(counts)) == counts
+    with pytest.raises(SizeLimitError, match="more than 99 entries at level 1") as err:
+        pf.level_counts(arch, 9, max_entries=99)
+    # the partial count that passed the limit, not the level's whole count
+    assert 99 < err.value.requested < counts[1]
+    assert err.value.limit == 99
+
+
 def test_compose_matches_gathered_powers():
     arch = netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3)
     space = pf.flat_space(arch, 5)
@@ -464,6 +585,52 @@ def test_untiled_compose_is_the_tiled_full_table_bit_for_bit(arch, trunc):
     for lv in space.levels[1:]:  # the metric recursion
         want = lv.gamma * _tiled_compose(lv, _tiled(space, lv, lv.prev.metric[None]))[0]
         assert _same_bits(lv.metric, want), lv.level
+
+
+def _full_table_compose(lv, values):
+    """compose with every untiled value powered to every exponent from 2 to
+    the level's largest, gathered over whole blocks of rows."""
+    rows = np.asarray(values, dtype=float).reshape(-1, np.shape(values)[-1])
+    period = rows.shape[1]
+    exps = np.repeat(np.arange(2, lv.max_exp + 1), period).reshape(-1, period)
+    powers = np.power(rows[:, None, :], exps).reshape(len(rows), -1)
+    table = np.concatenate([np.ones((len(rows), 1)), rows, powers], axis=1)
+    e = lv.terms_exp
+    gather = np.where(e == 0, 0, period * (e - 1) + 1 + lv.terms_pos % period).T
+    out = np.take(table, gather[0], axis=1)
+    for col in gather[1:]:
+        out *= np.take(table, col, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("arch, trunc", [
+    (netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3), 5),
+    (netcore.Architecture(3, (2, 2, 1), (act.erf(), act.logistic(), act.exp())), 5),
+    (poly_arch(2, (2, 1), [[0.5, 1.0, 0.3, -0.2], [0.1, 1.0, 0.0, 0.4]]), 6),
+])
+def test_compact_table_compose_is_the_full_table_bit_for_bit(arch, trunc):
+    space = pf.flat_space(arch, trunc)
+    rng = np.random.default_rng(12)
+    xs = rng.uniform(-1.5, 1.5, size=(7, arch.input_dim))
+    xs[0] = 0.0
+    xs[1, 0] = -0.0
+    xs[2] *= 1e-90  # powers that underflow to subnormals and zero
+    vals = xs
+    for lv, got in zip(space.levels, pf._feature_values(space, xs)):
+        vals = _full_table_compose(lv, vals)
+        assert _same_bits(got, vals), lv.level
+    for lv in space.levels[1:]:
+        want = lv.gamma * _full_table_compose(lv, lv.prev.metric)[0]
+        assert _same_bits(lv.metric, want), lv.level
+    weights = netcore.init_weights(arch, seed=2)
+    for q in range(arch.depth - 1):
+        base = space.levels[0].xexp if q == 0 else space.levels[q].block_profile
+        w = np.asarray(weights[q])
+        vals = np.prod(w[:, None, :] ** base[None, :, :], axis=2).reshape(1, -1)
+        for lv in space.levels[q + 1 :]:
+            vals = _full_table_compose(lv, vals)
+        got = pf.pushed_weights(arch, weights, trunc)[0][q].values
+        assert _same_bits(got, vals[0]), q
 
 
 def test_compose_refuses_values_that_do_not_tile_the_slots():
