@@ -359,8 +359,11 @@ def run_flatten(cfg, out=None):
 
 
 def _gram_diagnostics(gram):
+    """The ascending eigenvalues of the Gram's symmetric part, and the report's
+    diagnostics from them.  This is a run's one eigensolve: the exact solver's
+    guard takes the same eigenvalues."""
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    return {
+    return eigs, {
         "min_eigenvalue": float(eigs[0]),
         "max_eigenvalue": float(eigs[-1]),
         "symmetric": bool(np.array_equal(gram, gram.T)),
@@ -373,7 +376,7 @@ def run_kernel(cfg, out=None):
     xs, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
     gram = kk.gram(kk.KernelDefinition(arch, variant), xs)
     results = {"variant": variant, "n": int(xs.shape[0])}
-    results.update(_gram_diagnostics(gram))
+    results.update(_gram_diagnostics(gram)[1])
     stem = _stem(out)
     warnings = []
     if stem is None:
@@ -394,16 +397,13 @@ def run_train_net(cfg, out=None):
     reg_scale = _get(cfg, "reg_scale")
     seed = _get(cfg, "seed")
 
-    init = netcore.init_weights(arch, seed)
-    init_obj = netcore.objective(arch, init, xs, ys, loss, lam, reg_scale)
-    weights = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
-    final_obj = netcore.objective(arch, weights, xs, ys, loss, lam, reg_scale)
+    fit = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
+    weights = fit.weights
     loss_of = netcore.loss_functions(loss)[0]
-    mean_loss = float(np.mean(loss_of(ys, netcore.forward_batch(arch, weights, xs))))
     results = {
-        "initial_objective": init_obj,
-        "final_objective": final_obj,
-        "final_mean_loss": mean_loss,
+        "initial_objective": fit.initial_objective,
+        "final_objective": fit.final_objective,
+        "final_mean_loss": float(np.mean(loss_of(ys, fit.predictions))),
         "layer_frobenius_sq": weights.frobenius_sq(),
         "weight_ball_radius": analysis.weight_ball_radius(arch, weights, reg_scale),
         "steps": steps,
@@ -430,9 +430,10 @@ def run_train_ksvm(cfg, out=None):
     defn = kk.KernelDefinition(arch, variant)
     gram = kk.gram(defn, xs)
     results = {"variant": variant, "n": int(xs.shape[0]), "solver": solver}
-    results.update(_gram_diagnostics(gram))
+    eigs, diagnostics = _gram_diagnostics(gram)
+    results.update(diagnostics)
     if solver == "eig":
-        alpha, residual = ksvm.train_squared(gram, ys, lam)
+        alpha, residual = ksvm.train_squared(gram, ys, lam, eigs)
         results["stationarity_residual"] = residual
     else:
         steps, step_size = _get(cfg, "train.steps"), _get(cfg, "train.step_size")
@@ -474,14 +475,15 @@ def run_compare(cfg, out=None):
     draws = _get(cfg, "hypothesis_draws") or trials
     variant = _get(cfg, "variant")
 
-    weights = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
+    fit = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
+    weights = fit.weights
     loss_of = netcore.loss_functions(loss)[0]
-    net_pred = netcore.forward_batch(arch, weights, xs)
-    net_loss = float(np.mean(loss_of(ys, net_pred)))
+    net_loss = float(np.mean(loss_of(ys, fit.predictions)))
 
     defn = kk.KernelDefinition(arch, variant)
     gram = kk.gram(defn, xs)
-    alpha, residual = ksvm.train_squared(gram, ys, lam)
+    eigs, gram_diagnostics = _gram_diagnostics(gram)
+    alpha, residual = ksvm.train_squared(gram, ys, lam, eigs)
     model = ksvm.TrainedKSVM(alpha, xs, lam, defn)
     svm_pred = gram @ alpha
     svm_loss = float(np.mean(loss_of(ys, svm_pred)))
@@ -496,15 +498,15 @@ def run_compare(cfg, out=None):
     results = {
         "network": {
             "mean_loss": net_loss,
-            "objective": netcore.objective(arch, weights, xs, ys, loss, lam, reg_scale),
-            "predictions": net_pred,
+            "objective": fit.final_objective,
+            "predictions": fit.predictions,
         },
         "ksvm": {
             "mean_loss": svm_loss,
             "stationarity_residual": residual,
             "predictions": svm_pred,
         },
-        "gram": _gram_diagnostics(gram),
+        "gram": gram_diagnostics,
         "bounds": bounds,
     }
     stem = _stem(out)

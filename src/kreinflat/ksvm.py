@@ -5,8 +5,9 @@ The stabilized risk is
     J(alpha) = (1/N) sum_i loss(y_i, (G alpha)_i) + lam * alpha' G alpha,
 
 whose regularizer may be negative.  For squared loss its stationary points
-solve (G + lam N I) alpha = y; train_squared picks that canonical solution via
-a symmetric eigendecomposition, train_gd descends the same risk from alpha=0.
+solve (G + lam N I) alpha = y; train_squared guards that system with the
+eigenvalues of G's symmetric part and solves it by LU, train_gd descends the
+same risk from alpha=0.
 """
 
 from __future__ import annotations
@@ -49,22 +50,29 @@ def _check_system(gram, y):
     return gram, y
 
 
-def train_squared(gram, y, lam):
-    """Solve (G + lam N I) alpha = y; returns (alpha, residual norm)."""
+def train_squared(gram, y, lam, eigenvalues=None):
+    """Solve (G + lam N I) alpha = y; returns (alpha, residual norm).
+
+    ``eigenvalues`` are those of the symmetric part (G + G')/2, as
+    np.linalg.eigvalsh gives them (computed here when None).  They only guard
+    the solve: NearSingularError when one lies within a relative 1e-12 of
+    -lam N.  Alpha itself comes from an LU solve of the system.
+    """
     gram, y = _check_system(gram, y)
     if lam <= 0:
         raise ValueError("lam must be positive")
     n = gram.shape[0]
-    sym = 0.5 * (gram + gram.T)
-    w, vecs = np.linalg.eigh(sym)
-    shifted = w + lam * n
-    scale = max(float(np.max(np.abs(w))), 1.0)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    shifted = eigenvalues + lam * n
+    scale = max(float(np.max(np.abs(eigenvalues))), 1.0)
     if np.min(np.abs(shifted)) < _NEAR_SINGULAR_RTOL * scale:
         raise NearSingularError(
             f"G + lam*N*I has an eigenvalue within {_NEAR_SINGULAR_RTOL * scale:g} of zero"
         )
-    alpha = vecs @ ((vecs.T @ y) / shifted)
-    residual = float(np.linalg.norm((gram + lam * n * np.eye(n)) @ alpha - y))
+    system = gram + lam * n * np.eye(n)
+    alpha = np.linalg.solve(system, y)
+    residual = float(np.linalg.norm(system @ alpha - y))
     return SolveResult(alpha, residual)
 
 

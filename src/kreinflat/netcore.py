@@ -12,6 +12,7 @@ reg_scale defaulting to 1/depth.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -170,16 +171,18 @@ def loss_functions(loss):
 
 
 def _risk(arch, weights, xs, ys, loss, lam, reg_scale, with_gradient=True):
-    """(objective, gradient or None) at ``weights`` from one forward and backprop pass."""
+    """(objective, gradient or None, outputs) at ``weights`` from one forward and
+    backprop pass; the outputs are f over the rows of ``xs``, as forward_batch gives."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     pres, posts = _layers(arch, weights, xs)
     if not ys.size or ys.shape != (xs.shape[0],):
         raise ValueError(f"targets must have shape ({xs.shape[0]},) with N >= 1, got {ys.shape}")
     scale = 1.0 / arch.depth if reg_scale is None else float(reg_scale)
     value, deriv = loss_functions(loss)
-    obj = float(np.mean(value(ys, posts[-1][0]))) + lam * scale * sum(weights.frobenius_sq())
+    f = posts[-1][0]
+    obj = float(np.mean(value(ys, f))) + lam * scale * sum(weights.frobenius_sq())
     if not with_gradient:
-        return obj, None
+        return obj, None, f
     delta = deriv(ys, posts[-1]) / xs.shape[0]  # (1, N)
     grads = [None] * arch.depth
     for q in range(arch.depth - 1, -1, -1):
@@ -188,7 +191,7 @@ def _risk(arch, weights, xs, ys, loss, lam, reg_scale, with_gradient=True):
         grads[q] = 2.0 * lam * scale * weights[q] + delta @ below.T
         if q > 0:
             delta = weights[q].T @ delta
-    return obj, WeightSet(tuple(grads))
+    return obj, WeightSet(tuple(grads)), f
 
 
 def objective(arch, weights, xs, ys, loss, lam, reg_scale=None):
@@ -202,34 +205,40 @@ def gradient(arch, weights, xs, ys, loss, lam, reg_scale=None):
     return _risk(arch, weights, xs, ys, loss, lam, reg_scale)[1]
 
 
+TrainResult = namedtuple("TrainResult", "weights initial_objective final_objective predictions")
+
+
 def train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale=None):
     """Plain gradient descent from the seeded init on (N, D) ``xs``, (N,) ``ys``.
 
     One forward and backprop pass per step gives the new iterate's objective
-    and the next gradient.  Returns the final iterate when it does not exceed
-    the initial objective, otherwise the best iterate seen; raises
-    DivergenceError on non-finite values.  Bit-deterministic for fixed inputs.
+    and the next gradient.  The result's weights are the final iterate when it
+    does not exceed the initial objective, otherwise the best iterate seen;
+    it also carries the objective at the init and at those weights, and their
+    outputs on ``xs``, each bit-equal to objective() and forward_batch().
+    Raises DivergenceError on non-finite values.  Bit-deterministic for fixed
+    inputs.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     weights = init_weights(arch, seed)
-    init_obj, g = _risk(arch, weights, xs, ys, loss, lam, reg_scale)
+    init_obj, g, f = _risk(arch, weights, xs, ys, loss, lam, reg_scale)
     if not math.isfinite(init_obj):
         raise DivergenceError("objective not finite at initialization")
-    best, best_obj = weights, init_obj
-    current, current_obj = weights, init_obj
+    best = current = TrainResult(weights, init_obj, init_obj, f)
     for step in range(1, steps + 1):
-        mats = tuple(w - step_size * gw for w, gw in zip(current, g))
+        mats = tuple(w - step_size * gw for w, gw in zip(current.weights, g))
         if any(not np.all(np.isfinite(m)) for m in mats):
             raise DivergenceError("weights became non-finite during descent")
-        current = WeightSet(mats)
-        current_obj, g = _risk(arch, current, xs, ys, loss, lam, reg_scale, step < steps)
-        if not math.isfinite(current_obj):
+        weights = WeightSet(mats)
+        obj, g, f = _risk(arch, weights, xs, ys, loss, lam, reg_scale, step < steps)
+        if not math.isfinite(obj):
             raise DivergenceError("objective became non-finite during descent")
-        if current_obj < best_obj:
-            best, best_obj = current, current_obj
-    return current if current_obj <= init_obj else best
+        current = TrainResult(weights, init_obj, obj, f)
+        if obj < best.final_objective:
+            best = current
+    return current if current.final_objective <= init_obj else best
 
 
 # ---------------------------------------------------------------------------

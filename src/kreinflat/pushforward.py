@@ -38,7 +38,7 @@ import numpy as np
 
 from . import activations as act
 from . import netcore
-from .errors import SizeLimitError
+from .errors import DomainError, SizeLimitError
 
 DEFAULT_TRUNCATION = 8
 DEFAULT_MAX_ENTRIES = 200_000
@@ -65,12 +65,18 @@ def multinomial(exponents):
     return math.factorial(total) // denom
 
 
-def _multinomials(exps):
+# the least integer that rounds past the largest float
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _multinomials(exps, level=None):
     """Row-wise multinomial of a nonnegative (m, w) exponent array, as floats.
 
     Exact integers from a factorial table, each rounded once, so every value
     equals float(multinomial(row)).  Rows are keyed by their degree and sorted
-    exponents, so each distinct multiset is computed once.
+    exponents, so each distinct multiset is computed once.  A value past the
+    float range raises DomainError naming the least such degree (and the tower
+    ``level`` when given).
     """
     exps = np.sort(np.asarray(exps, dtype=np.int64), axis=1)
     degrees = exps.sum(axis=1)
@@ -81,7 +87,15 @@ def _multinomials(exps):
     heads[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
     fact = np.array([math.factorial(k) for k in range(top + 1)], dtype=object)
     first = order[heads]
-    values = (fact[degrees[first]] // np.prod(fact[exps[first]], axis=1)).astype(float)
+    exact = fact[degrees[first]] // np.prod(fact[exps[first]], axis=1)
+    try:
+        values = exact.astype(float)
+    except OverflowError:
+        degree = int(degrees[first][exact >= _FLOAT_OVERFLOW].min())
+        where = "" if level is None else f"level {level}: "
+        raise DomainError(
+            f"{where}a multinomial of degree {degree} exceeds the float range", layer=level
+        ) from None
     out = np.empty(len(order))
     out[order] = values[np.cumsum(heads) - 1]
     return out
@@ -526,17 +540,17 @@ def _multisets(m, e):
     """
     width = min(m, e)
     index, count = [np.full((1, width), -1, dtype=np.int64)], [np.zeros((1, width), np.int64)]
-    draws = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, e + 1):  # extend each nondecreasing draw by every j >= its last
-        last = draws[:, -1] if k > 1 else np.zeros(1, dtype=np.int64)
+    last = used = np.zeros(1, dtype=np.int64)  # each row's last draw and distinct indices
+    for _ in range(e):  # extend each nondecreasing draw by every j >= its last
         parent, offset = _ranges(m - last)
-        draws = np.hstack([draws[parent], (last[parent] + offset)[:, None]])
-        starts = np.ones(draws.shape, dtype=bool)
-        starts[:, 1:] = draws[:, 1:] != draws[:, :-1]
-        cell = np.arange(len(draws))[:, None] * width + np.cumsum(starts, axis=1) - 1
-        index.append(np.full((len(draws), width), -1, dtype=np.int64))
-        index[-1].reshape(-1)[cell[starts]] = draws[starts]
-        count.append(np.bincount(cell.reshape(-1), minlength=index[-1].size).reshape(-1, width))
+        new = (offset > 0) | (used[parent] == 0)  # j opens a column, or repeats the last
+        col = used[parent] - 1 + new
+        rows = np.arange(len(parent))
+        last, used = last[parent] + offset, used[parent] + new
+        index.append(index[-1][parent])
+        count.append(count[-1][parent])
+        index[-1][rows, col] = last
+        count[-1][rows, col] += 1
     sizes = [len(i) for i in index]
     return np.concatenate(index), np.concatenate(count), np.cumsum([0] + sizes)
 
@@ -633,7 +647,7 @@ def _pack_level(level_no, arch, prev, trunc):
     lv.terms_exp = exp
     lv.own_degree = own
     lv.composed_degree = comp
-    lv.gamma = _multinomials(exp) * np.array(act.taylor_series(spec, trunc))[own]
+    lv.gamma = _multinomials(exp, level_no) * np.array(act.taylor_series(spec, trunc))[own]
     lv.max_exp = int(exp.max(initial=0))
 
     # composed input exponents, and (above level 0) the per-block degree

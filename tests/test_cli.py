@@ -230,6 +230,23 @@ def test_out_creates_missing_directories(tmp_path):
     assert (out.parent / "report.flat_weight.txt").exists()
 
 
+def test_flatten_multinomial_past_float_range_exits_3(tmp_path, capsys):
+    # C(1100, 550) ~ 1e329 overflows a float before it meets a_1100 = 1e-300
+    coefficients = [0.0] * 1101
+    coefficients[1], coefficients[1100] = 1.0, 1e-300
+    cfg_obj = {
+        "architecture": {
+            "input_dim": 2,
+            "widths": [1],
+            "activations": [{"kind": "polynomial", "coefficients": coefficients}],
+        },
+        "truncation": 1100,
+    }
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
+    err = capsys.readouterr().err
+    assert "numerical domain failure: level 0: a multinomial of degree 1100" in err
+
+
 # ---------------------------------------------------------------------------
 # validation failures (exit 2)
 # ---------------------------------------------------------------------------
@@ -516,6 +533,28 @@ def test_train_ksvm_requires_lambda(tmp_path):
     del obj["lambda"]
     cfg = write_json(tmp_path / "cfg.json", obj)
     assert run("train-ksvm", cfg) == 2
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train-ksvm", {}),
+    ("compare", {"train": {"steps": 5, "step_size": 0.05}}),
+])
+def test_exact_solve_takes_one_eigenvalue_pass(tmp_path, monkeypatch, command, extra):
+    calls = {"eigvalsh": 0, "eigh": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, **extra))
+    assert run(command, cfg, str(tmp_path / "report.json")) == 0
+    assert calls == {"eigvalsh": 1, "eigh": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Stabilized kernel machines: eigensolver path, descent path, model files."""
+"""Stabilized kernel machines: exact solver, descent path, model files."""
 
 import math
 import os
@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kreinflat import activations as act
@@ -30,7 +30,7 @@ def _fd_objective_gradient(alpha, gram, y, lam, loss, h=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# the eigensolver path
+# the exact solver: an eigenvalue guard, then an LU solve
 # ---------------------------------------------------------------------------
 
 def test_single_sample_closed_form():
@@ -117,6 +117,64 @@ def test_train_squared_validation():
         ksvm.train_squared(np.ones((2, 3)), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         ksvm.train_squared(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2), 1.0)
+
+
+def _eigh_solve(gram, y, lam):
+    """The solve train_squared made before its LU solve: a full eigendecomposition
+    of the symmetric part, eigenvectors included."""
+    w, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    return vecs @ ((vecs.T @ y) / (w + lam * len(y)))
+
+
+@given(
+    n=st.integers(2, 60),
+    kind=st.sampled_from(["random", "erf", "tanh"]),
+    lam=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lu_solve_matches_the_eigendecomposition_solve(n, kind, lam, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":  # symmetric, indefinite for almost every draw
+        raw = rng.normal(size=(n, n))
+        gram = (raw + raw.T) / 2.0
+    else:
+        spec = act.erf() if kind == "erf" else act.tanh()
+        arch = netcore.Architecture(2, (2, 1), (spec, spec))
+        gram = kk.gram(kk.KernelDefinition(arch), rng.uniform(-0.6, 0.6, size=(n, 2)))
+    y = rng.normal(size=n)
+    system = gram + lam * n * np.eye(n)
+    assume(np.linalg.cond(system) < 1e6)
+    want = _eigh_solve(gram, y, lam)
+    alpha, residual = ksvm.train_squared(gram, y, lam)
+    assert np.linalg.norm(alpha - want) <= 1e-9 * np.linalg.norm(want)
+    budget = 1e-10 * (1.0 + np.linalg.norm(y))  # criterion 05's
+    assert residual <= budget
+    assert np.linalg.norm(system @ want - y) <= budget
+
+
+@given(n=st.integers(2, 30), lam=st.floats(0.05, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_eigenvalue_at_minus_lam_n_raises_near_singular(n, lam, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w = rng.uniform(-2.0, 2.0, size=n) * n
+    w[rng.integers(n)] = -lam * n
+    gram = (q * w) @ q.T
+    gram = (gram + gram.T) / 2.0
+    y = rng.normal(size=n)
+    with pytest.raises(NearSingularError):
+        ksvm.train_squared(gram, y, lam)
+    with pytest.raises(NearSingularError):
+        ksvm.train_squared(gram, y, lam, np.linalg.eigvalsh(gram))
+
+
+def test_given_eigenvalues_guard_the_solve():
+    G = np.diag([2.0, -0.5])
+    y = np.array([1.0, 1.0])
+    alpha = ksvm.train_squared(G, y, 0.5, np.linalg.eigvalsh(G)).alpha
+    assert alpha.tobytes() == ksvm.train_squared(G, y, 0.5).alpha.tobytes()
+    # the guard reads the eigenvalues it is given, not the matrix
+    with pytest.raises(NearSingularError):
+        ksvm.train_squared(G, y, 0.5, np.array([-1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -228,15 +228,15 @@ def test_train_recovers_least_squares_slope():
     slope = 1.7
     ys = slope * xs[:, 0]
     arch = lin_arch(1, (1,))
-    w = netcore.train(arch, xs, ys, "squared", 0.0, seed=4, steps=4000, step_size=0.05)
+    w = netcore.train(arch, xs, ys, "squared", 0.0, seed=4, steps=4000, step_size=0.05).weights
     assert w[0][0, 0] == pytest.approx(slope, abs=1e-4)
 
 
 def test_train_is_deterministic():
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.linear()))
     xs, ys = np.array([[0.3, -0.1], [-0.2, 0.4]]), np.array([0.2, -0.1])
-    w1 = netcore.train(arch, xs, ys, "squared", 0.01, seed=8, steps=50, step_size=0.1)
-    w2 = netcore.train(arch, xs, ys, "squared", 0.01, seed=8, steps=50, step_size=0.1)
+    w1 = netcore.train(arch, xs, ys, "squared", 0.01, seed=8, steps=50, step_size=0.1).weights
+    w2 = netcore.train(arch, xs, ys, "squared", 0.01, seed=8, steps=50, step_size=0.1).weights
     for a, b in zip(w1, w2):
         assert np.array_equal(a, b)
 
@@ -246,7 +246,7 @@ def test_train_single_step_is_init_minus_scaled_gradient():
     xs, ys = np.array([[0.5]]), np.array([1.0])
     init = netcore.init_weights(arch, seed=2)
     g = netcore.gradient(arch, init, xs, ys, "squared", 0.1)
-    stepped = netcore.train(arch, xs, ys, "squared", 0.1, seed=2, steps=1, step_size=0.3)
+    stepped = netcore.train(arch, xs, ys, "squared", 0.1, seed=2, steps=1, step_size=0.3).weights
     for w0, gq, w1 in zip(init, g, stepped):
         np.testing.assert_allclose(w1, w0 - 0.3 * gq, rtol=1e-12)
 
@@ -257,7 +257,7 @@ def test_train_never_returns_worse_than_init():
     init = netcore.init_weights(arch, seed=6)
     init_obj = netcore.objective(arch, init, xs, ys, "squared", 0.05)
     # deliberately unstable step size: result must still not exceed init
-    w = netcore.train(arch, xs, ys, "squared", 0.05, seed=6, steps=40, step_size=2.5)
+    w = netcore.train(arch, xs, ys, "squared", 0.05, seed=6, steps=40, step_size=2.5).weights
     assert netcore.objective(arch, w, xs, ys, "squared", 0.05) <= init_obj + 1e-12
 
 
@@ -266,7 +266,7 @@ def test_train_objective_decreases_with_small_steps():
     xs, ys = np.array([[1.0], [2.0]]), np.array([2.0, 4.1])
     init = netcore.init_weights(arch, seed=0)
     before = netcore.objective(arch, init, xs, ys, "squared", 0.0)
-    w = netcore.train(arch, xs, ys, "squared", 0.0, seed=0, steps=100, step_size=0.01)
+    w = netcore.train(arch, xs, ys, "squared", 0.0, seed=0, steps=100, step_size=0.01).weights
     after = netcore.objective(arch, w, xs, ys, "squared", 0.0)
     assert after < before
 
@@ -339,8 +339,13 @@ def test_train_equals_reference_loop_bitwise(case):
     want, fell_back = _reference_train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
     assert fell_back == fallback
     got = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
-    for a, b in zip(got, want):
+    for a, b in zip(got.weights, want):
         assert a.tobytes() == b.tobytes()
+    # the objectives and outputs train returns are those its callers would recompute
+    init = netcore.init_weights(arch, seed)
+    assert got.initial_objective == netcore.objective(arch, init, xs, ys, loss, lam, reg_scale)
+    assert got.final_objective == netcore.objective(arch, want, xs, ys, loss, lam, reg_scale)
+    assert got.predictions.tobytes() == netcore.forward_batch(arch, want, xs).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

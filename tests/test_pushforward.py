@@ -6,6 +6,7 @@ coefficients; everything else checks structural identities against
 netcore.forward or closed forms.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from kreinflat import activations as act
 from kreinflat import netcore
 from kreinflat import pushforward as pf
-from kreinflat.errors import SizeLimitError
+from kreinflat.errors import DomainError, SizeLimitError
 
 
 def poly_arch(input_dim, widths, coeff_lists):
@@ -423,6 +424,21 @@ def test_levels_store_the_reference_enumeration_in_order(arch, trunc):
         assert lv.gamma.tolist() == [m * c for m, c in zip(want_mnom, coeff)]
 
 
+@given(m=st.integers(1, 6), e=st.integers(0, 6))
+def test_multisets_list_every_nondecreasing_draw_in_order(m, e):
+    index, count, starts = pf._multisets(m, e)
+    width = min(m, e)
+    for k in range(e + 1):
+        want = []
+        for draw in itertools.combinations_with_replacement(range(m), k):
+            distinct = sorted(set(draw))
+            pad = width - len(distinct)
+            want.append((distinct + [-1] * pad, [draw.count(i) for i in distinct] + [0] * pad))
+        rows = range(starts[k], starts[k + 1])
+        assert [(index[r].tolist(), count[r].tolist()) for r in rows] == want
+    assert starts[-1] == len(index) == len(count)
+
+
 def _dp_multisets(m, e):
     """Every multiset of e draws from range(m) as (index, count) rows of width e."""
     draws = np.arange(m, dtype=np.int64)[:, None]
@@ -516,6 +532,18 @@ def test_multinomials_are_the_exact_integers_rounded_once(width_rows):
     width, rows = width_rows
     exps = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     assert pf._multinomials(exps).tolist() == [float(pf.multinomial(row)) for row in rows]
+
+
+def test_multinomials_past_the_float_range_name_the_least_degree():
+    assert math.isfinite(float(pf._FLOAT_OVERFLOW - 1))
+    with pytest.raises(OverflowError):
+        float(pf._FLOAT_OVERFLOW)
+    # C(1028, 514) < 2**1024 <= C(1100, 550) < C(1200, 600)
+    assert math.isfinite(pf._multinomials([[514, 514]])[0])
+    exps = np.array([[600, 600], [1, 0], [550, 550], [514, 514]])
+    with pytest.raises(DomainError, match="^level 2: a multinomial of degree 1100 ") as err:
+        pf._multinomials(exps, level=2)
+    assert err.value.layer == 2
 
 
 def test_level_counts_stop_past_the_limit():
