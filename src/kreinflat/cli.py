@@ -197,7 +197,7 @@ def load_config(path):
 
 
 def load_dataset(path, input_dim):
-    """CSV with header x0..x{D-1},y; returns (X, y)."""
+    """CSV with header x0..x{D-1},y; returns (X, y, lines), lines[i] the file line of row i."""
     expected = [f"x{i}" for i in range(input_dim)] + ["y"]
     try:
         with open(path, newline="") as fh:
@@ -208,18 +208,20 @@ def load_dataset(path, input_dim):
         raise ConfigError(
             f"dataset header must be {','.join(expected)} (file {path!r})"
         )
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    lines = [n for n, row in enumerate(rows[1:], start=2) if len(row) > 1 or row and row[0].strip()]
+    if not lines:
+        raise ConfigError("dataset has no samples")
+    try:  # one conversion; NumPy parses each field as float() does
+        table = np.array([rows[n - 1] for n in lines], dtype=float)
+        ok = table.shape[1:] == (input_dim + 1,) and np.isfinite(table).all()
+    except ValueError:  # a ragged or non-numeric table
+        ok = False
+    if not ok:  # row by row, to name the first bad line
         try:
-            data.append(netcore.read_floats(row, lineno, input_dim + 1))
+            table = np.array([netcore.read_floats(rows[n - 1], n, input_dim + 1) for n in lines])
         except ValueError as exc:
             raise ConfigError(f"dataset {exc}") from exc
-    if not data:
-        raise ConfigError("dataset has no samples")
-    table = np.array(data, dtype=float)
-    return table[:, :input_dim], table[:, input_dim]
+    return table[:, :input_dim], table[:, input_dim], lines
 
 
 def _weights_for(cfg, arch):
@@ -297,10 +299,7 @@ def _report(cfg, results, diagnostics=None, warnings=None):
 
 
 def _stem(out):
-    if out is None:
-        return None
-    base, ext = os.path.splitext(out)
-    return base if ext else out
+    return None if out is None else os.path.splitext(out)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ def run_flatten(cfg, out=None):
 
     path = _get(cfg, "dataset")
     if path is not None:
-        xs, _ = load_dataset(path, arch.input_dim)
+        xs, _, lines = load_dataset(path, arch.input_dim)
         probe = xs[0]
         gv = metric.values * vnn.values
         # one 1-D sum per row, as flat_eval takes it: a sum along an axis of
@@ -331,6 +330,9 @@ def run_flatten(cfg, out=None):
         blocks = pf.feature_blocks(arch, xs, trunc)
         flat = np.array([np.sum(row) for phi in blocks for row in phi * gv])
         f = netcore.forward_batch(arch, weights, xs)
+        bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(flat)))
+        if bad.size:
+            raise DomainError(f"dataset line {lines[bad[0]]}: the network or flat value is not finite")
         results["max_equivalence_residual"] = float(np.max(np.abs(f - flat) / (1.0 + np.abs(f))))
         results["dataset_rows"] = int(xs.shape[0])
     else:
@@ -362,18 +364,19 @@ def _gram_diagnostics(gram):
     """The ascending eigenvalues of the Gram's symmetric part, and the report's
     diagnostics from them.  This is a run's one eigensolve: the exact solver's
     guard takes the same eigenvalues."""
-    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    symmetric = bool(np.array_equal(gram, gram.T))  # then G is its own symmetric part
+    eigs = np.linalg.eigvalsh(gram if symmetric else 0.5 * (gram + gram.T))
     return eigs, {
         "min_eigenvalue": float(eigs[0]),
         "max_eigenvalue": float(eigs[-1]),
-        "symmetric": bool(np.array_equal(gram, gram.T)),
+        "symmetric": symmetric,
     }
 
 
 def run_kernel(cfg, out=None):
     arch = architecture_from_config(cfg)
     variant = _get(cfg, "variant")
-    xs, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    xs, _, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
     gram = kk.gram(kk.KernelDefinition(arch, variant), xs)
     results = {"variant": variant, "n": int(xs.shape[0])}
     results.update(_gram_diagnostics(gram)[1])
@@ -390,7 +393,7 @@ def run_kernel(cfg, out=None):
 
 def run_train_net(cfg, out=None):
     arch = architecture_from_config(cfg)
-    xs, ys = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    xs, ys, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
     loss = _get(cfg, "loss")
     lam = _get(cfg, "lambda")
     steps, step_size = _get(cfg, "train.steps"), _get(cfg, "train.step_size")
@@ -422,7 +425,7 @@ def run_train_net(cfg, out=None):
 
 def run_train_ksvm(cfg, out=None):
     arch = architecture_from_config(cfg)
-    xs, ys = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    xs, ys, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
     variant = _get(cfg, "variant")
     lam = _get(cfg, "lambda")
     solver = _get(cfg, "solver")
@@ -465,7 +468,7 @@ def _bound_report(arch, weights_or_radius, xs, n, trials, draws, seed):
 
 def run_compare(cfg, out=None):
     arch = architecture_from_config(cfg)
-    xs, ys = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    xs, ys, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
     loss = _get(cfg, "loss")
     lam = _get(cfg, "lambda")
     steps, step_size = _get(cfg, "train.steps"), _get(cfg, "train.step_size")
@@ -520,7 +523,7 @@ def run_compare(cfg, out=None):
 
 def run_bounds(cfg, out=None):
     arch = architecture_from_config(cfg)
-    xs, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    xs, _, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
     radius = _get(cfg, "radius")
     if radius is None:
         weights = _weights_for(cfg, arch)
@@ -609,13 +612,11 @@ def build_parser():
         prog="kreinflat",
         description="Flatten networks, evaluate their kernels, train, and bound.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None, help="report path (stdout when omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--trunc", type=int, default=None, help="override truncation")
+    parser.add_argument("command", choices=HANDLERS, help="subcommand to run")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default=None, help="report path (stdout when omitted)")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--trunc", type=int, default=None, help="override truncation")
     return parser
 
 

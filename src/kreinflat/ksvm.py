@@ -45,8 +45,10 @@ def _check_system(gram, y):
         raise ValueError("gram must be square")
     if y.shape != (gram.shape[0],):
         raise ValueError("y must match the gram size")
-    if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(gram).max(initial=0.0)))):
-        raise ValueError("gram must be symmetric")
+    if not np.array_equal(gram, gram.T):  # a bit-symmetric Gram, as kk.gram's, is accepted at once
+        scale = max(1.0, float(np.abs(gram).max(initial=0.0)))
+        if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * scale):
+            raise ValueError("gram must be symmetric")
     return gram, y
 
 
@@ -70,7 +72,8 @@ def train_squared(gram, y, lam, eigenvalues=None):
         raise NearSingularError(
             f"G + lam*N*I has an eigenvalue within {_NEAR_SINGULAR_RTOL * scale:g} of zero"
         )
-    system = gram + lam * n * np.eye(n)
+    system = gram + 0.0  # a copy; adding 0.0 clears -0.0 off the diagonal, as adding lam*N*I does
+    system.flat[:: n + 1] += lam * n
     alpha = np.linalg.solve(system, y)
     residual = float(np.linalg.norm(system @ alpha - y))
     return SolveResult(alpha, residual)

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: configs, reports, exit codes, reproducibility."""
 
 import contextlib
+import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -9,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -341,6 +344,123 @@ def test_dataset_column_count(tmp_path):
     assert run("flatten", cfg) == 2
 
 
+def _row_by_row_load_dataset(path, input_dim):
+    """load_dataset as it parsed before its one-array conversion, kept as the reference."""
+    expected = [f"x{i}" for i in range(input_dim)] + ["y"]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or [c.strip() for c in rows[0]] != expected:
+        raise cli.ConfigError(f"dataset header must be {','.join(expected)} (file {path!r})")
+    data = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            data.append(netcore.read_floats(row, lineno, input_dim + 1))
+        except ValueError as exc:
+            raise cli.ConfigError(f"dataset {exc}") from exc
+    if not data:
+        raise cli.ConfigError("dataset has no samples")
+    table = np.array(data, dtype=float)
+    return table[:, :input_dim], table[:, input_dim]
+
+
+_FIELDS = st.floats(-1e6, 1e6).map(repr) | st.sampled_from(
+    ["1_000", " 2.5 ", '"3.25"', "\t-0.0", "\u0661\u0662", "1e-400", "+7"]
+)
+_ODD_FIELDS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "oops", "", "0x10", "1__0", '"1,5"', "   ", "1.5e"]
+)
+
+
+@st.composite
+def _csv_bodies(draw):
+    """A dataset file for input_dim 2: good rows, then up to two odd tokens, blank
+    lines or rows of the wrong width, with LF or CRLF line ends."""
+    rows = draw(st.lists(st.lists(_FIELDS, min_size=3, max_size=3), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["token", "token", "token", "blank", "short", "long"]))
+        if kind == "token":
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_FIELDS)
+        else:
+            width = {"blank": 0, "short": draw(st.integers(1, 2)), "long": 4}[kind]
+            row = draw(st.lists(_FIELDS, min_size=width, max_size=width))
+            rows.insert(draw(st.integers(0, len(rows))), row or [draw(st.sampled_from(["", "  "]))])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(["x0,x1,y"] + [",".join(row) for row in rows])
+    return text + end if draw(st.booleans()) else text
+
+
+def _load_outcome(load, path):
+    try:
+        xs, ys = load(path, 2)[:2]
+    except cli.ConfigError as exc:
+        return "error", str(exc)
+    return "table", xs.shape, xs.tobytes(), ys.tobytes()
+
+
+@settings(max_examples=200)
+@given(body=_csv_bodies())
+def test_one_conversion_loads_what_the_row_by_row_parse_loads(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(body.encode())
+    got = _load_outcome(cli.load_dataset, str(path))
+    assert got == _load_outcome(_row_by_row_load_dataset, str(path))
+    if got[0] == "table":
+        lines = cli.load_dataset(str(path), 2)[2]
+        text_lines = body.replace("\r\n", "\n").split("\n")
+        assert len(lines) == got[1][0]
+        assert all(text_lines[n - 1].strip() for n in lines)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("x0,x1,y\n0.1,0.2,0.3\n0.1,0.2\n", "dataset line 3: expected 3 values, got 2"),
+    ("x0,x1,y\n0.1,0.2,0.3\n\n1,2,oops\n", "dataset line 4: could not convert string to float: 'oops'"),
+    ("x0,x1,y\r\n0.1,0.2,0.3\r\n1,1e400,2\r\n", "dataset line 3: values must be finite"),
+    ("x0,x1,y\n0.1,0.2,0.3,4\n", "dataset line 2: expected 3 values, got 4"),
+])
+def test_dataset_errors_name_the_first_bad_line(tmp_path, body, message):
+    (tmp_path / "data.csv").write_text(body)
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.load_dataset(str(tmp_path / "data.csv"), 2)
+    assert str(exc.value) == message
+
+
+def test_dataset_fields_parse_as_python_floats(tmp_path):
+    (tmp_path / "data.csv").write_text('x0,x1,y\n1_000, 2.5 ,"3.25"\n\n\u0661\u0662,1e-400,-0.0\n')
+    xs, ys, lines = cli.load_dataset(str(tmp_path / "data.csv"), 2)
+    np.testing.assert_array_equal(xs, [[1000.0, 2.5], [12.0, 0.0]])
+    assert ys.tolist() == [3.25, -0.0] and np.signbit(ys[1])
+    assert lines == [2, 4]
+
+
+def test_header_only_dataset_exits_2_without_a_warning(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path))
+    (tmp_path / "data.csv").write_text("x0,x1,y\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train-ksvm", cfg) == 2
+    assert capsys.readouterr().err == "invalid configuration: dataset has no samples\n"
+
+
+def test_flatten_non_finite_network_value_exits_3_naming_its_line(tmp_path, capsys):
+    # exp(exp(.)) overflows to inf on the sample of line 4
+    (tmp_path / "data.csv").write_text("x0,x1,y\n0.1,0.2,1\n\n30,40,1\n0.5,0.5,0\n")
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [3, 1], "activations": ["exp", "exp"]},
+        "dataset": str(tmp_path / "data.csv"),
+        "truncation": 3,
+    }
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj), str(out)) == 3
+    assert capsys.readouterr().err == (
+        "numerical domain failure: dataset line 4: the network or flat value is not finite\n"
+    )
+    assert not out.exists()
+
+
 def test_size_guard_exits_2(tmp_path):
     obj = poly_config(tmp_path)
     obj["architecture"] = {
@@ -376,9 +496,50 @@ def test_too_many_weights_to_initialize_exit_2_naming_the_size(tmp_path, capsys)
     )
 
 
-def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
+def test_unknown_command_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["polish", "--config", "x.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'polish'" in capsys.readouterr().err
+
+
+def test_missing_config_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flatten"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli.HANDLERS))
+def test_every_command_takes_the_shared_options(command):
+    options = ["--config", "c.json", "--out", "r.json", "--seed", "4", "--trunc", "5"]
+    for argv in ([command, *options], [*options, command]):  # options may lead
+        args = cli.build_parser().parse_args(argv)
+        assert (args.command, args.config, args.out, args.seed, args.trunc) == (
+            command, "c.json", "r.json", 4, 5
+        )
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(cli.HANDLERS) + "}" in capsys.readouterr().out
+    assert list(cli.HANDLERS) == [
+        "flatten", "kernel", "train-net", "train-ksvm", "compare", "bounds", "sparsity"
+    ]
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracer.py looks each name up with a getattr that has no default
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attrs in tracer.WRAPPED.items():
+        module = importlib.import_module(f"kreinflat.{module_name}")
+        for attr in attrs:
+            assert callable(getattr(module, attr)), f"{module_name}.{attr}"
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +560,29 @@ def test_kernel_gram_csv(tmp_path):
     assert gram.shape == (6, 6)
     np.testing.assert_array_equal(gram, gram.T)
     # the exact-text writer gives the bytes of one "%.17g" per value
-    xs, _ = cli.load_dataset(report["config_echo"]["dataset"], 2)
+    xs, _, _ = cli.load_dataset(report["config_echo"]["dataset"], 2)
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
     exact = kk.gram(kk.KernelDefinition(arch, "krein"), xs)
     per_value = "\n".join(",".join("%.17g" % v for v in row) for row in exact) + "\n"
     assert (tmp_path / res["gram_csv"]).read_bytes() == per_value.encode()
+
+
+def test_gram_diagnostics_eigenvalues_keep_their_bits():
+    arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
+    xs = np.random.default_rng(4).uniform(-0.5, 0.5, size=(9, 2))
+    gram = kk.gram(kk.KernelDefinition(arch, "krein"), xs)
+    eigs, diagnostics = cli._gram_diagnostics(gram)
+    assert eigs.tobytes() == np.linalg.eigvalsh(0.5 * (gram + gram.T)).tobytes()
+    assert diagnostics["symmetric"] is True
+    # a Gram that is not bit-symmetric is still symmetrized: eigvalsh alone
+    # reads the lower triangle and would not see the moved upper entry
+    moved = gram.copy()
+    moved[0, 1] += 1e-3
+    eigs, diagnostics = cli._gram_diagnostics(moved)
+    assert eigs.tobytes() == np.linalg.eigvalsh(0.5 * (moved + moved.T)).tobytes()
+    assert not np.array_equal(eigs, np.linalg.eigvalsh(moved))
+    assert diagnostics["symmetric"] is False
+    assert diagnostics["min_eigenvalue"] == eigs[0]
 
 
 def test_kernel_associated_variant(tmp_path, capsys):
@@ -555,6 +734,24 @@ def test_exact_solve_takes_one_eigenvalue_pass(tmp_path, monkeypatch, command, e
     cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, **extra))
     assert run(command, cfg, str(tmp_path / "report.json")) == 0
     assert calls == {"eigvalsh": 1, "eigh": 0}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train-ksvm", {}),
+    ("train-ksvm", {"solver": "gd", "train": {"steps": 20, "step_size": 0.1}}),
+    ("compare", {"train": {"steps": 5, "step_size": 0.05}}),
+])
+def test_kernel_machine_runs_skip_the_symmetry_tolerance_test(tmp_path, monkeypatch, command,
+                                                               extra):
+    calls = []
+    allclose = np.allclose
+    monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(1) or allclose(*a, **k))
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, **extra))
+    assert run(command, cfg, str(tmp_path / "report.json")) == 0
+    assert calls == []  # kk.gram's Gram is bit-symmetric
+    # the counter sees the tolerance test when a Gram is not bit-symmetric
+    ksvm._check_system(np.array([[1.0, 1e-15], [0.0, 1.0]]), np.zeros(2))
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,107 @@ def test_given_eigenvalues_guard_the_solve():
         ksvm.train_squared(G, y, 0.5, np.array([-1.0, 2.0]))
 
 
+def _identity_sum_solve(gram, y, lam):
+    """The solve as train_squared formed it before: G + lam*N*np.eye(N)."""
+    n = gram.shape[0]
+    system = gram + lam * n * np.eye(n)
+    alpha = np.linalg.solve(system, y)
+    return alpha, float(np.linalg.norm(system @ alpha - y))
+
+
+_ENTRIES = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+@given(n=st.integers(1, 6), lam=st.floats(0.01, 5.0), data=st.data())
+def test_diagonal_shift_solves_bit_equal_to_the_identity_sum(n, lam, data):
+    # signed zeros included: the reference sum turns an off-diagonal -0.0 into 0.0
+    gram = np.array(data.draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    lower = np.tril_indices(n, -1)
+    gram[lower] = gram.T[lower]
+    y = np.array(data.draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+    try:
+        alpha, residual = ksvm.train_squared(gram, y, lam)
+    except NearSingularError:
+        assume(False)
+    want_alpha, want_residual = _identity_sum_solve(gram, y, lam)
+    assert alpha.tobytes() == want_alpha.tobytes()
+    assert residual == want_residual
+
+
+def test_diagonal_shift_on_a_gram_with_negative_zeros():
+    gram = np.array([[2.0, -0.0, 0.5], [-0.0, 1.0, -0.0], [0.5, -0.0, -3.0]])
+    for y in (np.zeros(3), np.array([0.5, -0.0, 0.25])):
+        alpha, residual = ksvm.train_squared(gram, y, 0.3)
+        want_alpha, want_residual = _identity_sum_solve(gram, y, 0.3)
+        assert alpha.tobytes() == want_alpha.tobytes()
+        assert residual == want_residual
+
+
+# ---------------------------------------------------------------------------
+# system validation: a bit-symmetric Gram skips the tolerance test
+# ---------------------------------------------------------------------------
+
+def _allclose_symmetric(gram):
+    """The symmetry test _check_system ran on every Gram before, kept as the reference."""
+    atol = 1e-12 * max(1.0, float(np.abs(gram).max(initial=0.0)))
+    return bool(np.allclose(gram, gram.T, rtol=0.0, atol=atol))
+
+
+def _accepts(gram):
+    try:
+        ksvm._check_system(gram, np.zeros(gram.shape[0]))
+    except ValueError:
+        return False
+    return True
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+_INF_ATOL = "ignore:One of rtol or atol is not valid"  # allclose's note on an inf tolerance
+
+
+@pytest.mark.filterwarnings(_INF_ATOL)
+@given(n=st.integers(1, 5), data=st.data())
+def test_check_system_accepts_exactly_what_the_tolerance_test_accepted(n, data):
+    values = data.draw(st.lists(
+        st.floats(-1e300, 1e300) | st.sampled_from(_SPECIAL), min_size=n * n, max_size=n * n
+    ))
+    gram = np.array(values).reshape(n, n)
+    lower = np.tril_indices(n, -1)
+    gram[lower] = gram.T[lower]  # bit-symmetric, apart from NaN != NaN
+    if n > 1:
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        change = data.draw(st.sampled_from(
+            ["none", "atol 0.5", "atol 1", "atol 2", "zero pair", "inf pair", "nan", "inf"]
+        ))
+        if change.startswith("atol"):
+            atol = 1e-12 * max(1.0, float(np.abs(gram).max(initial=0.0)))
+            gram[i, j] = gram[j, i] + float(change.split()[1]) * atol
+        elif change == "zero pair":
+            gram[i, j], gram[j, i] = 0.0, -0.0
+        elif change == "inf pair":
+            gram[i, j] = gram[j, i] = data.draw(st.sampled_from([math.inf, -math.inf]))
+        elif change != "none":
+            gram[i, j] = math.nan if change == "nan" else math.inf
+    assert _accepts(gram) == _allclose_symmetric(gram)
+
+
+@pytest.mark.filterwarnings(_INF_ATOL)
+@pytest.mark.parametrize("gram, accepted", [
+    ([[1.0, 0.0], [-0.0, 2.0]], True),
+    ([[1.0, math.inf], [math.inf, 2.0]], True),
+    ([[1.0, math.inf], [-math.inf, 2.0]], False),
+    ([[1.0, math.nan], [math.nan, 2.0]], False),
+    ([[math.nan, 0.5], [0.5, 2.0]], False),
+    ([[1.0, 0.5 + 4e-13], [0.5, 2.0]], True),
+    ([[1.0, 0.5 + 4e-12], [0.5, 2.0]], False),
+])
+def test_check_system_edge_cases(gram, accepted):
+    gram = np.array(gram)
+    assert _accepts(gram) is accepted is _allclose_symmetric(gram)
+
+
 # ---------------------------------------------------------------------------
 # objective and gradient
 # ---------------------------------------------------------------------------
