@@ -44,13 +44,11 @@ class ActivationSpec:
     kind          -- one of BASE_KINDS or DERIVED_KINDS
     coefficients  -- polynomial kind only: (a_0, a_1, ..., a_p)
     sharpness     -- relu_surrogate kinds only: the smoothing scale c > 0
-    max_terms     -- series-evaluation term budget (closed forms ignore it)
     """
 
     kind: str
     coefficients: tuple = None
     sharpness: float = None
-    max_terms: int = 30
 
     def __post_init__(self):
         if self.kind not in BASE_KINDS and self.kind not in DERIVED_KINDS:
@@ -75,8 +73,6 @@ class ActivationSpec:
             object.__setattr__(self, "sharpness", c)
         elif self.sharpness is not None:
             raise ValueError(f"{self.kind} takes no sharpness")
-        if self.max_terms < 2:
-            raise ValueError("max_terms must be at least 2")
 
 
 def linear():
@@ -294,19 +290,6 @@ evaluate_array = evaluate
 derivative_array = derivative
 
 
-def evaluate_series(spec, xi, terms=None):
-    """Partial sum sum_{i<=terms} a_i xi^i (defaults to spec.max_terms)."""
-    xi = float(_checked(spec, xi))
-    n = spec.max_terms if terms is None else int(terms)
-    acc = 0.0
-    power = 1.0
-    for a in taylor_series(spec, n):
-        if a != 0.0:
-            acc += a * power
-        power *= xi
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # associated function, Lipschitz constants, shape predicates
 # ---------------------------------------------------------------------------
@@ -314,14 +297,8 @@ def evaluate_series(spec, xi, terms=None):
 def associated(spec):
     """The activation with coefficients |a_i| (idempotent)."""
     if spec.kind == "polynomial":
-        return ActivationSpec(
-            "polynomial",
-            coefficients=tuple(abs(c) for c in spec.coefficients),
-            max_terms=spec.max_terms,
-        )
-    return ActivationSpec(
-        _KINDS[spec.kind][0], sharpness=spec.sharpness, max_terms=spec.max_terms
-    )
+        return polynomial(abs(c) for c in spec.coefficients)
+    return ActivationSpec(_KINDS[spec.kind][0], sharpness=spec.sharpness)
 
 
 # exact sup|sigma'| over [0, inf) where one exists

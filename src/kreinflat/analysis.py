@@ -145,14 +145,15 @@ def _sample_array(arch, sample):
     return xs
 
 
-def rademacher_bound_net(arch, weights_or_radius, sample, n=None, empirical_estimate=None):
+def rademacher_bound_net(arch, weights_or_radius, sample, n=None):
     """Every bound the architecture supports, as one BoundReport.
 
     The kernel-trace bound is always computed (global Lipschitz constants are
     required); the closed linear form only for all-linear networks; the
     growth-envelope form only when every activation is odd and concave on the
     nonnegative axis.  Domain violations in the associated kernel are reported
-    with the offending sample index.
+    with the offending sample index.  ``empirical_estimate`` is left None for
+    the caller to fill with empirical_rademacher().
     """
     xs = _sample_array(arch, sample)
     count = xs.shape[0] if n is None else int(n)
@@ -181,7 +182,7 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None, empirical_esti
         bound_kernel_trace=rademacher_bound_ball(ball, trace, count),
         bound_linear=None,
         bound_growth=None,
-        empirical_estimate=empirical_estimate,
+        empirical_estimate=None,
         sample_size=count,
     )
     sq_mean = float(np.mean(np.sum(xs * xs, axis=1)))

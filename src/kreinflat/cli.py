@@ -13,12 +13,10 @@ domain failures (series domain violations, near-singular solves, divergence).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
 import os
-import secrets
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +29,7 @@ from . import ksvm
 from . import netcore
 from . import pushforward as pf
 from .errors import DivergenceError, DomainError, NearSingularError, SizeLimitError
+from .netcore import write_text
 
 DEFAULT_TRUNCATION = pf.DEFAULT_TRUNCATION
 
@@ -158,7 +157,7 @@ def _checked(key, spec, value):
 
 
 # the numeric fields of an activation object, typed as config keys are
-_ACTIVATION_FIELDS = {"coefficients": "number list", "sharpness": "number", "max_terms": "integer"}
+_ACTIVATION_FIELDS = {"coefficients": "number list", "sharpness": "number"}
 
 
 def _activation_from_entry(entry):
@@ -264,23 +263,6 @@ def render_report(report):
     return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
 
 
-def write_text(path, text):
-    """Atomic write: a temp file of unique name in the same directory, then rename.
-
-    The temp file is removed when writing or renaming fails.
-    """
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(report, out):
     text = render_report(report)
     if out is None:
@@ -298,8 +280,21 @@ def _report(cfg, results, diagnostics=None, warnings=None):
     }
 
 
-def _stem(out):
-    return None if out is None else os.path.splitext(out)[0]
+def _sidecars(out, names, skipped, artifacts):
+    """Write artifacts next to the report ``out``, naming each file in ``names``;
+    return the run's warnings about them.
+
+    Each artifact is (name, file suffix, save, value), and save(path, value)
+    writes it.  Without --out nothing is saved, and the warning names what was
+    ``skipped`` (no warning when that is None).
+    """
+    if out is None:
+        return [f"no --out given: {skipped} skipped"] if skipped else []
+    stem = os.path.splitext(out)[0]
+    for name, suffix, save, value in artifacts:
+        save(f"{stem}.{suffix}", value)
+        names[name] = os.path.basename(f"{stem}.{suffix}")
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +320,17 @@ def run_flatten(cfg, out=None):
         xs, _, lines = load_dataset(path, arch.input_dim)
         probe = xs[0]
         gv = metric.values * vnn.values
-        # one 1-D sum per row, as flat_eval takes it: a sum along an axis of
-        # the block rounds differently
-        blocks = pf.feature_blocks(arch, xs, trunc)
-        flat = np.array([np.sum(row) for phi in blocks for row in phi * gv])
-        f = netcore.forward_batch(arch, weights, xs)
+        flat = []
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is refused next
+            for phi in pf.feature_blocks(arch, xs, trunc):
+                if not flat:  # compose works row by row: row 0 holds the probe's feature map
+                    feature = vnn.like(phi[0].copy())
+                # one 1-D sum per row, as flat_eval takes it: a sum along an axis of
+                # the block rounds differently
+                flat += [np.sum(row) for row in phi * gv]
+            f = netcore.forward_batch(arch, weights, xs)
+        del phi  # the last block is not kept through the dumps
+        flat = np.array(flat)
         bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(flat)))
         if bad.size:
             raise DomainError(f"dataset line {lines[bad[0]]}: the network or flat value is not finite")
@@ -337,25 +338,17 @@ def run_flatten(cfg, out=None):
         results["dataset_rows"] = int(xs.shape[0])
     else:
         probe = np.ones(arch.input_dim)
+        feature = None if out is None else pf.flatten_feature_map(arch, probe, trunc)  # dumps only
         warnings.append("no dataset given: no equivalence residual, probe input is all-ones")
-
-    feature = pf.flatten_feature_map(arch, probe, trunc)
     results["probe_input"] = [float(v) for v in probe]
 
-    stem = _stem(out)
-    if stem is None:
-        warnings.append("no --out given: series dumps skipped")
-    else:
-        files = {}
-        for name, vec in (
-            ("feature_map", feature),
-            ("metric", metric),
-            ("flat_weight", vnn),
-            *((f"weight_layer{q}", v) for q, v in enumerate(vq)),
-        ):
-            path = f"{stem}.{name}.txt"
-            write_text(path, pf.dump_series(vec))
-            files[name] = os.path.basename(path)
+    vectors = [("feature_map", feature), ("metric", metric), ("flat_weight", vnn),
+               *((f"weight_layer{q}", v) for q, v in enumerate(vq))]
+    files = {}
+    warnings += _sidecars(out, files, "series dumps", [
+        (name, f"{name}.txt", lambda p, vec: write_text(p, pf.dump_series(vec)), vec)
+        for name, vec in vectors])
+    if files:
         results["dump_files"] = files
     return _report(cfg, results, diagnostics, warnings)
 
@@ -380,14 +373,10 @@ def run_kernel(cfg, out=None):
     gram = kk.gram(kk.KernelDefinition(arch, variant), xs)
     results = {"variant": variant, "n": int(xs.shape[0])}
     results.update(_gram_diagnostics(gram)[1])
-    stem = _stem(out)
-    warnings = []
-    if stem is None:
-        warnings.append("no --out given: gram CSV skipped")
-    else:
-        path = f"{stem}.gram.csv"
-        write_text(path, "\n".join(netcore.text_rows(gram, ",")) + "\n")
-        results["gram_csv"] = os.path.basename(path)
+    warnings = _sidecars(out, results, "gram CSV", [(
+        "gram_csv", "gram.csv",
+        lambda p, g: write_text(p, "\n".join(netcore.text_rows(g, ",")) + "\n"), gram,
+    )])
     return _report(cfg, results, warnings=warnings)
 
 
@@ -412,14 +401,8 @@ def run_train_net(cfg, out=None):
         "steps": steps,
         "step_size": step_size,
     }
-    stem = _stem(out)
-    warnings = []
-    if stem is None:
-        warnings.append("no --out given: weights file skipped")
-    else:
-        path = f"{stem}.weights.txt"
-        netcore.save_weights(path, weights)
-        results["weights_file"] = os.path.basename(path)
+    warnings = _sidecars(out, results, "weights file", [
+        ("weights_file", "weights.txt", netcore.save_weights, weights)])
     return _report(cfg, results, warnings=warnings)
 
 
@@ -444,15 +427,8 @@ def run_train_ksvm(cfg, out=None):
         results["final_gradient_norm"] = grad_norm
     parts = ksvm.stabilized_objective(alpha, gram, ys, lam, loss)
     results["stabilized_objective"] = parts._asdict()
-    stem = _stem(out)
-    warnings = []
-    if stem is None:
-        warnings.append("no --out given: model file skipped")
-    else:
-        model = ksvm.TrainedKSVM(alpha, xs, lam, defn)
-        path = f"{stem}.model.txt"
-        ksvm.save_model(path, model)
-        results["model_file"] = os.path.basename(path)
+    warnings = _sidecars(out, results, "model file", [
+        ("model_file", "model.txt", ksvm.save_model, ksvm.TrainedKSVM(alpha, xs, lam, defn))])
     return _report(cfg, results, warnings=warnings)
 
 
@@ -512,12 +488,10 @@ def run_compare(cfg, out=None):
         "gram": gram_diagnostics,
         "bounds": bounds,
     }
-    stem = _stem(out)
-    if stem is not None:
-        ksvm.save_model(f"{stem}.model.txt", model)
-        netcore.save_weights(f"{stem}.weights.txt", weights)
-        results["model_file"] = os.path.basename(f"{stem}.model.txt")
-        results["weights_file"] = os.path.basename(f"{stem}.weights.txt")
+    _sidecars(out, results, None, [
+        ("model_file", "model.txt", ksvm.save_model, model),
+        ("weights_file", "weights.txt", netcore.save_weights, weights),
+    ])
     return _report(cfg, results, warnings=warnings)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as act
-from . import pushforward as pf
 from .errors import DomainError
 
 VARIANTS = ("krein", "associated")
@@ -96,28 +95,13 @@ def associated_kernel(defn, x, xp):
     return chain(defn.arch, _dot(defn.arch, x, xp), associated=True)
 
 
-def kernel_parts(arch, x, xp, truncation, max_entries=pf.DEFAULT_MAX_ENTRIES):
-    """(K_plus, K_minus): the metric-sign split of the truncated flat kernel.
-
-    K_plus sums g_i phi_i(x) phi_i(x') over g_i > 0 and K_minus sums -g_i ...
-    over g_i < 0, so K ~ K_plus - K_minus and Kbar ~ K_plus + K_minus up to
-    the truncation error.
-    """
-    g = pf.flatten_metric(arch, truncation, max_entries=max_entries)
-    fx = pf.flatten_feature_map(arch, x, truncation, max_entries=max_entries)
-    fxp = pf.flatten_feature_map(arch, xp, truncation, max_entries=max_entries)
-    prod = g.values * fx.values * fxp.values
-    k_plus = float(np.sum(prod[g.values > 0]))
-    k_minus = float(-np.sum(prod[g.values < 0]))
-    return k_plus, k_minus
-
-
 def gram(defn, points):
     """The Gram matrix over the rows of ``points`` (exactly symmetric).
 
     The chain runs on the upper triangle of X X^T, which is mirrored, so
-    G[i, j] and G[j, i] are bit-identical.  Domain violations are re-raised
-    with the first offending entry (i, j), in row-major order, attached.
+    G[i, j] and G[j, i] are bit-identical.  Domain violations and non-finite
+    values are raised as DomainError with the first offending entry (i, j),
+    in row-major order, attached.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != defn.arch.input_dim:
@@ -128,7 +112,11 @@ def gram(defn, points):
     upper = np.triu(np.ones((points.shape[0],) * 2, dtype=bool))
     out = points @ points.T
     try:
-        values = chain(defn.arch, out[upper], defn.variant == "associated")
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused next
+            values = chain(defn.arch, out[upper], defn.variant == "associated")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DomainError("the kernel value is not finite", location=int(bad[0]))
     except DomainError as exc:
         i, j = (int(ix[exc.location]) for ix in np.nonzero(upper))
         raise DomainError(

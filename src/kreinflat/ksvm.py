@@ -45,6 +45,8 @@ def _check_system(gram, y):
         raise ValueError("gram must be square")
     if y.shape != (gram.shape[0],):
         raise ValueError("y must match the gram size")
+    if not np.isfinite(gram).all():  # an inf would make the symmetry tolerance inf
+        raise ValueError("gram must be finite")
     if not np.array_equal(gram, gram.T):  # a bit-symmetric Gram, as kk.gram's, is accepted at once
         scale = max(1.0, float(np.abs(gram).max(initial=0.0)))
         if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * scale):
@@ -170,8 +172,7 @@ def save_model(path, model):
     lines.append(f"points {pts.shape[0]}")
     lines += netcore.text_rows(pts)
     lines += ["alpha " + row for row in netcore.text_rows([model.alpha])]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    netcore.write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path):

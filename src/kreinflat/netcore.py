@@ -11,7 +11,10 @@ reg_scale defaulting to 1/depth.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import secrets
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Tuple
@@ -223,21 +226,22 @@ def train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale=None):
         raise ValueError("steps must be at least 1")
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     weights = init_weights(arch, seed)
-    init_obj, g, f = _risk(arch, weights, xs, ys, loss, lam, reg_scale)
-    if not math.isfinite(init_obj):
-        raise DivergenceError("objective not finite at initialization")
-    best = current = TrainResult(weights, init_obj, init_obj, f)
-    for step in range(1, steps + 1):
-        mats = tuple(w - step_size * gw for w, gw in zip(current.weights, g))
-        if any(not np.all(np.isfinite(m)) for m in mats):
-            raise DivergenceError("weights became non-finite during descent")
-        weights = WeightSet(mats)
-        obj, g, f = _risk(arch, weights, xs, ys, loss, lam, reg_scale, step < steps)
-        if not math.isfinite(obj):
-            raise DivergenceError("objective became non-finite during descent")
-        current = TrainResult(weights, init_obj, obj, f)
-        if obj < best.final_objective:
-            best = current
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        init_obj, g, f = _risk(arch, weights, xs, ys, loss, lam, reg_scale)
+        if not math.isfinite(init_obj):
+            raise DivergenceError("objective not finite at initialization")
+        best = current = TrainResult(weights, init_obj, init_obj, f)
+        for step in range(1, steps + 1):
+            mats = tuple(w - step_size * gw for w, gw in zip(current.weights, g))
+            if any(not np.all(np.isfinite(m)) for m in mats):
+                raise DivergenceError("weights became non-finite during descent")
+            weights = WeightSet(mats)
+            obj, g, f = _risk(arch, weights, xs, ys, loss, lam, reg_scale, step < steps)
+            if not math.isfinite(obj):
+                raise DivergenceError("objective became non-finite during descent")
+            current = TrainResult(weights, init_obj, obj, f)
+            if obj < best.final_objective:
+                best = current
     return current if current.final_objective <= init_obj else best
 
 
@@ -311,13 +315,29 @@ def text_rows(matrix, sep=" "):
     return [sep.join(row) for row in exact_text(matrix).tolist()]
 
 
+def write_text(path, text):
+    """Atomic write: a temp file of unique name in the same directory, then rename.
+
+    The temp file is removed when writing or renaming fails.
+    """
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def save_weights(path, weights):
     lines = [str(len(weights.matrices))]
     for w in weights:
         lines.append(f"{w.shape[0]} {w.shape[1]}")
         lines += text_rows(w)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_floats(tokens, lineno, count=None):

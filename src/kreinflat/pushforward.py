@@ -163,13 +163,9 @@ class SeriesVector:
             }
         return self._entries
 
-    def value_at(self, exponents):
-        key = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in key):
-            raise ValueError("exponents must be nonnegative")
-        if len(key) != self.dimension or sum(key) > self.truncation:
-            return 0.0
-        return self.entries.get(key, 0.0)
+    def like(self, values):
+        """A vector holding ``values`` on this vector's space."""
+        return SeriesVector(self.dimension, self.truncation, values, self._space)
 
     def aligned_with(self, other):
         return isinstance(other, SeriesVector) and self._space is other._space
@@ -300,27 +296,6 @@ def gamma_weights(spec, n, truncation):
     degs = space.exps.sum(axis=1)
     coeff = np.array(act.taylor_series(spec, int(truncation)))
     return SeriesVector(n, truncation, _multinomials(space.exps) * coeff[degs], space)
-
-
-def pushforward_check(spec, vectors, mu, truncation):
-    """(lhs, rhs) of the scalar push-forward identity for one activation.
-
-    lhs = sigma(sum_j mu_j prod_v v_j); rhs re-assembles it from the pushed
-    metric gamma o phi(mu) and the monomial features of every vector, up to
-    the truncation degree.
-    """
-    mu = np.asarray(mu, dtype=float)
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    if not vs:
-        raise ValueError("need at least one vector")
-    if any(v.shape != mu.shape for v in vs) or mu.ndim != 1:
-        raise ValueError("mu and all vectors must share one dimension")
-    inner = float(np.sum(mu * np.prod(np.stack(vs), axis=0)))
-    lhs = act.evaluate(spec, inner)
-    gamma = gamma_weights(spec, mu.size, truncation)
-    feats = [monomial_features(v, truncation) for v in vs]
-    rhs = flat_inner(gamma, monomial_features(mu, truncation), *feats)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

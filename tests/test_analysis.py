@@ -289,7 +289,9 @@ def test_bound_net_tanh_report():
     arch = netcore.Architecture(2, (3, 1), (act.tanh(), act.tanh()))
     rng = np.random.default_rng(7)
     xs = rng.uniform(-0.3, 0.3, size=(20, 2))
-    report = analysis.rademacher_bound_net(arch, 0.7, xs, empirical_estimate=0.01)
+    report = analysis.rademacher_bound_net(arch, 0.7, xs)
+    assert report.empirical_estimate is None
+    report.empirical_estimate = 0.01  # the field the CLI fills with its Monte-Carlo estimate
     assert report.lipschitz_gm == 1.0
     assert report.kernel_trace_mean > 0.0
     assert report.bound_kernel_trace > 0.0
@@ -434,7 +436,7 @@ def test_empirical_rademacher_below_kernel_trace_bound():
     # keep ||x||^2 well under the tan-chain domain so the trace exists
     xs = rng.uniform(-0.35, 0.35, size=(50, 2))
     est = analysis.empirical_rademacher(arch, 0.5, xs, trials=100, hypothesis_draws=100)
-    report = analysis.rademacher_bound_net(arch, 0.5, xs, empirical_estimate=est)
+    report = analysis.rademacher_bound_net(arch, 0.5, xs)
     assert 0.0 < est <= report.bound_kernel_trace
 
 

@@ -453,12 +453,46 @@ def test_flatten_non_finite_network_value_exits_3_naming_its_line(tmp_path, caps
         "truncation": 3,
     }
     out = tmp_path / "report.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj), str(out)) == 3
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj), str(out)) == 3
     assert capsys.readouterr().err == (
         "numerical domain failure: dataset line 4: the network or flat value is not finite\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, error", [
+    ("flatten", "dataset line 3: the network or flat value is not finite"),
+    ("kernel", "gram entry (0, 1): the kernel value is not finite"),
+    ("train-ksvm", "gram entry (0, 1): the kernel value is not finite"),
+    ("train-net", "objective not finite at initialization"),
+    ("compare", "objective not finite at initialization"),
+])
+def test_overflowing_network_exits_3_with_the_error_line_alone(tmp_path, capsys, command, error):
+    # exp(exp(.)) overflows on the sample of line 3: no NumPy warning may precede the error
+    (tmp_path / "data.csv").write_text("x0,x1,y\n0.1,0.2,1\n30,40,1\n0.5,0.5,0\n")
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [3, 1], "activations": ["exp", "exp"]},
+        "dataset": str(tmp_path / "data.csv"),
+        "truncation": 3,
+        "lambda": 0.5,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, write_json(tmp_path / "cfg.json", cfg_obj)) == 3
+    assert capsys.readouterr().err == f"numerical domain failure: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["train-net", "compare"])
+def test_failed_rename_leaves_no_weights_model_or_temp_file(tmp_path, monkeypatch, command):
+    cfg = write_json(tmp_path / "cfg.json", poly_config(tmp_path, **{"lambda": 0.1}))
+    before = set(os.listdir(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run(command, cfg, str(tmp_path / "report.json")) == 2
+    assert set(os.listdir(tmp_path)) == before
 
 
 def test_size_guard_exits_2(tmp_path):
@@ -938,8 +972,9 @@ def test_non_finite_activation_parameter_exits_2(tmp_path, capsys, entry):
 @pytest.mark.parametrize("entry, message", [
     ({"kind": "relu_surrogate", "sharpness": True}, "'sharpness' must be a finite number"),
     ({"kind": "relu_surrogate", "sharpness": "0.5"}, "'sharpness' must be a finite number"),
-    ({"kind": "tanh", "max_terms": 2.5}, "'max_terms' must be an integer"),
-    ({"kind": "tanh", "max_terms": True}, "'max_terms' must be an integer"),
+    # fields the table does not list are not activation fields
+    ({"kind": "tanh", "max_terms": 12}, "unexpected keyword argument 'max_terms'"),
+    ({"kind": "tanh", "terms": 2}, "unexpected keyword argument 'terms'"),
     ({"kind": "polynomial", "coefficients": [0.0, True]},
      "'coefficients' must be a list, each a finite number"),
 ])
@@ -956,7 +991,7 @@ def test_activation_fields_take_the_config_table_types(tmp_path, capsys, command
 def test_activation_fields_of_the_right_types_still_run(tmp_path):
     cfg_obj = tanh_config(tmp_path, truncation=3)
     cfg_obj["architecture"]["activations"] = [
-        {"kind": "relu_surrogate", "sharpness": 1}, {"kind": "tanh", "max_terms": 12}
+        {"kind": "relu_surrogate", "sharpness": 1}, {"kind": "tanh"}
     ]
     assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
 

@@ -1,6 +1,7 @@
 """Network kernels: scalar chains, the sign split, and Gram assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,26 @@ from hypothesis import strategies as st
 from kreinflat import activations as act
 from kreinflat import kreinkernel as kk
 from kreinflat import netcore
+from kreinflat import pushforward as pf
 from kreinflat.errors import DomainError
 
 
 def arch_of(input_dim, widths, specs):
     return netcore.Architecture(input_dim, tuple(widths), tuple(specs))
+
+
+def kernel_parts(arch, x, xp, truncation):
+    """(K_plus, K_minus): the metric-sign split of the truncated flat kernel.
+
+    K_plus sums g_i phi_i(x) phi_i(x') over g_i > 0 and K_minus sums -g_i ...
+    over g_i < 0, so K ~ K_plus - K_minus and Kbar ~ K_plus + K_minus up to
+    the truncation error.
+    """
+    g = pf.flatten_metric(arch, truncation).values
+    fx = pf.flatten_feature_map(arch, x, truncation).values
+    fxp = pf.flatten_feature_map(arch, xp, truncation).values
+    prod = g * fx * fxp
+    return float(np.sum(prod[g > 0])), float(-np.sum(prod[g < 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +144,13 @@ def test_parts_reassemble_polynomial_kernel_exactly():
     for _ in range(4):
         x = rng.uniform(-0.8, 0.8, size=2)
         xp = rng.uniform(-0.8, 0.8, size=2)
-        kp, km = kk.kernel_parts(arch, x, xp, truncation=9)
+        kp, km = kernel_parts(arch, x, xp, truncation=9)
         assert kp - km == pytest.approx(kk.kernel_value(defn, x, xp), abs=1e-12)
         assert kp + km == pytest.approx(kk.associated_kernel(defn, x, xp), abs=1e-12)
     # on the diagonal both parts are sums of squares, and the negative cubic
     # slot makes the minus side strictly active
     x = np.array([0.5, 0.5])
-    kp, km = kk.kernel_parts(arch, x, x, truncation=9)
+    kp, km = kernel_parts(arch, x, x, truncation=9)
     assert kp > 0.0 and km > 0.0
 
 
@@ -145,24 +161,24 @@ def test_parts_track_both_chains_for_analytic_layers():
     for _ in range(4):
         x = rng.uniform(-0.4, 0.4, size=2)
         xp = rng.uniform(-0.4, 0.4, size=2)
-        kp, km = kk.kernel_parts(arch, x, xp, truncation=11)
+        kp, km = kernel_parts(arch, x, xp, truncation=11)
         assert kp - km == pytest.approx(kk.kernel_value(defn, x, xp), abs=1e-8)
         assert kp + km == pytest.approx(kk.associated_kernel(defn, x, xp), abs=1e-8)
     # erf towers really are indefinite: the minus side is live on the diagonal
     x = np.array([0.4, 0.4])
-    kp, km = kk.kernel_parts(arch, x, x, truncation=11)
+    kp, km = kernel_parts(arch, x, x, truncation=11)
     assert km > 0.0
 
 
 def test_parts_minus_side_empty_for_nonnegative_streams():
     arch = arch_of(2, (2, 1), (act.polynomial((0.0, 0.5, 0.5)), act.linear()))
-    kp, km = kk.kernel_parts(arch, np.array([0.3, 0.4]), np.array([0.1, 0.9]), 4)
+    kp, km = kernel_parts(arch, np.array([0.3, 0.4]), np.array([0.1, 0.9]), 4)
     assert km == 0.0
 
 
 def test_parts_vanish_at_zero_input():
     arch = arch_of(2, (2, 1), (act.erf(), act.erf()))
-    kp, km = kk.kernel_parts(arch, np.zeros(2), np.array([0.3, 0.1]), 7)
+    kp, km = kernel_parts(arch, np.zeros(2), np.array([0.3, 0.1]), 7)
     assert kp == 0.0 and km == 0.0
 
 
@@ -257,6 +273,17 @@ def test_gram_domain_error_blames_first_entry_across_layers():
         kk.gram(defn, np.array([[0.9], [1.3]]))
     assert info.value.location == (0, 0)
     assert info.value.layer == 1
+
+
+def test_gram_refuses_a_non_finite_entry_naming_the_first():
+    # exp(exp(.)) overflows on every pair with the point (30, 40); (0, 1) comes first
+    arch = arch_of(2, (3, 1), (act.exp(), act.exp()))
+    pts = np.array([[0.1, 0.2], [30.0, 40.0], [0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported by the error alone
+        with pytest.raises(DomainError, match=r"gram entry \(0, 1\): the kernel value is not") as info:
+            kk.gram(kk.KernelDefinition(arch), pts)
+    assert info.value.location == (0, 1)
 
 
 _KINDS = (act.linear(), act.erf(), act.tanh(), act.polynomial((0.0, 1.0, -0.3, 0.2)))

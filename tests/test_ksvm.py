@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -260,7 +261,8 @@ def test_check_system_accepts_exactly_what_the_tolerance_test_accepted(n, data):
             gram[i, j] = gram[j, i] = data.draw(st.sampled_from([math.inf, -math.inf]))
         elif change != "none":
             gram[i, j] = math.nan if change == "nan" else math.inf
-    assert _accepts(gram) == _allclose_symmetric(gram)
+    # a non-finite Gram is refused before the tolerance test runs
+    assert _accepts(gram) == (_allclose_symmetric(gram) and bool(np.isfinite(gram).all()))
 
 
 @pytest.mark.filterwarnings(_INF_ATOL)
@@ -274,8 +276,18 @@ def test_check_system_accepts_exactly_what_the_tolerance_test_accepted(n, data):
     ([[1.0, 0.5 + 4e-12], [0.5, 2.0]], False),
 ])
 def test_check_system_edge_cases(gram, accepted):
+    # ``accepted`` is the tolerance test's verdict; a non-finite Gram is refused anyway
     gram = np.array(gram)
-    assert _accepts(gram) is accepted is _allclose_symmetric(gram)
+    assert accepted is _allclose_symmetric(gram)
+    assert _accepts(gram) is (accepted and bool(np.isfinite(gram).all()))
+
+
+def test_check_system_refuses_a_non_finite_gram_before_its_tolerance():
+    # the inf made the tolerance 1e-12 * max|G| infinite, so this asymmetric Gram passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gram must be finite"):
+            ksvm._check_system(np.array([[math.inf, 1.0], [5.0, 1.0]]), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

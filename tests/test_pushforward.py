@@ -53,12 +53,12 @@ def test_multinomial_values():
 
 def test_monomial_features_values():
     v = pf.monomial_features(np.array([2.0, 3.0]), 3)
-    assert v.value_at((1, 2)) == 18.0
-    assert v.value_at((0, 0)) == 1.0
-    assert v.value_at((3, 0)) == 8.0
+    assert v.entries.get((1, 2), 0.0) == 18.0
+    assert v.entries.get((0, 0), 0.0) == 1.0
+    assert v.entries.get((3, 0), 0.0) == 8.0
     assert v.entries[(1, 2)] == 18.0
-    assert v.value_at((2, 2)) == 0.0  # degree above the truncation
-    assert v.value_at((1, 1, 0)) == 0.0  # another dimension
+    assert v.entries.get((2, 2), 0.0) == 0.0  # degree above the truncation
+    assert v.entries.get((1, 1, 0), 0.0) == 0.0  # another dimension
 
 
 def test_monomial_features_all_ones():
@@ -103,23 +103,23 @@ def test_gamma_matches_brute_force_monomial_power(n, p):
     expected = _expand_power_sum(n, p)
     a_p = act.taylor_coefficient(spec, p)
     for expo, c in expected.items():
-        assert gamma.value_at(expo) == pytest.approx(float(c) * a_p, rel=1e-15), expo
+        assert gamma.entries.get(expo, 0.0) == pytest.approx(float(c) * a_p, rel=1e-15), expo
     # degree-p entries not present in the expansion must be absent/zero
     for expo in pf.iter_exponents(n, max(p, 1)):
         if sum(expo) == p and expo not in expected:
-            assert gamma.value_at(expo) == 0.0
+            assert gamma.entries.get(expo, 0.0) == 0.0
 
 
 def test_gamma_quadratic_example():
     g = pf.gamma_weights(act.polynomial((0.0, 1.0, 1.0)), 2, 2)
-    assert g.value_at((2, 0)) == 1.0
-    assert g.value_at((1, 1)) == 2.0
-    assert g.value_at((0, 2)) == 1.0
+    assert g.entries.get((2, 0), 0.0) == 1.0
+    assert g.entries.get((1, 1), 0.0) == 2.0
+    assert g.entries.get((0, 2), 0.0) == 1.0
 
 
 def test_gamma_constant_term():
     g = pf.gamma_weights(act.logistic(), 3, 2)
-    assert g.value_at((0, 0, 0)) == pytest.approx(0.5)
+    assert g.entries.get((0, 0, 0), 0.0) == pytest.approx(0.5)
 
 
 def test_gamma_linear_is_indicator_of_degree_one():
@@ -134,14 +134,24 @@ def test_gamma_general_formula_spot_checks():
     g = pf.gamma_weights(act.tanh(), 2, 5)
     a3 = act.taylor_coefficient(act.tanh(), 3)
     a5 = act.taylor_coefficient(act.tanh(), 5)
-    assert g.value_at((2, 1)) == pytest.approx(3.0 * a3, rel=1e-15)
-    assert g.value_at((3, 2)) == pytest.approx(10.0 * a5, rel=1e-15)
-    assert g.value_at((1, 1)) == 0.0  # tanh has no even terms
+    assert g.entries.get((2, 1), 0.0) == pytest.approx(3.0 * a3, rel=1e-15)
+    assert g.entries.get((3, 2), 0.0) == pytest.approx(10.0 * a5, rel=1e-15)
+    assert g.entries.get((1, 1), 0.0) == 0.0  # tanh has no even terms
 
 
 # ---------------------------------------------------------------------------
 # the scalar push-forward identity
 # ---------------------------------------------------------------------------
+
+def pushforward_sides(spec, vectors, mu, truncation):
+    """(lhs, rhs) of the identity: lhs = sigma(sum_j mu_j prod_v v_j); rhs
+    re-assembles it from the pushed metric gamma o phi(mu) and the monomial
+    features of every vector, up to the truncation degree."""
+    lhs = act.evaluate(spec, float(np.sum(mu * np.prod(np.stack(vectors), axis=0))))
+    gamma = pf.gamma_weights(spec, mu.size, truncation)
+    features = [pf.monomial_features(v, truncation) for v in (mu, *vectors)]
+    return lhs, pf.flat_inner(gamma, *features)
+
 
 def test_pushforward_polynomial_is_exact():
     rng = np.random.default_rng(7)
@@ -149,7 +159,7 @@ def test_pushforward_polynomial_is_exact():
     for m in (1, 2, 3):
         vecs = [rng.uniform(-0.9, 0.9, size=3) for _ in range(m)]
         mu = rng.uniform(0.2, 1.0, size=3)
-        lhs, rhs = pf.pushforward_check(spec, vecs, mu, truncation=3)
+        lhs, rhs = pushforward_sides(spec, vecs, mu, truncation=3)
         assert rhs == pytest.approx(lhs, abs=1e-12)
 
 
@@ -160,13 +170,13 @@ def test_pushforward_erf_tail():
         x = rng.uniform(-0.5, 0.5, size=2)
         xp = rng.uniform(-0.5, 0.5, size=2)
         mu = np.ones(2)
-        lhs, rhs = pf.pushforward_check(spec, [x, xp], mu, truncation=12)
+        lhs, rhs = pushforward_sides(spec, [x, xp], mu, truncation=12)
         assert abs(lhs - rhs) <= 1e-8
 
 
 def test_pushforward_linear_single_vector():
     x = np.array([0.3, -0.7, 2.0])
-    lhs, rhs = pf.pushforward_check(act.linear(), [x], np.ones(3), truncation=1)
+    lhs, rhs = pushforward_sides(act.linear(), [x], np.ones(3), truncation=1)
     assert lhs == pytest.approx(float(np.sum(x)))
     assert rhs == pytest.approx(lhs, abs=1e-14)
 
