@@ -78,12 +78,17 @@ def chain_intervals(arch, weights, variant="associated"):
     """Per-layer sup of |arguments| over all penalty chains.
 
     Lipschitz constants taken on [0, m_k] with these m_k are valid for every
-    inequality the penalty chains enter.
+    inequality the penalty chains enter.  DomainError names the first layer
+    whose argument is not finite (the layers below overflowed).
     """
     recorder = [0.0] * arch.depth
-    for q in range(arch.depth):
-        layer_penalty(arch, weights, q, variant, recorder=recorder)
-    flat_penalty(arch, weights, variant, recorder=recorder)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for q in range(arch.depth):
+            layer_penalty(arch, weights, q, variant, recorder=recorder)
+        flat_penalty(arch, weights, variant, recorder=recorder)
+    for q, m in enumerate(recorder):
+        if not math.isfinite(m):
+            raise DomainError(f"layer {q}: a penalty-chain argument overflowed to {m}", layer=q)
     return recorder
 
 
@@ -127,13 +132,20 @@ class BoundReport:
     sample_size: int
 
 
+def _bound_product(*factors):
+    """The product of nonnegative bound factors; 0 when any factor is 0, even next to
+    an overflowed one: a zero-radius ball, or a sample every function maps to 0,
+    leaves a single function."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
+
+
 def rademacher_bound_ball(ball_radius, kernel_trace_mean, n):
-    """sqrt(ball_radius * mean Kbar(x, x) / n)."""
+    """sqrt(ball_radius * mean Kbar(x, x) / n); 0 for a zero-radius ball."""
     if ball_radius < 0 or kernel_trace_mean < 0:
         raise ValueError("ball radius and kernel trace must be nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
-    return math.sqrt(ball_radius * kernel_trace_mean / n)
+    return math.sqrt(_bound_product(ball_radius, kernel_trace_mean) / n)
 
 
 def _sample_array(arch, sample):
@@ -188,7 +200,7 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None):
     sq_mean = float(np.mean(np.sum(xs * xs, axis=1)))
     if all(s.kind == "linear" for s in arch.activations):
         report.bound_linear = math.sqrt(
-            _power(width_gm * lip * radius, arch.depth) * sq_mean / count
+            _bound_product(_power(width_gm * lip * radius, arch.depth), sq_mean) / count
         )
     if all(act.is_odd_concave(s) for s in arch.activations):
         report.bound_growth = tight_bound(arch, radius, xs, count).general
@@ -236,13 +248,13 @@ def tight_bound(arch, radius, sample, n=None):
     prefactor = max(1.0, _power(float(radius), d)) / math.sqrt(count)
     sq = np.sum(xs * xs, axis=1)
     env = growth_envelope(arch, np.sqrt(sq))
-    general = prefactor * math.sqrt(float(np.mean(env * env)))
+    general = _bound_product(prefactor, math.sqrt(float(np.mean(env * env))))
 
     width_gm, lip, _ = netcore.geometric_means(arch)  # m = inf
     lipschitz_form = None
     if lip is not None:
-        lipschitz_form = prefactor * (d * math.sqrt(width_gm) * lip) ** d * math.sqrt(
-            float(np.mean(sq))
+        lipschitz_form = _bound_product(
+            prefactor, _power(d * math.sqrt(width_gm) * lip, d), math.sqrt(float(np.mean(sq)))
         )
 
     bounded = [q for q, s in enumerate(arch.activations) if act.is_bounded_by_one(s)]
@@ -257,9 +269,10 @@ def tight_bound(arch, radius, sample, n=None):
         if tail_lips is not None:
             bounded_layer = q
             tail_widths = [float(h) for h in arch.widths[q + 1 :]]
-            bounded_form = prefactor * (
-                d * math.sqrt(netcore._geomean(tail_widths)) * netcore._geomean(tail_lips)
-            ) ** (d - q - 1)
+            bounded_form = prefactor * _power(
+                d * math.sqrt(netcore._geomean(tail_widths)) * netcore._geomean(tail_lips),
+                d - q - 1,
+            )
     return TightBound(general, lipschitz_form, bounded_form, bounded_layer)
 
 
@@ -273,7 +286,10 @@ def _hypothesis_block(arch, radius, xs, rng, k):
     Each draw takes its standard normals for all layers in one run of the
     stream (draw-major), so the stream is consumed the same way whatever k
     is.  Draws outside the ball or leaving a pole-limited domain get NaN
-    rows; the caller rejects every row that is not finite.
+    rows; the caller rejects every row that is not finite.  ``xs`` is a
+    checked sample (see _sample_array) and the draws have the architecture's
+    shapes by construction, so the block goes through the unchecked pass as
+    drawn: each stacked row is bit-equal to its own draw's pass.
     """
     shapes = arch.layer_shapes()
     z = rng.standard_normal((k, sum(h * f for h, f in shapes)))
@@ -282,20 +298,17 @@ def _hypothesis_block(arch, radius, xs, rng, k):
         std = math.sqrt(0.5 * radius / (h * f))  # the expected ball radius is half the target
         mats.append(std * z[:, start : start + h * f].reshape(k, h, f))
         start += h * f
-    values = np.full((k, xs.shape[0]), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite draws are rejected
         # weight_ball_radius per draw, summed in the same order
         inside = (1.0 / arch.depth) * sum(np.sum(w * w, axis=(1, 2)) for w in mats) <= radius
         try:
-            values[inside] = netcore.forward_batch(
-                arch, netcore.WeightSet(tuple(w[inside] for w in mats)), xs
-            )
+            values = netcore.propagate(arch, mats, xs.T)[1][-1][:, 0, :]
         except DomainError:  # reject only the draws whose own pass leaves the domain
+            values = np.full((k, xs.shape[0]), np.nan)
             for i in np.flatnonzero(inside):
                 with contextlib.suppress(DomainError):
-                    values[i] = netcore.forward_batch(
-                        arch, netcore.WeightSet(tuple(w[i] for w in mats)), xs
-                    )
+                    values[i] = netcore.propagate(arch, [w[i] for w in mats], xs.T)[1][-1][0]
+    values[~inside] = np.nan
     return values
 
 
@@ -349,8 +362,8 @@ def empirical_rademacher(
     n = xs.shape[0]
     pool_rng, sign_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
 
-    # per draw: its normals, weights and their copy, every layer's pre- and
-    # post-activations and its output row
+    # per draw, at most: its normals, weights and their squares, every layer's
+    # pre- and post-activations and an output row
     params = sum(h * f for h, f in arch.layer_shapes())
     per_block = max(1, _BLOCK_BYTES // (8 * (3 * params + (2 * sum(arch.widths) + 1) * n)))
     pool = np.empty((draws, n))
@@ -374,12 +387,13 @@ def empirical_rademacher(
         )
     pool = _exact_grid(pool, n)
 
-    # per trial: its signs as integers and floats, and the product column and its abs
-    per_block = max(1, _BLOCK_BYTES // (16 * (n + pool.shape[0])))
+    # per trial: its signs as integers and floats, and its product row (abs in place)
+    per_block = max(1, _BLOCK_BYTES // (8 * (2 * n + pool.shape[0])))
     peaks = np.empty(trials)
     for start in range(0, trials, per_block):
         eps = sign_rng.integers(0, 2, size=(min(per_block, trials - start), n)) * 2.0 - 1.0
-        np.max(np.abs(pool @ eps.T), axis=0, out=peaks[start : start + eps.shape[0]])
+        products = eps @ pool.T
+        np.max(np.abs(products, out=products), axis=1, out=peaks[start : start + eps.shape[0]])
     return float(np.mean(peaks)) / n
 
 

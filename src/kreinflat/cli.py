@@ -164,6 +164,12 @@ def _activation_from_entry(entry):
     try:
         if isinstance(entry, str):
             return act.ActivationSpec(entry)
+        unknown = [name for name in entry if name != "kind" and name not in _ACTIVATION_FIELDS]
+        if unknown:
+            fields = ", ".join(("kind", *_ACTIVATION_FIELDS))
+            raise ConfigError(f"unknown field {unknown[0]!r} (the fields are {fields})")
+        if "kind" not in entry:
+            raise ConfigError("missing field 'kind'")
         for name, type_ in _ACTIVATION_FIELDS.items():
             if entry.get(name) is not None:
                 _checked(name, Key(type_, ()), entry[name])

@@ -116,7 +116,13 @@ def _layers(arch, weights, xs, stack=()):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
         raise ValueError(f"inputs must have shape (N, {arch.input_dim}), got {xs.shape}")
-    z = xs.T
+    return propagate(arch, weights, xs.T)
+
+
+def propagate(arch, weights, z):
+    """Pre- and post-activation arrays per layer from the (D, N) inputs ``z``, as
+    _layers gives them but without its checks: for callers that check the inputs
+    and weight shapes once for many passes."""
     pres, posts = [], []
     for q, w in enumerate(weights):
         pres.append(w @ z)

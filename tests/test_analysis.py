@@ -119,6 +119,13 @@ def test_chain_intervals_hand_computed():
     assert got == [3.0, 15.0]
 
 
+def test_chain_intervals_name_the_layer_whose_argument_overflows():
+    arch = netcore.Architecture(3, (3, 3, 1), (act.erf(), act.erf(), act.exp()))
+    with pytest.raises(DomainError, match="layer 2: .* overflowed to inf") as info:
+        analysis.chain_intervals(arch, netcore.init_weights(arch, 0))
+    assert info.value.layer == 2
+
+
 def test_chain_intervals_cover_penalty_arguments():
     rng = np.random.default_rng(3)
     arch = netcore.Architecture(2, (3, 1), (act.erf(), act.tanh()))
@@ -353,6 +360,20 @@ def test_growth_envelope_rejects_non_qualifying():
         analysis.growth_envelope(arch, 0.5)
 
 
+def test_a_zero_factor_makes_a_bound_zero_next_to_an_overflowed_one():
+    assert analysis.rademacher_bound_ball(0.0, math.inf, 5) == 0.0
+    assert analysis.rademacher_bound_ball(math.inf, 0.0, 5) == 0.0
+    # squares of the sample overflow, the radius is 0
+    huge = np.array([[1e200, 0.0], [0.0, 1e200]])
+    with np.errstate(over="ignore"):
+        assert analysis.rademacher_bound_net(lin_arch(2, (2, 1)), 0.0, huge).bound_linear == 0.0
+    # radius^depth overflows, the sample is all zeros
+    zeros = np.zeros((3, 2))
+    for arch in (lin_arch(2, (2, 1)), netcore.Architecture(2, (2, 1), (act.tanh(), act.erf()))):
+        tight = analysis.tight_bound(arch, 1e308, zeros)
+        assert tight.general == tight.lipschitz_form == 0.0
+
+
 def test_tight_bound_linear_frozen_values():
     arch = lin_arch(3, (4, 1))
     xs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -535,11 +556,13 @@ def test_empirical_rademacher_matches_per_draw_reference(case, monkeypatch):
         assert reasons[reason] > 0  # the case really takes its rejection path
     got = analysis.empirical_rademacher(arch, radius, xs, trials=45, hypothesis_draws=60, seed=5)
     assert got == want
-    with monkeypatch.context() as mp:  # one draw and one trial per block
-        mp.setattr(analysis, "_BLOCK_BYTES", 1)
-        assert analysis.empirical_rademacher(
-            arch, radius, xs, trials=45, hypothesis_draws=60, seed=5
-        ) == want
+    # one draw and one trial per block, then every draw and every trial in one block
+    for budget in (1, 1 << 26):
+        with monkeypatch.context() as mp:
+            mp.setattr(analysis, "_BLOCK_BYTES", budget)
+            assert analysis.empirical_rademacher(
+                arch, radius, xs, trials=45, hypothesis_draws=60, seed=5
+            ) == want
 
 
 def test_hypothesis_block_rejects_only_the_draws_leaving_the_domain():

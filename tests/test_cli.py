@@ -973,10 +973,11 @@ def test_non_finite_activation_parameter_exits_2(tmp_path, capsys, entry):
     ({"kind": "relu_surrogate", "sharpness": True}, "'sharpness' must be a finite number"),
     ({"kind": "relu_surrogate", "sharpness": "0.5"}, "'sharpness' must be a finite number"),
     # fields the table does not list are not activation fields
-    ({"kind": "tanh", "max_terms": 12}, "unexpected keyword argument 'max_terms'"),
-    ({"kind": "tanh", "terms": 2}, "unexpected keyword argument 'terms'"),
+    ({"kind": "tanh", "max_terms": 12}, "unknown field 'max_terms'"),
+    ({"kind": "tanh", "terms": 2}, "unknown field 'terms'"),
     ({"kind": "polynomial", "coefficients": [0.0, True]},
      "'coefficients' must be a list, each a finite number"),
+    ({"sharpness": 2}, "missing field 'kind'"),
 ])
 @pytest.mark.parametrize("command", ["flatten", "kernel"])
 def test_activation_fields_take_the_config_table_types(tmp_path, capsys, command, entry, message):
@@ -1098,6 +1099,25 @@ def test_overflowing_bounds_report_inf(tmp_path, capsys, activations):
     assert res["svm_ball_radius"] == res["bound_kernel_trace"] == "inf"
     assert res["tight"]["general"] == "inf"
     assert res["bound_linear"] == ("inf" if activations[0] == "linear" else None)
+
+
+def test_zero_radius_bounds_are_zero_not_nan(tmp_path, capsys):
+    # the associated chain of relu_surrogate overflows on inputs of scale 10: an
+    # infinite kernel trace times a zero-radius ball
+    xs = np.linspace(-10.0, 10.0, 5)[:, None]
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [1],
+                         "activations": [{"kind": "relu_surrogate", "sharpness": 0.5}]},
+        "dataset": write_dataset(tmp_path / "data.csv", xs, np.ones(5)),
+        "reg_scale": 0,
+        "trials": 3,
+    }
+    assert run("bounds", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+    text = capsys.readouterr().out
+    assert "nan" not in text
+    res = json.loads(text)["results"]
+    assert res["kernel_trace_mean"] == "inf"
+    assert res["svm_ball_radius"] == res["bound_kernel_trace"] == res["empirical_estimate"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1263,6 +1283,21 @@ def test_sparsity_warns_on_inadmissible_weights(tmp_path, capsys):
     assert run("sparsity", cfg) == 0
     report = json.loads(capsys.readouterr().out)
     assert any("admissibility" in w for w in report["warnings"])
+
+
+def test_sparsity_overflowing_interval_exits_3_naming_the_layer(tmp_path, capsys):
+    # the realized intervals are [3, 4889.98..., inf]: erfi overflows below layer 2
+    cfg_obj = {
+        "architecture": {"input_dim": 3, "widths": [3, 3, 1],
+                         "activations": ["erf", "erf", "exp"]},
+        "truncation": 2,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
+    assert capsys.readouterr().err == (
+        "numerical domain failure: layer 2: a penalty-chain argument overflowed to inf\n"
+    )
 
 
 # ---------------------------------------------------------------------------
