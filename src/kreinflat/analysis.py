@@ -26,6 +26,13 @@ from .errors import DomainError
 _BLOCK_BYTES = 512 << 10
 
 
+def squared_norms(xs):
+    """Each row's squared Euclidean norm; inf past the float range, without a
+    warning, since the bounds read inf as vacuous."""
+    with np.errstate(over="ignore"):
+        return np.sum(xs * xs, axis=1)
+
+
 def _is_associated(variant):
     if variant not in kk.VARIANTS:
         raise ValueError(f"variant must be one of {kk.VARIANTS}")
@@ -180,8 +187,9 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None):
             "the kernel-trace bound is unavailable"
         )
     ball = svm_ball_radius(radius, lip, arch.depth)
+    sq = squared_norms(xs)
     try:
-        trace = float(np.mean(kk.chain(arch, np.sum(xs * xs, axis=1), associated=True)))
+        trace = float(np.mean(kk.chain(arch, sq, associated=True)))
     except DomainError as exc:
         i = exc.location
         raise DomainError(f"sample {i}: {exc}", layer=exc.layer, location=i) from exc
@@ -197,7 +205,7 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None):
         empirical_estimate=None,
         sample_size=count,
     )
-    sq_mean = float(np.mean(np.sum(xs * xs, axis=1)))
+    sq_mean = float(np.mean(sq))
     if all(s.kind == "linear" for s in arch.activations):
         report.bound_linear = math.sqrt(
             _bound_product(_power(width_gm * lip * radius, arch.depth), sq_mean) / count
@@ -246,7 +254,7 @@ def tight_bound(arch, radius, sample, n=None):
     count = xs.shape[0] if n is None else int(n)
     d = arch.depth
     prefactor = max(1.0, _power(float(radius), d)) / math.sqrt(count)
-    sq = np.sum(xs * xs, axis=1)
+    sq = squared_norms(xs)
     env = growth_envelope(arch, np.sqrt(sq))
     general = _bound_product(prefactor, math.sqrt(float(np.mean(env * env))))
 

@@ -521,7 +521,7 @@ def run_bounds(cfg, out=None):
         except ValueError as exc:
             warnings.append(f"tight bound precondition not met: {exc}")
     diagnostics = {
-        "mean_input_norm_sq": float(np.mean(np.sum(xs * xs, axis=1))),
+        "mean_input_norm_sq": float(np.mean(analysis.squared_norms(xs))),
         "sample_rows": int(xs.shape[0]),
     }
     return _report(cfg, results, diagnostics, warnings)

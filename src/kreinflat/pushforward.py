@@ -22,16 +22,19 @@ f(x) = sum_i g_i v_i phi_i(x):
 
 Index storage is flat numpy: packed (slot, exponent) term arrays per level,
 enumerated by count pattern (how many slots each group of equal composed
-degree gives), plus per-index gamma coefficients, metric values, composed
-input exponents and per-block degree profiles.  Each level also caches its
-dump layout (tags, sort order, line prefixes) once a dump asks for it.  A size
-guard (SizeLimitError) bounds the materialized entry count; exact per-level
-counts are available cheaply via level_counts() without enumerating anything.
+degree gives), plus per-index gamma coefficients, metric values and per-block
+degree profiles.  Each level builds its composed input exponents and caches
+its dump layout (tags, sort order, line prefixes) once something reads them.
+A size guard (SizeLimitError) bounds the materialized entry count; exact
+per-level counts are available cheaply (and memoised) via level_counts()
+without enumerating anything.  flat_space keeps built towers within a byte
+budget.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -69,18 +72,28 @@ def multinomial(exponents):
 _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
+# k! for k <= 20, the factorials that fit in int64
+_INT64_FACTORIALS = np.array([math.factorial(k) for k in range(21)], dtype=np.int64)
+
+
 def _multinomials(exps, level=None):
     """Row-wise multinomial of a nonnegative (m, w) exponent array, as floats.
 
     Exact integers from a factorial table, each rounded once, so every value
-    equals float(multinomial(row)).  Rows are keyed by their degree and sorted
-    exponents, so each distinct multiset is computed once.  A value past the
-    float range raises DomainError naming the least such degree (and the tower
-    ``level`` when given).
+    equals float(multinomial(row)).  Up to degree 20 the table is int64: every
+    factorial fits, and prod_j e_j! divides (sum_j e_j)!, so no product
+    overflows.  Above it, rows are keyed by their degree and sorted exponents,
+    so each distinct multiset is computed once with Python integers.  A value
+    past the float range raises DomainError naming the least such degree (and
+    the tower ``level`` when given).
     """
-    exps = np.sort(np.asarray(exps, dtype=np.int64), axis=1)
+    exps = np.asarray(exps, dtype=np.int64)
     degrees = exps.sum(axis=1)
     top = int(degrees.max(initial=0))
+    if top < len(_INT64_FACTORIALS):
+        fact = _INT64_FACTORIALS
+        return (fact[degrees] // np.prod(fact[exps], axis=1)).astype(float)
+    exps = np.sort(exps, axis=1)
     keys = _packed_keys(np.column_stack([degrees, exps]), top + 1)
     order = np.lexsort(keys[::-1])
     heads = np.ones(len(order), dtype=bool)
@@ -156,6 +169,8 @@ class SeriesVector:
         An exponent tuple has one entry per position of the space: an input
         coordinate for plain vectors and level 0, a slot above level 0.
         """
+        if self.values.ndim != 1:
+            raise ValueError("a stacked vector has no entries; take row j with like(values[j])")
         if self._entries is None:
             rows = self._space.exponent_rows().tolist()
             self._entries = {
@@ -321,12 +336,12 @@ class _Level(_IndexSpace):
         "gamma",
         "metric",
         "block_profile",
-        "xexp",
         "prev",
         "max_exp",
         "_tables",
         "_tags",
         "_stable_cache",
+        "_xexp",
     )
 
     def _pairs(self):
@@ -357,8 +372,39 @@ class _Level(_IndexSpace):
                 ]
         return self._stable_cache
 
+    @property
+    def xexp(self):
+        """Composed input exponents per stored index, (m, D), built at first read.
+
+        Level 0's are its dense exponents.  Above it a slot carries the
+        exponents of its index on the level below (the pad slot carries 0),
+        and only dump layouts read them.
+        """
+        if self._xexp is None:
+            if self.level == 0:
+                self._xexp = np.ascontiguousarray(self.exponent_rows())
+            else:
+                below = self.prev.xexp
+                padded = np.vstack([below, np.zeros_like(below[:1])])
+                child = np.append(self.slot_prev, len(below))[self.terms_pos]
+                self._xexp = np.einsum("mw,mwd->md", self.terms_exp, padded[child])
+        return self._xexp
+
     def composed_exponents(self):
         return self.xexp
+
+    def nbytes(self):
+        """Bytes held by the level's arrays, compose tables and dump layout."""
+        arrays = [
+            self.slot_block, self.slot_prev, self.terms_pos, self.terms_exp,
+            self.own_degree, self.composed_degree, self.gamma, self.metric,
+            self.block_profile, self._xexp,
+        ]
+        for slots, exps, gather in self._tables.values():
+            arrays += [slots, exps, *gather]
+        if self._layout is not None:
+            arrays += list(self._layout)
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def tags(self):
         """Tags built once, bottom-up from the tags of the level below.
@@ -402,11 +448,16 @@ class _Level(_IndexSpace):
             if self.n_slots % period:
                 raise ValueError(f"{period} values do not tile {self.n_slots} slots")
             e = self.terms_exp
-            slot = self.terms_pos % period
+            slot = (np.arange(self.n_slots + 1) % period)[self.terms_pos]  # pad slot: 0
             high = e >= 2
-            pairs, pair_id = np.unique(slot[high] * (self.max_exp + 1) + e[high], return_inverse=True)
+            # a bitmap over every (slot, exponent) code: its set cells in
+            # order are the used pairs, its running count their ranks
+            codes = slot[high] * (self.max_exp + 1) + e[high]
+            used = np.zeros(period * (self.max_exp + 1), dtype=bool)
+            used[codes] = True
             index = np.where(e == 0, 0, 1 + slot)
-            index[high] = 1 + period + pair_id
+            index[high] = period + np.cumsum(used)[codes]
+            pairs = np.flatnonzero(used)
             # columns copied contiguous: take is slower over strided indices
             self._tables[period] = (*divmod(pairs, self.max_exp + 1), list(index.T.copy()))
         return self._tables[period]
@@ -452,17 +503,81 @@ class FlatSpace:
     def top(self):
         return self.levels[-1]
 
+    def nbytes(self):
+        return sum(lv.nbytes() for lv in self.levels)
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses entries nbytes budget")
+
+
+class _LRUCache:
+    """A least-recently-used map whose values' summed sizes stay within a budget.
+
+    Sizes are read again on every insertion, since a value may grow after it
+    is cached (a tower builds its tables and dump layouts lazily).  Insertion
+    evicts the least recently used values until the rest fit, so a value
+    larger than the whole budget is not kept.
+    """
+
+    def __init__(self, budget, size):
+        self.budget = budget
+        self._size = size
+        self._values = {}  # least recently used first
+        self.hits = self.misses = 0
+
+    def get(self, key):
+        """The value under key, marked most recent, or None."""
+        value = self._values.pop(key, None)
+        if value is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._values[key] = value
+        return value
+
+    def put(self, key, value):
+        self._values.pop(key, None)
+        self._values[key] = value
+        sizes = {k: self._size(v) for k, v in self._values.items()}
+        total = sum(sizes.values())
+        for k, size in sizes.items():
+            if total <= self.budget:
+                break
+            del self._values[k]
+            total -= size
+
+    def info(self):
+        nbytes = sum(self._size(v) for v in self._values.values())
+        return CacheInfo(self.hits, self.misses, len(self._values), nbytes, self.budget)
+
+
+# Level counts memoised per (arch, truncation), at most this many in all.
+_COUNTS = _LRUCache(1024, len)
+
 
 def level_counts(arch, truncation, max_entries=None):
     """Exact stored-index count per level, computed without enumeration.
 
-    Dynamic program over (composed degree, own degree) using the multiset
-    generating function of the slot histogram; used both by the size guard
-    and by architecture generators that must stay desk-sized.  With
-    max_entries, SizeLimitError as soon as a level's partial count passes it:
-    that count only grows as slot groups are added.
+    Memoised per (arch, truncation).  With max_entries, SizeLimitError when a
+    level's count passes it; memoised counts answer that check, and a refused
+    call reruns the count, which stops as soon as a partial count passes.
     """
     trunc = int(truncation)
+    counts = _COUNTS.get((arch, trunc))
+    if counts is None or (max_entries is not None and max(counts, default=0) > max_entries):
+        counts = _count_levels(arch, trunc, max_entries)
+        _COUNTS.put((arch, trunc), counts)
+    return list(counts)
+
+
+def _count_levels(arch, trunc, max_entries):
+    """level_counts' dynamic program over (composed degree, own degree).
+
+    It uses the multiset generating function of the slot histogram; used both
+    by the size guard and by architecture generators that must stay
+    desk-sized.  With max_entries, SizeLimitError as soon as a level's partial
+    count passes it: that count only grows as slot groups are added.
+    """
     counts = []
     # histogram of composed degree over stored indices of the previous level
     hist = {1: arch.input_dim}  # level-0 "slots" are the D inputs, degree 1
@@ -497,7 +612,7 @@ def level_counts(arch, truncation, max_entries=None):
                 level_hist[t] = level_hist.get(t, 0) + ways
         counts.append(stored)
         hist = level_hist
-    return counts
+    return tuple(counts)
 
 
 def _ranges(sizes):
@@ -543,8 +658,9 @@ def _level_indices(slot_cdeg, supp, trunc):
     Returns (own degree, composed degree, slots, exponents); slots and
     exponents are (m, w) with pads -1 and 0.
     """
-    supp = np.asarray(supp, dtype=np.int64)
-    max_own = int(supp.max(initial=0))
+    max_own = max(supp, default=0)
+    stored = np.zeros(max_own + 1, dtype=bool)  # own degree -> in supp
+    stored[list(supp)] = True
     cds, group = np.unique(slot_cdeg, return_inverse=True)
     # count patterns, group by group; a partial pattern that is not stored and
     # cannot take a slot of a later group is dropped
@@ -554,10 +670,10 @@ def _level_indices(slot_cdeg, supp, trunc):
         room = max_own - own if cd == 0 else np.minimum(max_own - own, (trunc - comp) // cd)
         row, add = _ranges(room + 1)
         own, comp = own[row] + add, comp[row] + add * cd
-        keep = np.isin(own, supp) | ((own < max_own) & (comp + nxt <= trunc))
+        keep = stored[own] | ((own < max_own) & (comp + nxt <= trunc))
         pattern = np.column_stack([pattern[row], add])[keep]
         own, comp = own[keep], comp[keep]
-    keep = np.isin(own, supp)
+    keep = stored[own]
     pattern, own, comp = pattern[keep], own[keep], comp[keep]
     # a row's offset in its pattern's product, read in mixed radix, picks one
     # multiset per group
@@ -571,38 +687,32 @@ def _level_indices(slot_cdeg, supp, trunc):
     # hold a code above every pair while rows are sorted, then 0
     radix = max_own + 1
     pad = (len(slot_cdeg) + 1) * radix
-    codes = np.full((len(rows), max_own), pad, dtype=np.int64)
-    free = np.arange(len(rows)) * max_own  # each row's next flat cell
+    parts = [np.empty((len(rows), 0), dtype=np.int64)]
     for g, (index, count, starts) in enumerate(tables):
         k = pattern[rows, g]
-        n = np.diff(starts)[k]
-        pick = starts[k] + offset % n
-        offset //= n
+        offset, digit = np.divmod(offset, np.diff(starts)[k])
         slot = np.flatnonzero(group == g)[index] + 1
-        for col in np.where(count > 0, slot * radix + count, 0)[pick].T:
-            r = np.flatnonzero(col)
-            codes.reshape(-1)[free[r]] = col[r]
-            free[r] += 1
+        parts.append(np.where(count > 0, slot * radix + count, pad).take(starts[k] + digit, axis=0))
+    codes = np.concatenate(parts, axis=1)
     codes.sort(axis=1)
-    codes = codes[:, : int(np.count_nonzero(codes < pad, axis=1).max(initial=0))]
+    codes = codes[:, : int(np.count_nonzero(codes.min(axis=0, initial=pad) < pad))]
     codes[codes == pad] = 0  # so a pair tuple sorts before its extensions
     own, comp = own[rows], comp[rows]
     order = np.lexsort(_packed_keys(np.column_stack([own, codes]), pad)[::-1])
-    codes = codes[order]
-    return own[order], comp[order], codes // radix - 1, codes % radix
+    slot, exp = np.divmod(codes[order], radix)
+    return own[order], comp[order], slot - 1, exp
 
 
 def _pack_level(level_no, arch, prev, trunc):
     lv = _Level.__new__(_Level)
     lv.level = level_no
     lv.prev = prev
-    lv._layout = lv._tags = lv._stable_cache = None
+    lv._layout = lv._tags = lv._stable_cache = lv._xexp = None
     lv._tables = {}  # compose()'s exponents and gather columns per period
     if level_no == 0:
         lv.n_slots = arch.input_dim
         lv.slot_block = lv.slot_prev = None
         slot_cdeg = np.ones(arch.input_dim, dtype=np.int64)
-        slot_xexp = np.eye(arch.input_dim, dtype=np.int64)
     else:
         h = arch.widths[level_no - 1]
         n_prev = len(prev.own_degree)
@@ -610,7 +720,6 @@ def _pack_level(level_no, arch, prev, trunc):
         lv.slot_block = np.repeat(np.arange(h, dtype=np.int64), n_prev)
         lv.slot_prev = np.tile(np.arange(n_prev, dtype=np.int64), h)
         slot_cdeg = np.tile(prev.composed_degree, h)
-        slot_xexp = np.tile(prev.xexp, (h, 1))
 
     spec = arch.activations[level_no]
     own, comp, pos, exp = _level_indices(slot_cdeg, act.support_degrees(spec, trunc), trunc)
@@ -625,10 +734,7 @@ def _pack_level(level_no, arch, prev, trunc):
     lv.gamma = _multinomials(exp, level_no) * np.array(act.taylor_series(spec, trunc))[own]
     lv.max_exp = int(exp.max(initial=0))
 
-    # composed input exponents, and (above level 0) the per-block degree
-    # profile the weight generators need; the pad slot has exponent 0
-    padded_xexp = np.vstack([slot_xexp, np.zeros_like(slot_xexp[:1])])
-    lv.xexp = np.einsum("mw,mwd->md", exp, padded_xexp[lv.terms_pos])
+    # above level 0, the per-block degree profile the weight generators need
     lv.block_profile = None
     if level_no >= 1:  # exponent sums per (index, block): small integers, exact in float64
         cells = np.arange(m)[:, None] * h + np.append(lv.slot_block, 0)[lv.terms_pos]
@@ -640,7 +746,13 @@ def _pack_level(level_no, arch, prev, trunc):
     return lv
 
 
-@lru_cache(maxsize=24)
+# Byte ceiling on the towers flat_space keeps.  A tower holds about 250 bytes
+# per top-level entry once dumped, so a tower at the default size guard's
+# 200,000 entries takes about 50 MB.
+_TOWER_BYTES = 64 << 20
+_TOWERS = _LRUCache(_TOWER_BYTES, FlatSpace.nbytes)
+
+
 def _tower(arch, trunc):
     """Every level of the tower; each must store exactly level_counts' count."""
     counts = level_counts(arch, trunc)
@@ -660,17 +772,22 @@ def _tower(arch, trunc):
 def flat_space(arch, truncation, max_entries=DEFAULT_MAX_ENTRIES):
     """The flattening tower of an architecture, built once per (arch, truncation).
 
-    The size guard runs on every call, so a cached tower is still refused to
-    a caller whose max_entries it exceeds.
+    Towers are kept least recently used first within _TOWER_BYTES.  The size
+    guard runs on every call, so a cached tower is still refused to a caller
+    whose max_entries it exceeds.
     """
     trunc = int(truncation)
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
     level_counts(arch, trunc, max_entries)  # the size guard
-    return _tower(arch, trunc)
+    space = _TOWERS.get((arch, trunc))
+    if space is None:
+        space = _tower(arch, trunc)
+        _TOWERS.put((arch, trunc), space)
+    return space
 
 
-flat_space.cache_info = _tower.cache_info
+flat_space.cache_info = _TOWERS.info
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +835,17 @@ def _wrap(space, level, values):
     return SeriesVector(level.n_slots, space.truncation, values, level)
 
 
+def _level_index(arch, level):
+    """The tower level a ``level=`` argument names: the top for None."""
+    if level is None:
+        return arch.depth - 1
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
+        raise ValueError(f"level must be an integer, not {level!r}")
+    if not 0 <= level < arch.depth:
+        raise ValueError(f"level {level} is outside range({arch.depth})")
+    return int(level)
+
+
 def flatten_feature_map(
     arch, x, truncation=DEFAULT_TRUNCATION, *, level=None, max_entries=DEFAULT_MAX_ENTRIES
 ):
@@ -731,7 +859,7 @@ def flatten_feature_map(
     x = np.asarray(x, dtype=float)
     if x.shape != (arch.input_dim,):
         raise ValueError(f"input shape {x.shape} != ({arch.input_dim},)")
-    pick = arch.depth - 1 if level is None else int(level)
+    pick = _level_index(arch, level)
     return _wrap(space, space.levels[pick], _feature_values(space, x[None])[pick][0])
 
 
@@ -747,70 +875,93 @@ def flatten_metric(
     if variant not in ("krein", "associated"):
         raise ValueError(f"unknown variant {variant!r}")
     space = flat_space(arch, truncation, max_entries)
-    pick = arch.depth - 1 if level is None else int(level)
-    lv = space.levels[pick]
+    lv = space.levels[_level_index(arch, level)]
     vals = np.abs(lv.metric) if variant == "associated" else lv.metric.copy()
     return _wrap(space, lv, vals)
 
 
-def _weight_values(space, weights, q):
-    """Values of the pushed weight vector of layer q on the top level."""
-    arch = space.arch
-    d = arch.depth
+def _powers(w, base):
+    """prod_j w[..., r, j] ** base[i, j] per row r and index i, shape (..., R, n).
+
+    Bit-equal to np.prod(w[..., :, None, :] ** base, axis=-1): each power
+    w[..., r, j] ** e, for e up to the largest in base, comes once from an
+    elementwise np.power over an exponent array, and the same np.prod runs
+    over the powers gathered at every (i, j).
+    """
+    top = int(base.max(initial=0))
+    table = np.power(w[..., None], np.arange(top + 1))
+    table = table.reshape(w.shape[:-1] + (w.shape[-1] * (top + 1),))
+    return np.prod(table[..., np.arange(base.shape[1]) * (top + 1) + base], axis=-1)
+
+
+def _weight_values(space, mats, q):
+    """Pushed weight values of layer q on the top level, (k, m), for mats
+    stacked (k, H_q, H_{q-1}) per layer."""
     levels = space.levels
-    w = np.asarray(weights[q], dtype=float)
+    d = len(levels)
+    w = mats[q]
     if q == d - 1:
         # output layer: a single row, expanded directly on the top level
         top = levels[d - 1]
-        if d == 1:
-            vals = np.prod(w[0][None, :] ** top.xexp, axis=1)
-        else:
-            vals = np.prod(w[0][None, :] ** top.block_profile, axis=1)
-        return vals
-    # rows of W_q become per-block generator values on the slots of level q+1
-    stack = levels[q + 1]
-    if q == 0:
-        base = levels[0].xexp  # exponents over input coordinates
-    else:
-        base = levels[q].block_profile  # exponents over previous blocks
-    gen = np.prod(w[:, None, :] ** base[None, :, :], axis=2)  # (H_q, n_idx_q)
-    vals = stack.compose(gen.reshape(-1))
+        return _powers(w, top.xexp if d == 1 else top.block_profile)[:, 0]
+    # rows of W_q become per-block generator values on the slots of level q+1;
+    # their exponents are over input coordinates at q = 0, over blocks above
+    base = levels[0].xexp if q == 0 else levels[q].block_profile
+    gen = _powers(w, base)  # (k, H_q, n_idx_q)
+    vals = levels[q + 1].compose(gen.reshape(len(gen), math.prod(gen.shape[1:])))
     for lvl in range(q + 2, d):
         vals = levels[lvl].compose(vals)
     return vals
 
 
 def _checked_space(arch, weights, truncation, max_entries):
-    netcore.check_shapes(arch, weights)
-    return flat_space(arch, truncation, max_entries)
+    """(tower, weights as (k, H_q, H_{q-1}) arrays, stack shape) for weights
+    whose matrices all carry one leading stack shape."""
+    mats = [np.asarray(w, dtype=float) for w in weights]
+    stack = mats[0].shape[:-2] if mats else ()
+    netcore.check_shapes(arch, mats, stack)
+    stacked = [w.reshape((-1,) + w.shape[-2:]) for w in mats]
+    return flat_space(arch, truncation, max_entries), stacked, stack
 
 
 def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
     """Every layer's weights pushed to the top of the flat space, in one pass.
 
+    Batch-first: matrices stacked (k, H_q, H_{q-1}) give vectors holding
+    (k, m) values, row j bit-equal to pushing draw j alone;
+    ``vec.like(vec.values[j])`` is draw j's vector.  A WeightSet of plain
+    matrices is a stack of one, pushed to (m,) values.
+
     Returns (layers, flat): the per-layer vectors and their elementwise
     product, the flat machine's weight vector.
     """
-    space = _checked_space(arch, weights, truncation, max_entries)
-    layers = [_weight_values(space, weights, q) for q in range(arch.depth)]
-    flat = np.ones(len(space.top.own_degree))
+    space, mats, stack = _checked_space(arch, weights, truncation, max_entries)
+    layers = [_weight_values(space, mats, q) for q in range(arch.depth)]
+    flat = np.ones_like(layers[0])
     for vals in layers:
         flat = flat * vals
-    return [_wrap(space, space.top, v) for v in layers], _wrap(space, space.top, flat)
+    shape = stack + flat.shape[-1:]
+    return (
+        [_wrap(space, space.top, v.reshape(shape)) for v in layers],
+        _wrap(space, space.top, flat.reshape(shape)),
+    )
 
 
 def pushforward_weights(
     arch, weights, q, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES
 ):
-    """Layer q's weights pushed to the top of the flat space."""
-    space = _checked_space(arch, weights, truncation, max_entries)
+    """Layer q's weights pushed to the top of the flat space (batch-first, as
+    pushed_weights)."""
+    space, mats, stack = _checked_space(arch, weights, truncation, max_entries)
     if not 0 <= q < arch.depth:
         raise ValueError(f"layer {q} out of range")
-    return _wrap(space, space.top, _weight_values(space, weights, q))
+    vals = _weight_values(space, mats, q)
+    return _wrap(space, space.top, vals.reshape(stack + vals.shape[-1:]))
 
 
 def flat_weight(arch, weights, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
-    """The flat machine's weight vector: elementwise product over all layers."""
+    """The flat machine's weight vector: elementwise product over all layers
+    (batch-first, as pushed_weights)."""
     return pushed_weights(arch, weights, truncation, max_entries)[1]
 
 

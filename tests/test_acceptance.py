@@ -331,6 +331,12 @@ def test_criterion_06_associated_gram_positive_semidefinite():
 # 7. capacity and sparsity inequality suites, 1000 admissible draws each
 # ---------------------------------------------------------------------------
 
+# Byte ceiling on one block of stacked weight pushes in the inequality suites:
+# the tanh family's tower has 16,532 entries, so the pushed vectors of one
+# draw take about 0.5 MB.
+_PUSH_BYTES = 4 << 20
+
+
 def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=1000):
     """Inequality sweep for one architecture family; returns violations.
 
@@ -339,7 +345,8 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
     under truncation: the triangle inequality against the folded
     (absolute-coefficient) form, that nonnegative folded sums under-count
     their chain value, and the sup/count ceilings, which only shrink when
-    coordinates are dropped.
+    coordinates are dropped.  Draws are pushed to the flat space in stacked
+    blocks, then checked one by one on their rows.
     """
     rng = np.random.default_rng(seed)
     metric = pf.flatten_metric(arch, trunc)
@@ -349,69 +356,74 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
     metric_sup = float(np.max(np.abs(metric.values)))
     slack = 1.0 + 1e-9
     bad = []
-    for k in range(draws):
-        weights = _unit_frobenius(rng, arch.layer_shapes())
-        fro = weights.frobenius_sq()
-        radius = analysis.weight_ball_radius(arch, weights)
-        layer_vecs = [pf.pushforward_weights(arch, weights, q, trunc) for q in range(d)]
-        flat_vec = pf.flat_weight(arch, weights, trunc)
-        cap_scale = (width_gm * lip_global) ** d
-        for q in range(d):
-            below = float(dim) if q == 0 else float(arch.widths[q - 1])
-            cap = cap_scale * dim / (arch.widths[q] * below) * fro[q]
-            penalty = analysis.layer_penalty(arch, weights, q)
-            if not -1e-12 <= penalty <= cap * slack:
-                bad.append(f"draw {k}: layer {q} penalty {penalty} outside [0, {cap}]")
-            signed = pf.flat_inner(metric, layer_vecs[q], layer_vecs[q])
-            folded = pf.flat_inner(folded_metric, layer_vecs[q], layer_vecs[q])
-            if abs(signed) > folded * slack + 1e-12:
-                bad.append(f"draw {k}: layer {q} |signed| {signed} above folded {folded}")
-            if float(np.max(np.abs(layer_vecs[q].values))) > d * radius * slack:
-                bad.append(f"draw {k}: layer {q} sup above depth*radius")
-        flat_chain = analysis.flat_penalty(arch, weights)
-        cap_product = lip_global ** d * float(np.prod(fro))
-        cap_ball = (lip_global * radius) ** d
-        if not -1e-12 <= flat_chain <= cap_product * slack:
-            bad.append(f"draw {k}: flat penalty {flat_chain} outside [0, {cap_product}]")
-        if cap_product > cap_ball * slack:
-            bad.append(f"draw {k}: product cap {cap_product} above ball cap {cap_ball}")
-        flat_signed = pf.flat_inner(metric, flat_vec, flat_vec)
-        flat_folded = pf.flat_inner(folded_metric, flat_vec, flat_vec)
-        if abs(flat_signed) > flat_folded * slack + 1e-12:
-            bad.append(f"draw {k}: |flat signed| {flat_signed} above folded {flat_folded}")
-        if float(np.max(np.abs(flat_vec.values))) > max(1.0, radius) ** d * slack:
-            bad.append(f"draw {k}: flat sup above radius**depth")
-        if not with_associated:
-            continue
-        sup = analysis.chain_intervals(arch, weights, variant="associated")
-        _, _, lip_folded = netcore.geometric_means(arch, sup)
-        folded_scale = (width_gm * lip_folded) ** d
-        for q in range(d):
-            below = float(dim) if q == 0 else float(arch.widths[q - 1])
-            cap = folded_scale * dim / (arch.widths[q] * below) * fro[q]
-            chain = analysis.layer_penalty(arch, weights, q, variant="associated")
-            truncated = pf.flat_inner(folded_metric, layer_vecs[q], layer_vecs[q])
-            if not 0.0 <= truncated <= chain * slack:
-                bad.append(f"draw {k}: folded layer {q} truncated {truncated} above chain {chain}")
-            if chain > cap * slack:
-                bad.append(f"draw {k}: folded layer {q} chain {chain} above cap {cap}")
-        folded_chain = analysis.flat_penalty(arch, weights, variant="associated")
-        cap_product = lip_folded ** d * float(np.prod(fro))
-        cap_ball = (lip_folded * radius) ** d
-        if flat_folded > folded_chain * slack or folded_chain > cap_product * slack:
-            bad.append(f"draw {k}: folded flat ordering broke")
-        if cap_product > cap_ball * slack:
-            bad.append(f"draw {k}: folded product cap above ball cap")
-        constants = analysis.SparsityConstants(width_gm, lip_folded, dim, radius)
-        levels = tuple(f * d * radius * metric_sup for f in (0.5, 0.1, 0.01))
-        profile = analysis.sparsity_profile(metric, flat_vec, d, constants, epsilons=levels)
-        if profile.bridge_norm > profile.bridge_bound * slack:
-            bad.append(
-                f"draw {k}: bridge norm {profile.bridge_norm} above {profile.bridge_bound}"
-            )
-        for eps, count, ceiling in profile.epsilon_counts:
-            if count > ceiling:
-                bad.append(f"draw {k}: {count} entries above {eps} vs ceiling {ceiling}")
+    block = max(1, _PUSH_BYTES // (8 * (d + 1) * len(metric.values)))
+    for start in range(0, draws, block):
+        drawn = [_unit_frobenius(rng, arch.layer_shapes()) for _ in range(min(block, draws - start))]
+        stacked = netcore.WeightSet(tuple(np.stack(mats) for mats in zip(*drawn)))
+        pushed_layers, pushed_flat = pf.pushed_weights(arch, stacked, trunc)
+        for j, weights in enumerate(drawn):
+            k = start + j
+            fro = weights.frobenius_sq()
+            radius = analysis.weight_ball_radius(arch, weights)
+            layer_vecs = [v.like(v.values[j]) for v in pushed_layers]
+            flat_vec = pushed_flat.like(pushed_flat.values[j])
+            cap_scale = (width_gm * lip_global) ** d
+            for q in range(d):
+                below = float(dim) if q == 0 else float(arch.widths[q - 1])
+                cap = cap_scale * dim / (arch.widths[q] * below) * fro[q]
+                penalty = analysis.layer_penalty(arch, weights, q)
+                if not -1e-12 <= penalty <= cap * slack:
+                    bad.append(f"draw {k}: layer {q} penalty {penalty} outside [0, {cap}]")
+                signed = pf.flat_inner(metric, layer_vecs[q], layer_vecs[q])
+                folded = pf.flat_inner(folded_metric, layer_vecs[q], layer_vecs[q])
+                if abs(signed) > folded * slack + 1e-12:
+                    bad.append(f"draw {k}: layer {q} |signed| {signed} above folded {folded}")
+                if float(np.max(np.abs(layer_vecs[q].values))) > d * radius * slack:
+                    bad.append(f"draw {k}: layer {q} sup above depth*radius")
+            flat_chain = analysis.flat_penalty(arch, weights)
+            cap_product = lip_global ** d * float(np.prod(fro))
+            cap_ball = (lip_global * radius) ** d
+            if not -1e-12 <= flat_chain <= cap_product * slack:
+                bad.append(f"draw {k}: flat penalty {flat_chain} outside [0, {cap_product}]")
+            if cap_product > cap_ball * slack:
+                bad.append(f"draw {k}: product cap {cap_product} above ball cap {cap_ball}")
+            flat_signed = pf.flat_inner(metric, flat_vec, flat_vec)
+            flat_folded = pf.flat_inner(folded_metric, flat_vec, flat_vec)
+            if abs(flat_signed) > flat_folded * slack + 1e-12:
+                bad.append(f"draw {k}: |flat signed| {flat_signed} above folded {flat_folded}")
+            if float(np.max(np.abs(flat_vec.values))) > max(1.0, radius) ** d * slack:
+                bad.append(f"draw {k}: flat sup above radius**depth")
+            if not with_associated:
+                continue
+            sup = analysis.chain_intervals(arch, weights, variant="associated")
+            _, _, lip_folded = netcore.geometric_means(arch, sup)
+            folded_scale = (width_gm * lip_folded) ** d
+            for q in range(d):
+                below = float(dim) if q == 0 else float(arch.widths[q - 1])
+                cap = folded_scale * dim / (arch.widths[q] * below) * fro[q]
+                chain = analysis.layer_penalty(arch, weights, q, variant="associated")
+                truncated = pf.flat_inner(folded_metric, layer_vecs[q], layer_vecs[q])
+                if not 0.0 <= truncated <= chain * slack:
+                    bad.append(f"draw {k}: folded layer {q} truncated {truncated} above chain {chain}")
+                if chain > cap * slack:
+                    bad.append(f"draw {k}: folded layer {q} chain {chain} above cap {cap}")
+            folded_chain = analysis.flat_penalty(arch, weights, variant="associated")
+            cap_product = lip_folded ** d * float(np.prod(fro))
+            cap_ball = (lip_folded * radius) ** d
+            if flat_folded > folded_chain * slack or folded_chain > cap_product * slack:
+                bad.append(f"draw {k}: folded flat ordering broke")
+            if cap_product > cap_ball * slack:
+                bad.append(f"draw {k}: folded product cap above ball cap")
+            constants = analysis.SparsityConstants(width_gm, lip_folded, dim, radius)
+            levels = tuple(f * d * radius * metric_sup for f in (0.5, 0.1, 0.01))
+            profile = analysis.sparsity_profile(metric, flat_vec, d, constants, epsilons=levels)
+            if profile.bridge_norm > profile.bridge_bound * slack:
+                bad.append(
+                    f"draw {k}: bridge norm {profile.bridge_norm} above {profile.bridge_bound}"
+                )
+            for eps, count, ceiling in profile.epsilon_counts:
+                if count > ceiling:
+                    bad.append(f"draw {k}: {count} entries above {eps} vs ceiling {ceiling}")
     return bad
 
 

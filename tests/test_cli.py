@@ -1101,6 +1101,26 @@ def test_overflowing_bounds_report_inf(tmp_path, capsys, activations):
     assert res["bound_linear"] == ("inf" if activations[0] == "linear" else None)
 
 
+def test_bounds_on_overflowing_row_norms_warn_nothing(tmp_path, monkeypatch, capsys):
+    # squared row norms past the float range printed four NumPy overflow
+    # warnings; the report already read inf and keeps its bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("x0,x1,y\n1e200,0,1\n0,1e200,-1\n")
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [2, 1], "activations": ["linear", "linear"]},
+        "dataset": "data.csv", "tight": True, "trials": 3, "hypothesis_draws": 3, "seed": 1,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("bounds", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["diagnostics"]["mean_input_norm_sq"] == "inf"
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "c5d339de714ea338cda0df5de8808351ae2f4ec53e555645342606ff57c2addc"
+    )
+
+
 def test_zero_radius_bounds_are_zero_not_nan(tmp_path, capsys):
     # the associated chain of relu_surrogate overflows on inputs of scale 10: an
     # infinite kernel trace times a zero-radius ball

@@ -797,3 +797,247 @@ def test_flat_eval_requires_aligned_spaces():
     phi4 = pf.flatten_feature_map(arch, np.ones(2), 4)
     with pytest.raises(ValueError):
         pf.flat_eval(v4, phi4, g5)
+
+
+# ---------------------------------------------------------------------------
+# the build and push against the code they replaced, kept here as references
+# ---------------------------------------------------------------------------
+
+REFERENCE_TOWERS = [
+    (netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3), 5),
+    (netcore.Architecture(3, (2, 2, 1), (act.erf(), act.logistic(), act.exp())), 5),
+    (poly_arch(2, (2, 1), [[0.5, 1.0, 0.3, -0.2], [0.1, 1.0, 0.0, 0.4]]), 6),
+    (netcore.Architecture(1, (2, 1), (act.tanh(), act.tanh())), 9),
+    (poly_arch(3, (1,), [[0.0, 1.0, 0.5, 0.25]]), 4),
+]
+
+
+def _per_draw_weight_values(space, weights, q):
+    """_weight_values before the power table: one draw, every power taken by
+    the broadcast w ** base."""
+    levels = space.levels
+    d = len(levels)
+    w = np.asarray(weights[q], dtype=float)
+    if q == d - 1:
+        top = levels[-1]
+        return np.prod(w[0][None, :] ** (top.xexp if d == 1 else top.block_profile), axis=1)
+    base = levels[0].xexp if q == 0 else levels[q].block_profile
+    vals = levels[q + 1].compose(np.prod(w[:, None, :] ** base[None, :, :], axis=2).reshape(-1))
+    for lvl in range(q + 2, d):
+        vals = levels[lvl].compose(vals)
+    return vals
+
+
+@pytest.mark.parametrize("arch, trunc", REFERENCE_TOWERS)
+@pytest.mark.parametrize("scale", [0.1, 1.0, 3.0, 30.0])
+def test_tabled_powers_are_the_broadcast_powers_bit_for_bit(arch, trunc, scale):
+    space = pf.flat_space(arch, trunc)
+    weights = netcore.WeightSet(tuple(scale * w for w in netcore.init_weights(arch, seed=6)))
+    layers, _ = pf.pushed_weights(arch, weights, trunc)
+    for q in range(arch.depth):
+        assert _same_bits(layers[q].values, _per_draw_weight_values(space, weights, q)), q
+
+
+@pytest.mark.parametrize("arch, trunc", REFERENCE_TOWERS)
+def test_stacked_push_rows_are_the_single_draw_pushes(arch, trunc):
+    draws = [
+        netcore.WeightSet(tuple(s * w for w in netcore.init_weights(arch, seed=k)))
+        for k, s in enumerate((0.1, 1.0, 3.0, 0.5, 2.0))
+    ]
+    stacked = netcore.WeightSet(tuple(np.stack(mats) for mats in zip(*draws)))
+    layers, flat = pf.pushed_weights(arch, stacked, trunc)
+    each = [pf.pushforward_weights(arch, stacked, q, trunc) for q in range(arch.depth)]
+    m = len(pf.flat_space(arch, trunc).top.own_degree)
+    assert flat.values.shape == (len(draws), m)
+    for j, weights in enumerate(draws):
+        one_layers, one_flat = pf.pushed_weights(arch, weights, trunc)
+        assert one_flat.values.shape == (m,)
+        assert _same_bits(flat.values[j], one_flat.values)
+        for q, one in enumerate(one_layers):
+            assert _same_bits(layers[q].values[j], one.values), q
+            assert _same_bits(each[q].values[j], one.values), q
+        assert flat.like(flat.values[j]).aligned_with(one_flat)
+    assert _same_bits(pf.flat_weight(arch, stacked, trunc).values, flat.values)
+    empty = netcore.WeightSet(tuple(np.zeros((0,) + s) for s in arch.layer_shapes()))
+    assert pf.flat_weight(arch, empty, trunc).values.shape == (0, m)
+    with pytest.raises(ValueError, match="stacked"):
+        flat.entries
+
+
+def test_stacked_push_refuses_a_ragged_stack():
+    arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
+    ragged = netcore.WeightSet((np.zeros((3, 2, 2)), np.zeros((4, 1, 2))))
+    with pytest.raises(ValueError, match="do not match"):
+        pf.pushed_weights(arch, ragged, 3)
+
+
+def _object_multinomials(exps, level=None):
+    """_multinomials before the int64 table: Python integers at every degree."""
+    exps = np.sort(np.asarray(exps, dtype=np.int64), axis=1)
+    degrees = exps.sum(axis=1)
+    top = int(degrees.max(initial=0))
+    keys = pf._packed_keys(np.column_stack([degrees, exps]), top + 1)
+    order = np.lexsort(keys[::-1])
+    heads = np.ones(len(order), dtype=bool)
+    heads[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
+    fact = np.array([math.factorial(k) for k in range(top + 1)], dtype=object)
+    first = order[heads]
+    exact = fact[degrees[first]] // np.prod(fact[exps[first]], axis=1)
+    try:
+        values = exact.astype(float)
+    except OverflowError:
+        degree = int(degrees[first][exact >= pf._FLOAT_OVERFLOW].min())
+        where = "" if level is None else f"level {level}: "
+        raise DomainError(
+            f"{where}a multinomial of degree {degree} exceeds the float range", layer=level
+        ) from None
+    out = np.empty(len(order))
+    out[order] = values[np.cumsum(heads) - 1]
+    return out
+
+
+@pytest.mark.parametrize("degree", [20, 21])
+def test_int64_multinomials_are_the_object_multinomials(degree):
+    # every exponent row of the given degree over 3 positions, plus lower ones
+    rows = [e for e in pf.iter_exponents(3, degree) if sum(e) in (0, 7, degree)]
+    exps = np.array(rows, dtype=np.int64)
+    got = pf._multinomials(exps)
+    assert _same_bits(got, _object_multinomials(exps))
+    assert got.tolist() == [float(pf.multinomial(e)) for e in rows]
+    # a degree past 20 takes the exact path, whose float-range check still names the level
+    with pytest.raises(DomainError, match="^level 1: a multinomial of degree 1100 ") as err:
+        pf._multinomials(np.vstack([np.pad(exps, ((0, 0), (0, 1))), [[550, 550, 0, 0]]]), level=1)
+    assert err.value.layer == 1
+
+
+def _eager_xexp(space):
+    """Every level's composed exponents as the tower build used to compute them."""
+    out = []
+    for lv in space.levels:
+        if lv.level == 0:
+            slot_xexp = np.eye(space.arch.input_dim, dtype=np.int64)
+        else:
+            slot_xexp = np.tile(out[-1], (space.arch.widths[lv.level - 1], 1))
+        padded = np.vstack([slot_xexp, np.zeros_like(slot_xexp[:1])])
+        out.append(np.einsum("mw,mwd->md", lv.terms_exp, padded[lv.terms_pos]))
+    return out
+
+
+@pytest.mark.parametrize("arch, trunc", REFERENCE_TOWERS)
+def test_exponents_on_demand_are_the_eager_exponents(arch, trunc):
+    space = pf._tower(arch, trunc)  # a fresh, uncached build
+    weights = netcore.init_weights(arch, seed=1)
+    mats = [w[None] for w in weights]
+    for q in range(arch.depth):  # the push reads level 0's exponents alone
+        pf._weight_values(space, mats, q)
+    assert all(lv._xexp is None for lv in space.levels[1:])
+    for lv, want in zip(space.levels, _eager_xexp(space)):
+        assert lv.xexp.dtype == want.dtype and np.array_equal(lv.xexp, want), lv.level
+
+
+def _unique_table(lv, period):
+    """_table as built with np.unique over the (slot, exponent) codes."""
+    e = lv.terms_exp
+    slot = lv.terms_pos % period
+    high = e >= 2
+    pairs, pair_id = np.unique(slot[high] * (lv.max_exp + 1) + e[high], return_inverse=True)
+    index = np.where(e == 0, 0, 1 + slot)
+    index[high] = 1 + period + pair_id
+    return (*divmod(pairs, lv.max_exp + 1), list(index.T.copy()))
+
+
+@pytest.mark.parametrize("arch, trunc", REFERENCE_TOWERS)
+def test_bitmap_table_is_the_unique_table(arch, trunc):
+    for lv in pf.flat_space(arch, trunc).levels:
+        periods = {lv.n_slots} | ({len(lv.prev.own_degree)} if lv.prev else set())
+        for period in periods:
+            got, want = lv._table(period), _unique_table(lv, period)
+            for a, b in zip(got[:2], want[:2]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert len(got[2]) == len(want[2])
+            assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+
+
+# ---------------------------------------------------------------------------
+# level= arguments, the count memo and the tower cache budget
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("level", [-1, 3, 1.7, 2.0, True, "1"])
+def test_level_argument_must_name_a_tower_level(level):
+    arch = netcore.Architecture(2, (2, 2, 1), (act.tanh(),) * 3)
+    with pytest.raises(ValueError, match="level"):
+        pf.flatten_metric(arch, 3, level=level)
+    with pytest.raises(ValueError, match="level"):
+        pf.flatten_feature_map(arch, np.ones(2), 3, level=level)
+
+
+def test_level_argument_accepts_numpy_integers():
+    arch = netcore.Architecture(2, (2, 2, 1), (act.tanh(),) * 3)
+    space = pf.flat_space(arch, 3)
+    for q in range(arch.depth):
+        for level in (q, np.int64(q)):
+            assert pf.flatten_metric(arch, 3, level=level).aligned_with(
+                pf.flatten_feature_map(arch, np.ones(2), 3, level=level)
+            )
+            assert len(pf.flatten_metric(arch, 3, level=level).values) == len(
+                space.levels[q].own_degree
+            )
+
+
+def test_level_counts_are_memoised_per_arch_and_truncation(monkeypatch):
+    arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.375], [0.0, 1.0, 0.0, 0.125]])
+    runs = []
+    count = pf._count_levels
+    monkeypatch.setattr(pf, "_count_levels", lambda *args: runs.append(args) or count(*args))
+    counts = pf.level_counts(arch, 7)
+    counts.append(0)  # the caller's copy
+    assert pf.level_counts(arch, np.int64(7)) == counts[:-1]
+    assert pf.level_counts(arch, 7, max_entries=max(counts)) == counts[:-1]
+    assert len(runs) == 1
+    # a refusal reruns the count, which stops at the first partial count past the limit
+    with pytest.raises(SizeLimitError) as err:
+        pf.level_counts(arch, 7, max_entries=max(counts) - 1)
+    assert len(runs) == 2 and err.value.limit == max(counts) - 1
+
+
+def _cache_archs(n):
+    return [poly_arch(2, (2, 1), [[0.0, 1.0, 0.5 + k / 64], [0.0, 1.0, 0.25]]) for k in range(n)]
+
+
+def test_tower_cache_evicts_the_least_recently_used_past_its_byte_budget(monkeypatch):
+    a, b, c, e = _cache_archs(4)
+    size = pf._tower(a, 4).nbytes()  # the four towers have one shape, so one size
+    cache = pf._LRUCache(2 * size, pf.FlatSpace.nbytes)
+    monkeypatch.setattr(pf, "_TOWERS", cache)
+    space_a, space_b = pf.flat_space(a, 4), pf.flat_space(b, 4)
+    assert cache.info().nbytes == 2 * size
+    pf.flat_space(c, 4)  # past the budget: a, the oldest, goes
+    assert cache.info().entries == 2
+    assert pf.flat_space(b, 4) is space_b  # a hit: now c is the oldest
+    misses = cache.misses
+    assert pf.flat_space(a, 4) is not space_a and cache.misses == misses + 1
+    assert set(cache._values) == {(b, 4), (a, 4)}
+    pf.flat_space(b, 4)  # a hit: now a is the oldest
+    pf.flat_space(e, 4)
+    assert set(cache._values) == {(b, 4), (e, 4)}
+    assert pf.flat_space(b, 4) is space_b
+    # the size guard still refuses a cached tower to a caller with a lower max_entries
+    worst = max(pf.level_counts(b, 4))
+    with pytest.raises(SizeLimitError):
+        pf.flat_space(b, 4, max_entries=worst - 1)
+    assert pf.flat_space(b, 4, max_entries=worst) is space_b
+
+
+def test_tower_cache_reads_sizes_again_and_keeps_no_tower_past_the_budget(monkeypatch):
+    a, b = _cache_archs(2)
+    size = pf._tower(a, 4).nbytes()
+    cache = pf._LRUCache(2 * size, pf.FlatSpace.nbytes)
+    monkeypatch.setattr(pf, "_TOWERS", cache)
+    space_a = pf.flat_space(a, 4)
+    pf.dump_series(pf.flatten_metric(a, 4))  # the dump layout grows the cached tower
+    assert space_a.nbytes() > size
+    pf.flat_space(b, 4)
+    assert set(cache._values) == {(b, 4)}
+    cache.budget = size - 1
+    pf.flat_space(a, 4)
+    assert cache.info().entries == 0
