@@ -13,6 +13,7 @@ tables; everything is validated against closed forms in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -133,12 +134,44 @@ def _ode_fractions(kind, n):
     return tuple(Fraction(cm, math.factorial(m) * s ** (m + 1)) for m, cm in enumerate(c))
 
 
+def _erf_factor(i):
+    # erf(xi) = (2/sqrt(pi)) sum_k (-1)^k xi^(2k+1) / (k! (2k+1)): the rational part
+    k = (i - 1) // 2
+    return Fraction((-1) ** k, math.factorial(k) * i)
+
+
 def _erf_coefficient(i):
-    # erf(xi) = (2/sqrt(pi)) sum_k (-1)^k xi^(2k+1) / (k! (2k+1))
     if i % 2 == 0:
         return 0.0
     k = (i - 1) // 2
-    return (2.0 / _SQRT_PI) * (-1.0) ** k / (math.factorial(k) * i)
+    try:
+        return (2.0 / _SQRT_PI) * (-1.0) ** k / (math.factorial(k) * i)
+    except OverflowError:  # k! (2k+1) is past the float range: round the exact value once
+        return float(Fraction(2.0 / _SQRT_PI) * _erf_factor(i))
+
+
+def _relu_coefficient(spec, i):
+    """a_i of xi/2 + (xi/2) erf(xi/c) at even i >= 2: a_{i-1}(erf) / (2 c^(i-1)).
+
+    The float formula is kept while c^(i-1), the erf factor and the quotient
+    are normal floats.  Otherwise the exact value is rounded once: below the
+    float range to a subnormal or 0, above it DomainError.
+    """
+    c = spec.sharpness
+    try:
+        scale = c ** (i - 1)
+        half = 0.5 * _erf_coefficient(i - 1)
+        a = half / scale
+        if min(scale, abs(half), abs(a)) >= sys.float_info.min and abs(a) < math.inf:
+            return a
+    except (OverflowError, ZeroDivisionError):
+        pass
+    try:
+        return float(Fraction(2.0 / _SQRT_PI) / 2 * _erf_factor(i - 1) / Fraction(c) ** (i - 1))
+    except OverflowError:
+        raise DomainError(
+            f"{spec.kind} Taylor coefficient of degree {i} exceeds the float range"
+        ) from None
 
 
 def taylor_coefficient(spec, i):
@@ -157,13 +190,16 @@ def taylor_coefficient(spec, i):
     if kind in _ODE_SERIES:
         return taylor_series(spec, i)[i]
     if kind == "exp":
-        return 1.0 / math.factorial(i)
+        try:
+            return 1.0 / math.factorial(i)
+        except OverflowError:  # i! is past the float range: round the exact value once
+            return float(Fraction(1, math.factorial(i)))
     if kind in ("relu_surrogate", "relu_surrogate_assoc"):
         # xi/2 + (xi/2) * erf(xi/c): odd erf terms shift to even degrees >= 2
         if i == 1:
             return 0.5
         if i >= 2 and i % 2 == 0:
-            a = 0.5 * _erf_coefficient(i - 1) / spec.sharpness ** (i - 1)
+            a = _relu_coefficient(spec, i)
             return abs(a) if kind == "relu_surrogate_assoc" else a
         return 0.0
     raise AssertionError(kind)

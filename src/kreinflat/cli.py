@@ -236,7 +236,7 @@ def _weights_for(cfg, arch):
             weights = netcore.load_weights(path)
         except OSError as exc:
             raise ConfigError(f"cannot read weights: {exc}") from exc
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"malformed weights file: {exc}") from exc
         netcore.check_shapes(arch, weights)  # ValueError: exit 2
         return weights

@@ -177,8 +177,9 @@ def save_model(path, model):
 
 def load_model(path):
     """Model from a save_model file; ValueError for a missing key, or naming the line
-    of a point row of the wrong width, an alpha count other than the point count
-    or a non-finite number."""
+    of a key without its value, a point count that is not a whole number, a point
+    row of the wrong width, an alpha count other than the point count or a
+    non-finite number."""
     with open(path) as fh:
         rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
     fields = {}  # head -> (tokens, line number); points -> (rows, line number)
@@ -187,9 +188,13 @@ def load_model(path):
     while pos < len(rows):
         lineno, (head, *tokens) = rows[pos]
         pos += 1
+        if not tokens and head in ("activation", "variant", "input_dim", "widths", "points"):
+            raise ValueError(f"line {lineno}: {head} has no value")
         if head == "activation":
             specs.append(_spec_from_tokens(tokens, lineno))
         elif head == "points":
+            if not tokens[0].isdecimal():
+                raise ValueError(f"line {lineno}: point count {tokens[0]!r} is not a whole number")
             fields[head] = rows[pos : pos + int(tokens[0])], lineno
             pos += int(tokens[0])
         else:

@@ -360,13 +360,18 @@ def read_floats(tokens, lineno, count=None):
 
 
 def load_weights(path):
-    """Weights from a save_weights file; ValueError names a malformed or non-finite line."""
+    """Weights from a save_weights file; ValueError names a malformed or non-finite line,
+    or the line a short file ends on."""
     with open(path) as fh:
         rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
+    if not rows:
+        raise ValueError("the file holds no layer count")
     depth = int(rows[0][1][0])
     mats = []
     pos = 1
-    for _ in range(depth):
+    for q in range(depth):
+        if pos == len(rows):
+            raise ValueError(f"line {rows[-1][0]}: the file ends after {q} of {depth} layers")
         n, header = rows[pos]
         h, f = (int(t) for t in header)
         block = [read_floats(tokens, r, f) for r, tokens in rows[pos + 1 : pos + 1 + h]]

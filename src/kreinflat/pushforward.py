@@ -20,22 +20,25 @@ f(x) = sum_i g_i v_i phi_i(x):
     stored (anything else has metric exactly zero), own degrees and composed
     input degrees are both capped by the truncation.
 
+Level 0 carries the identity itself: on a one-layer network it holds phi(x)
+on the activation's support and gamma_i.  An exp layer, whose coefficients
+are all nonzero, stores every monomial up to the truncation.
+
 Index storage is flat numpy: packed (slot, exponent) term arrays per level,
 enumerated by count pattern (how many slots each group of equal composed
 degree gives), plus per-index gamma coefficients, metric values and per-block
 degree profiles.  Each level builds its composed input exponents and caches
 its dump layout (tags, sort order, line prefixes) once something reads them.
-A size guard (SizeLimitError) bounds the materialized entry count; exact
-per-level counts are available cheaply (and memoised) via level_counts()
-without enumerating anything.  flat_space keeps built towers within a byte
-budget.
+flat_space refuses a tower past DEFAULT_MAX_ENTRIES stored indices at some
+level (SizeLimitError); level_counts() gives the exact per-level counts,
+memoised, without enumerating anything, and takes any other limit.
+flat_space keeps built towers within a byte budget.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 import numpy as np
 
@@ -127,37 +130,21 @@ def _packed_keys(cols, radix):
     return keys
 
 
-def iter_exponents(n, max_degree):
-    """Dense exponent tuples over n positions, graded-lex ascending."""
-    def compositions(slots, total):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(slots - 1, total - first):
-                yield (first,) + rest
-
-    for total in range(max_degree + 1):
-        yield from compositions(n, total)
-
-
 # ---------------------------------------------------------------------------
 # series vectors
 # ---------------------------------------------------------------------------
 
 class SeriesVector:
-    """Real coefficients on monomial multi-indices of degree <= truncation.
+    """Real coefficients on the stored indices of one tower level.
 
-    Anything not stored is exactly zero.  Vectors built on the same space
-    (same plain (n, T) enumeration, or the same flattening level of the same
-    architecture) are positionwise aligned, which is what flat_inner needs.
+    Anything not stored is exactly zero.  Vectors built on the same space (the
+    same level of the same architecture and truncation) are positionwise
+    aligned, which is what flat_inner needs.
     """
 
-    __slots__ = ("dimension", "truncation", "values", "_space", "_entries")
+    __slots__ = ("values", "_space", "_entries")
 
-    def __init__(self, dimension, truncation, values, space):
-        self.dimension = int(dimension)
-        self.truncation = int(truncation)
+    def __init__(self, values, space):
         self.values = np.asarray(values, dtype=float)
         self._space = space
         self._entries = None
@@ -167,7 +154,7 @@ class SeriesVector:
         """dict exponent tuple -> value over the nonzero stored entries.
 
         An exponent tuple has one entry per position of the space: an input
-        coordinate for plain vectors and level 0, a slot above level 0.
+        coordinate at level 0, a slot above it.
         """
         if self.values.ndim != 1:
             raise ValueError("a stacked vector has no entries; take row j with like(values[j])")
@@ -180,29 +167,17 @@ class SeriesVector:
 
     def like(self, values):
         """A vector holding ``values`` on this vector's space."""
-        return SeriesVector(self.dimension, self.truncation, values, self._space)
+        return SeriesVector(values, self._space)
 
     def aligned_with(self, other):
         return isinstance(other, SeriesVector) and self._space is other._space
 
-    def stable_keys(self):
-        """T-independent nested identities of the stored indices.
-
-        Plain vectors: the dense exponent tuple.  Tower vectors: a nested
-        tuple ((block, child identity), exponent), suitable for matching
-        entries across different truncations.
-        """
-        return self._space.stable_keys()
-
     def composed_exponents(self):
         """Total input-coordinate exponents per stored index, shape (m, D)."""
-        return self._space.composed_exponents()
+        return self._space.xexp
 
     def __repr__(self):
-        return (
-            f"SeriesVector(dim={self.dimension}, trunc={self.truncation}, "
-            f"stored={len(self.values)})"
-        )
+        return f"SeriesVector(level={self._space.level}, stored={len(self.values)})"
 
 
 def flat_inner(metric, *vectors):
@@ -224,100 +199,10 @@ def flat_eval(weight_vec, feature_vec, metric_vec):
 
 
 # ---------------------------------------------------------------------------
-# index spaces: the dump layout every space shares
-# ---------------------------------------------------------------------------
-
-class _IndexSpace:
-    """Stored indices with composed exponents and tags; caches its dump layout."""
-
-    __slots__ = ("_layout",)
-
-    def dump_layout(self):
-        """(permutation, line prefixes) of a dump, computed once per space.
-
-        Rows sort by (degree, exponents, tag); the sort is stable, so ties
-        keep stored order.  prefixes[j], an object array of str, belongs to
-        row permutation[j].
-        """
-        if self._layout is None:
-            xexp = self.composed_exponents()
-            tags = self.tags()
-            rank = {t: r for r, t in enumerate(sorted(set(tags)))}
-            tag_rank = np.array([rank[t] for t in tags], dtype=np.int64)
-            # np.lexsort's last key is the primary one
-            perm = np.lexsort([tag_rank, *xexp.T[::-1], xexp.sum(axis=1)])
-            # equal exponent rows are adjacent in sorted order: one head per run
-            rows = xexp[perm]
-            starts = np.ones(len(rows), dtype=bool)
-            starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-            heads = np.array([" ".join(map(str, r)) for r in rows[starts].tolist()], dtype=object)
-            tag_text = np.array(tags, dtype=object)[perm]
-            prefixes = heads[np.cumsum(starts) - 1] + " | " + tag_text + " | "
-            self._layout = (perm, prefixes)
-        return self._layout
-
-
-# ---------------------------------------------------------------------------
-# plain (dense) spaces: monomial features and push-forward weights on R^n
-# ---------------------------------------------------------------------------
-
-class _PlainSpace(_IndexSpace):
-    __slots__ = ("n", "truncation", "exps")
-
-    def __init__(self, n, truncation):
-        self.n = n
-        self.truncation = truncation
-        self.exps = np.array(list(iter_exponents(n, truncation)), dtype=np.int64)
-        self._layout = None
-
-    def exponent_rows(self):
-        return self.exps
-
-    def stable_keys(self):
-        return [tuple(e) for e in self.exps.tolist()]
-
-    def composed_exponents(self):
-        return self.exps
-
-    def tags(self):
-        return ["-"] * len(self.exps)
-
-
-@lru_cache(maxsize=128)
-def _plain_space(n, truncation):
-    count = sum(math.comb(n + k - 1, k) for k in range(truncation + 1))
-    if count > DEFAULT_MAX_ENTRIES:
-        raise SizeLimitError(
-            f"{count} monomials for n={n}, truncation={truncation}",
-            requested=count,
-            limit=DEFAULT_MAX_ENTRIES,
-        )
-    return _PlainSpace(n, truncation)
-
-
-def monomial_features(x, truncation):
-    """phi(x): every monomial of x up to total degree ``truncation``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("x must be a nonempty vector")
-    space = _plain_space(x.size, int(truncation))
-    vals = np.prod(x[None, :] ** space.exps, axis=1)
-    return SeriesVector(x.size, truncation, vals, space)
-
-
-def gamma_weights(spec, n, truncation):
-    """The pushed metric on R^n: gamma_i = multinomial(|i|; i) * a_{|i|}."""
-    space = _plain_space(int(n), int(truncation))
-    degs = space.exps.sum(axis=1)
-    coeff = np.array(act.taylor_series(spec, int(truncation)))
-    return SeriesVector(n, truncation, _multinomials(space.exps) * coeff[degs], space)
-
-
-# ---------------------------------------------------------------------------
 # the flattening tower
 # ---------------------------------------------------------------------------
 
-class _Level(_IndexSpace):
+class _Level:
     """One composition level: slots, stored indices, and their invariants.
 
     Row i of terms_pos/terms_exp holds index i's (slot, exponent) pairs in
@@ -340,37 +225,15 @@ class _Level(_IndexSpace):
         "max_exp",
         "_tables",
         "_tags",
-        "_stable_cache",
         "_xexp",
+        "_layout",
     )
-
-    def _pairs(self):
-        """Each stored index's (slot, exponent) pairs, row by row."""
-        return (
-            [(p, e) for p, e in zip(prow, erow) if e]
-            for prow, erow in zip(self.terms_pos.tolist(), self.terms_exp.tolist())
-        )
 
     def exponent_rows(self):
         """Dense exponents over the slots, shape (m, n_slots)."""
         dense = np.zeros((len(self.own_degree), self.n_slots + 1), dtype=np.int64)
         np.put_along_axis(dense, self.terms_pos, self.terms_exp, axis=1)
         return dense[:, : self.n_slots]
-
-    def stable_keys(self):
-        if self._stable_cache is None:
-            if self.level == 0:
-                self._stable_cache = [tuple(row) for row in self.xexp.tolist()]
-            else:
-                prev_stable = self.prev.stable_keys()
-                slot = [
-                    (b, prev_stable[k])
-                    for b, k in zip(self.slot_block.tolist(), self.slot_prev.tolist())
-                ]
-                self._stable_cache = [
-                    tuple(sorted((slot[p], e) for p, e in pairs)) for pairs in self._pairs()
-                ]
-        return self._stable_cache
 
     @property
     def xexp(self):
@@ -390,9 +253,6 @@ class _Level(_IndexSpace):
                 self._xexp = np.einsum("mw,mwd->md", self.terms_exp, padded[child])
         return self._xexp
 
-    def composed_exponents(self):
-        return self.xexp
-
     def nbytes(self):
         """Bytes held by the level's arrays, compose tables and dump layout."""
         arrays = [
@@ -405,6 +265,30 @@ class _Level(_IndexSpace):
         if self._layout is not None:
             arrays += list(self._layout)
         return sum(a.nbytes for a in arrays if a is not None)
+
+    def dump_layout(self):
+        """(permutation, line prefixes) of a dump, computed once per level.
+
+        Rows sort by (degree, exponents, tag); the sort is stable, so ties
+        keep stored order.  prefixes[j], an object array of str, belongs to
+        row permutation[j].
+        """
+        if self._layout is None:
+            xexp = self.xexp
+            tags = self.tags()
+            rank = {t: r for r, t in enumerate(sorted(set(tags)))}
+            tag_rank = np.array([rank[t] for t in tags], dtype=np.int64)
+            # np.lexsort's last key is the primary one
+            perm = np.lexsort([tag_rank, *xexp.T[::-1], xexp.sum(axis=1)])
+            # equal exponent rows are adjacent in sorted order: one head per run
+            rows = xexp[perm]
+            starts = np.ones(len(rows), dtype=bool)
+            starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+            heads = np.array([" ".join(map(str, r)) for r in rows[starts].tolist()], dtype=object)
+            tag_text = np.array(tags, dtype=object)[perm]
+            prefixes = heads[np.cumsum(starts) - 1] + " | " + tag_text + " | "
+            self._layout = (perm, prefixes)
+        return self._layout
 
     def tags(self):
         """Tags built once, bottom-up from the tags of the level below.
@@ -494,9 +378,8 @@ class _Level(_IndexSpace):
 class FlatSpace:
     """All levels of the truncated flat space for one architecture."""
 
-    def __init__(self, arch, truncation, levels):
+    def __init__(self, arch, levels):
         self.arch = arch
-        self.truncation = truncation
         self.levels = levels
 
     @property
@@ -707,7 +590,7 @@ def _pack_level(level_no, arch, prev, trunc):
     lv = _Level.__new__(_Level)
     lv.level = level_no
     lv.prev = prev
-    lv._layout = lv._tags = lv._stable_cache = lv._xexp = None
+    lv._layout = lv._tags = lv._xexp = None
     lv._tables = {}  # compose()'s exponents and gather columns per period
     if level_no == 0:
         lv.n_slots = arch.input_dim
@@ -766,20 +649,19 @@ def _tower(arch, trunc):
                 f"the count recursion says {counts[q]}"
             )
         levels.append(prev)
-    return FlatSpace(arch, trunc, levels)
+    return FlatSpace(arch, levels)
 
 
-def flat_space(arch, truncation, max_entries=DEFAULT_MAX_ENTRIES):
+def flat_space(arch, truncation):
     """The flattening tower of an architecture, built once per (arch, truncation).
 
-    Towers are kept least recently used first within _TOWER_BYTES.  The size
-    guard runs on every call, so a cached tower is still refused to a caller
-    whose max_entries it exceeds.
+    SizeLimitError when a level would store more than DEFAULT_MAX_ENTRIES
+    indices.  Towers are kept least recently used first within _TOWER_BYTES.
     """
     trunc = int(truncation)
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
-    level_counts(arch, trunc, max_entries)  # the size guard
+    level_counts(arch, trunc, DEFAULT_MAX_ENTRIES)  # the size guard
     space = _TOWERS.get((arch, trunc))
     if space is None:
         space = _tower(arch, trunc)
@@ -831,10 +713,6 @@ def feature_blocks(arch, xs, truncation=DEFAULT_TRUNCATION):
         yield _feature_values(space, xs[start : start + step])[-1]
 
 
-def _wrap(space, level, values):
-    return SeriesVector(level.n_slots, space.truncation, values, level)
-
-
 def _level_index(arch, level):
     """The tower level a ``level=`` argument names: the top for None."""
     if level is None:
@@ -846,38 +724,28 @@ def _level_index(arch, level):
     return int(level)
 
 
-def flatten_feature_map(
-    arch, x, truncation=DEFAULT_TRUNCATION, *, level=None, max_entries=DEFAULT_MAX_ENTRIES
-):
+def flatten_feature_map(arch, x, truncation=DEFAULT_TRUNCATION, *, level=None):
     """The composed feature map of the network at input x.
 
     Returns the top level by default; ``level=q`` returns the intermediate
     feature vector after q compositions (level 0 is phi restricted to the
     stored support of the first activation).
     """
-    space = flat_space(arch, truncation, max_entries)
+    space = flat_space(arch, truncation)
     x = np.asarray(x, dtype=float)
     if x.shape != (arch.input_dim,):
         raise ValueError(f"input shape {x.shape} != ({arch.input_dim},)")
     pick = _level_index(arch, level)
-    return _wrap(space, space.levels[pick], _feature_values(space, x[None])[pick][0])
+    return SeriesVector(_feature_values(space, x[None])[pick][0], space.levels[pick])
 
 
-def flatten_metric(
-    arch,
-    truncation=DEFAULT_TRUNCATION,
-    *,
-    variant="krein",
-    level=None,
-    max_entries=DEFAULT_MAX_ENTRIES,
-):
+def flatten_metric(arch, truncation=DEFAULT_TRUNCATION, *, variant="krein", level=None):
     """The flat metric of the network (variant "associated" takes |g|)."""
     if variant not in ("krein", "associated"):
         raise ValueError(f"unknown variant {variant!r}")
-    space = flat_space(arch, truncation, max_entries)
-    lv = space.levels[_level_index(arch, level)]
+    lv = flat_space(arch, truncation).levels[_level_index(arch, level)]
     vals = np.abs(lv.metric) if variant == "associated" else lv.metric.copy()
-    return _wrap(space, lv, vals)
+    return SeriesVector(vals, lv)
 
 
 def _powers(w, base):
@@ -914,17 +782,17 @@ def _weight_values(space, mats, q):
     return vals
 
 
-def _checked_space(arch, weights, truncation, max_entries):
+def _checked_space(arch, weights, truncation):
     """(tower, weights as (k, H_q, H_{q-1}) arrays, stack shape) for weights
     whose matrices all carry one leading stack shape."""
     mats = [np.asarray(w, dtype=float) for w in weights]
     stack = mats[0].shape[:-2] if mats else ()
     netcore.check_shapes(arch, mats, stack)
     stacked = [w.reshape((-1,) + w.shape[-2:]) for w in mats]
-    return flat_space(arch, truncation, max_entries), stacked, stack
+    return flat_space(arch, truncation), stacked, stack
 
 
-def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
+def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION):
     """Every layer's weights pushed to the top of the flat space, in one pass.
 
     Batch-first: matrices stacked (k, H_q, H_{q-1}) give vectors holding
@@ -935,34 +803,32 @@ def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION, max_entries=DEF
     Returns (layers, flat): the per-layer vectors and their elementwise
     product, the flat machine's weight vector.
     """
-    space, mats, stack = _checked_space(arch, weights, truncation, max_entries)
+    space, mats, stack = _checked_space(arch, weights, truncation)
     layers = [_weight_values(space, mats, q) for q in range(arch.depth)]
     flat = np.ones_like(layers[0])
     for vals in layers:
         flat = flat * vals
     shape = stack + flat.shape[-1:]
     return (
-        [_wrap(space, space.top, v.reshape(shape)) for v in layers],
-        _wrap(space, space.top, flat.reshape(shape)),
+        [SeriesVector(v.reshape(shape), space.top) for v in layers],
+        SeriesVector(flat.reshape(shape), space.top),
     )
 
 
-def pushforward_weights(
-    arch, weights, q, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES
-):
+def pushforward_weights(arch, weights, q, truncation=DEFAULT_TRUNCATION):
     """Layer q's weights pushed to the top of the flat space (batch-first, as
     pushed_weights)."""
-    space, mats, stack = _checked_space(arch, weights, truncation, max_entries)
+    space, mats, stack = _checked_space(arch, weights, truncation)
     if not 0 <= q < arch.depth:
         raise ValueError(f"layer {q} out of range")
     vals = _weight_values(space, mats, q)
-    return _wrap(space, space.top, vals.reshape(stack + vals.shape[-1:]))
+    return SeriesVector(vals.reshape(stack + vals.shape[-1:]), space.top)
 
 
-def flat_weight(arch, weights, truncation=DEFAULT_TRUNCATION, max_entries=DEFAULT_MAX_ENTRIES):
+def flat_weight(arch, weights, truncation=DEFAULT_TRUNCATION):
     """The flat machine's weight vector: elementwise product over all layers
     (batch-first, as pushed_weights)."""
-    return pushed_weights(arch, weights, truncation, max_entries)[1]
+    return pushed_weights(arch, weights, truncation)[1]
 
 
 # ---------------------------------------------------------------------------

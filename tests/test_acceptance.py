@@ -81,7 +81,7 @@ def test_criterion_01_polynomial_flattening_equivalence():
         arch = netcore.Architecture(dim, widths, (spec,) * d)
         trunc = deg ** d
         try:
-            pf.flat_space(arch, trunc, max_entries=60_000)
+            pf.level_counts(arch, trunc, max_entries=60_000)
         except pf.SizeLimitError:
             continue
         weights = _uniform_weights(rng, arch, 0.7)
@@ -125,7 +125,7 @@ def test_criterion_02_analytic_flattening_small_arguments():
         )
         arch = netcore.Architecture(dim, widths, specs)
         try:
-            pf.flat_space(arch, 10, max_entries=60_000)
+            pf.level_counts(arch, 10, max_entries=60_000)
         except pf.SizeLimitError:
             continue
         weights = netcore.WeightSet(
@@ -165,7 +165,7 @@ def test_criterion_03_kernel_identity_both_variants():
         arch = netcore.Architecture(dim, widths, (spec,) * d)
         trunc = deg ** d
         try:
-            pf.flat_space(arch, trunc, max_entries=60_000)
+            pf.level_counts(arch, trunc, max_entries=60_000)
         except pf.SizeLimitError:
             continue
         metric = pf.flatten_metric(arch, trunc)
@@ -233,7 +233,7 @@ def test_criterion_04_multinomial_gamma_oracle():
         else:
             spec = act.polynomial((0.0, 1.0) + (0.0,) * (p - 2) + (1.0,))
         for n in range(1, 4):
-            gamma = pf.gamma_weights(spec, n, p)
+            gamma = pf.flatten_metric(netcore.Architecture(n, (1,), (spec,)), p, level=0)
             brute = _expand_power_sum(n, p)
             for expo, coef in brute.items():
                 assert gamma.entries.get(expo, 0.0) == float(coef)

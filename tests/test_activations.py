@@ -77,6 +77,60 @@ def test_relu_surrogate_coefficients():
     assert act.taylor_coefficient(s, 0) == 0.0
 
 
+def _exact_coefficient(spec, i):
+    """a_i as an exact Fraction: the float 2/sqrt(pi), taken exactly, times
+    the rational factor, or the rational factor alone."""
+    if spec.kind == "exp":
+        return Fraction(1, math.factorial(i))
+    if spec.kind in ("relu_surrogate", "relu_surrogate_assoc"):
+        if i < 2:
+            return Fraction(i, 2)
+        return _exact_coefficient(act.erf(), i - 1) / 2 / Fraction(spec.sharpness) ** (i - 1)
+    if i % 2 == 0:
+        return Fraction(0)
+    k = (i - 1) // 2
+    a = Fraction(2.0 / SQRT_PI) * Fraction((-1) ** k, math.factorial(k) * i)
+    return abs(a) if spec.kind == "erfi" else a
+
+
+@pytest.mark.parametrize("spec, last_float_formula", [
+    (act.exp(), 170), (act.erf(), 340), (act.associated(act.erf()), 340),
+])
+def test_high_degree_coefficients_round_the_exact_value(spec, last_float_formula):
+    # past i! (exp) or k! (2k+1) (erf) the float range ends; the exact value
+    # is below it and rounds to a subnormal or 0
+    for i in range(401):
+        got = act.taylor_coefficient(spec, i)
+        want = float(_exact_coefficient(spec, i))
+        if i <= last_float_formula:  # the float formula's bits, within 1 ulp
+            assert abs(got - want) <= math.ulp(want), i
+        else:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), i
+    assert 0.0 < abs(act.taylor_coefficient(spec, last_float_formula + 1)) < 1e-307
+
+
+@pytest.mark.parametrize("sharpness", [0.01, 0.5, 2.0])
+@pytest.mark.parametrize("assoc", [False, True])
+def test_high_degree_relu_surrogate_coefficients(sharpness, assoc):
+    spec = act.relu_surrogate(sharpness)
+    spec = act.associated(spec) if assoc else spec
+
+    def exact(i):
+        a = _exact_coefficient(spec, i)
+        return abs(a) if assoc else a
+
+    for i in range(401):
+        try:
+            want = float(exact(i))
+        except OverflowError:
+            with pytest.raises(DomainError, match=f"^{spec.kind} Taylor coefficient of degree {i} "):
+                act.taylor_coefficient(spec, i)
+            continue
+        assert abs(act.taylor_coefficient(spec, i) - want) <= 2 * math.ulp(want), i
+    # 0.01 ** 161 is subnormal, where the float formula was 1.2% off
+    assert act.taylor_coefficient(spec, 162) == float(exact(162))
+
+
 def test_polynomial_coefficients_verbatim():
     s = act.polynomial((0.0, 2.0, 0.0, -0.5))
     assert [act.taylor_coefficient(s, i) for i in range(5)] == [0.0, 2.0, 0.0, -0.5, 0.0]

@@ -330,6 +330,37 @@ def test_non_finite_weights_file_names_its_line(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["flatten", "bounds", "sparsity"])
+@pytest.mark.parametrize("text, message", [
+    ("", "the file holds no layer count"),
+    ("2\n1 1\n0.5\n", "line 3: the file ends after 1 of 2 layers"),
+])
+def test_short_weights_file_exits_2(tmp_path, capsys, command, text, message):
+    weights = tmp_path / "weights.txt"
+    weights.write_text(text)
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [1, 1], "activations": ["tanh", "tanh"]},
+        "truncation": 3,
+        "weights": str(weights),
+        "dataset": write_dataset(tmp_path / "data.csv", np.array([[0.1]]), np.array([0.0])),
+    }
+    assert run(command, write_json(tmp_path / "cfg.json", cfg_obj)) == 2
+    assert f"malformed weights file: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("activation, truncation", [
+    ("exp", 180), ("erf", 400), ({"kind": "relu_surrogate"}, 180),
+])
+def test_high_degree_taylor_coefficients_exit_0_or_3(tmp_path, capsys, activation, truncation):
+    # these coefficients raised OverflowError or ZeroDivisionError: exit 1
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [1], "activations": [activation]},
+        "truncation": truncation,
+    }
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_weights_of_the_wrong_shape_exit_2(tmp_path, capsys):
     cfg_obj = poly_config(tmp_path, weights=admissible_weights_file(tmp_path))
     cfg = write_json(tmp_path / "cfg.json", cfg_obj)

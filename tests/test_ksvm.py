@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -622,6 +624,33 @@ def test_load_model_refuses_non_finite_number(tmp_path, lineno, text):
     path = _edited_model_file(tmp_path, lineno, text)
     with pytest.raises(ValueError, match=f"line {lineno}: values must be finite"):
         ksvm.load_model(path)
+
+
+@pytest.mark.parametrize("lineno, key", [
+    (2, "variant"), (3, "input_dim"), (4, "widths"), (5, "activation"), (7, "points"),
+])
+def test_load_model_names_a_key_without_its_value(tmp_path, lineno, key):
+    path = _edited_model_file(tmp_path, lineno, key)
+    with pytest.raises(ValueError, match=f"^line {lineno}: {key} has no value$"):
+        ksvm.load_model(path)
+
+
+@pytest.mark.parametrize("count", ["-1", "2.5"])
+def test_load_model_refuses_a_point_count_that_is_not_whole(tmp_path, count):
+    # a negative count walked the reader back: "points -1" never returned.  The
+    # load runs in a subprocess under a timeout, so a hang fails the test.
+    path = _edited_model_file(tmp_path, 7, f"points {count}")
+    src = os.path.dirname(os.path.dirname(ksvm.__file__))
+    code = (
+        "import sys; from kreinflat import ksvm\n"
+        "try:\n    ksvm.load_model(sys.argv[1])\n"
+        "except ValueError as exc:\n    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"line 7: point count {count!r} is not a whole number\n"
 
 
 @pytest.mark.parametrize("text", ["activation relu_surrogate 0.25 7", "activation tanh 0.5 1"])

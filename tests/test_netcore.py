@@ -516,6 +516,10 @@ def test_weight_roundtrip_keeps_every_float(dim, hidden, data):
     ("1\n1 2\n0.5 0.25 1.0\n", "line 3: expected 2 values, got 3"),
     ("1\n2 2\n0.5 0.25\n", "line 2: header says 2 rows, file has 1"),
     ("1\n1 2\n0.5 x\n", "line 3: could not convert"),
+    ("", "the file holds no layer count"),
+    ("\n\n", "the file holds no layer count"),
+    ("2\n1 1\n0.5\n", "line 3: the file ends after 1 of 2 layers"),
+    ("3\n\n", "line 1: the file ends after 0 of 3 layers"),
 ])
 def test_load_weights_names_the_bad_line(tmp_path, text, message):
     path = tmp_path / "w.txt"

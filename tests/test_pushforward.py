@@ -25,22 +25,43 @@ def poly_arch(input_dim, widths, coeff_lists):
     return netcore.Architecture(input_dim, tuple(widths), specs)
 
 
+def one_layer(spec, n):
+    return netcore.Architecture(n, (1,), (spec,))
+
+
+def level0_metric(spec, n, truncation):
+    """gamma_i = multinomial(|i|; i) * a_{|i|} on R^n: level 0 of a one-layer net."""
+    return pf.flatten_metric(one_layer(spec, n), truncation, level=0)
+
+
+def monomial_features(x, truncation):
+    """phi(x): every Taylor coefficient of exp is nonzero, so level 0 of a
+    one-layer exp net stores every monomial up to the truncation."""
+    return pf.flatten_feature_map(one_layer(act.exp(), len(x)), x, truncation, level=0)
+
+
+def exponents(n, max_degree):
+    """Every exponent tuple over n positions of total degree <= max_degree."""
+    return [e for e in itertools.product(range(max_degree + 1), repeat=n) if sum(e) <= max_degree]
+
+
 # ---------------------------------------------------------------------------
 # multi-indices and monomial features
 # ---------------------------------------------------------------------------
 
-def test_iter_exponents_graded_lex_order():
-    got = list(pf.iter_exponents(2, 2))
+def test_exp_level_zero_dumps_graded_lex():
+    v = monomial_features(np.array([2.0, 3.0]), 2)
+    got = [tuple(map(int, line.split("|")[0].split())) for line in pf.dump_series(v).splitlines()]
     assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
-def test_iter_exponents_counts():
+def test_exp_level_zero_counts():
     # degree-t slice of n variables has C(n+t-1, t) monomials
     for n in (1, 2, 3):
         for t_max in (0, 1, 3):
-            got = len(list(pf.iter_exponents(n, t_max)))
+            got = pf.level_counts(one_layer(act.exp(), n), t_max)
             want = sum(math.comb(n + t - 1, t) for t in range(t_max + 1))
-            assert got == want
+            assert got == [want]
 
 
 def test_multinomial_values():
@@ -52,7 +73,7 @@ def test_multinomial_values():
 
 
 def test_monomial_features_values():
-    v = pf.monomial_features(np.array([2.0, 3.0]), 3)
+    v = monomial_features(np.array([2.0, 3.0]), 3)
     assert v.entries.get((1, 2), 0.0) == 18.0
     assert v.entries.get((0, 0), 0.0) == 1.0
     assert v.entries.get((3, 0), 0.0) == 8.0
@@ -62,8 +83,8 @@ def test_monomial_features_values():
 
 
 def test_monomial_features_all_ones():
-    v = pf.monomial_features(np.array([1.0, 1.0, 1.0]), 2)
-    assert v.entries == {expo: 1.0 for expo in pf.iter_exponents(3, 2)}
+    v = monomial_features(np.array([1.0, 1.0, 1.0]), 2)
+    assert v.entries == {expo: 1.0 for expo in exponents(3, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -99,31 +120,31 @@ def test_gamma_matches_brute_force_monomial_power(n, p):
         coeffs[1] = 1.0
         coeffs[p] = 1.0
         spec = act.polynomial(tuple(coeffs))  # t + t^p
-    gamma = pf.gamma_weights(spec, n, max(p, 1))
+    gamma = level0_metric(spec, n, max(p, 1))
     expected = _expand_power_sum(n, p)
     a_p = act.taylor_coefficient(spec, p)
     for expo, c in expected.items():
         assert gamma.entries.get(expo, 0.0) == pytest.approx(float(c) * a_p, rel=1e-15), expo
     # degree-p entries not present in the expansion must be absent/zero
-    for expo in pf.iter_exponents(n, max(p, 1)):
+    for expo in exponents(n, max(p, 1)):
         if sum(expo) == p and expo not in expected:
             assert gamma.entries.get(expo, 0.0) == 0.0
 
 
 def test_gamma_quadratic_example():
-    g = pf.gamma_weights(act.polynomial((0.0, 1.0, 1.0)), 2, 2)
+    g = level0_metric(act.polynomial((0.0, 1.0, 1.0)), 2, 2)
     assert g.entries.get((2, 0), 0.0) == 1.0
     assert g.entries.get((1, 1), 0.0) == 2.0
     assert g.entries.get((0, 2), 0.0) == 1.0
 
 
 def test_gamma_constant_term():
-    g = pf.gamma_weights(act.logistic(), 3, 2)
+    g = level0_metric(act.logistic(), 3, 2)
     assert g.entries.get((0, 0, 0), 0.0) == pytest.approx(0.5)
 
 
 def test_gamma_linear_is_indicator_of_degree_one():
-    g = pf.gamma_weights(act.linear(), 3, 3)
+    g = level0_metric(act.linear(), 3, 3)
     for idx, val in g.entries.items():
         assert sum(idx) == 1 and val == 1.0
     assert len(g.entries) == 3
@@ -131,7 +152,7 @@ def test_gamma_linear_is_indicator_of_degree_one():
 
 def test_gamma_general_formula_spot_checks():
     # gamma_i = (|i|! / prod_j i_j!) a_{|i|}
-    g = pf.gamma_weights(act.tanh(), 2, 5)
+    g = level0_metric(act.tanh(), 2, 5)
     a3 = act.taylor_coefficient(act.tanh(), 3)
     a5 = act.taylor_coefficient(act.tanh(), 5)
     assert g.entries.get((2, 1), 0.0) == pytest.approx(3.0 * a3, rel=1e-15)
@@ -146,10 +167,13 @@ def test_gamma_general_formula_spot_checks():
 def pushforward_sides(spec, vectors, mu, truncation):
     """(lhs, rhs) of the identity: lhs = sigma(sum_j mu_j prod_v v_j); rhs
     re-assembles it from the pushed metric gamma o phi(mu) and the monomial
-    features of every vector, up to the truncation degree."""
+    features of every vector, up to the truncation degree.  The features are
+    level 0 of the same one-layer net: phi on the activation's support, the
+    only monomials gamma does not zero."""
     lhs = act.evaluate(spec, float(np.sum(mu * np.prod(np.stack(vectors), axis=0))))
-    gamma = pf.gamma_weights(spec, mu.size, truncation)
-    features = [pf.monomial_features(v, truncation) for v in (mu, *vectors)]
+    arch = one_layer(spec, mu.size)
+    gamma = pf.flatten_metric(arch, truncation, level=0)
+    features = [pf.flatten_feature_map(arch, v, truncation, level=0) for v in (mu, *vectors)]
     return lhs, pf.flat_inner(gamma, *features)
 
 
@@ -292,6 +316,25 @@ def test_analytic_equivalence_small_arguments():
         assert abs(f - flat) <= 1e-5
 
 
+def _pairs(lv):
+    """Each stored index's (slot, exponent) pairs, row by row."""
+    return [
+        [(p, e) for p, e in zip(prow, erow) if e]
+        for prow, erow in zip(lv.terms_pos.tolist(), lv.terms_exp.tolist())
+    ]
+
+
+def _stable_keys(lv):
+    """Truncation-independent identities of a level's stored indices: the
+    exponent tuple at level 0, above it the sorted ((block, child identity),
+    exponent) pairs."""
+    if lv.level == 0:
+        return [tuple(row) for row in lv.xexp.tolist()]
+    below = _stable_keys(lv.prev)
+    slot = [(b, below[k]) for b, k in zip(lv.slot_block.tolist(), lv.slot_prev.tolist())]
+    return [tuple(sorted((slot[p], e) for p, e in pairs)) for pairs in _pairs(lv)]
+
+
 def test_truncation_monotonicity():
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
     w = netcore.WeightSet((
@@ -300,8 +343,8 @@ def test_truncation_monotonicity():
     ))
     lo = pf.flat_weight(arch, w, 4)
     hi = pf.flat_weight(arch, w, 6)
-    lo_map = dict(zip(lo.stable_keys(), lo.values))
-    hi_map = dict(zip(hi.stable_keys(), hi.values))
+    lo_map = dict(zip(_stable_keys(lo._space), lo.values))
+    hi_map = dict(zip(_stable_keys(hi._space), hi.values))
     assert set(lo_map) <= set(hi_map)
     for k, val in lo_map.items():
         assert hi_map[k] == pytest.approx(val, rel=1e-14, abs=1e-300)
@@ -338,9 +381,9 @@ def test_multiplicativity_of_monomial_map():
     rng = np.random.default_rng(14)
     a = rng.uniform(0.5, 1.5, size=3)
     b = rng.uniform(0.5, 1.5, size=3)
-    fa = pf.monomial_features(a, 4)
-    fb = pf.monomial_features(b, 4)
-    fab = pf.monomial_features(a * b, 4)
+    fa = monomial_features(a, 4)
+    fb = monomial_features(b, 4)
+    fab = monomial_features(a * b, 4)
     np.testing.assert_allclose(fab.values, fa.values * fb.values, rtol=1e-12)
 
 
@@ -424,7 +467,7 @@ def test_levels_store_the_reference_enumeration_in_order(arch, trunc):
         got = [
             (tuple(pairs), own, comp)
             for pairs, own, comp in zip(
-                lv._pairs(), lv.own_degree.tolist(), lv.composed_degree.tolist()
+                _pairs(lv), lv.own_degree.tolist(), lv.composed_degree.tolist()
             )
         ]
         assert got == _reference_indices(slot_cdeg, supp, trunc)
@@ -682,20 +725,13 @@ def test_flat_space_cache_key_is_arch_and_truncation():
     before = pf.flat_space.cache_info()
     spellings = [
         pf.flat_space(arch, 5),
-        pf.flat_space(arch, 5, pf.DEFAULT_MAX_ENTRIES),
-        pf.flat_space(arch, 5, max_entries=pf.DEFAULT_MAX_ENTRIES),
-        pf.flat_space(arch, 5, max_entries=60_000),
+        pf.flat_space(arch, truncation=5),
         pf.flat_space(arch, np.int64(5)),
     ]
     after = pf.flat_space.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == len(spellings) - 1
     assert all(space is spellings[0] for space in spellings)
-    # the size guard still applies to a cached tower
-    worst = max(pf.level_counts(arch, 5))
-    with pytest.raises(SizeLimitError):
-        pf.flat_space(arch, 5, max_entries=worst - 1)
-    assert pf.flat_space(arch, 5, max_entries=worst) is spellings[0]
 
 
 BATCH_ARCH = netcore.Architecture(2, (3, 1), (act.tanh(), act.erf()))
@@ -731,7 +767,9 @@ def test_size_limit_guard():
     arch = poly_arch(3, (3, 3, 1),
                      [[0.0, 1.0, 0.1, 0.1], [0.0, 1.0, 0.1, 0.1], [0.0, 1.0, 0.1, 0.1]])
     with pytest.raises(SizeLimitError):
-        pf.flat_space(arch, 27, max_entries=100_000)
+        pf.flat_space(arch, 27)
+    with pytest.raises(SizeLimitError):
+        pf.level_counts(arch, 27, max_entries=100_000)
 
 
 def test_tags_name_slots_bottom_up():
@@ -899,7 +937,7 @@ def _object_multinomials(exps, level=None):
 @pytest.mark.parametrize("degree", [20, 21])
 def test_int64_multinomials_are_the_object_multinomials(degree):
     # every exponent row of the given degree over 3 positions, plus lower ones
-    rows = [e for e in pf.iter_exponents(3, degree) if sum(e) in (0, 7, degree)]
+    rows = [e for e in exponents(3, degree) if sum(e) in (0, 7, degree)]
     exps = np.array(rows, dtype=np.int64)
     got = pf._multinomials(exps)
     assert _same_bits(got, _object_multinomials(exps))
@@ -1021,11 +1059,6 @@ def test_tower_cache_evicts_the_least_recently_used_past_its_byte_budget(monkeyp
     pf.flat_space(e, 4)
     assert set(cache._values) == {(b, 4), (e, 4)}
     assert pf.flat_space(b, 4) is space_b
-    # the size guard still refuses a cached tower to a caller with a lower max_entries
-    worst = max(pf.level_counts(b, 4))
-    with pytest.raises(SizeLimitError):
-        pf.flat_space(b, 4, max_entries=worst - 1)
-    assert pf.flat_space(b, 4, max_entries=worst) is space_b
 
 
 def test_tower_cache_reads_sizes_again_and_keeps_no_tower_past_the_budget(monkeypatch):
