@@ -12,16 +12,52 @@ tables; everything is validated against closed forms in the test suite.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import sys
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf as _sp_erf, erfi as _sp_erfi
 
 from .errors import DomainError
+
+
+def _load_erf():
+    """SciPy's erf and erfi ufuncs, loaded without running scipy's package inits.
+
+    Those inits (with SciPy's array-API shim) cost about half of a cold
+    ``import kreinflat.cli``; the compiled ``scipy.special._ufuncs`` module that
+    holds the ufuncs is cheap.  It is imported under bare package stubs
+    (``__path__`` only), and every ``scipy`` entry of ``sys.modules`` is removed
+    afterwards, so a later ``import scipy.special`` runs the real inits and
+    hands back these same ufunc objects.  With scipy already imported, or on
+    any failure of the private layout, the public import is used.
+    """
+    if "scipy" not in sys.modules:
+        try:
+            root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            for name, path in (("scipy", root), ("scipy.special", os.path.join(root, "special"))):
+                stub = types.ModuleType(name)
+                stub.__path__ = [path]
+                sys.modules[name] = stub
+            from scipy.special._ufuncs import erf, erfi
+
+            return erf, erfi
+        except Exception:  # any change to scipy's private layout: the public import below
+            pass
+        finally:
+            for name in [k for k in sys.modules if k == "scipy" or k.startswith("scipy.")]:
+                del sys.modules[name]
+    from scipy.special import erf, erfi
+
+    return erf, erfi
+
+
+_sp_erf, _sp_erfi = _load_erf()
 
 _SQRT_PI = math.sqrt(math.pi)
 

@@ -177,9 +177,9 @@ def save_model(path, model):
 
 def load_model(path):
     """Model from a save_model file; ValueError for a missing key, or naming the line
-    of a key without its value, a point count that is not a whole number, a point
-    row of the wrong width, an alpha count other than the point count or a
-    non-finite number."""
+    of a key without its value, a count (input_dim, width, points) that is not a
+    whole number, a point row of the wrong width, an alpha count other than the
+    point count or a non-finite number."""
     with open(path) as fh:
         rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
     fields = {}  # head -> (tokens, line number); points -> (rows, line number)
@@ -193,10 +193,9 @@ def load_model(path):
         if head == "activation":
             specs.append(_spec_from_tokens(tokens, lineno))
         elif head == "points":
-            if not tokens[0].isdecimal():
-                raise ValueError(f"line {lineno}: point count {tokens[0]!r} is not a whole number")
-            fields[head] = rows[pos : pos + int(tokens[0])], lineno
-            pos += int(tokens[0])
+            (count,) = netcore.read_counts(tokens, lineno, 1, "point count")
+            fields[head] = rows[pos : pos + count], lineno
+            pos += count
         else:
             fields[head] = tokens, lineno
     missing = [k for k in ("lambda", "variant", "input_dim", "widths", "points", "alpha")
@@ -204,8 +203,8 @@ def load_model(path):
     if missing:
         raise ValueError(f"model file lacks {', '.join(missing)}")
     arch = netcore.Architecture(
-        input_dim=int(fields["input_dim"][0][0]),
-        widths=tuple(int(h) for h in fields["widths"][0]),
+        input_dim=netcore.read_counts(*fields["input_dim"], 1, "input_dim")[0],
+        widths=tuple(netcore.read_counts(*fields["widths"], what="width")),
         activations=tuple(specs),
     )
     points = [netcore.read_floats(t, n, arch.input_dim) for n, t in fields["points"][0]]

@@ -359,21 +359,32 @@ def read_floats(tokens, lineno, count=None):
     return values
 
 
+def read_counts(tokens, lineno, count=None, what="count"):
+    """Whole numbers of file line ``lineno``; ValueError names the line of a count that is
+    negative or not an integer, or of the wrong number of counts."""
+    if count is not None and len(tokens) != count:
+        raise ValueError(f"line {lineno}: expected {count} values, got {len(tokens)}")
+    for t in tokens:
+        if not t.isdecimal():
+            raise ValueError(f"line {lineno}: {what} {t!r} is not a whole number")
+    return [int(t) for t in tokens]
+
+
 def load_weights(path):
     """Weights from a save_weights file; ValueError names a malformed or non-finite line,
-    or the line a short file ends on."""
+    a bad count, or the line a short file ends on."""
     with open(path) as fh:
         rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
     if not rows:
         raise ValueError("the file holds no layer count")
-    depth = int(rows[0][1][0])
+    (depth,) = read_counts(rows[0][1], rows[0][0], 1, "layer count")
     mats = []
     pos = 1
     for q in range(depth):
         if pos == len(rows):
             raise ValueError(f"line {rows[-1][0]}: the file ends after {q} of {depth} layers")
         n, header = rows[pos]
-        h, f = (int(t) for t in header)
+        h, f = read_counts(header, n, 2, "shape count")
         block = [read_floats(tokens, r, f) for r, tokens in rows[pos + 1 : pos + 1 + h]]
         if len(block) != h:
             raise ValueError(f"line {n}: header says {h} rows, file has {len(block)}")

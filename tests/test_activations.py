@@ -5,7 +5,11 @@ Expected coefficients were derived independently from the defining ODEs
 exact rational arithmetic, and cross-checked against stdlib closed forms.
 """
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -455,3 +459,95 @@ def test_shape_predicates():
     assert act.is_bounded_by_one(act.tanh())
     assert act.is_bounded_by_one(act.erf())
     assert not act.is_bounded_by_one(act.linear())
+
+
+# ---------------------------------------------------------------------------
+# SciPy's erf/erfi, loaded without scipy.special's package init
+# ---------------------------------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(act.__file__))
+
+# true when every scipy module in sys.modules is a real one, not a bare stub
+_NO_STUBS = (
+    "all(m.__spec__ is not None for k, m in sys.modules.items()"
+    " if k == 'scipy' or k.startswith('scipy.'))"
+)
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports kreinflat from this source tree."""
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_scipy_unimported():
+    _run_fresh(
+        "import sys\n"
+        "import kreinflat.cli\n"
+        "from kreinflat import activations as act\n"
+        "assert not [k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')]\n"
+        "import scipy.special, scipy.linalg\n"
+        f"assert {_NO_STUBS}\n"
+        "assert act._sp_erf is scipy.special.erf\n"
+        "assert act._sp_erfi is scipy.special.erfi\n"
+    )
+
+
+@pytest.mark.parametrize("sabotage", [
+    # the package cannot be located: fails before any stub is in place
+    "import importlib.util\n"
+    "def refuse(*args, **kwargs):\n    raise ImportError('no spec')\n"
+    "importlib.util.find_spec = refuse\n",
+    # the private module cannot be imported: fails while the stubs are in place
+    "sys.modules['scipy.special._ufuncs'] = None\n",
+], ids=["no-spec", "no-private-module"])
+def test_load_erf_falls_back_to_the_public_import(sabotage):
+    _run_fresh(
+        "import sys\n"
+        "from kreinflat import activations as act\n"
+        + sabotage +
+        "erf, erfi = act._load_erf()\n"
+        "assert 'scipy.special' in sys.modules\n"
+        f"assert {_NO_STUBS}\n"
+        "import scipy.special\n"
+        "assert erf is scipy.special.erf and erfi is scipy.special.erfi\n"
+    )
+
+
+def test_load_erf_takes_an_imported_scipy_special(monkeypatch):
+    import scipy.special
+
+    located = []
+    monkeypatch.setattr(importlib.util, "find_spec", lambda *args, **kw: located.append(args))
+    before = {k: m for k, m in sys.modules.items() if k == "scipy" or k.startswith("scipy.")}
+    erf, erfi = act._load_erf()
+    assert not located
+    assert erf is scipy.special.erf and erfi is scipy.special.erfi
+    assert all(sys.modules.get(k) is m for k, m in before.items())
+
+
+@pytest.mark.parametrize("spec, reference", [
+    (act.erf(), lambda sc, xi: sc.erf(xi)),
+    (act.associated(act.erf()), lambda sc, xi: sc.erfi(xi)),
+    (act.relu_surrogate(), lambda sc, xi: 0.5 * xi * (1.0 + sc.erf(xi / 0.01))),
+    (act.relu_surrogate(0.5), lambda sc, xi: 0.5 * xi * (1.0 + sc.erf(xi / 0.5))),
+    (act.associated(act.relu_surrogate()), lambda sc, xi: 0.5 * xi * (1.0 + sc.erfi(xi / 0.01))),
+], ids=["erf", "erfi", "relu_surrogate", "relu_surrogate_0.5", "relu_surrogate_assoc"])
+def test_erf_family_is_scipy_bit_for_bit(spec, reference):
+    import scipy.special as sc
+
+    tiny = np.finfo(float).smallest_subnormal
+    grid = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, math.inf, -math.inf, math.nan],
+        np.linspace(-6.0, 6.0, 100_001),
+        np.linspace(-40.0, 40.0, 1_001),  # erfi overflows to inf past about 26.6
+    ])
+    with np.errstate(all="ignore"):
+        got, want = act.evaluate(spec, grid), reference(sc, grid)
+        # a scalar is a 0-d array, whose NumPy loops may set another NaN sign bit
+        scalars = [act.evaluate(spec, x) for x in grid[:10]]
+        want_scalars = [reference(sc, np.asarray(x)) for x in grid[:10]]
+    assert got.tobytes() == want.tobytes()
+    assert np.array(scalars).tobytes() == np.array(want_scalars).tobytes()

@@ -348,6 +348,25 @@ def test_short_weights_file_exits_2(tmp_path, capsys, command, text, message):
     assert f"malformed weights file: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    # these raised "invalid literal for int()", "too many values to unpack", or
+    # (a negative layer count) loaded as an empty weight set
+    ("1\n1 x\n0.5\n", "line 2: shape count 'x' is not a whole number"),
+    ("1\n1 1 1\n0.5\n", "line 2: expected 2 values, got 3"),
+    ("-1\n", "line 1: layer count '-1' is not a whole number"),
+])
+def test_bad_weights_count_exits_2(tmp_path, capsys, text, message):
+    weights = tmp_path / "weights.txt"
+    weights.write_text(text)
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [1], "activations": ["tanh"]},
+        "truncation": 3,
+        "weights": str(weights),
+    }
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 2
+    assert f"malformed weights file: {message}\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("activation, truncation", [
     ("exp", 180), ("erf", 400), ({"kind": "relu_surrogate"}, 180),
 ])

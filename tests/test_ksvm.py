@@ -653,6 +653,17 @@ def test_load_model_refuses_a_point_count_that_is_not_whole(tmp_path, count):
     assert done.stdout == f"line 7: point count {count!r} is not a whole number\n"
 
 
+@pytest.mark.parametrize("lineno, text, message", [
+    # these raised "invalid literal for int()" without naming the line
+    (3, "input_dim x", "line 3: input_dim 'x' is not a whole number"),
+    (4, "widths 2 x", "line 4: width 'x' is not a whole number"),
+])
+def test_load_model_names_the_line_of_a_bad_count(tmp_path, lineno, text, message):
+    path = _edited_model_file(tmp_path, lineno, text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ksvm.load_model(path)
+
+
 @pytest.mark.parametrize("text", ["activation relu_surrogate 0.25 7", "activation tanh 0.5 1"])
 def test_load_model_refuses_extra_activation_parameters(tmp_path, text):
     path = _edited_model_file(tmp_path, 5, text)
