@@ -19,7 +19,6 @@ import numpy as np
 from . import activations as act
 from . import kreinkernel as kk
 from . import netcore
-from . import pushforward as pf
 from .errors import DomainError
 
 #: memory ceiling of one block of the Monte-Carlo estimate (hypothesis draws or sign trials)
@@ -427,25 +426,16 @@ class SparsityProfile:
     valid_epsilon_max: float
 
 
-def _values(vec):
-    if isinstance(vec, pf.SeriesVector):
-        return vec.values
-    return np.asarray(vec, dtype=float)
-
-
 def sparsity_profile(metric, weight, depth, constants, epsilons=()):
-    """The 2/depth-power sparsity profile of the flat pair (g, v).
+    """The 2/depth-power sparsity profile of the flat pair (g, v), two arrays.
 
     bridge_norm = sum_i |g_i v_i|^(2/depth), computed in log space so
     products far below the smallest positive float still contribute.
     epsilon_counts holds (epsilon, count above epsilon, ceiling) triples,
     the ceiling being bridge_bound * epsilon^(-2/depth) floored.
     """
-    g = _values(metric)
-    v = _values(weight)
-    if isinstance(metric, pf.SeriesVector) and isinstance(weight, pf.SeriesVector):
-        if not metric.aligned_with(weight):
-            raise ValueError("metric and weight vectors live on different spaces")
+    g = np.asarray(metric, dtype=float)
+    v = np.asarray(weight, dtype=float)
     if g.shape != v.shape:
         raise ValueError("metric and weight vectors must have equal length")
     d = int(depth)

@@ -560,7 +560,7 @@ def run_sparsity(cfg, out=None):
         input_dim=arch.input_dim,
         weight_ball_radius=radius,
     )
-    profile = analysis.sparsity_profile(metric, vnn, arch.depth, constants, epsilons)
+    profile = analysis.sparsity_profile(metric.values, vnn.values, arch.depth, constants, epsilons)
     results = {
         **vars(profile),
         "epsilon_counts": [

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import secrets
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Tuple
@@ -270,16 +269,14 @@ def geometric_means(arch, intervals=None):
     """(width_gm, lipschitz_gm, lipschitz_assoc_gm) across all layers.
 
     The width mean includes the final width 1.  ``intervals`` gives the [0, m]
-    range per layer for the Lipschitz suprema: None means m = inf everywhere,
-    a scalar is shared, a sequence is per-layer.  A Lipschitz mean is None
-    when some layer has no constant on its interval (only possible at
-    m = inf); intervals beyond a convergence radius raise DomainError.
+    range per layer for the Lipschitz suprema, one m per layer; None means
+    m = inf everywhere.  A Lipschitz mean is None when some layer has no
+    constant on its interval (only possible at m = inf); intervals beyond a
+    convergence radius raise DomainError.
     """
     d = arch.depth
     if intervals is None:
         ms = [math.inf] * d
-    elif np.isscalar(intervals):
-        ms = [float(intervals)] * d
     else:
         ms = [float(m) for m in intervals]
         if len(ms) != d:
@@ -326,7 +323,7 @@ def write_text(path, text):
 
     The temp file is removed when writing or renaming fails.
     """
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:

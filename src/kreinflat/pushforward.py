@@ -29,10 +29,10 @@ enumerated by count pattern (how many slots each group of equal composed
 degree gives), plus per-index gamma coefficients, metric values and per-block
 degree profiles.  Each level builds its composed input exponents and caches
 its dump layout (tags, sort order, line prefixes) once something reads them.
-flat_space refuses a tower past DEFAULT_MAX_ENTRIES stored indices at some
-level (SizeLimitError); level_counts() gives the exact per-level counts,
-memoised, without enumerating anything, and takes any other limit.
-flat_space keeps built towers within a byte budget.
+flat_space refuses to build a tower past DEFAULT_MAX_ENTRIES stored indices
+at some level (SizeLimitError); level_counts() gives the exact per-level
+counts without enumerating anything, and takes any other limit.  flat_space
+keeps built towers within a byte budget.
 """
 
 from __future__ import annotations
@@ -434,33 +434,16 @@ class _LRUCache:
         return CacheInfo(self.hits, self.misses, len(self._values), nbytes, self.budget)
 
 
-# Level counts memoised per (arch, truncation), at most this many in all.
-_COUNTS = _LRUCache(1024, len)
-
-
 def level_counts(arch, truncation, max_entries=None):
     """Exact stored-index count per level, computed without enumeration.
 
-    Memoised per (arch, truncation).  With max_entries, SizeLimitError when a
-    level's count passes it; memoised counts answer that check, and a refused
-    call reruns the count, which stops as soon as a partial count passes.
+    A dynamic program over (composed degree, own degree) with the multiset
+    generating function of the slot histogram; used both by the size guard
+    and by architecture generators that must stay desk-sized.  With
+    max_entries, SizeLimitError as soon as a level's partial count passes it:
+    that count only grows as slot groups are added.
     """
     trunc = int(truncation)
-    counts = _COUNTS.get((arch, trunc))
-    if counts is None or (max_entries is not None and max(counts, default=0) > max_entries):
-        counts = _count_levels(arch, trunc, max_entries)
-        _COUNTS.put((arch, trunc), counts)
-    return list(counts)
-
-
-def _count_levels(arch, trunc, max_entries):
-    """level_counts' dynamic program over (composed degree, own degree).
-
-    It uses the multiset generating function of the slot histogram; used both
-    by the size guard and by architecture generators that must stay
-    desk-sized.  With max_entries, SizeLimitError as soon as a level's partial
-    count passes it: that count only grows as slot groups are added.
-    """
     counts = []
     # histogram of composed degree over stored indices of the previous level
     hist = {1: arch.input_dim}  # level-0 "slots" are the D inputs, degree 1
@@ -495,7 +478,7 @@ def _count_levels(arch, trunc, max_entries):
                 level_hist[t] = level_hist.get(t, 0) + ways
         counts.append(stored)
         hist = level_hist
-    return tuple(counts)
+    return counts
 
 
 def _ranges(sizes):
@@ -637,8 +620,9 @@ _TOWERS = _LRUCache(_TOWER_BYTES, FlatSpace.nbytes)
 
 
 def _tower(arch, trunc):
-    """Every level of the tower; each must store exactly level_counts' count."""
-    counts = level_counts(arch, trunc)
+    """Every level of the tower; each must store exactly level_counts' count,
+    and none more than DEFAULT_MAX_ENTRIES (SizeLimitError, before building)."""
+    counts = level_counts(arch, trunc, DEFAULT_MAX_ENTRIES)
     levels = []
     prev = None
     for q in range(arch.depth):
@@ -656,12 +640,12 @@ def flat_space(arch, truncation):
     """The flattening tower of an architecture, built once per (arch, truncation).
 
     SizeLimitError when a level would store more than DEFAULT_MAX_ENTRIES
-    indices.  Towers are kept least recently used first within _TOWER_BYTES.
+    indices; the guard runs when a tower is built, so a cached one has passed
+    it.  Towers are kept least recently used first within _TOWER_BYTES.
     """
     trunc = int(truncation)
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
-    level_counts(arch, trunc, DEFAULT_MAX_ENTRIES)  # the size guard
     space = _TOWERS.get((arch, trunc))
     if space is None:
         space = _tower(arch, trunc)
@@ -713,39 +697,24 @@ def feature_blocks(arch, xs, truncation=DEFAULT_TRUNCATION):
         yield _feature_values(space, xs[start : start + step])[-1]
 
 
-def _level_index(arch, level):
-    """The tower level a ``level=`` argument names: the top for None."""
-    if level is None:
-        return arch.depth - 1
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
-        raise ValueError(f"level must be an integer, not {level!r}")
-    if not 0 <= level < arch.depth:
-        raise ValueError(f"level {level} is outside range({arch.depth})")
-    return int(level)
-
-
-def flatten_feature_map(arch, x, truncation=DEFAULT_TRUNCATION, *, level=None):
-    """The composed feature map of the network at input x.
-
-    Returns the top level by default; ``level=q`` returns the intermediate
-    feature vector after q compositions (level 0 is phi restricted to the
-    stored support of the first activation).
-    """
+def flatten_feature_map(arch, x, truncation=DEFAULT_TRUNCATION):
+    """The composed feature map of the network at input x, on the top level."""
     space = flat_space(arch, truncation)
     x = np.asarray(x, dtype=float)
     if x.shape != (arch.input_dim,):
         raise ValueError(f"input shape {x.shape} != ({arch.input_dim},)")
-    pick = _level_index(arch, level)
-    return SeriesVector(_feature_values(space, x[None])[pick][0], space.levels[pick])
+    return SeriesVector(_feature_values(space, x[None])[-1][0], space.top)
 
 
-def flatten_metric(arch, truncation=DEFAULT_TRUNCATION, *, variant="krein", level=None):
-    """The flat metric of the network (variant "associated" takes |g|)."""
-    if variant not in ("krein", "associated"):
-        raise ValueError(f"unknown variant {variant!r}")
-    lv = flat_space(arch, truncation).levels[_level_index(arch, level)]
-    vals = np.abs(lv.metric) if variant == "associated" else lv.metric.copy()
-    return SeriesVector(vals, lv)
+def flatten_metric(arch, truncation=DEFAULT_TRUNCATION):
+    """The flat metric of the network, on the top level.
+
+    The associated side's metric, that of the architecture with act.associated
+    at every layer, is |g| within 1e-15 relative: its coefficients are
+    computed on their own, so it is not |g| bit for bit.
+    """
+    top = flat_space(arch, truncation).top
+    return SeriesVector(top.metric.copy(), top)
 
 
 def _powers(w, base):

@@ -169,7 +169,7 @@ def test_criterion_03_kernel_identity_both_variants():
         except pf.SizeLimitError:
             continue
         metric = pf.flatten_metric(arch, trunc)
-        folded = pf.flatten_metric(arch, trunc, variant="associated")
+        folded = metric.like(np.abs(metric.values))
         x, xp = rng.uniform(-0.8, 0.8, size=(2, dim))
         phi = pf.flatten_feature_map(arch, x, trunc)
         phip = pf.flatten_feature_map(arch, xp, trunc)
@@ -190,7 +190,7 @@ def test_criterion_03_kernel_identity_both_variants():
         widths = tuple(int(rng.integers(1, 3)) for _ in range(d - 1)) + (1,)
         arch = netcore.Architecture(dim, widths, tuple(act.erf() for _ in range(d)))
         metric = pf.flatten_metric(arch, 12)
-        folded = pf.flatten_metric(arch, 12, variant="associated")
+        folded = metric.like(np.abs(metric.values))
         x, xp = rng.uniform(-0.2, 0.2, size=(2, dim))
         phi = pf.flatten_feature_map(arch, x, 12)
         phip = pf.flatten_feature_map(arch, xp, 12)
@@ -233,7 +233,7 @@ def test_criterion_04_multinomial_gamma_oracle():
         else:
             spec = act.polynomial((0.0, 1.0) + (0.0,) * (p - 2) + (1.0,))
         for n in range(1, 4):
-            gamma = pf.flatten_metric(netcore.Architecture(n, (1,), (spec,)), p, level=0)
+            gamma = pf.flatten_metric(netcore.Architecture(n, (1,), (spec,)), p)
             brute = _expand_power_sum(n, p)
             for expo, coef in brute.items():
                 assert gamma.entries.get(expo, 0.0) == float(coef)
@@ -350,7 +350,7 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
     """
     rng = np.random.default_rng(seed)
     metric = pf.flatten_metric(arch, trunc)
-    folded_metric = pf.flatten_metric(arch, trunc, variant="associated")
+    folded_metric = metric.like(np.abs(metric.values))
     d, dim = arch.depth, arch.input_dim
     width_gm, _, _ = netcore.geometric_means(arch)
     metric_sup = float(np.max(np.abs(metric.values)))
@@ -416,7 +416,9 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
                 bad.append(f"draw {k}: folded product cap above ball cap")
             constants = analysis.SparsityConstants(width_gm, lip_folded, dim, radius)
             levels = tuple(f * d * radius * metric_sup for f in (0.5, 0.1, 0.01))
-            profile = analysis.sparsity_profile(metric, flat_vec, d, constants, epsilons=levels)
+            profile = analysis.sparsity_profile(
+                metric.values, flat_vec.values, d, constants, epsilons=levels
+            )
             if profile.bridge_norm > profile.bridge_bound * slack:
                 bad.append(
                     f"draw {k}: bridge norm {profile.bridge_norm} above {profile.bridge_bound}"

@@ -75,7 +75,7 @@ def test_penalties_match_flat_inner_products():
     w = netcore.WeightSet(tuple(mats))
     trunc = 4
     g = pf.flatten_metric(arch, trunc)
-    gbar = pf.flatten_metric(arch, trunc, variant="associated")
+    gbar = g.like(np.abs(g.values))
     vnn = pf.flat_weight(arch, w, trunc)
     assert analysis.flat_penalty(arch, w) == pytest.approx(
         pf.flat_inner(g, vnn, vnn), rel=1e-10
@@ -661,7 +661,9 @@ def test_sparsity_profile_of_admissible_network():
         input_dim=1,
         weight_ball_radius=analysis.weight_ball_radius(arch, w),
     )
-    prof = analysis.sparsity_profile(g, v, arch.depth, constants, epsilons=(1e-3, 1e-2))
+    prof = analysis.sparsity_profile(
+        g.values, v.values, arch.depth, constants, epsilons=(1e-3, 1e-2)
+    )
     assert 0.0 < prof.bridge_norm <= prof.bridge_bound
     assert prof.weight_sup <= prof.weight_sup_bound * (1 + 1e-12)
     for eps, count, cap in prof.epsilon_counts:

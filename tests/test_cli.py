@@ -225,6 +225,19 @@ def test_write_text_failure_leaves_no_temp(tmp_path):
     assert os.listdir(target) == []
 
 
+def test_cli_import_leaves_secrets_unimported():
+    # temp names come from os.urandom; secrets would add its imports to every run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kreinflat.cli; assert 'secrets' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_out_creates_missing_directories(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", poly_config(tmp_path))
     out = tmp_path / "fresh" / "nested" / "report.json"

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from kreinflat import activations as act
@@ -31,13 +31,13 @@ def one_layer(spec, n):
 
 def level0_metric(spec, n, truncation):
     """gamma_i = multinomial(|i|; i) * a_{|i|} on R^n: level 0 of a one-layer net."""
-    return pf.flatten_metric(one_layer(spec, n), truncation, level=0)
+    return pf.flatten_metric(one_layer(spec, n), truncation)
 
 
 def monomial_features(x, truncation):
     """phi(x): every Taylor coefficient of exp is nonzero, so level 0 of a
     one-layer exp net stores every monomial up to the truncation."""
-    return pf.flatten_feature_map(one_layer(act.exp(), len(x)), x, truncation, level=0)
+    return pf.flatten_feature_map(one_layer(act.exp(), len(x)), x, truncation)
 
 
 def exponents(n, max_degree):
@@ -172,8 +172,8 @@ def pushforward_sides(spec, vectors, mu, truncation):
     only monomials gamma does not zero."""
     lhs = act.evaluate(spec, float(np.sum(mu * np.prod(np.stack(vectors), axis=0))))
     arch = one_layer(spec, mu.size)
-    gamma = pf.flatten_metric(arch, truncation, level=0)
-    features = [pf.flatten_feature_map(arch, v, truncation, level=0) for v in (mu, *vectors)]
+    gamma = pf.flatten_metric(arch, truncation)
+    features = [pf.flatten_feature_map(arch, v, truncation) for v in (mu, *vectors)]
     return lhs, pf.flat_inner(gamma, *features)
 
 
@@ -370,10 +370,37 @@ def test_metric_sign_alternation_erf_depth_one():
     assert seen >= 4  # degrees 1, 3, 5, 7
 
 
-def test_metric_associated_variant_is_abs():
-    arch = netcore.Architecture(1, (2, 1), (act.tanh(), act.tanh()))
-    g = pf.flatten_metric(arch, 6)
-    gbar = pf.flatten_metric(arch, 6, variant="associated")
+@st.composite
+def base_specs(draw):
+    """An activation of any kind a config can name, polynomial included."""
+    kind = draw(st.sampled_from(act.BASE_KINDS))
+    if kind == "polynomial":
+        a0, a1 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.1, 1.5))
+        return act.polynomial((a0, a1, *draw(st.lists(st.floats(-1.0, 1.0), max_size=3))))
+    if kind == "relu_surrogate":
+        return act.relu_surrogate(draw(st.floats(0.01, 2.0)))
+    return act.ActivationSpec(kind)
+
+
+@st.composite
+def small_nets(draw):
+    depth = draw(st.integers(1, 3))
+    widths = tuple(draw(st.integers(1, 2)) for _ in range(depth - 1)) + (1,)
+    specs = tuple(draw(base_specs()) for _ in range(depth))
+    return netcore.Architecture(draw(st.integers(1, 3)), widths, specs)
+
+
+@example(arch=netcore.Architecture(1, (2, 1), (act.tanh(), act.tanh())), trunc=6)
+@given(arch=small_nets(), trunc=st.integers(1, 6))
+def test_metric_associated_variant_is_abs(arch, trunc):
+    # the associated architecture has coefficients |a_k| at every layer, so
+    # its metric is |g| up to rounding: its coefficients are computed on their own
+    assume(max(pf.level_counts(arch, trunc)) <= 5000)
+    assoc = netcore.Architecture(
+        arch.input_dim, arch.widths, tuple(act.associated(s) for s in arch.activations)
+    )
+    g = pf.flatten_metric(arch, trunc)
+    gbar = pf.flatten_metric(assoc, trunc)
     np.testing.assert_allclose(gbar.values, np.abs(g.values), rtol=1e-15)
 
 
@@ -388,9 +415,9 @@ def test_multiplicativity_of_monomial_map():
 
 
 def test_feature_level_zero_is_plain_monomials():
-    arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.2], [0.0, 0.5]])
+    arch = poly_arch(2, (1,), [[0.0, 1.0, 0.2]])  # level 0 is the top of a one-layer net
     x = np.array([0.7, -0.4])
-    lvl0 = pf.flatten_feature_map(arch, x, 4, level=0)
+    lvl0 = pf.flatten_feature_map(arch, x, 4)
     xexp = np.asarray(lvl0.composed_exponents())
     assert len(xexp) > 0
     for e, val in zip(xexp, lvl0.values):
@@ -997,46 +1024,8 @@ def test_bitmap_table_is_the_unique_table(arch, trunc):
 
 
 # ---------------------------------------------------------------------------
-# level= arguments, the count memo and the tower cache budget
+# the tower cache: its byte budget and its size guard
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("level", [-1, 3, 1.7, 2.0, True, "1"])
-def test_level_argument_must_name_a_tower_level(level):
-    arch = netcore.Architecture(2, (2, 2, 1), (act.tanh(),) * 3)
-    with pytest.raises(ValueError, match="level"):
-        pf.flatten_metric(arch, 3, level=level)
-    with pytest.raises(ValueError, match="level"):
-        pf.flatten_feature_map(arch, np.ones(2), 3, level=level)
-
-
-def test_level_argument_accepts_numpy_integers():
-    arch = netcore.Architecture(2, (2, 2, 1), (act.tanh(),) * 3)
-    space = pf.flat_space(arch, 3)
-    for q in range(arch.depth):
-        for level in (q, np.int64(q)):
-            assert pf.flatten_metric(arch, 3, level=level).aligned_with(
-                pf.flatten_feature_map(arch, np.ones(2), 3, level=level)
-            )
-            assert len(pf.flatten_metric(arch, 3, level=level).values) == len(
-                space.levels[q].own_degree
-            )
-
-
-def test_level_counts_are_memoised_per_arch_and_truncation(monkeypatch):
-    arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.375], [0.0, 1.0, 0.0, 0.125]])
-    runs = []
-    count = pf._count_levels
-    monkeypatch.setattr(pf, "_count_levels", lambda *args: runs.append(args) or count(*args))
-    counts = pf.level_counts(arch, 7)
-    counts.append(0)  # the caller's copy
-    assert pf.level_counts(arch, np.int64(7)) == counts[:-1]
-    assert pf.level_counts(arch, 7, max_entries=max(counts)) == counts[:-1]
-    assert len(runs) == 1
-    # a refusal reruns the count, which stops at the first partial count past the limit
-    with pytest.raises(SizeLimitError) as err:
-        pf.level_counts(arch, 7, max_entries=max(counts) - 1)
-    assert len(runs) == 2 and err.value.limit == max(counts) - 1
-
 
 def _cache_archs(n):
     return [poly_arch(2, (2, 1), [[0.0, 1.0, 0.5 + k / 64], [0.0, 1.0, 0.25]]) for k in range(n)]
@@ -1059,6 +1048,24 @@ def test_tower_cache_evicts_the_least_recently_used_past_its_byte_budget(monkeyp
     pf.flat_space(e, 4)
     assert set(cache._values) == {(b, 4), (e, 4)}
     assert pf.flat_space(b, 4) is space_b
+
+
+def test_the_size_guard_runs_on_a_tower_cache_miss_only(monkeypatch):
+    cache = pf._LRUCache(pf._TOWER_BYTES, pf.FlatSpace.nbytes)
+    monkeypatch.setattr(pf, "_TOWERS", cache)
+    limits = []
+    count = pf.level_counts
+    monkeypatch.setattr(pf, "level_counts", lambda *args: limits.append(args[2:]) or count(*args))
+    (arch,) = _cache_archs(1)
+    space = pf.flat_space(arch, 4)
+    assert limits == [(pf.DEFAULT_MAX_ENTRIES,)]
+    assert pf.flat_space(arch, 4) is space and len(limits) == 1  # a hit counts nothing
+    big = poly_arch(3, (3, 3, 1), [[0.0, 1.0, 0.1, 0.1]] * 3)
+    for _ in range(2):  # a refused tower is not cached: each call is a miss
+        with pytest.raises(SizeLimitError) as err:
+            pf.flat_space(big, 27)
+        assert err.value.limit == pf.DEFAULT_MAX_ENTRIES
+    assert cache.info()[:3] == (1, 3, 1)
 
 
 def test_tower_cache_reads_sizes_again_and_keeps_no_tower_past_the_budget(monkeypatch):
