@@ -1,16 +1,16 @@
 """Capacity analysis: penalty chains, generalization bounds, sparsity.
 
-Scalar recursions evaluate the per-layer and flat regularization penalties of
-a trained network (and their positive companions), several Rademacher-type
-bounds over the induced kernel ball, a concave growth envelope, a Monte-Carlo
-lower estimate of the empirical Rademacher complexity, and the 2/d-power
-sparsity profile of the flat weight/metric pair.
+penalties() walks a network's per-layer and flat penalty chains once (on
+arch.associated(), their positive companions).  Then come Rademacher-type bounds
+over the induced kernel ball, a concave growth envelope, a Monte-Carlo lower
+estimate of the empirical Rademacher complexity, and the 2/d-power sparsity
+profile of the flat weight/metric pair.
 """
-
 from __future__ import annotations
 
 import contextlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,70 +32,55 @@ def squared_norms(xs):
         return np.sum(xs * xs, axis=1)
 
 
-def _is_associated(variant):
-    if variant not in kk.VARIANTS:
-        raise ValueError(f"variant must be one of {kk.VARIANTS}")
-    return variant == "associated"
-
-
 # ---------------------------------------------------------------------------
 # penalty chains
 # ---------------------------------------------------------------------------
 
-def layer_penalty(arch, weights, q, variant="krein", recorder=None):
-    """The flat-space norm contribution of layer q's pushed weight vector.
+Penalties = namedtuple("Penalties", "layers flat intervals")
 
-    Evaluated by the scalar chain: propagate the input dimension through the
-    layers below q (width factors strictly below q-1), push each row norm of
-    W_q through sigma_q, then propagate the sum through the layers above.
-    ``recorder`` (a per-layer list) collects the largest argument handed to
-    each activation, which is what interval Lipschitz constants must cover.
+
+def penalties(arch, weights):
+    """Every penalty chain of one network, in one walk, as Penalties(layers, flat, intervals).
+
+    layers[q] is layer q's flat-space norm: the input dimension chained through
+    the layers below q, each row norm of W_q through sigma_q, and their sum
+    through the layers above.  flat is <<v, v>> of the whole weight vector: row
+    norms of W_0 seed its chain, and each later layer mixes in its squared
+    weights.  intervals[k] is the largest |argument| any chain hands layer k, so
+    Lipschitz constants on [0, intervals[k]] hold for every inequality the chains
+    enter.  On arch.associated() these are the positive companions.  DomainError
+    names the first layer to leave its domain (chains in the order q = 0..d-1,
+    then flat) or, failing that, the first whose largest argument overflowed.
     """
     netcore.check_shapes(arch, weights)
     d = arch.depth
-    if not 0 <= q < d:
-        raise ValueError(f"layer {q} out of range")
-    assoc = _is_associated(variant)
-    base = kk.chain(arch, arch.input_dim, assoc, layers=range(q), recorder=recorder) if q else 1.0
-    rows = np.asarray(weights[q], dtype=float)
-    args = np.sum(rows * rows, axis=1) * base
-    s = np.sum(kk.chain(arch, args, assoc, layers=[q], recorder=recorder))
-    return float(kk.chain(arch, s, assoc, layers=range(q + 1, d), recorder=recorder))
+    intervals = [0.0] * d
 
+    def step(k, s):  # layer k alone, noting its largest |argument|
+        intervals[k] = max(intervals[k], float(np.max(np.abs(s))))
+        return kk.chain(arch, s, layers=[k])
 
-def flat_penalty(arch, weights, variant="krein", recorder=None):
-    """The flat-space norm of the full network weight vector, <<v, v>>.
-
-    Row norms of the first layer seed the chain; every later layer mixes with
-    its squared weights and applies its activation.  The output is a scalar
-    because the last width is 1.
-    """
-    netcore.check_shapes(arch, weights)
-    assoc = _is_associated(variant)
-    t = None
-    for k, w in enumerate(weights):
-        sq = np.asarray(w, dtype=float) ** 2
-        args = np.sum(sq, axis=1) if k == 0 else sq @ t
-        t = kk.chain(arch, args, assoc, layers=[k], recorder=recorder)
-    return float(t[0])
-
-
-def chain_intervals(arch, weights, variant="associated"):
-    """Per-layer sup of |arguments| over all penalty chains.
-
-    Lipschitz constants taken on [0, m_k] with these m_k are valid for every
-    inequality the penalty chains enter.  DomainError names the first layer
-    whose argument is not finite (the layers below overflowed).
-    """
-    recorder = [0.0] * arch.depth
+    layers = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        for q in range(arch.depth):
-            layer_penalty(arch, weights, q, variant, recorder=recorder)
-        flat_penalty(arch, weights, variant, recorder=recorder)
-    for q, m in enumerate(recorder):
+        prefix = float(arch.input_dim)
+        base = 1.0
+        for q, w in enumerate(weights):
+            if q:
+                base = step(q - 1, prefix)
+                prefix = base * arch.widths[q - 1]
+            s = np.sum(step(q, np.sum(w * w, axis=1) * base))
+            for k in range(q + 1, d):
+                s = step(k, s)
+                if k < d - 1:
+                    s = s * arch.widths[k]
+            layers.append(float(s))
+        for k, w in enumerate(weights):
+            sq = w**2
+            t = step(k, np.sum(sq, axis=1) if k == 0 else sq @ t)
+    for q, m in enumerate(intervals):
         if not math.isfinite(m):
             raise DomainError(f"layer {q}: a penalty-chain argument overflowed to {m}", layer=q)
-    return recorder
+    return Penalties(layers, float(t[0]), intervals)
 
 
 def weight_ball_radius(arch, weights, reg_scale=None):
@@ -179,7 +164,7 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None):
         radius = weight_ball_radius(arch, weights_or_radius)
     else:
         radius = float(weights_or_radius)
-    width_gm, lip, _ = netcore.geometric_means(arch)  # m = inf
+    width_gm, lip = netcore.geometric_means(arch)  # m = inf
     if lip is None:
         raise ValueError(
             "some activation has no global Lipschitz constant; "
@@ -188,7 +173,7 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None):
     ball = svm_ball_radius(radius, lip, arch.depth)
     sq = squared_norms(xs)
     try:
-        trace = float(np.mean(kk.chain(arch, sq, associated=True)))
+        trace = float(np.mean(kk.chain(arch.associated(), sq)))
     except DomainError as exc:
         i = exc.location
         raise DomainError(f"sample {i}: {exc}", layer=exc.layer, location=i) from exc
@@ -227,9 +212,9 @@ def growth_envelope(arch, xi):
             f"layers {bad} do not qualify"
         )
     d = arch.depth
-    t = kk.chain(arch, xi, False, layers=[0])
+    t = kk.chain(arch, xi, layers=[0])
     for k in range(1, d):
-        t = kk.chain(arch, d * math.sqrt(arch.widths[k - 1]) * t, False, layers=[k])
+        t = kk.chain(arch, d * math.sqrt(arch.widths[k - 1]) * t, layers=[k])
     return t
 
 
@@ -257,7 +242,7 @@ def tight_bound(arch, radius, sample, n=None):
     env = growth_envelope(arch, np.sqrt(sq))
     general = _bound_product(prefactor, math.sqrt(float(np.mean(env * env))))
 
-    width_gm, lip, _ = netcore.geometric_means(arch)  # m = inf
+    width_gm, lip = netcore.geometric_means(arch)  # m = inf
     lipschitz_form = None
     if lip is not None:
         lipschitz_form = _bound_product(

@@ -538,10 +538,10 @@ def run_sparsity(cfg, out=None):
 
     warnings = []
     intervals = _get(cfg, "intervals")
+    assoc = arch.associated()
     if intervals is None:
-        realized = analysis.chain_intervals(arch, weights, "associated")
-        intervals = [max(m, 1e-9) for m in realized]
-    width_gm, _, lbar = netcore.geometric_means(arch, intervals)
+        intervals = [max(m, 1e-9) for m in analysis.penalties(assoc, weights).intervals]
+    width_gm, lbar = netcore.geometric_means(assoc, intervals)
     for q, spec in enumerate(arch.activations):
         if act.taylor_coefficient(spec, 0) != 0.0:
             warnings.append(

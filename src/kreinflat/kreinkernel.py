@@ -32,14 +32,18 @@ class KernelDefinition:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
+    @property
+    def chain_arch(self):
+        """The architecture the kernel chains over: arch for K, arch.associated() for Kbar."""
+        return self.arch.associated() if self.variant == "associated" else self.arch
 
-def chain(arch, s, associated, layers=None, recorder=None):
+
+def chain(arch, s, layers=None):
     """The layer recursion, elementwise over an array ``s`` of inner products.
 
     Each layer k in ``layers`` (consecutive indices, default all) applies
-    sigma_k (its associated function when ``associated``); the width H_k
-    multiplies in between, not after the last listed layer.  ``recorder`` (a
-    per-layer list) collects the largest |argument| handed to each layer.
+    sigma_k; the width H_k multiplies in between, not after the last listed
+    layer.  Kbar chains over arch.associated().
 
     An entry that leaves a layer's domain is masked for the layers above, so
     the DomainError blames the first violating entry in C order, at the
@@ -48,11 +52,8 @@ def chain(arch, s, associated, layers=None, recorder=None):
     layers = range(arch.depth) if layers is None else layers
     s = np.asarray(s, dtype=float)
     dead = blame = None  # masked entries; (flat index, layer, argument) of the first
-    specs = [act.associated(a) if associated else a for a in arch.activations]
     for k in layers:
-        spec = specs[k]
-        if recorder is not None:
-            recorder[k] = max(recorder[k], float(np.max(np.abs(s))))
+        spec = arch.activations[k]
         fresh = act.outside_domain(spec, s)
         if dead is not None:
             fresh &= ~dead
@@ -67,7 +68,7 @@ def chain(arch, s, associated, layers=None, recorder=None):
     if blame is not None:
         i, k, arg = blame
         try:  # re-raise the blamed entry's own error
-            act.evaluate(specs[k], arg)
+            act.evaluate(arch.activations[k], arg)
         except DomainError as exc:
             raise DomainError(
                 f"layer {k}: {exc}", layer=k, location=i if s.ndim else None
@@ -87,12 +88,12 @@ def _dot(arch, x, xp):
 
 def kernel_value(defn, x, xp):
     """K or Kbar according to defn.variant."""
-    return chain(defn.arch, _dot(defn.arch, x, xp), defn.variant == "associated")
+    return chain(defn.chain_arch, _dot(defn.arch, x, xp))
 
 
 def associated_kernel(defn, x, xp):
     """The positive-definite companion Kbar(x, x') (any definition variant)."""
-    return chain(defn.arch, _dot(defn.arch, x, xp), associated=True)
+    return chain(defn.arch.associated(), _dot(defn.arch, x, xp))
 
 
 def gram(defn, points):
@@ -113,7 +114,7 @@ def gram(defn, points):
     out = points @ points.T
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused next
-            values = chain(defn.arch, out[upper], defn.variant == "associated")
+            values = chain(defn.chain_arch, out[upper])
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise DomainError("the kernel value is not finite", location=int(bad[0]))

@@ -134,7 +134,7 @@ def predict(model, x):
     """f*(x) = sum_i alpha_i K(x, x_i) under the model's kernel variant."""
     defn = model.kernel_def
     s = model.training_points @ np.asarray(x, dtype=float)
-    return float(model.alpha @ kk.chain(defn.arch, s, defn.variant == "associated"))
+    return float(model.alpha @ kk.chain(defn.chain_arch, s))
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +175,29 @@ def save_model(path, model):
     netcore.write_text(path, "\n".join(lines) + "\n")
 
 
+#: the keys of a model file, in save_model's order; only activation may repeat
+_MODEL_KEYS = ("lambda", "variant", "input_dim", "widths", "activation", "points", "alpha")
+
+
 def load_model(path):
     """Model from a save_model file; ValueError for a missing key, or naming the line
-    of a key without its value, a count (input_dim, width, points) that is not a
-    whole number, a point row of the wrong width, an alpha count other than the
-    point count or a non-finite number."""
+    of an unknown or repeated key, a key without its value, a count (input_dim,
+    width, points) that is not a whole number, a point row of the wrong width, an
+    alpha count other than the point count or a non-finite number."""
     with open(path) as fh:
         rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
     fields = {}  # head -> (tokens, line number); points -> (rows, line number)
     specs = []
+    unknown = None  # the error of the first line no key names
     pos = 0
     while pos < len(rows):
         lineno, (head, *tokens) = rows[pos]
         pos += 1
+        if head not in _MODEL_KEYS:
+            unknown = unknown or f"line {lineno}: unknown key {head!r}"
+            continue
+        if head in fields:
+            raise ValueError(f"line {lineno}: {head} repeats line {fields[head][1]}")
         if not tokens and head in ("activation", "variant", "input_dim", "widths", "points"):
             raise ValueError(f"line {lineno}: {head} has no value")
         if head == "activation":
@@ -198,10 +208,11 @@ def load_model(path):
             pos += count
         else:
             fields[head] = tokens, lineno
-    missing = [k for k in ("lambda", "variant", "input_dim", "widths", "points", "alpha")
-               if k not in fields]
+    missing = [k for k in _MODEL_KEYS if k != "activation" and k not in fields]
     if missing:
         raise ValueError(f"model file lacks {', '.join(missing)}")
+    if unknown:  # after the missing keys, so point rows without their header report that
+        raise ValueError(unknown)
     arch = netcore.Architecture(
         input_dim=netcore.read_counts(*fields["input_dim"], 1, "input_dim")[0],
         widths=tuple(netcore.read_counts(*fields["widths"], what="width")),

@@ -56,6 +56,12 @@ class Architecture:
     def layer_shapes(self):
         return [(h, f) for h, f in zip(self.widths, self.fan_ins)]
 
+    def associated(self):
+        """The same widths with act.associated at every layer: the network of Kbar (idempotent)."""
+        return Architecture(
+            self.input_dim, self.widths, tuple(act.associated(s) for s in self.activations)
+        )
+
 
 @dataclass(frozen=True)
 class WeightSet:
@@ -266,37 +272,28 @@ def _geomean(values):
 
 
 def geometric_means(arch, intervals=None):
-    """(width_gm, lipschitz_gm, lipschitz_assoc_gm) across all layers.
+    """(width_gm, lipschitz_gm) across all layers.
 
     The width mean includes the final width 1.  ``intervals`` gives the [0, m]
     range per layer for the Lipschitz suprema, one m per layer; None means
-    m = inf everywhere.  A Lipschitz mean is None when some layer has no
+    m = inf everywhere.  The Lipschitz mean is None when some layer has no
     constant on its interval (only possible at m = inf); intervals beyond a
-    convergence radius raise DomainError.
+    convergence radius raise DomainError.  The associated side's means are
+    those of arch.associated().
     """
-    d = arch.depth
-    if intervals is None:
-        ms = [math.inf] * d
-    else:
-        ms = [float(m) for m in intervals]
-        if len(ms) != d:
-            raise ValueError("need one interval per layer")
+    ms = [math.inf] * arch.depth if intervals is None else [float(m) for m in intervals]
+    if len(ms) != arch.depth:
+        raise ValueError("need one interval per layer")
     width_gm = _geomean([float(h) for h in arch.widths])
-
-    def mean_of(specs):
-        values = []
-        for spec, m in zip(specs, ms):
-            try:
-                values.append(act.lipschitz_on(spec, m))
-            except DomainError:
-                raise
-            except ValueError:
-                return None
-        return _geomean(values)
-
-    lip = mean_of(arch.activations)
-    lip_assoc = mean_of([act.associated(s) for s in arch.activations])
-    return width_gm, lip, lip_assoc
+    values = []
+    for spec, m in zip(arch.activations, ms):
+        try:
+            values.append(act.lipschitz_on(spec, m))
+        except DomainError:
+            raise
+        except ValueError:
+            return width_gm, None
+    return width_gm, _geomean(values)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,7 @@ def read_counts(tokens, lineno, count=None, what="count"):
 
 def load_weights(path):
     """Weights from a save_weights file; ValueError names a malformed or non-finite line,
-    a bad count, or the line a short file ends on."""
+    a bad count, the line a short file ends on, or the first line past the last layer."""
     with open(path) as fh:
         rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
     if not rows:
@@ -387,4 +384,6 @@ def load_weights(path):
             raise ValueError(f"line {n}: header says {h} rows, file has {len(block)}")
         pos += 1 + h
         mats.append(np.array(block, dtype=float).reshape(h, f))
+    if pos < len(rows):
+        raise ValueError(f"line {rows[pos][0]}: the file goes on after {depth} of {depth} layers")
     return WeightSet(tuple(mats))

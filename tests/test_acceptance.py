@@ -352,7 +352,7 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
     metric = pf.flatten_metric(arch, trunc)
     folded_metric = metric.like(np.abs(metric.values))
     d, dim = arch.depth, arch.input_dim
-    width_gm, _, _ = netcore.geometric_means(arch)
+    width_gm, _ = netcore.geometric_means(arch)
     metric_sup = float(np.max(np.abs(metric.values)))
     slack = 1.0 + 1e-9
     bad = []
@@ -368,10 +368,11 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
             layer_vecs = [v.like(v.values[j]) for v in pushed_layers]
             flat_vec = pushed_flat.like(pushed_flat.values[j])
             cap_scale = (width_gm * lip_global) ** d
+            pen = analysis.penalties(arch, weights)
             for q in range(d):
                 below = float(dim) if q == 0 else float(arch.widths[q - 1])
                 cap = cap_scale * dim / (arch.widths[q] * below) * fro[q]
-                penalty = analysis.layer_penalty(arch, weights, q)
+                penalty = pen.layers[q]
                 if not -1e-12 <= penalty <= cap * slack:
                     bad.append(f"draw {k}: layer {q} penalty {penalty} outside [0, {cap}]")
                 signed = pf.flat_inner(metric, layer_vecs[q], layer_vecs[q])
@@ -380,7 +381,7 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
                     bad.append(f"draw {k}: layer {q} |signed| {signed} above folded {folded}")
                 if float(np.max(np.abs(layer_vecs[q].values))) > d * radius * slack:
                     bad.append(f"draw {k}: layer {q} sup above depth*radius")
-            flat_chain = analysis.flat_penalty(arch, weights)
+            flat_chain = pen.flat
             cap_product = lip_global ** d * float(np.prod(fro))
             cap_ball = (lip_global * radius) ** d
             if not -1e-12 <= flat_chain <= cap_product * slack:
@@ -395,19 +396,19 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
                 bad.append(f"draw {k}: flat sup above radius**depth")
             if not with_associated:
                 continue
-            sup = analysis.chain_intervals(arch, weights, variant="associated")
-            _, _, lip_folded = netcore.geometric_means(arch, sup)
+            assoc_pen = analysis.penalties(arch.associated(), weights)
+            _, lip_folded = netcore.geometric_means(arch.associated(), assoc_pen.intervals)
             folded_scale = (width_gm * lip_folded) ** d
             for q in range(d):
                 below = float(dim) if q == 0 else float(arch.widths[q - 1])
                 cap = folded_scale * dim / (arch.widths[q] * below) * fro[q]
-                chain = analysis.layer_penalty(arch, weights, q, variant="associated")
+                chain = assoc_pen.layers[q]
                 truncated = pf.flat_inner(folded_metric, layer_vecs[q], layer_vecs[q])
                 if not 0.0 <= truncated <= chain * slack:
                     bad.append(f"draw {k}: folded layer {q} truncated {truncated} above chain {chain}")
                 if chain > cap * slack:
                     bad.append(f"draw {k}: folded layer {q} chain {chain} above cap {cap}")
-            folded_chain = analysis.flat_penalty(arch, weights, variant="associated")
+            folded_chain = assoc_pen.flat
             cap_product = lip_folded ** d * float(np.prod(fro))
             cap_ball = (lip_folded * radius) ** d
             if flat_folded > folded_chain * slack or folded_chain > cap_product * slack:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kreinflat import activations as act
 from kreinflat import analysis
+from kreinflat import kreinkernel as kk
 from kreinflat import netcore
 from kreinflat import pushforward as pf
 from kreinflat.errors import DomainError
@@ -43,9 +44,10 @@ def test_layer_penalty_linear_closed_form():
     want0 = frob_sq(mats[0]) * widths[1]
     want1 = D * frob_sq(mats[1])
     want2 = D * widths[0] * frob_sq(mats[2])
-    assert analysis.layer_penalty(arch, w, 0) == pytest.approx(want0, rel=1e-13)
-    assert analysis.layer_penalty(arch, w, 1) == pytest.approx(want1, rel=1e-13)
-    assert analysis.layer_penalty(arch, w, 2) == pytest.approx(want2, rel=1e-13)
+    got = analysis.penalties(arch, w).layers
+    assert got[0] == pytest.approx(want0, rel=1e-13)
+    assert got[1] == pytest.approx(want1, rel=1e-13)
+    assert got[2] == pytest.approx(want2, rel=1e-13)
 
 
 def test_layer_penalty_linear_saturates_width_bound():
@@ -60,10 +62,11 @@ def test_layer_penalty_linear_saturates_width_bound():
         mats = [rng.normal(size=s) for s in arch.layer_shapes()]
         w = netcore.WeightSet(tuple(mats))
         h_pow = float(np.prod(widths))  # = GM(widths)^d
+        pen = analysis.penalties(arch, w).layers
         for q in range(d):
             below = float(D) if q == 0 else float(widths[q - 1])
             want = h_pow * D / (widths[q] * below) * frob_sq(mats[q])
-            got = analysis.layer_penalty(arch, w, q)
+            got = pen[q]
             assert got == pytest.approx(want, rel=1e-12), (d, widths, D, q)
 
 
@@ -77,43 +80,29 @@ def test_penalties_match_flat_inner_products():
     g = pf.flatten_metric(arch, trunc)
     gbar = g.like(np.abs(g.values))
     vnn = pf.flat_weight(arch, w, trunc)
-    assert analysis.flat_penalty(arch, w) == pytest.approx(
-        pf.flat_inner(g, vnn, vnn), rel=1e-10
-    )
-    assert analysis.flat_penalty(arch, w, variant="associated") == pytest.approx(
-        pf.flat_inner(gbar, vnn, vnn), rel=1e-10
-    )
+    krein = analysis.penalties(arch, w)
+    assoc = analysis.penalties(arch.associated(), w)
+    assert krein.flat == pytest.approx(pf.flat_inner(g, vnn, vnn), rel=1e-10)
+    assert assoc.flat == pytest.approx(pf.flat_inner(gbar, vnn, vnn), rel=1e-10)
     for q in range(arch.depth):
         vq = pf.pushforward_weights(arch, w, q, trunc)
-        assert analysis.layer_penalty(arch, w, q) == pytest.approx(
-            pf.flat_inner(g, vq, vq), rel=1e-10
-        )
-        assert analysis.layer_penalty(arch, w, q, variant="associated") == pytest.approx(
-            pf.flat_inner(gbar, vq, vq), rel=1e-10
-        )
+        assert krein.layers[q] == pytest.approx(pf.flat_inner(g, vq, vq), rel=1e-10)
+        assert assoc.layers[q] == pytest.approx(pf.flat_inner(gbar, vq, vq), rel=1e-10)
 
 
 def test_penalties_zero_weights():
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
     w = as_weights(np.zeros((2, 2)), np.zeros((1, 2)))
-    assert analysis.flat_penalty(arch, w) == 0.0
+    pen = analysis.penalties(arch, w)
+    assert pen.flat == 0.0
     for q in range(2):
-        assert analysis.layer_penalty(arch, w, q) == 0.0
-
-
-def test_layer_penalty_validation():
-    arch = lin_arch(2, (1,))
-    w = as_weights([[1.0, 1.0]])
-    with pytest.raises(ValueError):
-        analysis.layer_penalty(arch, w, 1)
-    with pytest.raises(ValueError):
-        analysis.layer_penalty(arch, w, 0, variant="plus")
+        assert pen.layers[q] == 0.0
 
 
 def test_chain_intervals_hand_computed():
     arch = lin_arch(3, (2, 1))
     w = as_weights([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [[2.0, 1.0]])
-    got = analysis.chain_intervals(arch, w, variant="krein")
+    got = analysis.penalties(arch, w).intervals
     # layer 0 sees the input dimension (3) seeding deeper chains; layer 1 sees
     # ||W_1||_F^2 * 3 = 15 from its own chain
     assert got == [3.0, 15.0]
@@ -122,21 +111,103 @@ def test_chain_intervals_hand_computed():
 def test_chain_intervals_name_the_layer_whose_argument_overflows():
     arch = netcore.Architecture(3, (3, 3, 1), (act.erf(), act.erf(), act.exp()))
     with pytest.raises(DomainError, match="layer 2: .* overflowed to inf") as info:
-        analysis.chain_intervals(arch, netcore.init_weights(arch, 0))
+        analysis.penalties(arch.associated(), netcore.init_weights(arch, 0))
     assert info.value.layer == 2
 
 
-def test_chain_intervals_cover_penalty_arguments():
+def test_chain_intervals_cover_penalty_arguments(monkeypatch):
     rng = np.random.default_rng(3)
     arch = netcore.Architecture(2, (3, 1), (act.erf(), act.tanh()))
     mats = [rng.uniform(-0.9, 0.9, size=s) for s in arch.layer_shapes()]
     w = netcore.WeightSet(tuple(mats))
-    sup = analysis.chain_intervals(arch, w, variant="krein")
-    rec = [0.0] * arch.depth
-    for q in range(arch.depth):
-        analysis.layer_penalty(arch, w, q, recorder=rec)
-    analysis.flat_penalty(arch, w, recorder=rec)
-    assert all(r <= s for r, s in zip(rec, sup))
+    seen = [0.0] * arch.depth
+    chain = kk.chain
+
+    def recording_chain(arch, s, layers=None):
+        (k,) = layers  # the walk runs one layer at a time
+        seen[k] = max(seen[k], float(np.max(np.abs(s))))
+        return chain(arch, s, layers)
+
+    monkeypatch.setattr(kk, "chain", recording_chain)
+    sup = analysis.penalties(arch, w).intervals
+    assert sup == seen
+    assert all(m > 0.0 for m in sup)
+
+
+def _recorded_chain(arch, s, layers, rec):
+    """kk.chain over ``layers``, noting in ``rec`` the largest |argument| each layer sees."""
+    out = kk.chain(arch, s, layers=layers)
+    for k in layers:
+        rec[k] = max(rec[k], float(np.max(np.abs(s))))
+        s = kk.chain(arch, s, layers=[k])
+        if k != layers[-1]:
+            s = s * arch.widths[k]
+    return out
+
+
+def _reference_penalties(arch, weights):
+    """The per-q penalty formulas, each chain run from the input on its own."""
+    d = arch.depth
+    rec = [0.0] * d
+    layers = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in range(d):
+            base = _recorded_chain(arch, arch.input_dim, range(q), rec) if q else 1.0
+            rows = np.asarray(weights[q], dtype=float)
+            args = np.sum(rows * rows, axis=1) * base
+            s = np.sum(_recorded_chain(arch, args, [q], rec))
+            layers.append(float(_recorded_chain(arch, s, range(q + 1, d), rec)))
+        t = None
+        for k, w in enumerate(weights):
+            sq = np.asarray(w, dtype=float) ** 2
+            args = np.sum(sq, axis=1) if k == 0 else sq @ t
+            t = _recorded_chain(arch, args, [k], rec)
+    for q, m in enumerate(rec):
+        if not math.isfinite(m):
+            raise DomainError(f"layer {q}: a penalty-chain argument overflowed to {m}", layer=q)
+    return layers, float(t[0]), rec
+
+
+def _outcome(fn, *args):
+    """The float bits of every value fn returns, or its DomainError's message, layer and location."""
+    try:
+        layers, flat, intervals = fn(*args)
+    except DomainError as exc:
+        return str(exc), exc.layer, exc.location
+    return [float(v).hex() for v in (*layers, flat, *intervals)]
+
+
+@st.composite
+def base_specs(draw):
+    """An activation of any base kind, polynomial and relu_surrogate with drawn parameters."""
+    kind = draw(st.sampled_from(act.BASE_KINDS))
+    if kind == "polynomial":
+        a0, a1 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.1, 1.5))
+        return act.polynomial((a0, a1, *draw(st.lists(st.floats(-1.0, 1.0), max_size=2))))
+    if kind == "relu_surrogate":
+        return act.relu_surrogate(draw(st.floats(0.01, 2.0)))
+    return act.ActivationSpec(kind)
+
+
+@st.composite
+def penalty_nets(draw):
+    depth = draw(st.integers(1, 3))
+    widths = tuple(draw(st.integers(1, 3)) for _ in range(depth - 1)) + (1,)
+    arch = netcore.Architecture(
+        draw(st.integers(1, 3)), widths, tuple(draw(base_specs()) for _ in range(depth))
+    )
+    scale = draw(st.sampled_from((0.3, 1.0, 3.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = netcore.WeightSet(tuple(scale * rng.normal(size=s) for s in arch.layer_shapes()))
+    return arch, w
+
+
+@settings(max_examples=200)
+@given(net=penalty_nets(), associated=st.booleans())
+def test_penalties_equal_the_per_layer_formulas_bit_for_bit(net, associated):
+    arch, w = net
+    arch = arch.associated() if associated else arch
+    assert _outcome(analysis.penalties, arch, w) == _outcome(_reference_penalties, arch, w)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +223,15 @@ def _capacity_sweep(make_spec, lip, seed, draws=30):
         arch = netcore.Architecture(D, widths, tuple(make_spec() for _ in range(d)))
         mats = [rng.uniform(-0.7, 0.7, size=s) for s in arch.layer_shapes()]
         w = netcore.WeightSet(tuple(mats))
-        width_gm, _, _ = netcore.geometric_means(arch)
+        width_gm, _ = netcore.geometric_means(arch)
         hl_pow = (width_gm * lip) ** d
+        pen = analysis.penalties(arch, w)
         for q in range(d):
             below = float(D) if q == 0 else float(widths[q - 1])
             cap = hl_pow * D / (widths[q] * below) * frob_sq(mats[q])
-            p = analysis.layer_penalty(arch, w, q)
+            p = pen.layers[q]
             assert 0.0 <= p <= cap * (1 + 1e-12) + 1e-12
-        flat = analysis.flat_penalty(arch, w)
+        flat = pen.flat
         prod_cap = lip**d * float(np.prod([frob_sq(m) for m in mats]))
         ball_cap = (lip * analysis.weight_ball_radius(arch, w)) ** d
         assert 0.0 <= flat <= prod_cap * (1 + 1e-12) + 1e-12
@@ -184,15 +256,15 @@ def test_capacity_inequality_associated_tanh():
     # global constant of tan
     arch = netcore.Architecture(1, (2, 1), (act.tanh(), act.tanh()))
     w = as_weights([[0.8], [0.6]], [[0.8, 0.6]])
-    sup = analysis.chain_intervals(arch, w, variant="associated")
-    width_gm, _, lbar = netcore.geometric_means(arch, sup)
+    pen = analysis.penalties(arch.associated(), w)
+    width_gm, lbar = netcore.geometric_means(arch.associated(), pen.intervals)
     assert lbar is not None
     d, D, widths = 2, 1.0, (2.0, 1.0)
     hl_pow = (width_gm * lbar) ** d
     for q in range(d):
         below = D if q == 0 else widths[q - 1]
         cap = hl_pow * D / (widths[q] * below) * frob_sq(w[q])
-        p = analysis.layer_penalty(arch, w, q, variant="associated")
+        p = pen.layers[q]
         assert 0.0 <= p <= cap * (1 + 1e-12)
 
 
@@ -653,8 +725,8 @@ def test_sparsity_profile_of_admissible_network():
     trunc = 7
     g = pf.flatten_metric(arch, trunc)
     v = pf.flat_weight(arch, w, trunc)
-    sup = analysis.chain_intervals(arch, w, variant="associated")
-    width_gm, _, lbar = netcore.geometric_means(arch, sup)
+    sup = analysis.penalties(arch.associated(), w).intervals
+    width_gm, lbar = netcore.geometric_means(arch.associated(), sup)
     constants = analysis.SparsityConstants(
         width_gm=width_gm,
         lipschitz_assoc_gm=lbar,

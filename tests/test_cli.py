@@ -380,6 +380,23 @@ def test_bad_weights_count_exits_2(tmp_path, capsys, text, message):
     assert f"malformed weights file: {message}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1\n1 2\n0.5 0.5\n1 1\n3\n", "line 4: the file goes on after 1 of 1 layers"),
+    ("1\n1 2\n0.5 0.5\n0.5 0.5\n", "line 4: the file goes on after 1 of 1 layers"),
+])
+def test_weights_file_with_lines_past_its_layers_exits_2(tmp_path, capsys, text, message):
+    # these loaded one layer and ignored the rest
+    weights = tmp_path / "weights.txt"
+    weights.write_text(text)
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [1], "activations": ["tanh"]},
+        "truncation": 3,
+        "weights": str(weights),
+    }
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 2
+    assert f"malformed weights file: {message}\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("activation, truncation", [
     ("exp", 180), ("erf", 400), ({"kind": "relu_surrogate"}, 180),
 ])
@@ -1380,6 +1397,21 @@ def test_sparsity_overflowing_interval_exits_3_naming_the_layer(tmp_path, capsys
         assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
     assert capsys.readouterr().err == (
         "numerical domain failure: layer 2: a penalty-chain argument overflowed to inf\n"
+    )
+
+
+def test_sparsity_interval_past_the_radius_names_the_associated_kind(tmp_path, capsys):
+    # lbar is the Lipschitz mean of the associated activations, so an interval
+    # past pi/2 is refused for tan, the function the constant is taken of
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [2, 1], "activations": ["tanh", "tanh"]},
+        "truncation": 3,
+        "weights": admissible_weights_file(tmp_path),
+        "intervals": [2.0, 2.0],
+    }
+    assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
+    assert capsys.readouterr().err == (
+        "numerical domain failure: interval [0, 2.0] exceeds the convergence radius of tan\n"
     )
 
 

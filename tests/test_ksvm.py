@@ -669,3 +669,16 @@ def test_load_model_refuses_extra_activation_parameters(tmp_path, text):
     path = _edited_model_file(tmp_path, 5, text)
     with pytest.raises(ValueError, match="line 5: .* takes at most one parameter, got 2"):
         ksvm.load_model(path)
+
+
+@pytest.mark.parametrize("extra, message", [
+    # an unknown key was skipped, and the last of a repeated key kept (lambda 5.0)
+    ("bogus 7", "line 12: unknown key 'bogus'"),
+    ("lambda 5.0", "line 12: lambda repeats line 1"),
+])
+def test_load_model_refuses_an_unknown_or_repeated_key(tmp_path, extra, message):
+    path = tmp_path / "model.txt"
+    ksvm.save_model(path, _toy_model())
+    path.write_text(path.read_text() + extra + "\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ksvm.load_model(path)

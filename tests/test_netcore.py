@@ -393,21 +393,23 @@ def test_objective_and_gradient_reject_mismatched_targets(xs, ys):
 
 def test_width_mean_includes_output_layer():
     arch = lin_arch(3, (4, 1))
-    h, l, lbar = netcore.geometric_means(arch)
+    h, l = netcore.geometric_means(arch)
+    _, lbar = netcore.geometric_means(arch.associated())
     assert h == pytest.approx(2.0, rel=1e-15)
     assert l == 1.0 and lbar == 1.0
 
 
 def test_lipschitz_means_tanh_global():
     arch = netcore.Architecture(1, (2, 1), (act.tanh(), act.tanh()))
-    h, l, lbar = netcore.geometric_means(arch)
+    h, l = netcore.geometric_means(arch)
+    _, lbar = netcore.geometric_means(arch.associated())
     assert l == pytest.approx(1.0)
     assert lbar is None  # tan side has no global constant
 
 
 def test_lipschitz_means_on_finite_intervals():
     arch = netcore.Architecture(1, (2, 1), (act.tanh(), act.tanh()))
-    h, l, lbar = netcore.geometric_means(arch, [0.5, 0.5])
+    h, lbar = netcore.geometric_means(arch.associated(), [0.5, 0.5])
     assert lbar is not None
     # GM of two identical interval constants is the constant itself
     single = act.lipschitz_on(act.associated(act.tanh()), 0.5)
@@ -427,6 +429,21 @@ def test_interval_count_must_match_depth():
 def test_architecture_requires_output_width_one():
     with pytest.raises(ValueError):
         lin_arch(2, (3, 2))
+
+
+ALL_KINDS = (
+    act.linear(), act.polynomial((0.1, 0.5, -0.2)), act.erf(), act.tanh(), act.logistic(),
+    act.exp(), act.relu_surrogate(0.3),
+)
+
+
+def test_associated_architecture_keeps_shape_and_maps_every_layer():
+    arch = netcore.Architecture(3, (2,) * 6 + (1,), ALL_KINDS)
+    assoc = arch.associated()
+    assert assoc.input_dim == arch.input_dim and assoc.widths == arch.widths
+    assert assoc.activations == tuple(act.associated(s) for s in ALL_KINDS)
+    assert assoc.associated() == assoc
+    assert arch.associated() == assoc  # arch itself is unchanged
 
 
 def test_check_shapes_mismatch():

@@ -396,11 +396,8 @@ def test_metric_associated_variant_is_abs(arch, trunc):
     # the associated architecture has coefficients |a_k| at every layer, so
     # its metric is |g| up to rounding: its coefficients are computed on their own
     assume(max(pf.level_counts(arch, trunc)) <= 5000)
-    assoc = netcore.Architecture(
-        arch.input_dim, arch.widths, tuple(act.associated(s) for s in arch.activations)
-    )
     g = pf.flatten_metric(arch, trunc)
-    gbar = pf.flatten_metric(assoc, trunc)
+    gbar = pf.flatten_metric(arch.associated(), trunc)
     np.testing.assert_allclose(gbar.values, np.abs(g.values), rtol=1e-15)
 
 
