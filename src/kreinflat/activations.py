@@ -12,11 +12,11 @@ tables; everything is validated against closed forms in the test suite.
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
-import types
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,31 +27,27 @@ from .errors import DomainError
 
 
 def _load_erf():
-    """SciPy's erf and erfi ufuncs, loaded without running scipy's package inits.
+    """SciPy's erf and erfi ufuncs, loaded without running any scipy package init.
 
-    Those inits (with SciPy's array-API shim) cost about half of a cold
-    ``import kreinflat.cli``; the compiled ``scipy.special._ufuncs`` module that
-    holds the ufuncs is cheap.  It is imported under bare package stubs
-    (``__path__`` only), and every ``scipy`` entry of ``sys.modules`` is removed
-    afterwards, so a later ``import scipy.special`` runs the real inits and
-    hands back these same ufunc objects.  With scipy already imported, or on
-    any failure of the private layout, the public import is used.
+    They live in the compiled ``scipy.special._special_ufuncs`` module, which
+    links only the C++ runtime and imports no scipy module (the public import
+    runs scipy._lib and maps OpenBLAS and gfortran).  It is loaded straight from
+    its file and its one sys.modules entry removed, so a later ``import
+    scipy.special`` hands back these same ufunc objects.  With scipy already
+    imported, or on any failure of the private layout, the public import is used.
     """
     if "scipy" not in sys.modules:
+        name = "scipy.special._special_ufuncs"
         try:
             root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-            for name, path in (("scipy", root), ("scipy.special", os.path.join(root, "special"))):
-                stub = types.ModuleType(name)
-                stub.__path__ = [path]
-                sys.modules[name] = stub
-            from scipy.special._ufuncs import erf, erfi
-
-            return erf, erfi
+            spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(root, "special")])
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.erf, module.erfi
         except Exception:  # any change to scipy's private layout: the public import below
             pass
         finally:
-            for name in [k for k in sys.modules if k == "scipy" or k.startswith("scipy.")]:
-                del sys.modules[name]
+            sys.modules.pop(name, None)
     from scipy.special import erf, erfi
 
     return erf, erfi

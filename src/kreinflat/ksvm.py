@@ -183,7 +183,8 @@ def load_model(path):
     """Model from a save_model file; ValueError for a missing key, or naming the line
     of an unknown or repeated key, a key without its value, a count (input_dim,
     width, points) that is not a whole number, a point row of the wrong width, an
-    alpha count other than the point count or a non-finite number."""
+    alpha count other than the point count, a non-finite number or a variant that
+    is not exactly one known name."""
     with open(path) as fh:
         rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
     fields = {}  # head -> (tokens, line number); points -> (rows, line number)
@@ -219,6 +220,9 @@ def load_model(path):
         activations=tuple(specs),
     )
     points = [netcore.read_floats(t, n, arch.input_dim) for n, t in fields["points"][0]]
+    tokens, lineno = fields["variant"]
+    if len(tokens) != 1 or tokens[0] not in kk.VARIANTS:
+        raise ValueError(f"line {lineno}: unknown variant {' '.join(tokens)!r}")
     return TrainedKSVM(
         alpha=np.array(netcore.read_floats(*fields["alpha"], len(points))),
         training_points=np.array(points, dtype=float).reshape(len(points), arch.input_dim),

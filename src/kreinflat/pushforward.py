@@ -38,6 +38,7 @@ keeps built towers within a byte budget.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -254,7 +255,7 @@ class _Level:
         return self._xexp
 
     def nbytes(self):
-        """Bytes held by the level's arrays, compose tables and dump layout."""
+        """Bytes held by the level's arrays, compose tables, tags and dump layout."""
         arrays = [
             self.slot_block, self.slot_prev, self.terms_pos, self.terms_exp,
             self.own_degree, self.composed_degree, self.gamma, self.metric,
@@ -262,9 +263,13 @@ class _Level:
         ]
         for slots, exps, gather in self._tables.values():
             arrays += [slots, exps, *gather]
+        text = 0
         if self._layout is not None:
             arrays += list(self._layout)
-        return sum(a.nbytes for a in arrays if a is not None)
+            text += sum(map(sys.getsizeof, self._layout[1]))  # the prefixes' str objects
+        if self._tags is not None:  # a list: its pointers and its str objects
+            text += sys.getsizeof(self._tags) + sum(map(sys.getsizeof, self._tags))
+        return sum(a.nbytes for a in arrays if a is not None) + text
 
     def dump_layout(self):
         """(permutation, line prefixes) of a dump, computed once per level.
@@ -612,9 +617,9 @@ def _pack_level(level_no, arch, prev, trunc):
     return lv
 
 
-# Byte ceiling on the towers flat_space keeps.  A tower holds about 250 bytes
-# per top-level entry once dumped, so a tower at the default size guard's
-# 200,000 entries takes about 50 MB.
+# Byte ceiling on the towers flat_space keeps.  A dumped tower holds about 440
+# bytes per top-level entry (7.2 MB for a tanh (2, (3, 2, 1)) net's 16,532 at
+# truncation 5), so one at the size guard's 200,000 entries outgrows it.
 _TOWER_BYTES = 64 << 20
 _TOWERS = _LRUCache(_TOWER_BYTES, FlatSpace.nbytes)
 

@@ -495,14 +495,46 @@ def test_cli_import_leaves_scipy_unimported():
     )
 
 
+def test_cli_import_loads_no_scipy_package_code():
+    # With scipy.special._ufuncs and scipy._lib unimportable, the public import
+    # fails, so the ufuncs can only come from the private extension module.
+    _run_fresh(
+        "import sys\n"
+        "sys.modules['scipy.special._ufuncs'] = None\n"
+        "sys.modules['scipy._lib'] = None\n"
+        "import kreinflat.cli\n"
+        "from kreinflat import activations as act\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "assert act._sp_erf.__name__ == 'erf' and act._sp_erfi.__name__ == 'erfi'\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    with open('/proc/self/maps') as fh:\n"
+        "        mapped = [line for line in fh if '/scipy.libs/' in line]\n"
+        "    assert not mapped, mapped\n"
+    )
+
+
 @pytest.mark.parametrize("sabotage", [
-    # the package cannot be located: fails before any stub is in place
+    # the scipy package cannot be located
     "import importlib.util\n"
     "def refuse(*args, **kwargs):\n    raise ImportError('no spec')\n"
     "importlib.util.find_spec = refuse\n",
-    # the private module cannot be imported: fails while the stubs are in place
-    "sys.modules['scipy.special._ufuncs'] = None\n",
-], ids=["no-spec", "no-private-module"])
+    # the private module's file is not found (once: the public import finds it)
+    "import importlib.machinery\n"
+    "finder = importlib.machinery.PathFinder\n"
+    "real_find = finder.find_spec\n"
+    "def missing_once(*args, **kwargs):\n"
+    "    finder.find_spec = real_find\n"
+    "    return None\n"
+    "finder.find_spec = missing_once\n",
+    # the private module fails after it registered its sys.modules entry
+    "import importlib.machinery\n"
+    "loader = importlib.machinery.ExtensionFileLoader\n"
+    "real_exec = loader.exec_module\n"
+    "def fail_once(self, module):\n"
+    "    loader.exec_module = real_exec\n"
+    "    raise ImportError('cannot run ' + module.__name__)\n"
+    "loader.exec_module = fail_once\n",
+], ids=["no-spec", "no-private-module", "private-module-fails"])
 def test_load_erf_falls_back_to_the_public_import(sabotage):
     _run_fresh(
         "import sys\n"

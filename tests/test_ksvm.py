@@ -682,3 +682,14 @@ def test_load_model_refuses_an_unknown_or_repeated_key(tmp_path, extra, message)
     path.write_text(path.read_text() + extra + "\n")
     with pytest.raises(ValueError, match=f"^{message}$"):
         ksvm.load_model(path)
+
+
+@pytest.mark.parametrize("text, got", [
+    # "variant krein associated" loaded as krein; "variant bogus" raised without a line
+    ("variant krein associated", "krein associated"),
+    ("variant bogus", "bogus"),
+], ids=["extra-token", "unknown-variant"])
+def test_load_model_names_the_line_of_a_bad_variant(tmp_path, text, got):
+    path = _edited_model_file(tmp_path, 2, text)
+    with pytest.raises(ValueError, match=f"^line 2: unknown variant '{got}'$"):
+        ksvm.load_model(path)

@@ -8,6 +8,7 @@ netcore.forward or closed forms.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1078,3 +1079,19 @@ def test_tower_cache_reads_sizes_again_and_keeps_no_tower_past_the_budget(monkey
     cache.budget = size - 1
     pf.flat_space(a, 4)
     assert cache.info().entries == 0
+
+
+def test_tower_bytes_count_what_a_dump_layout_holds():
+    # the tower workload's shape: its 16,532 prefixes and tags are str objects,
+    # which nbytes once counted at 8 bytes per pointer (prefixes) or not at all (tags)
+    arch = netcore.Architecture(input_dim=2, widths=(3, 2, 1), activations=(act.tanh(),) * 3)
+    space = pf._tower(arch, 5)
+    before = space.nbytes()
+    tracemalloc.start()
+    try:
+        space.top.dump_layout()
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(space.top.own_degree) == 16_532
+    assert abs(space.nbytes() - before - grown) <= 0.1 * grown
