@@ -172,7 +172,7 @@ def save_model(path, model):
     lines.append(f"points {pts.shape[0]}")
     lines += netcore.text_rows(pts)
     lines += ["alpha " + row for row in netcore.text_rows([model.alpha])]
-    netcore.write_text(path, "\n".join(lines) + "\n")
+    netcore.write_text(path, ("\n".join(lines) + "\n",))
 
 
 #: the keys of a model file, in save_model's order; only activation may repeat

@@ -315,16 +315,20 @@ def text_rows(matrix, sep=" "):
     return [sep.join(row) for row in exact_text(matrix).tolist()]
 
 
-def write_text(path, text):
-    """Atomic write: a temp file of unique name in the same directory, then rename.
+def write_text(path, blocks):
+    """Atomic write of an iterable of text blocks, in order: a temp file of
+    unique name in the same directory, then rename.  A single text is passed
+    as a 1-tuple; a bare str is refused (TypeError).
 
-    The temp file is removed when writing or renaming fails.
+    The temp file is removed when the iterable, writing or renaming fails.
     """
+    if isinstance(blocks, str):
+        raise TypeError("write_text takes text blocks, not a str: pass (text,)")
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -337,7 +341,7 @@ def save_weights(path, weights):
     for w in weights:
         lines.append(f"{w.shape[0]} {w.shape[1]}")
         lines += text_rows(w)
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, ("\n".join(lines) + "\n",))
 
 
 def read_floats(tokens, lineno, count=None):

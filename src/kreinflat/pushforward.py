@@ -28,7 +28,8 @@ Index storage is flat numpy: packed (slot, exponent) term arrays per level,
 enumerated by count pattern (how many slots each group of equal composed
 degree gives), plus per-index gamma coefficients, metric values and per-block
 degree profiles.  Each level builds its composed input exponents and caches
-its dump layout (tags, sort order, line prefixes) once something reads them.
+its dump layout (sort order and line prefixes) once something reads them; its
+tags are built on each call.  A dump streams out in blocks of lines.
 flat_space refuses to build a tower past DEFAULT_MAX_ENTRIES stored indices
 at some level (SizeLimitError); level_counts() gives the exact per-level
 counts without enumerating anything, and takes any other limit.  flat_space
@@ -54,6 +55,10 @@ DEFAULT_MAX_ENTRIES = 200_000
 # feature map.  Whole batches of tower-sized inputs cost tens of MB; blocks
 # of a few rows keep that near 2 MB at no measurable cost in time.
 _BLOCK_BYTES = 2 << 20
+
+# Lines per text block of a dump.  A whole dump of a 16,532-entry tower is
+# about 1 MB of text, held two or three times over while joined and encoded.
+_DUMP_LINES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +230,6 @@ class _Level:
         "prev",
         "max_exp",
         "_tables",
-        "_tags",
         "_xexp",
         "_layout",
     )
@@ -255,7 +259,7 @@ class _Level:
         return self._xexp
 
     def nbytes(self):
-        """Bytes held by the level's arrays, compose tables, tags and dump layout."""
+        """Bytes held by the level's arrays, compose tables and dump layout."""
         arrays = [
             self.slot_block, self.slot_prev, self.terms_pos, self.terms_exp,
             self.own_degree, self.composed_degree, self.gamma, self.metric,
@@ -266,17 +270,15 @@ class _Level:
         text = 0
         if self._layout is not None:
             arrays += list(self._layout)
-            text += sum(map(sys.getsizeof, self._layout[1]))  # the prefixes' str objects
-        if self._tags is not None:  # a list: its pointers and its str objects
-            text += sys.getsizeof(self._tags) + sum(map(sys.getsizeof, self._tags))
+            text = sum(map(sys.getsizeof, self._layout[1]))  # the prefixes' str objects
         return sum(a.nbytes for a in arrays if a is not None) + text
 
     def dump_layout(self):
         """(permutation, line prefixes) of a dump, computed once per level.
 
         Rows sort by (degree, exponents, tag); the sort is stable, so ties
-        keep stored order.  prefixes[j], an object array of str, belongs to
-        row permutation[j].
+        keep stored order.  prefixes[j], an object array of str
+        "exponents | tag | ", belongs to row permutation[j].
         """
         if self._layout is None:
             xexp = self.xexp
@@ -290,40 +292,38 @@ class _Level:
             starts = np.ones(len(rows), dtype=bool)
             starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
             heads = np.array([" ".join(map(str, r)) for r in rows[starts].tolist()], dtype=object)
-            tag_text = np.array(tags, dtype=object)[perm]
-            prefixes = heads[np.cumsum(starts) - 1] + " | " + tag_text + " | "
+            heads = heads[np.cumsum(starts) - 1].tolist()
+            tags = np.array(tags, dtype=object)[perm].tolist()
+            prefixes = np.array([f"{h} | {t} | " for h, t in zip(heads, tags)], dtype=object)
             self._layout = (perm, prefixes)
         return self._layout
 
     def tags(self):
-        """Tags built once, bottom-up from the tags of the level below.
+        """Tags of the stored indices, built on each call bottom-up from the tags
+        of the level below.
 
         Level 0 names input monomials (x0^2*x1); above it a slot reads
         block:(child tag), where children at level 0 print as "-".
         """
-        if self._tags is None:
-            if self.level == 0:
-                slots = [f"x{p}" for p in range(self.n_slots)]
-            else:
-                prev = self.prev
-                child = prev.tags() if prev.level > 0 else ["-"] * len(prev.own_degree)
-                slots = [
-                    f"{b}:({child[k]})"
-                    for b, k in zip(self.slot_block.tolist(), self.slot_prev.tolist())
-                ]
-            # pieces laid out like compose's table over all slots, so its
-            # gather picks a row's pieces column by column; exponent 0 is ""
-            power_slots, power_exps, gather = self._table(self.n_slots)
-            powers = [f"{slots[p]}^{e}" for p, e in zip(power_slots.tolist(), power_exps.tolist())]
-            pieces = np.array([""] + slots + powers, dtype=object)
-            tags = pieces[gather[0]]
-            for col in gather[1:]:
-                part = pieces[col]
-                more = part != ""
-                tags[more] = tags[more] + "*" + part[more]
-            tags[tags == ""] = "1"
-            self._tags = tags.tolist()
-        return self._tags
+        if self.level == 0:
+            slots = [f"x{p}" for p in range(self.n_slots)]
+        else:
+            prev = self.prev
+            child = prev.tags() if prev.level > 0 else ["-"] * len(prev.own_degree)
+            slots = [
+                f"{b}:({child[k]})"
+                for b, k in zip(self.slot_block.tolist(), self.slot_prev.tolist())
+            ]
+        # pieces laid out like compose's table over all slots, so its
+        # gather picks a row's pieces column by column; exponent 0 is "", and
+        # every piece after a row's first carries its "*"
+        power_slots, power_exps, gather = self._table(self.n_slots)
+        powers = zip(power_slots.tolist(), power_exps.tolist())
+        names = slots + [f"{slots[p]}^{e}" for p, e in powers]
+        first = np.array([""] + names, dtype=object)[gather[0]].tolist()
+        more = np.array([""] + ["*" + n for n in names], dtype=object)
+        columns = [first] + [more[col].tolist() for col in gather[1:]]
+        return [tag or "1" for tag in map("".join, zip(*columns))]
 
     def _table(self, period):
         """(slots, exponents, gather columns) of compose's table, once per period.
@@ -578,7 +578,7 @@ def _pack_level(level_no, arch, prev, trunc):
     lv = _Level.__new__(_Level)
     lv.level = level_no
     lv.prev = prev
-    lv._layout = lv._tags = lv._xexp = None
+    lv._layout = lv._xexp = None
     lv._tables = {}  # compose()'s exponents and gather columns per period
     if level_no == 0:
         lv.n_slots = arch.input_dim
@@ -617,8 +617,8 @@ def _pack_level(level_no, arch, prev, trunc):
     return lv
 
 
-# Byte ceiling on the towers flat_space keeps.  A dumped tower holds about 440
-# bytes per top-level entry (7.2 MB for a tanh (2, (3, 2, 1)) net's 16,532 at
+# Byte ceiling on the towers flat_space keeps.  A dumped tower holds about 340
+# bytes per top-level entry (5.7 MB for a tanh (2, (3, 2, 1)) net's 16,532 at
 # truncation 5), so one at the size guard's 200,000 entries outgrows it.
 _TOWER_BYTES = 64 << 20
 _TOWERS = _LRUCache(_TOWER_BYTES, FlatSpace.nbytes)
@@ -815,9 +815,18 @@ def dump_series(vec):
     One line per nonzero stored entry.  The exponent tuple is over the input
     coordinates (composed through all levels for tower vectors); the tag
     pins down which hierarchical index the line belongs to.
+
+    Returns an iterator of text blocks of at most _DUMP_LINES lines each;
+    joined, they are the whole dump.  A stacked vector is refused here,
+    before the first block (ValueError).
     """
+    if vec.values.ndim != 1:
+        raise ValueError("a stacked vector has no dump; dump row j as like(values[j])")
     perm, prefixes = vec._space.dump_layout()
     vals = vec.values[perm]
     keep = np.flatnonzero(vals != 0.0)
-    lines = (prefixes[keep] + netcore.exact_text(vals[keep])).tolist()
-    return "\n".join(lines) + ("\n" if lines else "")
+    text, n = netcore.exact_text(vals[keep]), _DUMP_LINES
+    return (
+        "\n".join((prefixes[keep[s : s + n]] + text[s : s + n]).tolist()) + "\n"
+        for s in range(0, len(keep), n)
+    )

@@ -210,8 +210,8 @@ def test_write_text_temp_names_are_unique(tmp_path):
     out = tmp_path / "report.json"
     # a fixed temp name would collide with this leftover of another run
     (tmp_path / "report.json.tmp").mkdir()
-    cli.write_text(str(out), "one\n")
-    cli.write_text(str(out), "two\n")
+    cli.write_text(str(out), ("one\n",))
+    cli.write_text(str(out), ("two\n",))
     assert out.read_text() == "two\n"
     assert sorted(os.listdir(tmp_path)) == ["report.json", "report.json.tmp"]
 
@@ -220,9 +220,33 @@ def test_write_text_failure_leaves_no_temp(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()  # renaming a file onto a directory fails
     with pytest.raises(OSError):
-        cli.write_text(str(target), "text\n")
+        cli.write_text(str(target), ("text\n",))
     assert os.listdir(tmp_path) == ["taken"]
     assert os.listdir(target) == []
+
+
+def test_write_text_joins_blocks_and_refuses_a_bare_str(tmp_path):
+    out = tmp_path / "out.txt"
+    cli.write_text(str(out), iter(["a\n", "", "b\nc\n"]))
+    assert out.read_text() == "a\nb\nc\n"
+    with pytest.raises(TypeError, match=r"\(text,\)"):
+        cli.write_text(str(out), "text\n")
+    assert out.read_text() == "a\nb\nc\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_text_failing_blocks_keep_the_previous_file(tmp_path):
+    out = tmp_path / "dump.txt"
+    cli.write_text(str(out), ("old\n",))
+
+    def blocks():
+        yield "new\n" * 50_000  # past the write buffer: the temp file holds text
+        raise RuntimeError("block 2 failed")
+
+    with pytest.raises(RuntimeError, match="block 2"):
+        cli.write_text(str(out), blocks())
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["dump.txt"]
 
 
 def test_cli_import_leaves_secrets_unimported():

@@ -8,6 +8,7 @@ netcore.forward or closed forms.
 
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -52,7 +53,7 @@ def exponents(n, max_degree):
 
 def test_exp_level_zero_dumps_graded_lex():
     v = monomial_features(np.array([2.0, 3.0]), 2)
-    got = [tuple(map(int, line.split("|")[0].split())) for line in pf.dump_series(v).splitlines()]
+    got = [tuple(map(int, line.split("|")[0].split())) for line in "".join(pf.dump_series(v)).splitlines()]
     assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
@@ -812,7 +813,7 @@ def test_dump_series_format():
     arch = poly_arch(2, (1,), [[0.0, 1.0]])
     w = netcore.WeightSet((np.array([[2.0, -3.0]]),))
     v = pf.flat_weight(arch, w, 1)
-    lines = pf.dump_series(v).strip().split("\n")
+    lines = "".join(pf.dump_series(v)).strip().split("\n")
     assert len(lines) == 2
     head = lines[0].split("|")
     assert len(head) == 3
@@ -846,10 +847,56 @@ def test_tower_dumps_are_the_per_line_format():
         *layers,
     ]
     for vec in dumps:
-        got, want = pf.dump_series(vec).split("\n"), _per_line_dump(vec).split("\n")
+        got, want = "".join(pf.dump_series(vec)).split("\n"), _per_line_dump(vec).split("\n")
         first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
         assert first is None, (got[first], want[first])
         assert len(got) == len(want) > 1000
+
+
+def test_dump_blocks_drop_zero_lines_across_block_edges(monkeypatch):
+    monkeypatch.setattr(pf, "_DUMP_LINES", 3)
+    arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
+    metric = pf.flatten_metric(arch, 2)
+    perm, _ = metric._space.dump_layout()
+    # zero every third line of the dump and its first: kept lines straddle each block edge
+    values = metric.values.copy()
+    values[perm[::3]] = 0.0
+    vec = metric.like(values)
+    blocks = list(pf.dump_series(vec))
+    lines = [len(b.splitlines()) for b in blocks]
+    assert sum(lines) == np.count_nonzero(values) == 13
+    assert lines == [3, 3, 3, 3, 1]
+    assert "".join(blocks) == _per_line_dump(vec)
+    assert list(pf.dump_series(vec.like(np.zeros_like(values)))) == []
+
+
+@pytest.mark.parametrize("k", [3, 40])
+def test_dump_series_refuses_a_stacked_vector_before_any_block(tmp_path, k):
+    arch = poly_arch(2, (1,), [[0.0, 1.0, 0.5]])
+    _, flat = pf.pushed_weights(arch, netcore.WeightSet((np.ones((k, 1, 2)),)), 2)
+    assert flat.values.shape == (k, 5)
+    with pytest.raises(ValueError, match=r"stacked.*like\(values\[j\]\)"):
+        netcore.write_text(str(tmp_path / "flat.txt"), pf.dump_series(flat))
+    assert os.listdir(tmp_path) == []
+    assert "".join(pf.dump_series(flat.like(flat.values[1]))).count("\n") == 5
+
+
+def test_writing_a_tower_dump_holds_no_whole_file_text(tmp_path):
+    # the tower workload's tower: with its dump layout built, its metric dump
+    # peaked at 3.5 MB as whole-file text (lines, joined, encoded) and at
+    # about 1.1 MB in blocks of _DUMP_LINES lines
+    arch = netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3)
+    metric = pf.flatten_metric(arch, 5)
+    metric._space.dump_layout()
+    path = tmp_path / "metric.txt"
+    tracemalloc.start()
+    try:
+        netcore.write_text(str(path), pf.dump_series(metric))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 800_000
+    assert peak < 2 << 20, peak
 
 
 def test_flat_eval_requires_aligned_spaces():
@@ -1082,8 +1129,8 @@ def test_tower_cache_reads_sizes_again_and_keeps_no_tower_past_the_budget(monkey
 
 
 def test_tower_bytes_count_what_a_dump_layout_holds():
-    # the tower workload's shape: its 16,532 prefixes and tags are str objects,
-    # which nbytes once counted at 8 bytes per pointer (prefixes) or not at all (tags)
+    # the tower workload's shape: its 16,532 prefixes are str objects, which
+    # nbytes once counted at 8 bytes per pointer; the layout keeps no tags
     arch = netcore.Architecture(input_dim=2, widths=(3, 2, 1), activations=(act.tanh(),) * 3)
     space = pf._tower(arch, 5)
     before = space.nbytes()
