@@ -5,9 +5,9 @@ radius-limited analytic) function sigma(xi) = sum_i a_i xi^i with a_0 >= 0 and
 a_1 > 0.  Each one also has an *associated* function with coefficients |a_i|,
 which drives the positive-definite companion kernel and all capacity bounds.
 
-Coefficients for tanh/tan/logistic come from exact rational ODE recurrences
-(tanh' = 1 - tanh^2, tan' = 1 + tan^2, s' = s - s^2) rather than printed
-tables; everything is validated against closed forms in the test suite.
+tanh, logistic, erf and exp each have one coefficient stream, built once,
+grown on demand and ended at the last nonzero float; tanh's and logistic's come
+from the Euler zigzag numbers.  Associated kinds read |a_i| of their base kind.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate, count, islice
 
 import numpy as np
 
@@ -64,8 +64,6 @@ DERIVED_KINDS = ("tan", "erfi", "logistic_assoc", "relu_surrogate_assoc")
 
 # kinds whose closed form is only trusted inside the convergence radius
 _POLE_LIMITED = {"tan", "logistic_assoc"}
-# kinds whose coefficients come from _ode_fractions, and the series they use
-_ODE_SERIES = {"tanh": "tanh", "tan": "tan", "logistic": "logistic", "logistic_assoc": "logistic"}
 
 _DEFAULT_SHARPNESS = 0.01
 
@@ -140,46 +138,60 @@ def relu_surrogate(sharpness=_DEFAULT_SHARPNESS):
 # coefficient streams
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _ode_fractions(kind, n):
-    """a_0..a_n as exact Fractions for the self-referential series.
+_EULER, _EULER_ROW = [1], [1]  # E_0, E_1, ... and the last boustrophedon row built
 
-    tanh:     a' = 1 - a*a, a_0 = 0
-    tan:      a' = 1 + a*a, a_0 = 0
-    logistic: a' = a - a*a, a_0 = 1/2
 
-    Runs on the integers c_m = a_m * m! * s**(m + 1) (s = 2 for logistic, else
-    1), where a*a becomes sum_j C(m, j) c_j c_(m-j), skipping zero terms.
+def _euler(n):
+    """The Euler zigzag number E_n (OEIS A000111) by the Seidel-Entringer
+    boustrophedon: each row is the running sum, from 0, of the last row read
+    backwards, and ends in the next E.  Only the last row and the E's are kept."""
+    while len(_EULER) <= n:
+        _EULER_ROW[:] = list(accumulate(reversed(_EULER_ROW), initial=0))
+        _EULER.append(_EULER_ROW[-1])
+    return _EULER[n]
+
+
+def _terms(kind):
+    """a_0, a_1, ... of a base kind as floats, up to its last nonzero float.
+
+    At odd n = 2k + 1, with the sign (-1)^k: tanh's a_n is E_n / n!, logistic's
+    E_n / (n! 2^(n + 1)) and erf's (2/sqrt(pi)) / (k! n); even n >= 2 give 0.
+    exp's a_n is 1/n!.  erf and exp use the float formula while its integer
+    denominator is a float; other terms are the exact value rounded once.  The
+    magnitudes decrease, so the first term that rounds to 0 ends the stream.
     """
-    c = [1 if kind == "logistic" else 0]
-    binom = [1]  # C(m, j) for j = 0..m
-    for m in range(n):
-        conv = sum(binom[j] * c[j] * c[m - j] for j in range(m + 1) if c[j] and c[m - j])
-        if kind == "tanh":
-            c.append((m == 0) - conv)
-        elif kind == "tan":
-            c.append((m == 0) + conv)
+    yield {"logistic": 0.5, "exp": 1.0}.get(kind, 0.0)
+    for n in count(1):
+        sign = -1 if n % 4 == 3 else 1
+        if kind == "exp":
+            c, den = 1.0, math.factorial(n)
+        elif n % 2 == 0:
+            c, den = 0, 1
+        elif kind == "erf":
+            c, den = sign * (2.0 / _SQRT_PI), math.factorial(n // 2) * n
         else:
-            c.append(2 * c[m] - conv)
-        binom = [1] + [binom[j] + binom[j + 1] for j in range(m)] + [1]
-    s = 2 if kind == "logistic" else 1
-    return tuple(Fraction(cm, math.factorial(m) * s ** (m + 1)) for m, cm in enumerate(c))
+            c, den = sign * _euler(n), math.factorial(n) << (n + 1 if kind == "logistic" else 0)
+        try:
+            a = c / den
+        except OverflowError:  # a float over an integer past the float range
+            a = float(Fraction(c) / den)
+        if c and not a:  # a nonzero term rounded to 0
+            return
+        yield a
 
 
-def _erf_factor(i):
-    # erf(xi) = (2/sqrt(pi)) sum_k (-1)^k xi^(2k+1) / (k! (2k+1)): the rational part
-    k = (i - 1) // 2
-    return Fraction((-1) ** k, math.factorial(k) * i)
+#: base kind -> (its floats a_0, a_1, ... built so far, the rest of its _terms)
+_STREAMS = {kind: ([], _terms(kind)) for kind in ("tanh", "logistic", "erf", "exp")}
 
 
-def _erf_coefficient(i):
-    if i % 2 == 0:
-        return 0.0
-    k = (i - 1) // 2
-    try:
-        return (2.0 / _SQRT_PI) * (-1.0) ** k / (math.factorial(k) * i)
-    except OverflowError:  # k! (2k+1) is past the float range: round the exact value once
-        return float(Fraction(2.0 / _SQRT_PI) * _erf_factor(i))
+def _coefficient(kind, i):
+    """a_i of a streamed base kind; its stream grows to degree i, or to its end."""
+    a, terms = _STREAMS[kind]
+    a.extend(islice(terms, max(0, i + 1 - len(a))))
+    if i < len(a):
+        return a[i]
+    # past the float support a term rounds to 0 with the sign of the term 4k down
+    return math.copysign(0.0, a[len(a) - 4 + (i - len(a)) % 4])
 
 
 def _relu_coefficient(spec, i):
@@ -190,16 +202,17 @@ def _relu_coefficient(spec, i):
     float range to a subnormal or 0, above it DomainError.
     """
     c = spec.sharpness
+    half = 0.5 * _coefficient("erf", i - 1)
     try:
         scale = c ** (i - 1)
-        half = 0.5 * _erf_coefficient(i - 1)
         a = half / scale
         if min(scale, abs(half), abs(a)) >= sys.float_info.min and abs(a) < math.inf:
             return a
     except (OverflowError, ZeroDivisionError):
         pass
-    try:
-        return float(Fraction(2.0 / _SQRT_PI) / 2 * _erf_factor(i - 1) / Fraction(c) ** (i - 1))
+    try:  # i - 1 = 2k + 1 with k = i/2 - 1
+        return float(Fraction(2.0 / _SQRT_PI) * (-1) ** (i // 2 - 1)
+                     / (2 * math.factorial(i // 2 - 1) * (i - 1)) / Fraction(c) ** (i - 1))
     except OverflowError:
         raise DomainError(
             f"{spec.kind} Taylor coefficient of degree {i} exceeds the float range"
@@ -207,42 +220,25 @@ def _relu_coefficient(spec, i):
 
 
 def taylor_coefficient(spec, i):
-    """a_i of the activation's Taylor expansion at 0."""
+    """a_i of the activation's Taylor expansion at 0 (|a_i| of the base kind)."""
     if i < 0:
         raise ValueError("coefficient index must be nonnegative")
-    kind = spec.kind
+    kind = _BASE.get(spec.kind, spec.kind)
     if kind == "linear":
-        return 1.0 if i == 1 else 0.0
-    if kind == "polynomial":
-        return spec.coefficients[i] if i < len(spec.coefficients) else 0.0
-    if kind == "erf":
-        return _erf_coefficient(i)
-    if kind == "erfi":
-        return abs(_erf_coefficient(i))
-    if kind in _ODE_SERIES:
-        return taylor_series(spec, i)[i]
-    if kind == "exp":
-        try:
-            return 1.0 / math.factorial(i)
-        except OverflowError:  # i! is past the float range: round the exact value once
-            return float(Fraction(1, math.factorial(i)))
-    if kind in ("relu_surrogate", "relu_surrogate_assoc"):
+        a = 1.0 if i == 1 else 0.0
+    elif kind == "polynomial":
+        a = spec.coefficients[i] if i < len(spec.coefficients) else 0.0
+    elif kind == "relu_surrogate":
         # xi/2 + (xi/2) * erf(xi/c): odd erf terms shift to even degrees >= 2
-        if i == 1:
-            return 0.5
-        if i >= 2 and i % 2 == 0:
-            a = _relu_coefficient(spec, i)
-            return abs(a) if kind == "relu_surrogate_assoc" else a
-        return 0.0
-    raise AssertionError(kind)
+        a = _relu_coefficient(spec, i) if i >= 2 and i % 2 == 0 else 0.5 if i == 1 else 0.0
+    else:
+        a = _coefficient(kind, i)
+    return a if kind == spec.kind else abs(a)
 
 
 def taylor_series(spec, up_to):
-    """[a_0, ..., a_up_to]; an ODE kind builds its exact series once, in one pass."""
-    if spec.kind not in _ODE_SERIES:
-        return [taylor_coefficient(spec, i) for i in range(up_to + 1)]
-    a = [float(f) for f in _ode_fractions(_ODE_SERIES[spec.kind], up_to)[: up_to + 1]]
-    return [abs(v) for v in a] if spec.kind == "logistic_assoc" else a
+    """[a_0, ..., a_up_to]."""
+    return [taylor_coefficient(spec, i) for i in range(up_to + 1)]
 
 
 def support_degrees(spec, up_to):
@@ -336,6 +332,8 @@ _KINDS = {
     "relu_surrogate": ("relu_surrogate_assoc", *_relu_forms(_sp_erf, -1.0)),
     "relu_surrogate_assoc": ("relu_surrogate_assoc", *_relu_forms(_sp_erfi, 1.0)),
 }
+#: associated kind -> the base kind whose |a_i| it has
+_BASE = {assoc: kind for kind, (assoc, *_) in _KINDS.items() if assoc != kind}
 
 
 def evaluate(spec, xi):

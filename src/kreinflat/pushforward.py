@@ -816,8 +816,8 @@ def dump_series(vec):
     coordinates (composed through all levels for tower vectors); the tag
     pins down which hierarchical index the line belongs to.
 
-    Returns an iterator of text blocks of at most _DUMP_LINES lines each;
-    joined, they are the whole dump.  A stacked vector is refused here,
+    Returns an iterator of text blocks of at most _DUMP_LINES lines each, and
+    each block formats only its own values; joined, they are the whole dump.  A stacked vector is refused here,
     before the first block (ValueError).
     """
     if vec.values.ndim != 1:
@@ -825,8 +825,5 @@ def dump_series(vec):
     perm, prefixes = vec._space.dump_layout()
     vals = vec.values[perm]
     keep = np.flatnonzero(vals != 0.0)
-    text, n = netcore.exact_text(vals[keep]), _DUMP_LINES
-    return (
-        "\n".join((prefixes[keep[s : s + n]] + text[s : s + n]).tolist()) + "\n"
-        for s in range(0, len(keep), n)
-    )
+    blocks = (keep[s : s + _DUMP_LINES] for s in range(0, len(keep), _DUMP_LINES))
+    return ("\n".join((prefixes[b] + netcore.exact_text(vals[b])).tolist()) + "\n" for b in blocks)

@@ -150,13 +150,74 @@ def test_taylor_series_is_the_coefficient_stream(spec):
     assert act.taylor_series(spec, -1) == []
 
 
-def test_support_degrees_builds_the_exact_series_once():
-    # one _ode_fractions(kind, up_to) call, not one per degree: per-degree
-    # calls each rebuild the series, O(T^3) in all
-    act._ode_fractions.cache_clear()
+@pytest.fixture
+def fresh_streams(monkeypatch):
+    """Empty coefficient streams and zigzag triangle, as in a new process."""
+    monkeypatch.setattr(act, "_EULER", [1])
+    monkeypatch.setattr(act, "_EULER_ROW", [1])
+    monkeypatch.setattr(act, "_STREAMS", {k: ([], act._terms(k)) for k in act._STREAMS})
+
+
+def _built():
+    return len(act._EULER), len(act._EULER_ROW), {k: len(a) for k, (a, _) in act._STREAMS.items()}
+
+
+def test_support_degrees_builds_the_exact_series_once(fresh_streams):
+    # each stream grows once, to the largest degree asked for; a second call,
+    # or a per-degree call below it, builds nothing
     assert act.support_degrees(act.tanh(), 150) == list(range(1, 151, 2))
     assert act.support_degrees(act.associated(act.logistic()), 150)[:2] == [0, 1]
-    assert act._ode_fractions.cache_info().misses == 2
+    built = _built()
+    assert built == (150, 150, {"tanh": 151, "logistic": 151, "erf": 0, "exp": 0})
+    assert act.support_degrees(act.tanh(), 150) == list(range(1, 151, 2))
+    assert act.taylor_coefficient(act.logistic(), 149) != 0.0
+    assert _built() == built
+
+
+def test_streams_end_at_the_float_support(fresh_streams):
+    # the last nonzero floats are at degrees 1,649 (tanh), 649 (logistic) and
+    # 177 (exp); finding that the next odd term rounds to 0 takes the zigzag
+    # triangle to row 1,651 and no further, whatever the truncation
+    assert act.support_degrees(act.tanh(), 5000)[-1] == 1649
+    assert act.support_degrees(act.logistic(), 5000)[-1] == 649
+    built = _built()
+    assert built[:2] == (1652, 1652)
+    act.support_degrees(act.tanh(), 5000)
+    act.support_degrees(act.associated(act.logistic()), 5000)
+    assert _built() == built
+    assert act.support_degrees(act.exp(), 12_000)[-1] == 177
+    assert len(act._STREAMS["exp"][0]) <= 180
+    # past the end a term is the exact value rounded once: a zero of its sign
+    for spec, i, sign in [(act.tanh(), 4999, -1.0), (act.tanh(), 5001, 1.0),
+                          (act.logistic(), 4999, -1.0), (act.erf(), 12_003, -1.0),
+                          (act.exp(), 12_000, 1.0), (act.associated(act.tanh()), 4999, 1.0)]:
+        a = act.taylor_coefficient(spec, i)
+        assert a == 0.0 and math.copysign(1.0, a) == sign, (spec.kind, i)
+
+
+def _ode_fractions(kind, n):
+    """a_0..a_n as exact Fractions of the self-referential series.
+
+    tanh:     a' = 1 - a*a, a_0 = 0
+    tan:      a' = 1 + a*a, a_0 = 0
+    logistic: a' = a - a*a, a_0 = 1/2
+
+    Runs on the integers c_m = a_m * m! * s**(m + 1) (s = 2 for logistic, else
+    1), where a*a becomes sum_j C(m, j) c_j c_(m-j), skipping zero terms.
+    """
+    c = [1 if kind == "logistic" else 0]
+    binom = [1]  # C(m, j) for j = 0..m
+    for m in range(n):
+        conv = sum(binom[j] * c[j] * c[m - j] for j in range(m + 1) if c[j] and c[m - j])
+        if kind == "tanh":
+            c.append((m == 0) - conv)
+        elif kind == "tan":
+            c.append((m == 0) + conv)
+        else:
+            c.append(2 * c[m] - conv)
+        binom = [1] + [binom[j] + binom[j + 1] for j in range(m)] + [1]
+    s = 2 if kind == "logistic" else 1
+    return tuple(Fraction(cm, math.factorial(m) * s ** (m + 1)) for m, cm in enumerate(c))
 
 
 def _fraction_series(kind, n):
@@ -176,7 +237,15 @@ def _fraction_series(kind, n):
 
 @pytest.mark.parametrize("kind", ["tanh", "tan", "logistic"])
 def test_integer_ode_recursion_is_the_fraction_series(kind):
-    assert act._ode_fractions(kind, 60) == _fraction_series(kind, 60)
+    # the integer ODE recurrence is the reference: it equals the Fraction
+    # series, and each stream is it rounded once, sign of zero included
+    assert _ode_fractions(kind, 60) == _fraction_series(kind, 60)
+    exact = _ode_fractions(kind, 300)
+    specs = {"tanh": [act.tanh()], "tan": [act.associated(act.tanh())],
+             "logistic": [act.logistic(), act.associated(act.logistic())]}[kind]
+    for spec in specs:
+        want = [float(abs(f) if spec.kind == "logistic_assoc" else f).hex() for f in exact]
+        assert [a.hex() for a in act.taylor_series(spec, 300)] == want, spec.kind
 
 
 def test_coefficient_stream_is_deterministic():

@@ -270,6 +270,20 @@ def test_out_creates_missing_directories(tmp_path):
     assert (out.parent / "report.flat_weight.txt").exists()
 
 
+@pytest.mark.parametrize("kind, entries", [("tanh", 825), ("exp", 178)])
+def test_one_neuron_flatten_at_truncation_12000(tmp_path, capsys, kind, entries):
+    # every coefficient past the last nonzero float (degree 1,649 for tanh, 177
+    # for exp) rounds to 0, so the series work stops there whatever T is
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [1], "activations": [kind]},
+        "truncation": 12_000,
+    }
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["truncation"] == 12_000
+    assert report["diagnostics"]["stored_top_entries"] == entries
+
+
 def test_flatten_multinomial_past_float_range_exits_3(tmp_path, capsys):
     # C(1100, 550) ~ 1e329 overflows a float before it meets a_1100 = 1e-300
     coefficients = [0.0] * 1101
