@@ -251,8 +251,13 @@ def support_degrees(spec, up_to):
 # ---------------------------------------------------------------------------
 
 def convergence_radius(spec):
-    if spec.kind in ("tanh", "tan", "logistic", "logistic_assoc"):
+    """Radius of the Taylor series at 0, the distance to the nearest pole:
+    tanh's are at +-i pi/2, tan's at +-pi/2, logistic's at +-i pi and its
+    associated (1 + tan(xi/2))/2's at +-pi."""
+    if spec.kind in ("tanh", "tan"):
         return math.pi / 2
+    if spec.kind in ("logistic", "logistic_assoc"):
+        return math.pi
     return math.inf
 
 

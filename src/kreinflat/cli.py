@@ -381,7 +381,7 @@ def run_kernel(cfg, out=None):
     results.update(_gram_diagnostics(gram)[1])
     warnings = _sidecars(out, results, "gram CSV", [(
         "gram_csv", "gram.csv",
-        lambda p, g: write_text(p, ("\n".join(netcore.text_rows(g, ",")) + "\n",)), gram,
+        lambda p, g: write_text(p, netcore.symmetric_text_blocks(g, ",")), gram,
     )])
     return _report(cfg, results, warnings=warnings)
 

@@ -22,6 +22,11 @@ from .errors import DomainError
 
 VARIANTS = ("krein", "associated")
 
+# Bytes of the Gram's rows that one chain call covers.  The chain holds a few
+# arrays the size of a block's upper triangle; over the whole Gram they cost
+# more than the Gram itself.
+_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class KernelDefinition:
@@ -99,10 +104,11 @@ def associated_kernel(defn, x, xp):
 def gram(defn, points):
     """The Gram matrix over the rows of ``points`` (exactly symmetric).
 
-    The chain runs on the upper triangle of X X^T, which is mirrored, so
-    G[i, j] and G[j, i] are bit-identical.  Domain violations and non-finite
-    values are raised as DomainError with the first offending entry (i, j),
-    in row-major order, attached.
+    The chain runs on the upper triangle of X X^T one row block at a time, and
+    each block is mirrored, so G[i, j] and G[j, i] are bit-identical.  Domain
+    violations and non-finite values are raised as DomainError with the first
+    offending entry (i, j), in row-major order, attached; a domain violation
+    anywhere is raised before a non-finite value.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != defn.arch.input_dim:
@@ -110,19 +116,27 @@ def gram(defn, points):
             f"points must be a 2-d array with {defn.arch.input_dim} columns "
             f"(one row per sample), got shape {points.shape}"
         )
-    upper = np.triu(np.ones((points.shape[0],) * 2, dtype=bool))
     out = points @ points.T
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused next
-            values = chain(defn.chain_arch, out[upper])
+    n = len(out)
+    rows = max(1, _BLOCK_BYTES // (8 * n or 1))
+    not_finite = None  # the first non-finite entry, refused once every block is chained
+    for r0 in range(0, n, rows):
+        block = out[r0 : r0 + rows, r0:]
+        upper = np.arange(n - r0) >= np.arange(len(block))[:, None]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+                values = chain(defn.chain_arch, block[upper])
+        except DomainError as exc:
+            i, j = (r0 + int(ix[exc.location]) for ix in np.nonzero(upper))
+            raise DomainError(
+                f"gram entry ({i}, {j}): {exc}", layer=exc.layer, location=(i, j)
+            ) from exc
         bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise DomainError("the kernel value is not finite", location=int(bad[0]))
-    except DomainError as exc:
-        i, j = (int(ix[exc.location]) for ix in np.nonzero(upper))
-        raise DomainError(
-            f"gram entry ({i}, {j}): {exc}", layer=exc.layer, location=(i, j)
-        ) from exc
-    out[upper] = values
-    out.T[upper] = values  # the mirror: out.T walks the lower triangle in the same order
+        if bad.size and not_finite is None:
+            not_finite = tuple(r0 + int(ix[bad[0]]) for ix in np.nonzero(upper))
+        block[upper] = values
+        out.T[r0 : r0 + rows, r0:][upper] = values  # the mirror: out.T walks the lower triangle
+    if not_finite is not None:
+        i, j = not_finite
+        raise DomainError(f"gram entry ({i}, {j}): the kernel value is not finite", location=(i, j))
     return out

@@ -315,6 +315,40 @@ def text_rows(matrix, sep=" "):
     return [sep.join(row) for row in exact_text(matrix).tolist()]
 
 
+# Bytes of a matrix's rows per block of symmetric_text_blocks.  A block's texts,
+# with np.unique's sort and the nested lists, take about twenty times that.
+_TEXT_BLOCK_BYTES = 1 << 17
+
+
+def symmetric_text_blocks(matrix, sep=" "):
+    """The lines of text_rows(matrix, sep), each ended by a newline, in blocks
+    of rows.  matrix must be square and bit-symmetric, as a Gram is; any other
+    is refused (ValueError) before the first block.
+
+    A block formats its rows from the diagonal rightwards with one exact_text
+    call.  A row's columns left of its block are the mirror of texts formatted
+    by earlier blocks, joined per block and held until that row is written.
+    """
+    m = np.asarray(matrix, dtype=float)
+    n = len(m)
+    if m.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    rows = max(1, _TEXT_BLOCK_BYTES // (8 * n or 1))
+    bits = m.view(np.int64)
+    for r0 in range(0, n, rows):
+        if not np.array_equal(bits[r0 : r0 + rows, r0:], bits[r0:, r0 : r0 + rows].T):
+            raise ValueError("the matrix is not bit-symmetric")
+    left = [[] for _ in range(n)]  # per row: its texts left of its block, one string per block
+    for r0 in range(0, n, rows):
+        texts = exact_text(m[r0 : r0 + rows, r0:])
+        r1 = r0 + len(texts)
+        for j, column in enumerate(texts[:, r1 - r0 :].T.tolist(), r1):
+            left[j].append(sep.join(column))
+        block = "".join([sep.join(left[i] + row) + "\n" for i, row in enumerate(texts.tolist(), r0)])
+        left[r0:r1] = [None] * (r1 - r0)
+        yield block
+
+
 def write_text(path, blocks):
     """Atomic write of an iterable of text blocks, in order: a temp file of
     unique name in the same directory, then rename.  A single text is passed

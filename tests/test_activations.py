@@ -325,9 +325,24 @@ def test_pole_limited_kinds_raise_outside_radius():
         act.evaluate(t, math.pi / 2)
     with pytest.raises(DomainError):
         act.evaluate(t, 2.0)
-    a = act.associated(act.logistic())
+    a = act.associated(act.logistic())  # (1 + tan(xi/2))/2: its poles are at +-pi
     with pytest.raises(DomainError):
-        act.evaluate(a, 1.6)
+        act.evaluate(a, math.pi)
+    with pytest.raises(DomainError):
+        act.evaluate(a, -3.2)
+
+
+def test_logistic_radius_is_pi():
+    # logistic's poles are at +-i pi (1 + e^-xi = 0), so its series and its
+    # associated (1 + tan(xi/2))/2 converge on (-pi, pi), not only (-pi/2, pi/2)
+    a = act.associated(act.logistic())
+    assert act.evaluate(a, 2.0) == pytest.approx((1.0 + math.tan(1.0)) / 2.0, rel=1e-15)
+    assert act.derivative(a, -2.0) == pytest.approx((1.0 + math.tan(1.0) ** 2) / 4.0, rel=1e-15)
+    with pytest.raises(DomainError, match=r"outside radius 3\.141592653589793"):
+        act.evaluate(a, 3.2)
+    assert act.lipschitz_on(act.logistic(), 2.0) == pytest.approx(0.25 * 1.01, rel=1e-12)
+    with pytest.raises(DomainError):
+        act.lipschitz_on(act.logistic(), math.pi)
 
 
 def test_evaluate_array_matches_scalar():
@@ -435,7 +450,8 @@ def test_convergence_radii():
     assert act.convergence_radius(act.exp()) == math.inf
     assert act.convergence_radius(act.polynomial((0.0, 1.0, 2.0))) == math.inf
     assert act.convergence_radius(act.associated(act.tanh())) == pytest.approx(math.pi / 2)
-    assert act.convergence_radius(act.associated(act.logistic())) == pytest.approx(math.pi / 2)
+    assert act.convergence_radius(act.logistic()) == math.pi
+    assert act.convergence_radius(act.associated(act.logistic())) == math.pi
     assert act.convergence_radius(act.associated(act.erf())) == math.inf
 
 

@@ -1,6 +1,7 @@
 """Network kernels: scalar chains, the sign split, and Gram assembly."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -284,6 +285,98 @@ def test_gram_refuses_a_non_finite_entry_naming_the_first():
         with pytest.raises(DomainError, match=r"gram entry \(0, 1\): the kernel value is not") as info:
             kk.gram(kk.KernelDefinition(arch), pts)
     assert info.value.location == (0, 1)
+
+
+def _one_chain_gram(defn, points):
+    """The Gram by one chain over the whole upper triangle (the unblocked reference)."""
+    upper = np.triu(np.ones((points.shape[0],) * 2, dtype=bool))
+    out = points @ points.T
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = kk.chain(defn.chain_arch, out[upper])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DomainError("the kernel value is not finite", location=int(bad[0]))
+    except DomainError as exc:
+        i, j = (int(ix[exc.location]) for ix in np.nonzero(upper))
+        raise DomainError(
+            f"gram entry ({i}, {j}): {exc}", layer=exc.layer, location=(i, j)
+        ) from exc
+    out[upper] = values
+    out.T[upper] = values
+    return out
+
+
+_BLOCK = 7  # rows per block under the patched ceiling
+
+_BLOCKED_NETS = {
+    "erf": kk.KernelDefinition(arch_of(3, (4, 1), (act.erf(), act.erf()))),
+    "tanh": kk.KernelDefinition(arch_of(3, (2, 1), (act.tanh(), act.tanh()))),
+    "polynomial": kk.KernelDefinition(
+        arch_of(3, (2, 1), (act.polynomial((0.1, 0.8, -0.3, 0.2)), act.linear()))),
+    "relu_surrogate": kk.KernelDefinition(
+        arch_of(3, (3, 1), (act.relu_surrogate(0.5), act.erf()))),
+    "tan": kk.KernelDefinition(arch_of(3, (2, 1), (act.tanh(), act.tanh())), "associated"),
+}
+
+
+def _blocked_gram(defn, points, rows=_BLOCK):
+    """kk.gram with a ceiling of ``rows`` rows per block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kk, "_BLOCK_BYTES", rows * 8 * len(points))
+        return kk.gram(defn, points)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+@pytest.mark.parametrize("net", sorted(_BLOCKED_NETS))
+def test_blocked_gram_is_bit_equal_to_one_chain(net, n):
+    defn = _BLOCKED_NETS[net]
+    # |<x, x'>| <= 0.48 keeps both tan layers inside pi/2
+    pts = np.random.default_rng(n).uniform(-0.4, 0.4, size=(n, 3))
+    got = _blocked_gram(defn, pts)
+    assert got.tobytes() == _one_chain_gram(defn, pts).tobytes()
+    assert got.tobytes() == kk.gram(defn, pts).tobytes()  # the module's own ceiling
+
+
+def _tan_exp(width):
+    return kk.KernelDefinition(arch_of(1, (width, 1), (act.tanh(), act.exp())), "associated")
+
+
+@pytest.mark.parametrize("defn, column, message", [
+    # the first violation is (19, 19), 1.3^2 > pi/2, in the third block
+    (_tan_exp(1), [0.1] * 19 + [1.3], r"gram entry \(19, 19\): layer 0: tan evaluated at"),
+    # (0, 0) = 1.44 passes tan but 100 tan(1.44) overflows exp: a non-finite entry in
+    # the first block; 1.3^2 still fails tan in the last block, and that error wins
+    (_tan_exp(100), [1.2] + [0.1] * 18 + [1.3], r"gram entry \(19, 19\): layer 0: tan"),
+    # only non-finite entries: (0, 0) is the first in row-major order
+    (_tan_exp(100), [1.2] + [0.1] * 19, r"gram entry \(0, 0\): the kernel value is not finite"),
+    # (8, 8) passes layer 0 but 2 tan(0.81) fails layer 1; (9, 9) fails layer 0 later
+    (kk.KernelDefinition(arch_of(1, (2, 1), (act.tanh(), act.tanh())), "associated"),
+     [0.1] * 8 + [0.9, 1.3], r"gram entry \(8, 8\): layer 1: tan"),
+])
+def test_blocked_gram_raises_the_one_chain_error(defn, column, message):
+    pts = np.array(column)[:, None]
+    with pytest.raises(DomainError) as want:
+        _one_chain_gram(defn, pts)
+    for rows in (1, 3, _BLOCK, len(pts)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow is reported by the error alone
+            with pytest.raises(DomainError, match=message) as got:
+                _blocked_gram(defn, pts, rows)
+        assert str(got.value) == str(want.value)
+        assert (got.value.layer, got.value.location) == (want.value.layer, want.value.location)
+
+
+def test_gram_peak_memory_is_near_the_gram():
+    defn = kk.KernelDefinition(arch_of(4, (8, 1), (act.erf(), act.erf())))
+    pts = np.random.default_rng(0).normal(size=(1000, 4))
+    tracemalloc.start()
+    try:
+        G = kk.gram(defn, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * G.nbytes  # 2.13 times with one chain over the upper triangle
 
 
 _KINDS = (act.linear(), act.erf(), act.tanh(), act.polynomial((0.0, 1.0, -0.3, 0.2)))

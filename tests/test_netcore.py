@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreinflat import activations as act
+from kreinflat import kreinkernel as kk
 from kreinflat import netcore
 from kreinflat.errors import DivergenceError
 
@@ -493,6 +495,84 @@ def test_exact_text_keeps_the_shape():
     assert netcore.exact_text(-0.0).item() == "-0"
     assert netcore.exact_text(np.zeros((2, 0))).shape == (2, 0)
     assert netcore.text_rows(np.zeros((1, 0))) == [""]
+
+
+def _symmetric_text(matrix, rows):
+    """The blocks of symmetric_text_blocks with ``rows`` rows per block, joined."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netcore, "_TEXT_BLOCK_BYTES", rows * 8 * len(matrix))
+        return "".join(netcore.symmetric_text_blocks(matrix, ","))
+
+
+def _mirrored(n, upper_values):
+    m = np.zeros((n, n))
+    m[np.triu_indices(n)] = upper_values
+    m.T[np.triu_indices(n)] = upper_values
+    return m
+
+
+@pytest.mark.parametrize("n, rows", [(1, 1), (5, 2), (7, 3), (9, 4), (10, 5), (12, 1), (6, 6)])
+def test_symmetric_text_blocks_are_the_text_rows(n, rows):
+    # signed zeros and values repeated across blocks, on and off the diagonal
+    pool = [0.0, -0.0, 1.5, -1.5, 0.1, 1e-300, -2.5e17]
+    upper = np.random.default_rng(n).choice(pool, size=n * (n + 1) // 2)
+    m = _mirrored(n, upper)
+    assert _symmetric_text(m, rows) == "\n".join(netcore.text_rows(m, ",")) + "\n"
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_symmetric_text_blocks_property(n, rows, data):
+    values = st.one_of(st.sampled_from(_SPECIAL_BITS.tolist()), st.floats())
+    upper = data.draw(st.lists(values, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    m = _mirrored(n, upper)
+    assert _symmetric_text(m, rows) == "\n".join(netcore.text_rows(m, ",")) + "\n"
+
+
+@pytest.mark.parametrize("i, j, value", [(0, 1, -0.0), (3, 1, np.nextafter(0.25, 1.0)), (4, 0, 7.0)])
+def test_symmetric_text_blocks_refuse_a_matrix_that_is_not_bit_symmetric(i, j, value):
+    m = _mirrored(5, np.full(15, 0.25))
+    m[i, j] = value
+    for rows in (1, 2, 5):
+        with pytest.raises(ValueError, match="not bit-symmetric"):
+            _symmetric_text(m, rows)
+    with pytest.raises(ValueError, match="square"):
+        list(netcore.symmetric_text_blocks(np.zeros((2, 3))))
+
+
+def test_symmetric_text_blocks_format_the_lower_triangle_only_in_diagonal_blocks():
+    n, rows = 11, 4
+    m = _mirrored(n, np.random.default_rng(3).normal(size=n * (n + 1) // 2))
+    shapes, exact_text = [], netcore.exact_text
+
+    def counted(values):
+        shapes.append(np.shape(values))
+        return exact_text(values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netcore, "exact_text", counted)
+        _symmetric_text(m, rows)
+    # each block formats its rows from its diagonal rightwards, once
+    assert shapes == [(4, 11), (4, 7), (3, 3)]
+    assert sum(a * b for a, b in shapes) == n * (n + 1) // 2 + 6 + 6 + 3
+
+
+def test_streaming_a_gram_csv_holds_a_fraction_of_the_text():
+    arch = netcore.Architecture(4, (8, 1), (act.erf(), act.erf()))
+    g = kk.gram(kk.KernelDefinition(arch), np.random.default_rng(0).normal(size=(1000, 4)))
+    tracemalloc.start()
+    try:
+        size = sum(len(block) for block in netcore.symmetric_text_blocks(g, ","))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == sum(map(len, netcore.text_rows(g, ","))) + 1000
+    # the text_rows CSV peaked at 40.3 MiB: one exact_text over the Gram, every
+    # row string and the joined text
+    assert peak <= 40.3 * 2**20 / 2
 
 
 def test_weight_roundtrip_is_exact(tmp_path):
