@@ -27,9 +27,11 @@ are all nonzero, stores every monomial up to the truncation.
 Index storage is flat numpy: packed (slot, exponent) term arrays per level,
 enumerated by count pattern (how many slots each group of equal composed
 degree gives), plus per-index gamma coefficients, metric values and per-block
-degree profiles.  Each level builds its composed input exponents and caches
-its dump layout (sort order and line prefixes) once something reads them; its
-tags are built on each call.  A dump streams out in blocks of lines.
+degree profiles.  Index arrays are stored in the narrowest signed dtype that
+holds their range (_int_type).  Each level builds its composed input exponents
+and caches its dump layout (sort order, and head and tag ids into tables of
+distinct texts) once something reads them; its tags are built on each call.
+A dump streams out in blocks of lines.
 flat_space refuses to build a tower past DEFAULT_MAX_ENTRIES stored indices
 at some level (SizeLimitError); level_counts() gives the exact per-level
 counts without enumerating anything, and takes any other limit.  flat_space
@@ -52,12 +54,14 @@ DEFAULT_TRUNCATION = 8
 DEFAULT_MAX_ENTRIES = 200_000
 
 # Byte ceiling on the transient arrays of one row block of the batched
-# feature map.  Whole batches of tower-sized inputs cost tens of MB; blocks
-# of a few rows keep that near 2 MB at no measurable cost in time.
-_BLOCK_BYTES = 2 << 20
+# feature map.  Whole batches of tower-sized inputs cost tens of MB; at 2 MiB
+# a block's arrays were mapped and faulted in again for each block, and at
+# 384 KiB (2 rows of a 16,532-entry tower) malloc's heap reuses them.
+_BLOCK_BYTES = 384 << 10
 
 # Lines per text block of a dump.  A whole dump of a 16,532-entry tower is
-# about 1 MB of text, held two or three times over while joined and encoded.
+# about 1 MB of text, held two or three times over while joined and encoded;
+# a block joins its lines' heads, tags, values and newlines in one str.join.
 _DUMP_LINES = 4096
 
 
@@ -96,8 +100,8 @@ def _multinomials(exps, level=None):
     past the float range raises DomainError naming the least such degree (and
     the tower ``level`` when given).
     """
-    exps = np.asarray(exps, dtype=np.int64)
-    degrees = exps.sum(axis=1)
+    exps = np.asarray(exps)
+    degrees = exps.sum(axis=1)  # int64 for any narrower integer dtype
     top = int(degrees.max(initial=0))
     if top < len(_INT64_FACTORIALS):
         fact = _INT64_FACTORIALS
@@ -134,6 +138,11 @@ def _packed_keys(cols, radix):
             key = key * radix + col
         keys.append(key)
     return keys
+
+
+def _int_type(top):
+    """The narrowest signed integer dtype that holds -1..top."""
+    return np.min_scalar_type(-1 - int(top))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +245,7 @@ class _Level:
 
     def exponent_rows(self):
         """Dense exponents over the slots, shape (m, n_slots)."""
-        dense = np.zeros((len(self.own_degree), self.n_slots + 1), dtype=np.int64)
+        dense = np.zeros((len(self.own_degree), self.n_slots + 1), dtype=self.terms_exp.dtype)
         np.put_along_axis(dense, self.terms_pos, self.terms_exp, axis=1)
         return dense[:, : self.n_slots]
 
@@ -246,16 +255,21 @@ class _Level:
 
         Level 0's are its dense exponents.  Above it a slot carries the
         exponents of its index on the level below (the pad slot carries 0),
-        and only dump layouts read them.
+        and only dump layouts read them.  Stored in the composed degrees' dtype.
         """
         if self._xexp is None:
             if self.level == 0:
-                self._xexp = np.ascontiguousarray(self.exponent_rows())
+                self._xexp = self.exponent_rows().astype(self.composed_degree.dtype)
             else:
                 below = self.prev.xexp
                 padded = np.vstack([below, np.zeros_like(below[:1])])
-                child = np.append(self.slot_prev, len(below))[self.terms_pos]
-                self._xexp = np.einsum("mw,mwd->md", self.terms_exp, padded[child])
+                child = np.append(self.slot_prev, len(below))
+                # every partial sum is at most the composed degree, so the
+                # composed degrees' dtype holds it; one term column at a time
+                xexp = np.zeros((len(self.own_degree), below.shape[1]), self.composed_degree.dtype)
+                for pos, exp in zip(self.terms_pos.T, self.terms_exp.T):
+                    xexp += exp[:, None] * padded[child[pos]]
+                self._xexp = xexp
         return self._xexp
 
     def nbytes(self):
@@ -270,32 +284,37 @@ class _Level:
         text = 0
         if self._layout is not None:
             arrays += list(self._layout)
-            text = sum(map(sys.getsizeof, self._layout[1]))  # the prefixes' str objects
+            text = sum(map(sys.getsizeof, [*self._layout[3], *self._layout[4]]))  # the texts
         return sum(a.nbytes for a in arrays if a is not None) + text
 
     def dump_layout(self):
-        """(permutation, line prefixes) of a dump, computed once per level.
+        """(permutation, head ids, tag ids, heads, tags) of a dump, computed
+        once per level.
 
         Rows sort by (degree, exponents, tag); the sort is stable, so ties
-        keep stored order.  prefixes[j], an object array of str
-        "exponents | tag | ", belongs to row permutation[j].
+        keep stored order.  Line j, of row permutation[j], starts with
+        heads[head_ids[j]] + tags[tag_ids[j]]: object arrays of the distinct
+        "exponents | " and "tag | " texts.
         """
         if self._layout is None:
             xexp = self.xexp
             tags = self.tags()
-            rank = {t: r for r, t in enumerate(sorted(set(tags)))}
-            tag_rank = np.array([rank[t] for t in tags], dtype=np.int64)
+            texts = sorted(set(tags))
+            rank = {t: r for r, t in enumerate(texts)}
+            tag_ids = np.fromiter(map(rank.get, tags), _int_type(len(texts)), len(tags))
+            del tags, rank  # the distinct texts alone are kept
             # np.lexsort's last key is the primary one
-            perm = np.lexsort([tag_rank, *xexp.T[::-1], xexp.sum(axis=1)])
+            perm = np.lexsort([tag_ids, *xexp.T[::-1], xexp.sum(axis=1)])
             # equal exponent rows are adjacent in sorted order: one head per run
             rows = xexp[perm]
             starts = np.ones(len(rows), dtype=bool)
             starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-            heads = np.array([" ".join(map(str, r)) for r in rows[starts].tolist()], dtype=object)
-            heads = heads[np.cumsum(starts) - 1].tolist()
-            tags = np.array(tags, dtype=object)[perm].tolist()
-            prefixes = np.array([f"{h} | {t} | " for h, t in zip(heads, tags)], dtype=object)
-            self._layout = (perm, prefixes)
+            heads = [" ".join(map(str, r)) + " | " for r in rows[starts].tolist()]
+            head_ids = (np.cumsum(starts) - 1).astype(_int_type(len(heads)))
+            self._layout = (
+                perm.astype(_int_type(len(perm))), head_ids, tag_ids[perm],
+                np.array(heads, dtype=object), np.array([t + " | " for t in texts], dtype=object),
+            )
         return self._layout
 
     def tags(self):
@@ -337,7 +356,7 @@ class _Level:
             if self.n_slots % period:
                 raise ValueError(f"{period} values do not tile {self.n_slots} slots")
             e = self.terms_exp
-            slot = (np.arange(self.n_slots + 1) % period)[self.terms_pos]  # pad slot: 0
+            slot = (self.terms_pos % period).astype(np.intp)  # pad slot n_slots: 0
             high = e >= 2
             # a bitmap over every (slot, exponent) code: its set cells in
             # order are the used pairs, its running count their ranks
@@ -526,8 +545,10 @@ def _level_indices(slot_cdeg, supp, trunc):
     slot; the stored order is by own degree, then by the (slot, exponent)
     pairs as a tuple.
 
-    Returns (own degree, composed degree, slots, exponents); slots and
-    exponents are (m, w) with pads -1 and 0.
+    Returns (own degree, composed degree, slots, exponents), each in the
+    narrowest dtype for its range: the largest degree in supp bounds own
+    degrees and exponents, trunc composed degrees.  Slots and exponents are
+    (m, w) with pads -1 and 0.
     """
     max_own = max(supp, default=0)
     stored = np.zeros(max_own + 1, dtype=bool)  # own degree -> in supp
@@ -545,7 +566,8 @@ def _level_indices(slot_cdeg, supp, trunc):
         pattern = np.column_stack([pattern[row], add])[keep]
         own, comp = own[keep], comp[keep]
     keep = stored[own]
-    pattern, own, comp = pattern[keep], own[keep], comp[keep]
+    pattern = pattern[keep]
+    own, comp = own[keep].astype(_int_type(max_own)), comp[keep].astype(_int_type(trunc))
     # a row's offset in its pattern's product, read in mixed radix, picks one
     # multiset per group
     tables = [_multisets(np.count_nonzero(group == g), pattern[:, g].max(initial=0))
@@ -558,20 +580,26 @@ def _level_indices(slot_cdeg, supp, trunc):
     # hold a code above every pair while rows are sorted, then 0
     radix = max_own + 1
     pad = (len(slot_cdeg) + 1) * radix
-    parts = [np.empty((len(rows), 0), dtype=np.int64)]
+    # every group's codes go into one array of a dtype that holds pad
+    codes = np.empty((len(rows), sum(t[0].shape[1] for t in tables)), _int_type(pad))
+    end = 0
     for g, (index, count, starts) in enumerate(tables):
-        k = pattern[rows, g]
-        offset, digit = np.divmod(offset, np.diff(starts)[k])
+        digit = np.diff(starts)[pattern[:, g]][rows]
+        np.divmod(offset, digit, out=(offset, digit))
+        digit += starts[pattern[:, g]][rows]
         slot = np.flatnonzero(group == g)[index] + 1
-        parts.append(np.where(count > 0, slot * radix + count, pad).take(starts[k] + digit, axis=0))
-    codes = np.concatenate(parts, axis=1)
+        start, end = end, end + index.shape[1]
+        codes[:, start:end] = np.where(count > 0, slot * radix + count, pad).take(digit, axis=0)
     codes.sort(axis=1)
     codes = codes[:, : int(np.count_nonzero(codes.min(axis=0, initial=pad) < pad))]
     codes[codes == pad] = 0  # so a pair tuple sorts before its extensions
-    own, comp = own[rows], comp[rows]
-    order = np.lexsort(_packed_keys(np.column_stack([own, codes]), pad)[::-1])
-    slot, exp = np.divmod(codes[order], radix)
-    return own[order], comp[order], slot - 1, exp
+    # np.lexsort's last key is the primary one
+    order = np.lexsort([*codes.T[::-1], own[rows]])
+    rows, codes = rows[order], codes[order]
+    exp = np.empty(codes.shape, own.dtype)
+    np.divmod(codes, radix, out=(codes, exp))  # codes becomes slot + 1, in place
+    codes -= 1
+    return own[rows], comp[rows], codes.astype(_int_type(len(slot_cdeg)), copy=False), exp
 
 
 def _pack_level(level_no, arch, prev, trunc):
@@ -588,17 +616,18 @@ def _pack_level(level_no, arch, prev, trunc):
         h = arch.widths[level_no - 1]
         n_prev = len(prev.own_degree)
         lv.n_slots = h * n_prev
-        lv.slot_block = np.repeat(np.arange(h, dtype=np.int64), n_prev)
-        lv.slot_prev = np.tile(np.arange(n_prev, dtype=np.int64), h)
+        lv.slot_block = np.repeat(np.arange(h, dtype=_int_type(h)), n_prev)
+        lv.slot_prev = np.tile(np.arange(n_prev, dtype=_int_type(n_prev)), h)
         slot_cdeg = np.tile(prev.composed_degree, h)
 
     spec = arch.activations[level_no]
     own, comp, pos, exp = _level_indices(slot_cdeg, act.support_degrees(spec, trunc), trunc)
     m = len(own)
     if pos.shape[1] == 0:  # keep one (pad) column
-        pos = np.full((m, 1), -1, dtype=np.int64)
-        exp = np.zeros((m, 1), dtype=np.int64)
-    lv.terms_pos = np.where(pos < 0, lv.n_slots, pos)  # pad slot
+        pos = np.full((m, 1), -1, dtype=pos.dtype)
+        exp = np.zeros((m, 1), dtype=exp.dtype)
+    pos[pos < 0] = lv.n_slots  # pad slot
+    lv.terms_pos = pos
     lv.terms_exp = exp
     lv.own_degree = own
     lv.composed_degree = comp
@@ -607,19 +636,21 @@ def _pack_level(level_no, arch, prev, trunc):
 
     # above level 0, the per-block degree profile the weight generators need
     lv.block_profile = None
-    if level_no >= 1:  # exponent sums per (index, block): small integers, exact in float64
-        cells = np.arange(m)[:, None] * h + np.append(lv.slot_block, 0)[lv.terms_pos]
-        profile = np.bincount(cells.ravel(), exp.ravel(), minlength=m * h)
-        lv.block_profile = profile.astype(np.int64).reshape(m, h)
+    if level_no >= 1:  # exponent sums per (index, block): at most the own degree
+        lv.block_profile = np.zeros((m, h), dtype=exp.dtype)
+        block = np.append(lv.slot_block, 0)  # the pad slot adds exponent 0 to block 0
+        rows = np.arange(m)
+        for pos_col, exp_col in zip(pos.T, exp.T):  # one cell per row: += adds every term
+            lv.block_profile[rows, block[pos_col]] += exp_col
 
     # metric recursion: g = gamma o phi(previous metric replicated over blocks)
     lv.metric = lv.gamma.copy() if level_no == 0 else lv.gamma * lv.compose(prev.metric)
     return lv
 
 
-# Byte ceiling on the towers flat_space keeps.  A dumped tower holds about 340
-# bytes per top-level entry (5.7 MB for a tanh (2, (3, 2, 1)) net's 16,532 at
-# truncation 5), so one at the size guard's 200,000 entries outgrows it.
+# Byte ceiling on the towers flat_space keeps.  A dumped tower holds about 140
+# bytes per top-level entry at truncation 5 (2.3 MB for a tanh (2, (3, 2, 1))
+# net's 16,532, 13.1 MB for a tanh (3, (3, 2, 1)) net's 99,972): four of those.
 _TOWER_BYTES = 64 << 20
 _TOWERS = _LRUCache(_TOWER_BYTES, FlatSpace.nbytes)
 
@@ -822,8 +853,14 @@ def dump_series(vec):
     """
     if vec.values.ndim != 1:
         raise ValueError("a stacked vector has no dump; dump row j as like(values[j])")
-    perm, prefixes = vec._space.dump_layout()
+    perm, head_ids, tag_ids, heads, tags = vec._space.dump_layout()
     vals = vec.values[perm]
     keep = np.flatnonzero(vals != 0.0)
     blocks = (keep[s : s + _DUMP_LINES] for s in range(0, len(keep), _DUMP_LINES))
-    return ("\n".join((prefixes[b] + netcore.exact_text(vals[b])).tolist()) + "\n" for b in blocks)
+
+    def text(b):  # a line's head, tag, value and newline, laid out in turn
+        parts = [None] * (4 * len(b))
+        parts[::4], parts[1::4] = heads[head_ids[b]].tolist(), tags[tag_ids[b]].tolist()
+        parts[2::4], parts[3::4] = netcore.exact_text(vals[b]).tolist(), ["\n"] * len(b)
+        return "".join(parts)
+    return map(text, blocks)

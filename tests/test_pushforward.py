@@ -596,8 +596,11 @@ def test_count_patterns_give_the_dynamic_program_in_order(slot_cdeg, supp, trunc
     supp = sorted(supp)
     got = pf._level_indices(np.array(slot_cdeg, dtype=np.int64), supp, trunc)
     want = _dp_level_indices(slot_cdeg, supp, trunc)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
+    # narrow dtypes: own degrees and exponents up to the largest degree in
+    # supp, composed degrees up to trunc, slots up to their count
+    top = max(supp, default=0)
+    for a, b, bound in zip(got, want, [top, trunc, len(slot_cdeg), top]):
+        assert a.dtype == np.min_scalar_type(-1 - bound) and a.shape == b.shape
         assert np.array_equal(a, b)
 
 
@@ -659,11 +662,16 @@ def _tiled_compose(lv, slot_values):
     padded = np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
     exps = np.repeat(np.arange(lv.max_exp + 1), lv.n_slots + 1).reshape(-1, lv.n_slots + 1)
     table = np.power(padded[:, None, :], exps).reshape(len(rows), -1)
-    gather = list(lv.terms_exp.T * (lv.n_slots + 1) + lv.terms_pos.T)
+    gather = list(_wide(lv.terms_exp).T * (lv.n_slots + 1) + _wide(lv.terms_pos).T)
     out = np.take(table, gather[0], axis=1)
     for col in gather[1:]:
         out *= np.take(table, col, axis=1)
     return out
+
+
+def _wide(a):
+    """An index array as int64, so reference arithmetic on it cannot wrap."""
+    return a.astype(np.int64)
 
 
 def _same_bits(a, b):
@@ -702,8 +710,8 @@ def _full_table_compose(lv, values):
     exps = np.repeat(np.arange(2, lv.max_exp + 1), period).reshape(-1, period)
     powers = np.power(rows[:, None, :], exps).reshape(len(rows), -1)
     table = np.concatenate([np.ones((len(rows), 1)), rows, powers], axis=1)
-    e = lv.terms_exp
-    gather = np.where(e == 0, 0, period * (e - 1) + 1 + lv.terms_pos % period).T
+    e = _wide(lv.terms_exp)
+    gather = np.where(e == 0, 0, period * (e - 1) + 1 + _wide(lv.terms_pos) % period).T
     out = np.take(table, gather[0], axis=1)
     for col in gather[1:]:
         out *= np.take(table, col, axis=1)
@@ -857,7 +865,7 @@ def test_dump_blocks_drop_zero_lines_across_block_edges(monkeypatch):
     monkeypatch.setattr(pf, "_DUMP_LINES", 3)
     arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
     metric = pf.flatten_metric(arch, 2)
-    perm, _ = metric._space.dump_layout()
+    perm = metric._space.dump_layout()[0]
     # zero every third line of the dump and its first: kept lines straddle each block edge
     values = metric.values.copy()
     values[perm[::3]] = 0.0
@@ -1052,7 +1060,7 @@ def _eager_xexp(space):
         else:
             slot_xexp = np.tile(out[-1], (space.arch.widths[lv.level - 1], 1))
         padded = np.vstack([slot_xexp, np.zeros_like(slot_xexp[:1])])
-        out.append(np.einsum("mw,mwd->md", lv.terms_exp, padded[lv.terms_pos]))
+        out.append(np.einsum("mw,mwd->md", _wide(lv.terms_exp), padded[lv.terms_pos]))
     return out
 
 
@@ -1065,13 +1073,15 @@ def test_exponents_on_demand_are_the_eager_exponents(arch, trunc):
         pf._weight_values(space, mats, q)
     assert all(lv._xexp is None for lv in space.levels[1:])
     for lv, want in zip(space.levels, _eager_xexp(space)):
-        assert lv.xexp.dtype == want.dtype and np.array_equal(lv.xexp, want), lv.level
+        # stored narrow, in the composed degrees' dtype
+        assert lv.xexp.dtype == np.min_scalar_type(-1 - trunc), lv.level
+        assert np.array_equal(lv.xexp, want), lv.level
 
 
 def _unique_table(lv, period):
     """_table as built with np.unique over the (slot, exponent) codes."""
-    e = lv.terms_exp
-    slot = lv.terms_pos % period
+    e = _wide(lv.terms_exp)
+    slot = _wide(lv.terms_pos) % period
     high = e >= 2
     pairs, pair_id = np.unique(slot[high] * (lv.max_exp + 1) + e[high], return_inverse=True)
     index = np.where(e == 0, 0, 1 + slot)
@@ -1089,6 +1099,132 @@ def test_bitmap_table_is_the_unique_table(arch, trunc):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert len(got[2]) == len(want[2])
             assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+
+
+def _int64_level_indices(slot_cdeg, supp, trunc):
+    """_level_indices before narrow dtypes: int64 codes concatenated per
+    group, then one sort over packed keys."""
+    max_own = max(supp, default=0)
+    stored = np.zeros(max_own + 1, dtype=bool)
+    stored[list(supp)] = True
+    cds, group = np.unique(slot_cdeg, return_inverse=True)
+    pattern = np.zeros((1, 0), dtype=np.int64)
+    own = comp = np.zeros(1, dtype=np.int64)
+    for cd, nxt in zip(cds.tolist(), cds[1:].tolist() + [trunc + 1]):
+        room = max_own - own if cd == 0 else np.minimum(max_own - own, (trunc - comp) // cd)
+        row, add = pf._ranges(room + 1)
+        own, comp = own[row] + add, comp[row] + add * cd
+        keep = stored[own] | ((own < max_own) & (comp + nxt <= trunc))
+        pattern = np.column_stack([pattern[row], add])[keep]
+        own, comp = own[keep], comp[keep]
+    keep = stored[own]
+    pattern, own, comp = pattern[keep], own[keep], comp[keep]
+    tables = [pf._multisets(np.count_nonzero(group == g), pattern[:, g].max(initial=0))
+              for g in range(len(cds))]
+    sizes = np.ones(len(pattern), dtype=np.int64)
+    for g, (_, _, starts) in enumerate(tables):
+        sizes *= np.diff(starts)[pattern[:, g]]
+    rows, offset = pf._ranges(sizes)
+    radix = max_own + 1
+    pad = (len(slot_cdeg) + 1) * radix
+    parts = [np.empty((len(rows), 0), dtype=np.int64)]
+    for g, (index, count, starts) in enumerate(tables):
+        k = pattern[rows, g]
+        offset, digit = np.divmod(offset, np.diff(starts)[k])
+        slot = np.flatnonzero(group == g)[index] + 1
+        parts.append(np.where(count > 0, slot * radix + count, pad).take(starts[k] + digit, axis=0))
+    codes = np.concatenate(parts, axis=1)
+    codes.sort(axis=1)
+    codes = codes[:, : int(np.count_nonzero(codes.min(axis=0, initial=pad) < pad))]
+    codes[codes == pad] = 0
+    own, comp = own[rows], comp[rows]
+    order = np.lexsort(pf._packed_keys(np.column_stack([own, codes]), pad)[::-1])
+    slot, exp = np.divmod(codes[order], radix)
+    return own[order], comp[order], slot - 1, exp
+
+
+def _int64_tower(arch, trunc):
+    """Every level as _pack_level built it before narrow dtypes: int64 index
+    arrays and a bincount block profile."""
+    levels, prev = [], None
+    for q, spec in enumerate(arch.activations):
+        lv = pf._Level.__new__(pf._Level)
+        lv.level, lv.prev, lv._layout, lv._xexp, lv._tables = q, prev, None, None, {}
+        if q == 0:
+            lv.n_slots = arch.input_dim
+            lv.slot_block = lv.slot_prev = None
+            slot_cdeg = np.ones(arch.input_dim, dtype=np.int64)
+        else:
+            h, n_prev = arch.widths[q - 1], len(prev.own_degree)
+            lv.n_slots = h * n_prev
+            lv.slot_block = np.repeat(np.arange(h, dtype=np.int64), n_prev)
+            lv.slot_prev = np.tile(np.arange(n_prev, dtype=np.int64), h)
+            slot_cdeg = np.tile(prev.composed_degree, h)
+        own, comp, pos, exp = _int64_level_indices(slot_cdeg, act.support_degrees(spec, trunc), trunc)
+        m = len(own)
+        if pos.shape[1] == 0:
+            pos, exp = np.full((m, 1), -1, dtype=np.int64), np.zeros((m, 1), dtype=np.int64)
+        lv.terms_pos, lv.terms_exp = np.where(pos < 0, lv.n_slots, pos), exp
+        lv.own_degree, lv.composed_degree = own, comp
+        lv.gamma = pf._multinomials(exp, q) * np.array(act.taylor_series(spec, trunc))[own]
+        lv.max_exp = int(exp.max(initial=0))
+        lv.block_profile = None
+        if q >= 1:
+            cells = np.arange(m)[:, None] * h + np.append(lv.slot_block, 0)[lv.terms_pos]
+            profile = np.bincount(cells.ravel(), exp.ravel(), minlength=m * h)
+            lv.block_profile = profile.astype(np.int64).reshape(m, h)
+        lv.metric = lv.gamma.copy() if q == 0 else lv.gamma * lv.compose(prev.metric)
+        levels.append(lv)
+        prev = lv
+    return pf.FlatSpace(arch, levels)
+
+
+_TOWER_KINDS = [
+    act.tanh(), act.erf(), act.exp(), act.logistic(), act.linear(),
+    act.polynomial((0.5, 1.0, 0.3, -0.2)), act.polynomial((0.0, 1.0, 0.0, 0.0, 0.3)),
+]
+
+
+@st.composite
+def _small_towers(draw):
+    depth = draw(st.integers(1, 3))
+    widths = tuple(draw(st.lists(st.integers(1, 3), min_size=depth - 1, max_size=depth - 1)))
+    kinds = tuple(draw(st.sampled_from(_TOWER_KINDS)) for _ in range(depth))
+    arch = netcore.Architecture(draw(st.integers(1, 3)), widths + (1,), kinds)
+    trunc = draw(st.integers(1, 6))
+    assume(sum(pf.level_counts(arch, trunc)) <= 4000)
+    return arch, trunc
+
+
+@given(_small_towers())
+# an exponent of 128: exponents, own and composed degrees go to int16
+@example((netcore.Architecture(1, (1, 1), (act.exp(), act.linear())), 128))
+# the tower workload's tower: its 1,192 top-level slots go to int16
+@example((netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3), 5))
+# 34,000 slots on level 1: slots go to int32
+@example((netcore.Architecture(200, (170, 1), (act.linear(), act.linear())), 1))
+def test_compact_tower_is_the_int64_tower(arch_trunc):
+    arch, trunc = arch_trunc
+    space, ref = pf._tower(arch, trunc), _int64_tower(arch, trunc)
+    for lv, want, xexp in zip(space.levels, ref.levels, _eager_xexp(ref)):
+        top = max(act.support_degrees(arch.activations[lv.level], trunc), default=0)
+        # each index array in the narrowest signed dtype for its range
+        bounds = {
+            "terms_pos": lv.n_slots, "terms_exp": top, "own_degree": top,
+            "composed_degree": trunc, "xexp": trunc,
+        }
+        if lv.level > 0:
+            bounds.update(block_profile=top, slot_block=arch.widths[lv.level - 1],
+                          slot_prev=len(lv.prev.own_degree))
+        for name, bound in bounds.items():
+            got = getattr(lv, name)
+            assert got.dtype == np.min_scalar_type(-1 - bound), (lv.level, name, got.dtype)
+            assert np.array_equal(got, xexp if name == "xexp" else getattr(want, name)), name
+        assert lv.max_exp == want.max_exp
+        assert _same_bits(lv.gamma, want.gamma) and _same_bits(lv.metric, want.metric), lv.level
+    assert "".join(pf.dump_series(pf.SeriesVector(space.top.metric, space.top))) == _per_line_dump(
+        pf.SeriesVector(ref.top.metric, ref.top)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1152,8 +1288,8 @@ def test_tower_cache_reads_sizes_again_and_keeps_no_tower_past_the_budget(monkey
 
 
 def test_tower_bytes_count_what_a_dump_layout_holds():
-    # the tower workload's shape: its 16,532 prefixes are str objects, which
-    # nbytes once counted at 8 bytes per pointer; the layout keeps no tags
+    # the tower workload's shape: the layout's distinct head and tag texts
+    # are str objects, which nbytes counts by their size, not per pointer
     arch = netcore.Architecture(input_dim=2, widths=(3, 2, 1), activations=(act.tanh(),) * 3)
     space = pf._tower(arch, 5)
     before = space.nbytes()
