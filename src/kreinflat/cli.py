@@ -325,18 +325,9 @@ def run_flatten(cfg, out=None):
     if path is not None:
         xs, _, lines = load_dataset(path, arch.input_dim)
         probe = xs[0]
-        gv = metric.values * vnn.values
-        flat = []
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is refused next
-            for phi in pf.feature_blocks(arch, xs, trunc):
-                if not flat:  # compose works row by row: row 0 holds the probe's feature map
-                    feature = vnn.like(phi[0].copy())
-                # one 1-D sum per row, as flat_eval takes it: a sum along an axis of
-                # the block rounds differently
-                flat += [np.sum(row) for row in phi * gv]
+            flat = pf.flat_values(metric, vnn, xs)
             f = netcore.forward_batch(arch, weights, xs)
-        del phi  # the last block is not kept through the dumps
-        flat = np.array(flat)
         bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(flat)))
         if bad.size:
             raise DomainError(f"dataset line {lines[bad[0]]}: the network or flat value is not finite")
@@ -344,9 +335,9 @@ def run_flatten(cfg, out=None):
         results["dataset_rows"] = int(xs.shape[0])
     else:
         probe = np.ones(arch.input_dim)
-        feature = None if out is None else pf.flatten_feature_map(arch, probe, trunc)  # dumps only
         warnings.append("no dataset given: no equivalence residual, probe input is all-ones")
     results["probe_input"] = [float(v) for v in probe]
+    feature = None if out is None else pf.flatten_feature_map(arch, probe, trunc)  # dumps only
 
     vectors = [("feature_map", feature), ("metric", metric), ("flat_weight", vnn),
                *((f"weight_layer{q}", v) for q, v in enumerate(vq))]

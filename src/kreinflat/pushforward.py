@@ -28,10 +28,10 @@ Index storage is flat numpy: packed (slot, exponent) term arrays per level,
 enumerated by count pattern (how many slots each group of equal composed
 degree gives), plus per-index gamma coefficients, metric values and per-block
 degree profiles.  Index arrays are stored in the narrowest signed dtype that
-holds their range (_int_type).  Each level builds its composed input exponents
-and caches its dump layout (sort order, and head and tag ids into tables of
-distinct texts) once something reads them; its tags are built on each call.
-A dump streams out in blocks of lines.
+holds their range (_int_type).  A level's composed input exponents are built
+at the first read by the weight push, flat_values or a dump layout; the layout
+(sort order, head and tag ids into tables of distinct texts) is cached too,
+and its tags are built on each call.  A dump streams out in blocks of lines.
 flat_space refuses to build a tower past DEFAULT_MAX_ENTRIES stored indices
 at some level (SizeLimitError); level_counts() gives the exact per-level
 counts without enumerating anything, and takes any other limit.  flat_space
@@ -52,12 +52,6 @@ from .errors import DomainError, SizeLimitError
 
 DEFAULT_TRUNCATION = 8
 DEFAULT_MAX_ENTRIES = 200_000
-
-# Byte ceiling on the transient arrays of one row block of the batched
-# feature map.  Whole batches of tower-sized inputs cost tens of MB; at 2 MiB
-# a block's arrays were mapped and faulted in again for each block, and at
-# 384 KiB (2 rows of a 16,532-entry tower) malloc's heap reuses them.
-_BLOCK_BYTES = 384 << 10
 
 # Lines per text block of a dump.  A whole dump of a 16,532-entry tower is
 # about 1 MB of text, held two or three times over while joined and encoded;
@@ -187,10 +181,6 @@ class SeriesVector:
     def aligned_with(self, other):
         return isinstance(other, SeriesVector) and self._space is other._space
 
-    def composed_exponents(self):
-        """Total input-coordinate exponents per stored index, shape (m, D)."""
-        return self._space.xexp
-
     def __repr__(self):
         return f"SeriesVector(level={self._space.level}, stored={len(self.values)})"
 
@@ -211,6 +201,30 @@ def flat_inner(metric, *vectors):
 def flat_eval(weight_vec, feature_vec, metric_vec):
     """The flat machine value sum_i g_i v_i phi_i(x)."""
     return flat_inner(metric_vec, weight_vec, feature_vec)
+
+
+def flat_values(metric, weight, xs):
+    """The flat machine sum_i g_i v_i phi_i(x) at each row of xs (N, D).
+
+    Every top-level feature is the unit monomial x**xexp[i], so the machine is
+    the polynomial sum_a c_a x**a over the distinct composed exponent rows a,
+    where c_a sums g_i v_i over the indices whose row is a, in sorted order.
+    """
+    if not metric.aligned_with(weight) or weight.values.shape != metric.values.shape:
+        raise ValueError("series vectors are stacked or live on different spaces or truncations")
+    xexp = metric._space.xexp
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != xexp.shape[1]:
+        raise ValueError(f"inputs of shape {xs.shape} are not rows of length {xexp.shape[1]}")
+    order = np.lexsort(xexp.T[::-1])
+    rows = xexp[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    coef = np.add.reduceat((metric.values * weight.values)[order], np.flatnonzero(starts))
+    monomials = np.ones((len(xs), len(coef)))
+    for x, e in zip(xs.T, rows[starts].T):  # x**a, one coordinate at a time
+        monomials *= np.power(x[:, None], e)
+    return monomials @ coef
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +268,9 @@ class _Level:
         """Composed input exponents per stored index, (m, D), built at first read.
 
         Level 0's are its dense exponents.  Above it a slot carries the
-        exponents of its index on the level below (the pad slot carries 0),
-        and only dump layouts read them.  Stored in the composed degrees' dtype.
+        exponents of its index on the level below (the pad slot carries 0).
+        The weight push, flat_values and dump layouts read them.  Stored in
+        the composed degrees' dtype.
         """
         if self._xexp is None:
             if self.level == 0:
@@ -704,33 +719,6 @@ def _feature_values(space, xs):
         vals = level.compose(vals)  # untiled: compose repeats it over the blocks
         out.append(vals)
     return out
-
-
-def _block_rows(space):
-    """Rows per block of the batched feature map, from _BLOCK_BYTES."""
-    # per row and level: the table (1.0, the untiled values of the level below
-    # and the used powers), the gathered power bases and the product
-    row_bytes = 0
-    for lv in space.levels:
-        period = len(lv.prev.own_degree) if lv.prev else lv.n_slots
-        powers = len(lv._table(period)[1])
-        row_bytes += 8 * (1 + period + 3 * powers + len(lv.own_degree))
-    return max(1, _BLOCK_BYTES // row_bytes)
-
-
-def feature_blocks(arch, xs, truncation=DEFAULT_TRUNCATION):
-    """Top-level features of the rows of xs (N, D), one row block at a time.
-
-    Yields (n_b, m) arrays whose rows follow xs; the block size keeps each
-    block's transient arrays under a fixed byte ceiling.
-    """
-    space = flat_space(arch, truncation)
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
-        raise ValueError(f"inputs of shape {xs.shape} are not rows of length {arch.input_dim}")
-    step = _block_rows(space)
-    for start in range(0, len(xs), step):
-        yield _feature_values(space, xs[start : start + step])[-1]
 
 
 def flatten_feature_map(arch, x, truncation=DEFAULT_TRUNCATION):

@@ -260,10 +260,11 @@ def test_flat_evaluation_is_the_forward_pass(seed, extra):
     assume(max(pf.level_counts(arch, trunc)) <= 5000)
     xs = rng.uniform(-1.0, 1.0, size=(5, arch.input_dim))
     _, v = pf.pushed_weights(arch, w, trunc)
-    gv = pf.flatten_metric(arch, trunc).values * v.values
-    terms = np.vstack(list(pf.feature_blocks(arch, xs, trunc))) * gv
+    g = pf.flatten_metric(arch, trunc)
+    gv = g.values * v.values
+    terms = np.stack([gv * pf.flatten_feature_map(arch, x, trunc).values for x in xs])
     f = netcore.forward_batch(arch, w, xs)
-    assert np.all(np.abs(terms.sum(axis=1) - f) <= 1e-9 * np.abs(terms).sum(axis=1))
+    assert np.all(np.abs(pf.flat_values(g, v, xs) - f) <= 1e-9 * np.abs(terms).sum(axis=1))
 
 
 def test_flat_equivalence_depth_one_is_weights_on_monomials():
@@ -361,7 +362,7 @@ def test_metric_nonnegative_for_nonnegative_streams():
 def test_metric_sign_alternation_erf_depth_one():
     arch = netcore.Architecture(1, (1,), (act.erf(),))
     g = pf.flatten_metric(arch, 7)
-    xexp = np.asarray(g.composed_exponents())
+    xexp = np.asarray(g._space.xexp)
     seen = 0
     for e, val in zip(xexp[:, 0], g.values):
         if val == 0.0:
@@ -417,7 +418,7 @@ def test_feature_level_zero_is_plain_monomials():
     arch = poly_arch(2, (1,), [[0.0, 1.0, 0.2]])  # level 0 is the top of a one-layer net
     x = np.array([0.7, -0.4])
     lvl0 = pf.flatten_feature_map(arch, x, 4)
-    xexp = np.asarray(lvl0.composed_exponents())
+    xexp = np.asarray(lvl0._space.xexp)
     assert len(xexp) > 0
     for e, val in zip(xexp, lvl0.values):
         assert val == pytest.approx(x[0] ** int(e[0]) * x[1] ** int(e[1]), rel=1e-13)
@@ -771,30 +772,46 @@ def test_flat_space_cache_key_is_arch_and_truncation():
 BATCH_ARCH = netcore.Architecture(2, (3, 1), (act.tanh(), act.erf()))
 
 
+@pytest.mark.parametrize("arch, trunc", [
+    (BATCH_ARCH, 5),
+    (netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3), 5),
+    (netcore.Architecture(3, (2, 2, 1), (act.erf(), act.logistic(), act.exp())), 5),
+    (poly_arch(2, (2, 1), [[0.5, 1.0, 0.3, -0.2], [0.1, 1.0, 0.0, 0.4]]), 6),
+], ids=["batch", "tanh", "erf-logistic-exp", "polynomial"])
 @given(
     n=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_feature_blocks_bit_equal_per_row_feature_map(n, seed):
-    xs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
-    space = pf.flat_space(BATCH_ARCH, 5)
-    with pytest.MonkeyPatch.context() as mp:
-        # a ceiling of three rows per block, so n spans several blocks
-        row_bytes = pf._BLOCK_BYTES // pf._block_rows(space)
-        mp.setattr(pf, "_BLOCK_BYTES", 3 * row_bytes)
-        assert pf._block_rows(space) == 3
-        blocks = list(pf.feature_blocks(BATCH_ARCH, xs, 5))
-    assert [len(b) for b in blocks] == [min(3, n - i) for i in range(0, n, 3)]
-    batch = np.vstack(blocks)
-    rows = np.stack([pf.flatten_feature_map(BATCH_ARCH, x, 5).values for x in xs])
-    assert batch.tobytes() == rows.tobytes()
+def test_flat_values_are_the_per_row_flat_eval(arch, trunc, n, seed):
+    # Both sides sum the m terms g_i v_i x**xexp[i], in different orders and
+    # with the monomials rounded differently.  First-order worst case, for
+    # u = eps / 2: a sum of m terms in any order is within (m - 1) u sum|terms|
+    # of the exact sum, and a depth-d monomial of degree <= T in D inputs,
+    # times g_i v_i, within (2 d T + 2 D + 1) u of its exact value.  The two
+    # sides' errors add.
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, size=(n, arch.input_dim))
+    g = pf.flatten_metric(arch, trunc)
+    v = pf.flat_weight(arch, netcore.init_weights(arch, seed=seed), trunc)
+    bound = (len(g.values) + 2 * arch.depth * trunc + 2 * arch.input_dim) * np.finfo(float).eps
+    for x, got in zip(xs, pf.flat_values(g, v, xs)):
+        phi = pf.flatten_feature_map(arch, x, trunc)
+        terms = np.abs(g.values * v.values * phi.values).sum()
+        assert abs(got - pf.flat_eval(v, phi, g)) <= bound * terms
 
 
-def test_feature_blocks_rejects_wrong_shape():
+def test_flat_values_reject_wrong_shapes_and_misaligned_vectors():
+    weights = netcore.init_weights(BATCH_ARCH, seed=1)
+    g = pf.flatten_metric(BATCH_ARCH, 5)
+    v = pf.flat_weight(BATCH_ARCH, weights, 5)
     with pytest.raises(ValueError):
-        list(pf.feature_blocks(BATCH_ARCH, np.zeros(2), 5))
+        pf.flat_values(g, v, np.zeros(2))
     with pytest.raises(ValueError):
-        list(pf.feature_blocks(BATCH_ARCH, np.zeros((4, 3)), 5))
+        pf.flat_values(g, v, np.zeros((4, 3)))
+    with pytest.raises(ValueError):  # another truncation's space
+        pf.flat_values(g, pf.flat_weight(BATCH_ARCH, weights, 4), np.zeros((4, 2)))
+    with pytest.raises(ValueError):  # a stack of two draws
+        pf.flat_values(g, v.like(np.stack([v.values, v.values])), np.zeros((4, 2)))
 
 
 def test_size_limit_guard():
@@ -833,7 +850,7 @@ def test_dump_series_format():
 def _per_line_dump(vec):
     """The dump as one "%.17g" per line, its rows sorted by (degree,
     exponents, tag) with a stable sort."""
-    xexp = vec.composed_exponents().tolist()
+    xexp = vec._space.xexp.tolist()
     tags = vec._space.tags()
     order = sorted(range(len(tags)), key=lambda i: (sum(xexp[i]), xexp[i], tags[i]))
     values = vec.values.tolist()
