@@ -311,14 +311,14 @@ def run_flatten(cfg, out=None):
     arch = architecture_from_config(cfg)
     trunc = _get(cfg, "truncation")
     weights = _weights_for(cfg, arch)
-    metric = pf.flatten_metric(arch, trunc)
-    vq, vnn = pf.pushed_weights(arch, weights, trunc)
+    counts = pf.level_counts(arch, trunc, pf.DEFAULT_MAX_ENTRIES)  # the size guard
+    # the tower: for dumps, and past T = 170 to decide exit 3 (a multinomial <= 170! < 2**1024)
+    if out is not None or trunc > 170:
+        metric = pf.flatten_metric(arch, trunc)
+        vq, vnn = pf.pushed_weights(arch, weights, trunc)
 
     warnings = []
-    diagnostics = {
-        "level_entry_counts": pf.level_counts(arch, trunc),
-        "stored_top_entries": int(len(vnn.values)),
-    }
+    diagnostics = {"level_entry_counts": counts, "stored_top_entries": counts[-1]}
     results = {"truncation": trunc}
 
     path = _get(cfg, "dataset")
@@ -326,7 +326,7 @@ def run_flatten(cfg, out=None):
         xs, _, lines = load_dataset(path, arch.input_dim)
         probe = xs[0]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is refused next
-            flat = pf.flat_values(metric, vnn, xs)
+            flat = pf.flat_values(arch, weights, xs, trunc)
             f = netcore.forward_batch(arch, weights, xs)
         bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(flat)))
         if bad.size:
@@ -337,10 +337,9 @@ def run_flatten(cfg, out=None):
         probe = np.ones(arch.input_dim)
         warnings.append("no dataset given: no equivalence residual, probe input is all-ones")
     results["probe_input"] = [float(v) for v in probe]
-    feature = None if out is None else pf.flatten_feature_map(arch, probe, trunc)  # dumps only
-
-    vectors = [("feature_map", feature), ("metric", metric), ("flat_weight", vnn),
-               *((f"weight_layer{q}", v) for q, v in enumerate(vq))]
+    vectors = [] if out is None else [
+        ("feature_map", pf.flatten_feature_map(arch, probe, trunc)), ("metric", metric),
+        ("flat_weight", vnn), *((f"weight_layer{q}", v) for q, v in enumerate(vq))]
     files = {}
     warnings += _sidecars(out, files, "series dumps", [
         (name, f"{name}.txt", lambda p, vec: write_text(p, pf.dump_series(vec)), vec)

@@ -22,16 +22,17 @@ f(x) = sum_i g_i v_i phi_i(x):
 
 Level 0 carries the identity itself: on a one-layer network it holds phi(x)
 on the activation's support and gamma_i.  An exp layer, whose coefficients
-are all nonzero, stores every monomial up to the truncation.
+are all nonzero, stores every monomial up to the truncation.  flat_values
+gives the flat machine's value with no tower, from truncated power series.
 
 Index storage is flat numpy: packed (slot, exponent) term arrays per level,
 enumerated by count pattern (how many slots each group of equal composed
 degree gives), plus per-index gamma coefficients, metric values and per-block
 degree profiles.  Index arrays are stored in the narrowest signed dtype that
 holds their range (_int_type).  A level's composed input exponents are built
-at the first read by the weight push, flat_values or a dump layout; the layout
-(sort order, head and tag ids into tables of distinct texts) is cached too,
-and its tags are built on each call.  A dump streams out in blocks of lines.
+at the first read by the weight push or a dump layout; the layout (sort
+order, head and tag ids into tables of distinct texts) is cached too, and its
+tags are built on each call.  A dump streams out in blocks of lines.
 flat_space refuses to build a tower past DEFAULT_MAX_ENTRIES stored indices
 at some level (SizeLimitError); level_counts() gives the exact per-level
 counts without enumerating anything, and takes any other limit.  flat_space
@@ -203,28 +204,51 @@ def flat_eval(weight_vec, feature_vec, metric_vec):
     return flat_inner(metric_vec, weight_vec, feature_vec)
 
 
-def flat_values(metric, weight, xs):
-    """The flat machine sum_i g_i v_i phi_i(x) at each row of xs (N, D).
+def _stacked(arch, weights):
+    """(weights as (k, H_q, H_{q-1}) arrays, their one leading stack shape)."""
+    mats = [np.asarray(w, dtype=float) for w in weights]
+    stack = mats[0].shape[:-2] if mats else ()
+    netcore.check_shapes(arch, mats, stack)
+    return [w.reshape((-1,) + w.shape[-2:]) for w in mats], stack
 
-    Every top-level feature is the unit monomial x**xexp[i], so the machine is
-    the polynomial sum_a c_a x**a over the distinct composed exponent rows a,
-    where c_a sums g_i v_i over the indices whose row is a, in sorted order.
+
+def flat_values(arch, weights, xs, truncation=DEFAULT_TRUNCATION):
+    """The truncated flat machine sum_i g_i v_i phi_i(x) at each row of xs
+    (N, D), with no tower: the net run on t*x with each neuron a power series
+    in t cut at degree T (x-degree <= T is t-degree <= T), read at t = 1.
+
+    Layer 0 is s t, so its coefficient k is a_k s**k, on the support only (0
+    times an overflowed power is NaN); above it sigma(W h) is Horner from the
+    top support degree K_q, each product cut at degree T.  Sums run in
+    ascending order and every step is elementwise: stacked weights
+    (k, H_q, H_{q-1}) give (k, N), each row bit-equal to its own pass.
+
+    To first order the value is within gamma_r sum_i |g_i v_i phi_i(x)| (the
+    expanded products' absolute sum) of the exact machine: r = r_{d-1} + T
+    roundings, r_0 = K_0 D + 3 (s, pow within 2 u, a_k) and r_q = K_q (r_{q-1}
+    + H_{q-1} + T + 2) (a factor of W h, a Horner step's product and a_k).
     """
-    if not metric.aligned_with(weight) or weight.values.shape != metric.values.shape:
-        raise ValueError("series vectors are stacked or live on different spaces or truncations")
-    xexp = metric._space.xexp
+    mats, stack = _stacked(arch, weights)
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != xexp.shape[1]:
-        raise ValueError(f"inputs of shape {xs.shape} are not rows of length {xexp.shape[1]}")
-    order = np.lexsort(xexp.T[::-1])
-    rows = xexp[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    coef = np.add.reduceat((metric.values * weight.values)[order], np.flatnonzero(starts))
-    monomials = np.ones((len(xs), len(coef)))
-    for x, e in zip(xs.T, rows[starts].T):  # x**a, one coordinate at a time
-        monomials *= np.power(x[:, None], e)
-    return monomials @ coef
+    if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
+        raise ValueError(f"inputs of shape {xs.shape} are not rows of length {arch.input_dim}")
+    h = np.stack([np.zeros_like(xs.T), xs.T], axis=-1)  # the inputs t x: (D, N, 2)
+    for q, (w, spec) in enumerate(zip(mats, arch.activations)):
+        u = sum(w[..., b, None, None] * h[..., b, None, :, :] for b in range(w.shape[-1]))
+        a = np.array(act.taylor_series(spec, int(truncation)))
+        supp = np.flatnonzero(a)
+        top = int(supp.max(initial=0))
+        if q == 0:  # u = s t
+            h = np.zeros(u.shape[:-1] + (top + 1,))
+            h[..., supp] = a[supp] * np.power(u[..., 1:], supp)
+            continue
+        h = np.full(u.shape[:-1] + (1,), a[top])
+        for c in a[:top][::-1]:  # h u + c, cut at degree T
+            h, old = np.zeros(h.shape[:-1] + (min(len(a), h.shape[-1] + u.shape[-1] - 1),)), h
+            h[..., 0] = c
+            for i in range(old.shape[-1]):
+                h[..., i : i + u.shape[-1]] += old[..., i, None] * u[..., : h.shape[-1] - i]
+    return sum(np.moveaxis(h[:, 0], -1, 0)).reshape(stack + (len(xs),))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +293,8 @@ class _Level:
 
         Level 0's are its dense exponents.  Above it a slot carries the
         exponents of its index on the level below (the pad slot carries 0).
-        The weight push, flat_values and dump layouts read them.  Stored in
-        the composed degrees' dtype.
+        The weight push and dump layouts read them.  Stored in the composed
+        degrees' dtype.
         """
         if self._xexp is None:
             if self.level == 0:
@@ -660,6 +684,8 @@ def _pack_level(level_no, arch, prev, trunc):
 
     # metric recursion: g = gamma o phi(previous metric replicated over blocks)
     lv.metric = lv.gamma.copy() if level_no == 0 else lv.gamma * lv.compose(prev.metric)
+    if np.isnan(lv.metric).any():  # inf * 0: a gamma or power past the float range
+        raise DomainError(f"level {level_no}: the flat metric holds a NaN", layer=level_no)
     return lv
 
 
@@ -775,16 +801,6 @@ def _weight_values(space, mats, q):
     return vals
 
 
-def _checked_space(arch, weights, truncation):
-    """(tower, weights as (k, H_q, H_{q-1}) arrays, stack shape) for weights
-    whose matrices all carry one leading stack shape."""
-    mats = [np.asarray(w, dtype=float) for w in weights]
-    stack = mats[0].shape[:-2] if mats else ()
-    netcore.check_shapes(arch, mats, stack)
-    stacked = [w.reshape((-1,) + w.shape[-2:]) for w in mats]
-    return flat_space(arch, truncation), stacked, stack
-
-
 def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION):
     """Every layer's weights pushed to the top of the flat space, in one pass.
 
@@ -796,22 +812,22 @@ def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION):
     Returns (layers, flat): the per-layer vectors and their elementwise
     product, the flat machine's weight vector.
     """
-    space, mats, stack = _checked_space(arch, weights, truncation)
+    (mats, stack), space = _stacked(arch, weights), flat_space(arch, truncation)
     layers = [_weight_values(space, mats, q) for q in range(arch.depth)]
     flat = np.ones_like(layers[0])
-    for vals in layers:
+    for q, vals in enumerate(layers):
         flat = flat * vals
+        if np.isnan(flat).any():  # inf * 0: a power or product past the float range
+            raise DomainError(f"layer {q}: the flat weight holds a NaN", layer=q)
     shape = stack + flat.shape[-1:]
-    return (
-        [SeriesVector(v.reshape(shape), space.top) for v in layers],
-        SeriesVector(flat.reshape(shape), space.top),
-    )
+    layers = [SeriesVector(v.reshape(shape), space.top) for v in layers]
+    return layers, SeriesVector(flat.reshape(shape), space.top)
 
 
 def pushforward_weights(arch, weights, q, truncation=DEFAULT_TRUNCATION):
     """Layer q's weights pushed to the top of the flat space (batch-first, as
     pushed_weights)."""
-    space, mats, stack = _checked_space(arch, weights, truncation)
+    (mats, stack), space = _stacked(arch, weights), flat_space(arch, truncation)
     if not 0 <= q < arch.depth:
         raise ValueError(f"layer {q} out of range")
     vals = _weight_values(space, mats, q)

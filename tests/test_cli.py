@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreinflat import cli, ksvm, netcore
+from kreinflat import pushforward as pf
 from kreinflat import activations as act
 from kreinflat import kreinkernel as kk
 
@@ -299,6 +300,49 @@ def test_flatten_multinomial_past_float_range_exits_3(tmp_path, capsys):
     assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
     err = capsys.readouterr().err
     assert "numerical domain failure: level 0: a multinomial of degree 1100" in err
+
+
+def test_flatten_without_dumps_builds_no_tower(tmp_path, capsys):
+    # the residual comes from a forward pass of truncated series (T <= 170)
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, truncation=9))
+    before = pf.flat_space.cache_info()
+    assert run("flatten", cfg) == 0
+    after = pf.flat_space.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert 0.0 <= results["max_equivalence_residual"] <= 1e-6
+
+
+def test_flatten_without_dumps_past_the_size_guard_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, truncation=17))
+    before = pf.flat_space.cache_info()
+    assert run("flatten", cfg) == 2
+    assert pf.flat_space.cache_info().misses == before.misses
+    assert capsys.readouterr().err == (
+        "size guard: flat space needs more than 200000 entries at level 1; "
+        "lower the truncation or the widths\n"
+    )
+
+
+@pytest.mark.parametrize("config", [
+    lambda tmp_path: poly_config(tmp_path),
+    lambda tmp_path: tanh_config(tmp_path, truncation=7),
+    lambda tmp_path: {**tanh_config(tmp_path, truncation=3), "architecture": {
+        "input_dim": 2, "widths": [2, 2, 1],
+        "activations": ["logistic", {"kind": "polynomial", "coefficients": [0.5, 1.0, 0.2]}, "exp"],
+    }},
+], ids=["polynomial", "tanh", "constant-terms"])
+def test_flatten_reports_with_and_without_dumps_differ_only_in_the_dumps(tmp_path, capsys, config):
+    cfg = write_json(tmp_path / "cfg.json", config(tmp_path))
+    out = str(tmp_path / "report.json")
+    assert run("flatten", cfg, out) == 0
+    dumped = read_report(out)
+    assert run("flatten", cfg) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert set(dumped["results"].pop("dump_files")) >= {"feature_map", "metric", "flat_weight"}
+    assert printed["warnings"] == dumped["warnings"] + ["no --out given: series dumps skipped"]
+    printed["warnings"] = dumped["warnings"]
+    assert printed == dumped
 
 
 # ---------------------------------------------------------------------------
@@ -1450,6 +1494,41 @@ def test_sparsity_interval_past_the_radius_names_the_associated_kind(tmp_path, c
     assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
     assert capsys.readouterr().err == (
         "numerical domain failure: interval [0, 2.0] exceeds the convergence radius of tan\n"
+    )
+
+
+def test_sparsity_nan_flat_metric_exits_3_naming_its_level(tmp_path, capsys):
+    # a gamma of 1e200 meets an underflowed power at level 2: inf * 0 (this
+    # exited 0 reporting "bridge_norm": "nan")
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [2, 1, 1], "activations": [
+            {"kind": "polynomial", "coefficients": [1e200, 1, 0, 1]},
+            {"kind": "relu_surrogate", "sharpness": 1e300}, "logistic_assoc",
+        ]},
+        "seed": 1, "truncation": 3, "epsilons": [1e-300, 3.0], "intervals": [1.0, 0.5, 0.5],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # NumPy's overflow warnings come first
+        assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
+    assert capsys.readouterr().err == (
+        "numerical domain failure: level 2: the flat metric holds a NaN\n"
+    )
+
+
+def test_sparsity_nan_flat_weight_exits_3_naming_its_layer(tmp_path, capsys):
+    # (1e20)**17 overflows and meets 0**1: inf * 0 (this exited 0 reporting
+    # "bridge_norm": "nan" and "weight_sup": "nan")
+    path = tmp_path / "weights.txt"
+    netcore.save_weights(path, netcore.WeightSet((np.array([[1e20, 0.0]]),)))
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [1], "activations": ["tanh"]},
+        "truncation": 17, "weights": str(path), "intervals": [0.5], "epsilons": [0.5],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
+    assert capsys.readouterr().err == (
+        "numerical domain failure: layer 0: the flat weight holds a NaN\n"
     )
 
 

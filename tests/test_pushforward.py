@@ -264,7 +264,8 @@ def test_flat_evaluation_is_the_forward_pass(seed, extra):
     gv = g.values * v.values
     terms = np.stack([gv * pf.flatten_feature_map(arch, x, trunc).values for x in xs])
     f = netcore.forward_batch(arch, w, xs)
-    assert np.all(np.abs(pf.flat_values(g, v, xs) - f) <= 1e-9 * np.abs(terms).sum(axis=1))
+    got = pf.flat_values(arch, w, xs, trunc)
+    assert np.all(np.abs(got - f) <= 1e-9 * np.abs(terms).sum(axis=1))
 
 
 def test_flat_equivalence_depth_one_is_weights_on_monomials():
@@ -772,6 +773,45 @@ def test_flat_space_cache_key_is_arch_and_truncation():
 BATCH_ARCH = netcore.Architecture(2, (3, 1), (act.tanh(), act.erf()))
 
 
+def gamma(n):
+    """gamma_n = n u / (1 - n u), u = eps / 2: the first-order bound of n roundings."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
+def series_roundings(arch, trunc):
+    """r of flat_values' docstring: the most roundings on one expanded product."""
+    for q, spec in enumerate(arch.activations):
+        k = max(act.support_degrees(spec, trunc))
+        r = k * arch.input_dim + 3 if q == 0 else k * (r + arch.fan_ins[q] + trunc + 2)
+    return r + trunc
+
+
+def tower_roundings(arch, trunc, m):
+    """The same for flat_eval over m tower terms: (m - 1) for the sum, and a
+    depth-d monomial of degree <= T in D inputs, times g_i v_i, within
+    2 d T + 2 D + 1 roundings of its exact value."""
+    return m - 1 + 2 * arch.depth * trunc + 2 * arch.input_dim + 1
+
+
+def forward_roundings(arch):
+    """The same for netcore.forward_batch on a polynomial net: W z sums H_{q-1}
+    products and Horner over the K_q + 1 coefficients rounds twice a step."""
+    for q, spec in enumerate(arch.activations):
+        k = len(spec.coefficients) - 1 if spec.kind == "polynomial" else 1
+        r = k * ((0 if q == 0 else r) + arch.fan_ins[q]) + 2 * (k + 1)
+    return r
+
+
+def tower_terms(arch, weights, xs, trunc):
+    """Per row of xs: the tower's value flat_eval(v, phi(x), g) and sum_i |g_i v_i phi_i(x)|."""
+    g = pf.flatten_metric(arch, trunc)
+    v = pf.flat_weight(arch, weights, trunc)
+    phis = [pf.flatten_feature_map(arch, x, trunc) for x in xs]
+    return (np.array([pf.flat_eval(v, phi, g) for phi in phis]),
+            np.array([np.abs(g.values * v.values * phi.values).sum() for phi in phis]))
+
+
 @pytest.mark.parametrize("arch, trunc", [
     (BATCH_ARCH, 5),
     (netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3), 5),
@@ -783,35 +823,85 @@ BATCH_ARCH = netcore.Architecture(2, (3, 1), (act.tanh(), act.erf()))
     seed=st.integers(0, 2**32 - 1),
 )
 def test_flat_values_are_the_per_row_flat_eval(arch, trunc, n, seed):
-    # Both sides sum the m terms g_i v_i x**xexp[i], in different orders and
-    # with the monomials rounded differently.  First-order worst case, for
-    # u = eps / 2: a sum of m terms in any order is within (m - 1) u sum|terms|
-    # of the exact sum, and a depth-d monomial of degree <= T in D inputs,
-    # times g_i v_i, within (2 d T + 2 D + 1) u of its exact value.  The two
-    # sides' errors add.
+    # Both sides compute sum_i g_i v_i x**xexp[i] over the tower's m terms,
+    # rounded differently: within gamma_r and gamma_r' of sum|terms| from the
+    # exact value (series_roundings, tower_roundings).  The errors add.
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1.0, 1.0, size=(n, arch.input_dim))
-    g = pf.flatten_metric(arch, trunc)
-    v = pf.flat_weight(arch, netcore.init_weights(arch, seed=seed), trunc)
-    bound = (len(g.values) + 2 * arch.depth * trunc + 2 * arch.input_dim) * np.finfo(float).eps
-    for x, got in zip(xs, pf.flat_values(g, v, xs)):
-        phi = pf.flatten_feature_map(arch, x, trunc)
-        terms = np.abs(g.values * v.values * phi.values).sum()
-        assert abs(got - pf.flat_eval(v, phi, g)) <= bound * terms
+    weights = netcore.init_weights(arch, seed=seed)
+    tower, terms = tower_terms(arch, weights, xs, trunc)
+    m = len(pf.flatten_metric(arch, trunc).values)
+    bound = gamma(series_roundings(arch, trunc)) + gamma(tower_roundings(arch, trunc, m))
+    for got, want, total in zip(pf.flat_values(arch, weights, xs, trunc), tower, terms):
+        assert abs(got - want) <= bound * total
 
 
-def test_flat_values_reject_wrong_shapes_and_misaligned_vectors():
+def test_flat_values_reject_wrong_input_and_weight_shapes():
     weights = netcore.init_weights(BATCH_ARCH, seed=1)
-    g = pf.flatten_metric(BATCH_ARCH, 5)
-    v = pf.flat_weight(BATCH_ARCH, weights, 5)
     with pytest.raises(ValueError):
-        pf.flat_values(g, v, np.zeros(2))
+        pf.flat_values(BATCH_ARCH, weights, np.zeros(2), 5)
     with pytest.raises(ValueError):
-        pf.flat_values(g, v, np.zeros((4, 3)))
-    with pytest.raises(ValueError):  # another truncation's space
-        pf.flat_values(g, pf.flat_weight(BATCH_ARCH, weights, 4), np.zeros((4, 2)))
-    with pytest.raises(ValueError):  # a stack of two draws
-        pf.flat_values(g, v.like(np.stack([v.values, v.values])), np.zeros((4, 2)))
+        pf.flat_values(BATCH_ARCH, weights, np.zeros((4, 3)), 5)
+    with pytest.raises(ValueError):  # another architecture's weights
+        pf.flat_values(BATCH_ARCH, netcore.init_weights(one_layer(act.tanh(), 2), 1),
+                       np.zeros((4, 2)), 5)
+    with pytest.raises(ValueError):  # one matrix stacked, the other not
+        pf.flat_values(BATCH_ARCH, [np.stack([weights[0]] * 2), weights[1]], np.zeros((4, 2)), 5)
+
+
+def test_flat_values_take_no_degree_past_the_support():
+    # tanh's last nonzero float coefficient has degree 1,649; 1.5**k overflows
+    # from k = 1,751, where a_k = 0 would give 0 * inf = NaN
+    arch = one_layer(act.tanh(), 1)
+    got = pf.flat_values(arch, [np.array([[1.0]])], np.array([[1.5], [-0.5]]), 12_000)
+    np.testing.assert_allclose(got, np.tanh([1.5, -0.5]), rtol=1e-12)
+
+
+_SERIES_KINDS = [
+    act.linear(), act.erf(), act.tanh(), act.logistic(), act.exp(), act.relu_surrogate(0.7),
+    act.polynomial((0.5, 1.0, 0.3, -0.2)), act.polynomial((0.0, 0.8, 0.0, -0.4)),
+]
+
+
+@st.composite
+def _series_nets(draw):
+    """(arch, truncation, polynomial): a net of the seven base kinds, or (when
+    polynomial) of linear and polynomial layers, truncated at or above their
+    composed degree."""
+    polynomial = draw(st.booleans())
+    depth = draw(st.integers(1, 3))
+    widths = tuple(draw(st.lists(st.integers(1, 3), min_size=depth - 1, max_size=depth - 1)))
+    pool = [act.linear(), *_SERIES_KINDS[-2:]] if polynomial else _SERIES_KINDS
+    kinds = tuple(draw(st.sampled_from(pool)) for _ in widths + (1,))
+    arch = netcore.Architecture(draw(st.integers(1, 3)), widths + (1,), kinds)
+    degree = math.prod(len(k.coefficients) - 1 if k.coefficients else 1 for k in kinds)
+    trunc = degree + draw(st.integers(0, 2)) if polynomial else draw(st.integers(1, 6))
+    assume(sum(pf.level_counts(arch, trunc)) <= 4000)
+    return arch, trunc, polynomial
+
+
+@given(_series_nets(), st.integers(0, 2**32 - 1))
+def test_flat_values_are_the_tower_and_the_forward_pass(net, seed):
+    arch, trunc, polynomial = net
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, size=(4, arch.input_dim))
+    weights = netcore.init_weights(arch, seed=seed)
+    got = pf.flat_values(arch, weights, xs, trunc)
+    tower, terms = tower_terms(arch, weights, xs, trunc)
+    m = len(pf.flatten_metric(arch, trunc).values)
+    r = series_roundings(arch, trunc)
+    bound = gamma(r) + gamma(tower_roundings(arch, trunc, m))
+    assert np.all(np.abs(got - tower) <= bound * terms)
+    if polynomial:  # nothing is truncated: the net itself, to rounding
+        f = netcore.forward_batch(arch, weights, xs)
+        assert np.all(np.abs(got - f) <= (gamma(r) + gamma(forward_roundings(arch))) * terms)
+    # a stack of three weight sets: each row is that set's own pass, bit for bit
+    scales = np.array([1.0, -0.5, 2.0])
+    stacked = [scales[:, None, None] * w for w in weights]
+    rows = pf.flat_values(arch, stacked, xs, trunc)
+    assert rows.shape == (3, len(xs))
+    for row, w in zip(rows, zip(*stacked)):
+        np.testing.assert_array_equal(row, pf.flat_values(arch, list(w), xs, trunc))
 
 
 def test_size_limit_guard():
