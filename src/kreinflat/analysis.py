@@ -148,8 +148,8 @@ def _sample_array(arch, sample):
     return xs
 
 
-def rademacher_bound_net(arch, weights_or_radius, sample, n=None):
-    """Every bound the architecture supports, as one BoundReport.
+def rademacher_bound_net(arch, radius, sample, n=None):
+    """Every bound the architecture supports on the weight ball of ``radius``, as one BoundReport.
 
     The kernel-trace bound is always computed (global Lipschitz constants are
     required); the closed linear form only for all-linear networks; the
@@ -160,10 +160,7 @@ def rademacher_bound_net(arch, weights_or_radius, sample, n=None):
     """
     xs = _sample_array(arch, sample)
     count = xs.shape[0] if n is None else int(n)
-    if isinstance(weights_or_radius, netcore.WeightSet):
-        radius = weight_ball_radius(arch, weights_or_radius)
-    else:
-        radius = float(weights_or_radius)
+    radius = float(radius)
     width_gm, lip = netcore.geometric_means(arch)  # m = inf
     if lip is None:
         raise ValueError(

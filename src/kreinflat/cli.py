@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -248,33 +249,19 @@ def _weights_for(cfg, arch):
 # ---------------------------------------------------------------------------
 
 def _jsonable(obj):
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
+        obj = obj.tolist()  # a Python scalar, or nested lists of them
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
 def render_report(report):
     return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-
-
-def _emit(report, out):
-    text = render_report(report)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        write_text(out, (text,))
 
 
 def _report(cfg, results, diagnostics=None, warnings=None):
@@ -304,6 +291,72 @@ def _sidecars(out, names, skipped, artifacts):
 
 
 # ---------------------------------------------------------------------------
+# steps the subcommands share
+# ---------------------------------------------------------------------------
+# A handler reads every key it uses before its first computation: compare's
+# bounds step makes a ValueError a warning, and ConfigError is a ValueError.
+
+FitKeys = namedtuple("FitKeys", "loss lam seed steps step_size reg_scale")  # netcore.train's order
+Gram = namedtuple("Gram", "defn values eigs keys alpha residual")
+
+
+def _fit_keys(cfg):
+    names = ("loss", "lambda", "seed", "train.steps", "train.step_size", "reg_scale")
+    return FitKeys(*(_get(cfg, key) for key in names))
+
+
+def _monte_carlo_keys(cfg):
+    """(trials, hypothesis draws, seed); the draws default to the trials."""
+    trials = _get(cfg, "trials")
+    return trials, _get(cfg, "hypothesis_draws") or trials, _get(cfg, "seed")
+
+
+def _dataset(cfg):
+    """The config's architecture and its dataset: (arch, X, y)."""
+    arch = architecture_from_config(cfg)
+    return (arch, *load_dataset(_get(cfg, "dataset"), arch.input_dim)[:2])
+
+
+def _mean_loss(loss, ys, predictions):
+    return float(np.mean(netcore.loss_functions(loss)[0](ys, predictions)))
+
+
+def _net_fit(arch, xs, ys, keys):
+    """netcore.train on the fit's keys, and the mean loss of its predictions."""
+    fit = netcore.train(arch, xs, ys, *keys)
+    return fit, _mean_loss(keys.loss, ys, fit.predictions)
+
+
+def _gram(arch, variant, xs, ys=None, lam=None):
+    """The kernel of ``variant``, its Gram on xs, and the report's keys from the
+    eigenvalues of its symmetric part: the run's one eigensolve, which also guards
+    the exact solve on ys given ``lam`` (alpha and residual, else None)."""
+    defn = kk.KernelDefinition(arch, variant)
+    gram = kk.gram(defn, xs)
+    symmetric = bool(np.array_equal(gram, gram.T))  # then G is its own symmetric part
+    eigs = np.linalg.eigvalsh(gram if symmetric else 0.5 * (gram + gram.T))
+    keys = dict(min_eigenvalue=float(eigs[0]), max_eigenvalue=float(eigs[-1]), symmetric=symmetric)
+    solve = (None, None) if lam is None else ksvm.train_squared(gram, ys, lam, eigs)
+    return Gram(defn, gram, eigs, keys, *solve)
+
+
+def _radius(cfg, arch, weights):
+    """The radius of the weight ball that the config's regulariser defines around
+    ``weights``: the ball every bound of the run is over."""
+    return analysis.weight_ball_radius(arch, weights, _get(cfg, "reg_scale"))
+
+
+def _bounds(arch, radius, xs, n, trials, draws, seed):
+    """Every bound on the ball of ``radius``, and the Monte-Carlo estimate if trials > 0."""
+    report = analysis.rademacher_bound_net(arch, radius, xs, n)
+    if trials:
+        report.empirical_estimate = analysis.empirical_rademacher(
+            arch, radius, xs, trials=trials, hypothesis_draws=draws, seed=seed
+        )
+    return report
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -311,6 +364,7 @@ def run_flatten(cfg, out=None):
     arch = architecture_from_config(cfg)
     trunc = _get(cfg, "truncation")
     weights = _weights_for(cfg, arch)
+    path = _get(cfg, "dataset")
     counts = pf.level_counts(arch, trunc, pf.DEFAULT_MAX_ENTRIES)  # the size guard
     # the tower: for dumps, and past T = 170 to decide exit 3 (a multinomial <= 170! < 2**1024)
     if out is not None or trunc > 170:
@@ -321,7 +375,6 @@ def run_flatten(cfg, out=None):
     diagnostics = {"level_entry_counts": counts, "stored_top_entries": counts[-1]}
     results = {"truncation": trunc}
 
-    path = _get(cfg, "dataset")
     if path is not None:
         xs, _, lines = load_dataset(path, arch.input_dim)
         probe = xs[0]
@@ -349,124 +402,66 @@ def run_flatten(cfg, out=None):
     return _report(cfg, results, diagnostics, warnings)
 
 
-def _gram_diagnostics(gram):
-    """The ascending eigenvalues of the Gram's symmetric part, and the report's
-    diagnostics from them.  This is a run's one eigensolve: the exact solver's
-    guard takes the same eigenvalues."""
-    symmetric = bool(np.array_equal(gram, gram.T))  # then G is its own symmetric part
-    eigs = np.linalg.eigvalsh(gram if symmetric else 0.5 * (gram + gram.T))
-    return eigs, {
-        "min_eigenvalue": float(eigs[0]),
-        "max_eigenvalue": float(eigs[-1]),
-        "symmetric": symmetric,
-    }
-
-
 def run_kernel(cfg, out=None):
-    arch = architecture_from_config(cfg)
+    arch, xs, _ = _dataset(cfg)
     variant = _get(cfg, "variant")
-    xs, _, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
-    gram = kk.gram(kk.KernelDefinition(arch, variant), xs)
-    results = {"variant": variant, "n": int(xs.shape[0])}
-    results.update(_gram_diagnostics(gram)[1])
+    gram = _gram(arch, variant, xs)
+    results = {"variant": variant, "n": int(xs.shape[0]), **gram.keys}
     warnings = _sidecars(out, results, "gram CSV", [(
         "gram_csv", "gram.csv",
-        lambda p, g: write_text(p, netcore.symmetric_text_blocks(g, ",")), gram,
+        lambda p, g: write_text(p, netcore.symmetric_text_blocks(g, ",")), gram.values,
     )])
     return _report(cfg, results, warnings=warnings)
 
 
 def run_train_net(cfg, out=None):
-    arch = architecture_from_config(cfg)
-    xs, ys, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
-    loss = _get(cfg, "loss")
-    lam = _get(cfg, "lambda")
-    steps, step_size = _get(cfg, "train.steps"), _get(cfg, "train.step_size")
-    reg_scale = _get(cfg, "reg_scale")
-    seed = _get(cfg, "seed")
-
-    fit = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
-    weights = fit.weights
-    loss_of = netcore.loss_functions(loss)[0]
+    arch, xs, ys = _dataset(cfg)
+    keys = _fit_keys(cfg)
+    fit, mean_loss = _net_fit(arch, xs, ys, keys)
     results = {
         "initial_objective": fit.initial_objective,
         "final_objective": fit.final_objective,
-        "final_mean_loss": float(np.mean(loss_of(ys, fit.predictions))),
-        "layer_frobenius_sq": weights.frobenius_sq(),
-        "weight_ball_radius": analysis.weight_ball_radius(arch, weights, reg_scale),
-        "steps": steps,
-        "step_size": step_size,
+        "final_mean_loss": mean_loss,
+        "layer_frobenius_sq": fit.weights.frobenius_sq(),
+        "weight_ball_radius": _radius(cfg, arch, fit.weights),
+        "steps": keys.steps,
+        "step_size": keys.step_size,
     }
     warnings = _sidecars(out, results, "weights file", [
-        ("weights_file", "weights.txt", netcore.save_weights, weights)])
+        ("weights_file", "weights.txt", netcore.save_weights, fit.weights)])
     return _report(cfg, results, warnings=warnings)
 
 
 def run_train_ksvm(cfg, out=None):
-    arch = architecture_from_config(cfg)
-    xs, ys, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
-    variant = _get(cfg, "variant")
-    lam = _get(cfg, "lambda")
-    solver = _get(cfg, "solver")
-    loss = _get(cfg, "loss")
-    defn = kk.KernelDefinition(arch, variant)
-    gram = kk.gram(defn, xs)
-    results = {"variant": variant, "n": int(xs.shape[0]), "solver": solver}
-    eigs, diagnostics = _gram_diagnostics(gram)
-    results.update(diagnostics)
-    if solver == "eig":
-        alpha, residual = ksvm.train_squared(gram, ys, lam, eigs)
-        results["stationarity_residual"] = residual
+    arch, xs, ys = _dataset(cfg)
+    variant, lam, solver, loss = (_get(cfg, key) for key in ("variant", "lambda", "solver", "loss"))
+    descent = None  # gradient descent's (loss, steps, step size); the eig solver is exact
+    if solver == "gd":
+        descent = (loss, _get(cfg, "train.steps"), _get(cfg, "train.step_size"))
+    gram = _gram(arch, variant, xs, ys, None if descent else lam)
+    results = {"variant": variant, "n": int(xs.shape[0]), "solver": solver, **gram.keys}
+    if descent:
+        alpha, results["final_gradient_norm"] = ksvm.train_gd(gram.values, ys, lam, *descent)
     else:
-        steps, step_size = _get(cfg, "train.steps"), _get(cfg, "train.step_size")
-        alpha, grad_norm = ksvm.train_gd(gram, ys, lam, loss, steps, step_size)
-        results["final_gradient_norm"] = grad_norm
-    parts = ksvm.stabilized_objective(alpha, gram, ys, lam, loss)
+        alpha, results["stationarity_residual"] = gram.alpha, gram.residual
+    parts = ksvm.stabilized_objective(alpha, gram.values, ys, lam, loss)
     results["stabilized_objective"] = parts._asdict()
     warnings = _sidecars(out, results, "model file", [
-        ("model_file", "model.txt", ksvm.save_model, ksvm.TrainedKSVM(alpha, xs, lam, defn))])
+        ("model_file", "model.txt", ksvm.save_model, ksvm.TrainedKSVM(alpha, xs, lam, gram.defn))])
     return _report(cfg, results, warnings=warnings)
 
 
-def _bound_report(arch, weights_or_radius, xs, n, trials, draws, seed):
-    """Every bound of the net, with the Monte-Carlo estimate when ``trials`` > 0."""
-    report = analysis.rademacher_bound_net(arch, weights_or_radius, xs, n)
-    if trials:
-        report.empirical_estimate = analysis.empirical_rademacher(
-            arch, report.weight_ball_radius, xs, trials=trials, hypothesis_draws=draws, seed=seed
-        )
-    return report
-
-
 def run_compare(cfg, out=None):
-    arch = architecture_from_config(cfg)
-    xs, ys, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
-    loss = _get(cfg, "loss")
-    lam = _get(cfg, "lambda")
-    steps, step_size = _get(cfg, "train.steps"), _get(cfg, "train.step_size")
-    seed = _get(cfg, "seed")
-    reg_scale = _get(cfg, "reg_scale")
-    trials = _get(cfg, "trials")
-    draws = _get(cfg, "hypothesis_draws") or trials
-    variant = _get(cfg, "variant")
+    arch, xs, ys = _dataset(cfg)
+    keys, monte_carlo, variant = _fit_keys(cfg), _monte_carlo_keys(cfg), _get(cfg, "variant")
 
-    fit = netcore.train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale)
-    weights = fit.weights
-    loss_of = netcore.loss_functions(loss)[0]
-    net_loss = float(np.mean(loss_of(ys, fit.predictions)))
-
-    defn = kk.KernelDefinition(arch, variant)
-    gram = kk.gram(defn, xs)
-    eigs, gram_diagnostics = _gram_diagnostics(gram)
-    alpha, residual = ksvm.train_squared(gram, ys, lam, eigs)
-    model = ksvm.TrainedKSVM(alpha, xs, lam, defn)
-    svm_pred = gram @ alpha
-    svm_loss = float(np.mean(loss_of(ys, svm_pred)))
-
-    warnings = []
-    bounds = None
+    fit, net_loss = _net_fit(arch, xs, ys, keys)
+    radius = _radius(cfg, arch, fit.weights)
+    gram = _gram(arch, variant, xs, ys, keys.lam)
+    svm_pred = gram.values @ gram.alpha
+    warnings, bounds = [], None
     try:
-        bounds = vars(_bound_report(arch, weights, xs, None, trials, draws, seed))
+        bounds = vars(_bounds(arch, radius, xs, None, *monte_carlo))
     except (ValueError, DomainError) as exc:
         warnings.append(f"bounds unavailable: {exc}")
 
@@ -477,37 +472,35 @@ def run_compare(cfg, out=None):
             "predictions": fit.predictions,
         },
         "ksvm": {
-            "mean_loss": svm_loss,
-            "stationarity_residual": residual,
+            "mean_loss": _mean_loss(keys.loss, ys, svm_pred),
+            "stationarity_residual": gram.residual,
             "predictions": svm_pred,
         },
-        "gram": gram_diagnostics,
+        "gram": gram.keys,
         "bounds": bounds,
     }
     _sidecars(out, results, None, [
-        ("model_file", "model.txt", ksvm.save_model, model),
-        ("weights_file", "weights.txt", netcore.save_weights, weights),
+        ("model_file", "model.txt", ksvm.save_model,
+         ksvm.TrainedKSVM(gram.alpha, xs, keys.lam, gram.defn)),
+        ("weights_file", "weights.txt", netcore.save_weights, fit.weights),
     ])
     return _report(cfg, results, warnings=warnings)
 
 
 def run_bounds(cfg, out=None):
-    arch = architecture_from_config(cfg)
-    xs, _, _ = load_dataset(_get(cfg, "dataset"), arch.input_dim)
+    arch, xs, _ = _dataset(cfg)
     radius = _get(cfg, "radius")
-    if radius is None:
-        weights = _weights_for(cfg, arch)
-        radius = analysis.weight_ball_radius(arch, weights, _get(cfg, "reg_scale"))
     n = _get(cfg, "n") or int(xs.shape[0])
-    trials = _get(cfg, "trials")
-    draws = _get(cfg, "hypothesis_draws") or trials
+    monte_carlo = _monte_carlo_keys(cfg)
+    tight = _get(cfg, "tight")
+    if radius is None:
+        radius = _radius(cfg, arch, _weights_for(cfg, arch))
 
     warnings = []
-    results = dict(vars(_bound_report(arch, radius, xs, n, trials, draws, _get(cfg, "seed"))))
-    if _get(cfg, "tight"):
+    results = dict(vars(_bounds(arch, radius, xs, n, *monte_carlo)))
+    if tight:
         try:
-            tb = analysis.tight_bound(arch, radius, xs, n)
-            results["tight"] = vars(tb)
+            results["tight"] = vars(analysis.tight_bound(arch, radius, xs, n))
         except ValueError as exc:
             warnings.append(f"tight bound precondition not met: {exc}")
     diagnostics = {
@@ -522,12 +515,12 @@ def run_sparsity(cfg, out=None):
     trunc = _get(cfg, "truncation")
     weights = _weights_for(cfg, arch)
     epsilons = _get(cfg, "epsilons")
+    intervals = _get(cfg, "intervals")
+    radius = _radius(cfg, arch, weights)
     metric = pf.flatten_metric(arch, trunc)
     vnn = pf.flat_weight(arch, weights, trunc)
-    radius = analysis.weight_ball_radius(arch, weights, _get(cfg, "reg_scale"))
 
     warnings = []
-    intervals = _get(cfg, "intervals")
     assoc = arch.associated()
     if intervals is None:
         intervals = [max(m, 1e-9) for m in analysis.penalties(assoc, weights).intervals]
@@ -566,15 +559,8 @@ def run_sparsity(cfg, out=None):
     return _report(cfg, results, diagnostics, warnings)
 
 
-HANDLERS = {
-    "flatten": run_flatten,
-    "kernel": run_kernel,
-    "train-net": run_train_net,
-    "train-ksvm": run_train_ksvm,
-    "compare": run_compare,
-    "bounds": run_bounds,
-    "sparsity": run_sparsity,
-}
+HANDLERS = dict(zip(_ALL, (run_flatten, run_kernel, run_train_net, run_train_ksvm, run_compare,
+                           run_bounds, run_sparsity)))
 
 
 def build_parser():
@@ -602,8 +588,11 @@ def main(argv=None):
             if value is not None:
                 cfg[key] = value
                 _get(cfg, key)
-        report = HANDLERS[args.command](cfg, args.out)
-        _emit(report, args.out)
+        text = render_report(HANDLERS[args.command](cfg, args.out))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            write_text(args.out, (text,))
     # LinAlgError subclasses ValueError, so it must be caught before the exit-2 clause
     except (DomainError, NearSingularError, DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical domain failure: {exc}", file=sys.stderr)

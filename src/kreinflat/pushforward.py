@@ -90,8 +90,8 @@ def _multinomials(exps, level=None):
     Exact integers from a factorial table, each rounded once, so every value
     equals float(multinomial(row)).  Up to degree 20 the table is int64: every
     factorial fits, and prod_j e_j! divides (sum_j e_j)!, so no product
-    overflows.  Above it, rows are keyed by their degree and sorted exponents,
-    so each distinct multiset is computed once with Python integers.  A value
+    overflows.  Above it, rows are sorted by their sorted exponents, so each
+    distinct multiset is computed once with Python integers.  A value
     past the float range raises DomainError naming the least such degree (and
     the tower ``level`` when given).
     """
@@ -102,10 +102,9 @@ def _multinomials(exps, level=None):
         fact = _INT64_FACTORIALS
         return (fact[degrees] // np.prod(fact[exps], axis=1)).astype(float)
     exps = np.sort(exps, axis=1)
-    keys = _packed_keys(np.column_stack([degrees, exps]), top + 1)
-    order = np.lexsort(keys[::-1])
-    heads = np.ones(len(order), dtype=bool)
-    heads[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
+    order = np.lexsort(exps.T)
+    heads = np.ones(len(order), dtype=bool)  # run starts: the distinct multisets
+    heads[1:] = np.any(exps[order[1:]] != exps[order[:-1]], axis=1)
     fact = np.array([math.factorial(k) for k in range(top + 1)], dtype=object)
     first = order[heads]
     exact = fact[degrees[first]] // np.prod(fact[exps[first]], axis=1)
@@ -120,19 +119,6 @@ def _multinomials(exps, level=None):
     out = np.empty(len(order))
     out[order] = values[np.cumsum(heads) - 1]
     return out
-
-
-def _packed_keys(cols, radix):
-    """int64 keys, most significant first, that order the rows of cols (entries
-    in range(radix)) as their columns do; each key packs as many columns as fit."""
-    per = max(1, 63 // int(radix).bit_length())
-    keys = []
-    for start in range(0, cols.shape[1], per):
-        key = np.zeros(len(cols), dtype=np.int64)
-        for col in cols[:, start : start + per].T:
-            key = key * radix + col
-        keys.append(key)
-    return keys
 
 
 def _int_type(top):
@@ -218,15 +204,17 @@ def flat_values(arch, weights, xs, truncation=DEFAULT_TRUNCATION):
     in t cut at degree T (x-degree <= T is t-degree <= T), read at t = 1.
 
     Layer 0 is s t, so its coefficient k is a_k s**k, on the support only (0
-    times an overflowed power is NaN); above it sigma(W h) is Horner from the
-    top support degree K_q, each product cut at degree T.  Sums run in
-    ascending order and every step is elementwise: stacked weights
-    (k, H_q, H_{q-1}) give (k, N), each row bit-equal to its own pass.
+    times an overflowed power is NaN), or sign * exp(log|a_k| + k log|s|) where
+    that is not finite.  Above it sigma(W h) is Horner from the top support
+    degree K_q, each product cut at degree T.  Sums run in ascending order and
+    every step is elementwise: stacked weights (k, H_q, H_{q-1}) give (k, N),
+    each row bit-equal to its own pass.
 
     To first order the value is within gamma_r sum_i |g_i v_i phi_i(x)| (the
     expanded products' absolute sum) of the exact machine: r = r_{d-1} + T
-    roundings, r_0 = K_0 D + 3 (s, pow within 2 u, a_k) and r_q = K_q (r_{q-1}
-    + H_{q-1} + T + 2) (a factor of W h, a Horner step's product and a_k).
+    roundings, r_0 = K_0 D + 3 + L (s, pow within 2 u, a_k; L = 0, or the
+    largest |log|a_k|| + k |log|s|| + 2 of a log-space term) and r_q = K_q
+    (r_{q-1} + H_{q-1} + T + 2) (a factor of W h, a Horner step's product and a_k).
     """
     mats, stack = _stacked(arch, weights)
     xs = np.asarray(xs, dtype=float)
@@ -239,8 +227,14 @@ def flat_values(arch, weights, xs, truncation=DEFAULT_TRUNCATION):
         supp = np.flatnonzero(a)
         top = int(supp.max(initial=0))
         if q == 0:  # u = s t
+            s, k = np.broadcast_arrays(u[..., 1:], supp)
+            with np.errstate(over="ignore"):  # a power past the float range: log space
+                terms = a[k] * np.power(s, k)
+                big = ~np.isfinite(terms)
+                s, k, c = s[big], k[big], a[k[big]]
+                terms[big] = np.sign(c * s**k) * np.exp(np.log(np.abs(c)) + k * np.log(np.abs(s)))
             h = np.zeros(u.shape[:-1] + (top + 1,))
-            h[..., supp] = a[supp] * np.power(u[..., 1:], supp)
+            h[..., supp] = terms
             continue
         h = np.full(u.shape[:-1] + (1,), a[top])
         for c in a[:top][::-1]:  # h u + c, cut at degree T
@@ -683,7 +677,8 @@ def _pack_level(level_no, arch, prev, trunc):
             lv.block_profile[rows, block[pos_col]] += exp_col
 
     # metric recursion: g = gamma o phi(previous metric replicated over blocks)
-    lv.metric = lv.gamma.copy() if level_no == 0 else lv.gamma * lv.compose(prev.metric)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused next
+        lv.metric = lv.gamma.copy() if level_no == 0 else lv.gamma * lv.compose(prev.metric)
     if np.isnan(lv.metric).any():  # inf * 0: a gamma or power past the float range
         raise DomainError(f"level {level_no}: the flat metric holds a NaN", layer=level_no)
     return lv
@@ -785,19 +780,12 @@ def _weight_values(space, mats, q):
     """Pushed weight values of layer q on the top level, (k, m), for mats
     stacked (k, H_q, H_{q-1}) per layer."""
     levels = space.levels
-    d = len(levels)
-    w = mats[q]
-    if q == d - 1:
-        # output layer: a single row, expanded directly on the top level
-        top = levels[d - 1]
-        return _powers(w, top.xexp if d == 1 else top.block_profile)[:, 0]
-    # rows of W_q become per-block generator values on the slots of level q+1;
-    # their exponents are over input coordinates at q = 0, over blocks above
-    base = levels[0].xexp if q == 0 else levels[q].block_profile
-    gen = _powers(w, base)  # (k, H_q, n_idx_q)
-    vals = levels[q + 1].compose(gen.reshape(len(gen), math.prod(gen.shape[1:])))
-    for lvl in range(q + 2, d):
-        vals = levels[lvl].compose(vals)
+    # rows of W_q become per-block generator values on the slots of level q+1 (the
+    # output's one row: the top's own), exponents over inputs at q = 0, blocks above
+    gen = _powers(mats[q], levels[0].xexp if q == 0 else levels[q].block_profile)
+    vals = gen.reshape(len(gen), math.prod(gen.shape[1:]))  # (k, H_q * n_idx_q)
+    for level in levels[q + 1 :]:
+        vals = level.compose(vals)
     return vals
 
 
@@ -813,12 +801,13 @@ def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION):
     product, the flat machine's weight vector.
     """
     (mats, stack), space = _stacked(arch, weights), flat_space(arch, truncation)
-    layers = [_weight_values(space, mats, q) for q in range(arch.depth)]
-    flat = np.ones_like(layers[0])
-    for q, vals in enumerate(layers):
-        flat = flat * vals
-        if np.isnan(flat).any():  # inf * 0: a power or product past the float range
-            raise DomainError(f"layer {q}: the flat weight holds a NaN", layer=q)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused next
+        layers = [_weight_values(space, mats, q) for q in range(arch.depth)]
+        flat = np.ones_like(layers[0])
+        for q, vals in enumerate(layers):
+            flat = flat * vals
+            if np.isnan(flat).any():  # inf * 0: a power or product past the float range
+                raise DomainError(f"layer {q}: the flat weight holds a NaN", layer=q)
     shape = stack + flat.shape[-1:]
     layers = [SeriesVector(v.reshape(shape), space.top) for v in layers]
     return layers, SeriesVector(flat.reshape(shape), space.top)

@@ -356,11 +356,11 @@ def test_bound_net_zero_radius():
     assert report.weight_ball_radius == 0.0
 
 
-def test_bound_net_accepts_weight_sets():
+def test_bound_net_takes_the_weight_ball_radius_of_a_weight_set():
     arch = lin_arch(2, (2, 1))
     w = as_weights([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]])
     xs = np.array([[0.3, 0.4]])
-    report = analysis.rademacher_bound_net(arch, w, xs)
+    report = analysis.rademacher_bound_net(arch, analysis.weight_ball_radius(arch, w), xs)
     assert report.weight_ball_radius == pytest.approx(2.0)  # (2 + 2) / 2
 
 

@@ -285,6 +285,25 @@ def test_one_neuron_flatten_at_truncation_12000(tmp_path, capsys, kind, entries)
     assert report["diagnostics"]["stored_top_entries"] == entries
 
 
+def test_one_neuron_flatten_sums_the_terms_whose_powers_overflow(tmp_path, capsys):
+    # 1.56**k overflows from k = 1,597, but a_k 1.56**k does not: 27 odd terms
+    # up to tanh's last nonzero degree 1,649 are taken in log space (this exited 3)
+    weights = tmp_path / "weights.txt"
+    netcore.save_weights(weights, netcore.WeightSet((np.array([[1.0]]),)))
+    xs = np.array([[0.5], [1.56]])
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [1], "activations": ["tanh"]},
+        "truncation": 12_000, "weights": str(weights),
+        "dataset": write_dataset(tmp_path / "data.csv", xs, np.zeros(2)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["results"]["max_equivalence_residual"] <= 1e-5
+
+
 def test_flatten_multinomial_past_float_range_exits_3(tmp_path, capsys):
     # C(1100, 550) ~ 1e329 overflows a float before it meets a_1100 = 1e-300
     coefficients = [0.0] * 1101
@@ -763,18 +782,27 @@ def test_kernel_gram_csv(tmp_path):
     assert (tmp_path / res["gram_csv"]).read_bytes() == per_value.encode()
 
 
-def test_gram_diagnostics_eigenvalues_keep_their_bits():
+def test_gram_diagnostics_eigenvalues_keep_their_bits(monkeypatch):
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
     xs = np.random.default_rng(4).uniform(-0.5, 0.5, size=(9, 2))
     gram = kk.gram(kk.KernelDefinition(arch, "krein"), xs)
-    eigs, diagnostics = cli._gram_diagnostics(gram)
+    step = cli._gram(arch, "krein", xs)
+    eigs, diagnostics = step.eigs, step.keys
+    assert step.values.tobytes() == gram.tobytes()
     assert eigs.tobytes() == np.linalg.eigvalsh(0.5 * (gram + gram.T)).tobytes()
     assert diagnostics["symmetric"] is True
+    # the exact solve takes its guard from the same eigenvalues
+    ys = np.tanh(xs[:, 0])
+    step = cli._gram(arch, "krein", xs, ys, 0.5)
+    alpha, residual = ksvm.train_squared(gram, ys, 0.5, eigs)
+    assert step.alpha.tobytes() == alpha.tobytes() and step.residual == residual
     # a Gram that is not bit-symmetric is still symmetrized: eigvalsh alone
     # reads the lower triangle and would not see the moved upper entry
     moved = gram.copy()
     moved[0, 1] += 1e-3
-    eigs, diagnostics = cli._gram_diagnostics(moved)
+    monkeypatch.setattr(kk, "gram", lambda defn, points: moved)
+    step = cli._gram(arch, "krein", xs)
+    eigs, diagnostics = step.eigs, step.keys
     assert eigs.tobytes() == np.linalg.eigvalsh(0.5 * (moved + moved.T)).tobytes()
     assert not np.array_equal(eigs, np.linalg.eigvalsh(moved))
     assert diagnostics["symmetric"] is False
@@ -1082,6 +1110,19 @@ def test_compare_runs_the_monte_carlo_estimate(tmp_path, capsys):
     assert run("compare", cfg) == 0
     bounds = json.loads(capsys.readouterr().out)["results"]["bounds"]
     assert 0.0 < bounds["empirical_estimate"] <= bounds["bound_kernel_trace"]
+
+
+def test_compare_bounds_the_weight_ball_of_the_config_reg_scale(tmp_path, capsys):
+    # compare bounded the 1/depth ball of its trained weights, while train-net
+    # reported the reg_scale one: ten times smaller here
+    cfg_obj = tanh_config(tmp_path, n=20, reg_scale=5, train={"steps": 5})
+    cfg_obj["architecture"].update(widths=[3, 1], activations=["erf", "erf"])
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    assert run("train-net", cfg) == 0
+    radius = json.loads(capsys.readouterr().out)["results"]["weight_ball_radius"]
+    assert run("compare", cfg) == 0
+    bounds = json.loads(capsys.readouterr().out)["results"]["bounds"]
+    assert bounds["weight_ball_radius"] == radius
 
 
 # ---------------------------------------------------------------------------
@@ -1508,7 +1549,7 @@ def test_sparsity_nan_flat_metric_exits_3_naming_its_level(tmp_path, capsys):
         "seed": 1, "truncation": 3, "epsilons": [1e-300, 3.0], "intervals": [1.0, 0.5, 0.5],
     }
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # NumPy's overflow warnings come first
+        warnings.simplefilter("error")  # the error line alone: no NumPy warning first
         assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
     assert capsys.readouterr().err == (
         "numerical domain failure: level 2: the flat metric holds a NaN\n"
@@ -1525,7 +1566,7 @@ def test_sparsity_nan_flat_weight_exits_3_naming_its_layer(tmp_path, capsys):
         "truncation": 17, "weights": str(path), "intervals": [0.5], "epsilons": [0.5],
     }
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
     assert capsys.readouterr().err == (
         "numerical domain failure: layer 0: the flat weight holds a NaN\n"

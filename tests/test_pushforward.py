@@ -1124,10 +1124,10 @@ def _object_multinomials(exps, level=None):
     exps = np.sort(np.asarray(exps, dtype=np.int64), axis=1)
     degrees = exps.sum(axis=1)
     top = int(degrees.max(initial=0))
-    keys = pf._packed_keys(np.column_stack([degrees, exps]), top + 1)
-    order = np.lexsort(keys[::-1])
+    keys = np.column_stack([degrees, exps])
+    order = np.lexsort(keys.T[::-1])
     heads = np.ones(len(order), dtype=bool)
-    heads[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
+    heads[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
     fact = np.array([math.factorial(k) for k in range(top + 1)], dtype=object)
     first = order[heads]
     exact = fact[degrees[first]] // np.prod(fact[exps[first]], axis=1)
@@ -1245,7 +1245,7 @@ def _int64_level_indices(slot_cdeg, supp, trunc):
     codes = codes[:, : int(np.count_nonzero(codes.min(axis=0, initial=pad) < pad))]
     codes[codes == pad] = 0
     own, comp = own[rows], comp[rows]
-    order = np.lexsort(pf._packed_keys(np.column_stack([own, codes]), pad)[::-1])
+    order = np.lexsort(np.column_stack([own, codes]).T[::-1])
     slot, exp = np.divmod(codes[order], radix)
     return own[order], comp[order], slot - 1, exp
 
