@@ -432,7 +432,8 @@ def sparsity_profile(metric, weight, depth, constants, epsilons=()):
     )
     mask = (g != 0.0) & (v != 0.0)
     logs = np.log(np.abs(g[mask])) + np.log(np.abs(v[mask]))
-    bridge_norm = float(np.sum(np.exp((2.0 / d) * logs))) if logs.size else 0.0
+    with np.errstate(over="ignore"):  # past the float range: inf, the vacuous value
+        bridge_norm = float(np.sum(np.exp((2.0 / d) * logs))) if logs.size else 0.0
     weight_sup = float(np.max(np.abs(v))) if v.size else 0.0
     metric_sup = float(np.max(np.abs(g))) if g.size else 0.0
     counts = []

@@ -31,8 +31,10 @@ degree gives), plus per-index gamma coefficients, metric values and per-block
 degree profiles.  Index arrays are stored in the narrowest signed dtype that
 holds their range (_int_type).  A level's composed input exponents are built
 at the first read by the weight push or a dump layout; the layout (sort
-order, head and tag ids into tables of distinct texts) is cached too, and its
-tags are built on each call.  A dump streams out in blocks of lines.
+order, head and tag ids into tables of distinct texts) is cached too.  Tags
+are ids built bottom-up from the level below's ids, with a text only per
+distinct id.  compose keeps one narrow gather table per level.  A dump
+streams out in blocks of lines.
 flat_space refuses to build a tower past DEFAULT_MAX_ENTRIES stored indices
 at some level (SizeLimitError); level_counts() gives the exact per-level
 counts without enumerating anything, and takes any other limit.  flat_space
@@ -270,7 +272,7 @@ class _Level:
         "block_profile",
         "prev",
         "max_exp",
-        "_tables",
+        "_compose_table",
         "_xexp",
         "_layout",
     )
@@ -306,13 +308,14 @@ class _Level:
         return self._xexp
 
     def nbytes(self):
-        """Bytes held by the level's arrays, compose tables and dump layout."""
+        """Bytes held by the level's arrays, compose table and dump layout."""
         arrays = [
             self.slot_block, self.slot_prev, self.terms_pos, self.terms_exp,
             self.own_degree, self.composed_degree, self.gamma, self.metric,
             self.block_profile, self._xexp,
         ]
-        for slots, exps, gather in self._tables.values():
+        if self._compose_table is not None:
+            slots, exps, gather = self._compose_table
             arrays += [slots, exps, *gather]
         text = 0
         if self._layout is not None:
@@ -331,11 +334,7 @@ class _Level:
         """
         if self._layout is None:
             xexp = self.xexp
-            tags = self.tags()
-            texts = sorted(set(tags))
-            rank = {t: r for r, t in enumerate(texts)}
-            tag_ids = np.fromiter(map(rank.get, tags), _int_type(len(texts)), len(tags))
-            del tags, rank  # the distinct texts alone are kept
+            tag_ids, texts = self.tag_ids()
             # np.lexsort's last key is the primary one
             perm = np.lexsort([tag_ids, *xexp.T[::-1], xexp.sum(axis=1)])
             # equal exponent rows are adjacent in sorted order: one head per run
@@ -350,77 +349,95 @@ class _Level:
             )
         return self._layout
 
-    def tags(self):
-        """Tags of the stored indices, built on each call bottom-up from the tags
-        of the level below.
+    def tag_ids(self):
+        """(tag id per stored index, the distinct tag texts sorted), built on
+        each call bottom-up from the ids of the level below; id r reads texts[r].
 
-        Level 0 names input monomials (x0^2*x1); above it a slot reads
-        block:(child tag), where children at level 0 print as "-".
+        Level 0 names input monomials (x0^2*x1).  Above it slot s is named by
+        (its block, its child's tag id) and reads block:(child tag), where
+        children at level 0 print as "-".  A row's tag is its (slot name,
+        exponent) pairs in slot order: rows are ranked by those pairs, and
+        only each distinct row's text is built.
         """
         if self.level == 0:
-            slots = [f"x{p}" for p in range(self.n_slots)]
+            names, slot_name = [f"x{p}" for p in range(self.n_slots)], np.arange(self.n_slots)
         else:
-            prev = self.prev
-            child = prev.tags() if prev.level > 0 else ["-"] * len(prev.own_degree)
-            slots = [
-                f"{b}:({child[k]})"
-                for b, k in zip(self.slot_block.tolist(), self.slot_prev.tolist())
-            ]
-        # pieces laid out like compose's table over all slots, so its
-        # gather picks a row's pieces column by column; exponent 0 is "", and
-        # every piece after a row's first carries its "*"
-        power_slots, power_exps, gather = self._table(self.n_slots)
-        powers = zip(power_slots.tolist(), power_exps.tolist())
-        names = slots + [f"{slots[p]}^{e}" for p, e in powers]
-        first = np.array([""] + names, dtype=object)[gather[0]].tolist()
-        more = np.array([""] + ["*" + n for n in names], dtype=object)
-        columns = [first] + [more[col].tolist() for col in gather[1:]]
-        return [tag or "1" for tag in map("".join, zip(*columns))]
+            child, texts = self.prev.tag_ids()
+            if self.level == 1:  # children at level 0 print as "-"
+                child, texts = np.zeros_like(child), ["-"]
+            names = [f"{b}:({t})" for b in range(self.n_slots // len(child)) for t in texts]
+            slot_name = self.slot_block.astype(np.intp) * len(texts) + child[self.slot_prev]
+        # a pair is the code name * radix + exponent, and a pad is 0
+        radix = self.max_exp + 1
+        code = np.append(slot_name * radix, 0).astype(_int_type(len(names) * radix))
+        code = code[self.terms_pos] + self.terms_exp
+        order = np.lexsort(code.T)
+        code = code[order]
+        starts = np.ones(len(code), dtype=bool)  # run starts: the distinct rows
+        starts[1:] = np.any(code[1:] != code[:-1], axis=1)
+        used, inverse = np.unique(code[starts], return_inverse=True)
+        del code  # before the texts are built: the layout's peak
+        # a text per distinct row, from one "*name^exp" piece per distinct
+        # code; names are distinct texts, so distinct rows are too
+        pieces = np.array(
+            ["*" + names[c // radix] + (f"^{c % radix}" if c % radix > 1 else "") if c else ""
+             for c in used.tolist()], dtype=object,
+        )[inverse.reshape(-1, self.terms_pos.shape[1])]
+        texts = np.array([t[1:] or "1" for t in map("".join, pieces.tolist())], dtype=object)
+        by_text = np.argsort(texts)
+        rank = np.empty(len(texts), _int_type(len(texts)))
+        rank[by_text] = np.arange(len(texts))
+        ids = np.empty(len(order), rank.dtype)
+        ids[order] = np.repeat(rank, np.diff(np.append(np.flatnonzero(starts), len(starts))))
+        return ids, texts[by_text].tolist()
 
-    def _table(self, period):
-        """(slots, exponents, gather columns) of compose's table, once per period.
+    def _table(self):
+        """(slots, exponents, gather columns) of compose's table, built once.
 
-        A table row is [1.0 | values | powers]: the values are ``period`` long
-        (the period must divide the slot count), and there is one power
-        values[slot]**exponent per distinct (slot mod period, exponent >= 2)
-        pair that some stored index uses.
+        A table row is [1.0 | values | powers]: one value per slot, and one
+        power values[slot]**exponent per distinct (slot, exponent >= 2) pair
+        that some stored index uses.  The gather columns are stored in the
+        narrowest dtype that holds the table's width.
         """
-        if period not in self._tables:
-            if self.n_slots % period:
-                raise ValueError(f"{period} values do not tile {self.n_slots} slots")
+        if self._compose_table is None:
             e = self.terms_exp
-            slot = (self.terms_pos % period).astype(np.intp)  # pad slot n_slots: 0
             high = e >= 2
             # a bitmap over every (slot, exponent) code: its set cells in
             # order are the used pairs, its running count their ranks
-            codes = slot[high] * (self.max_exp + 1) + e[high]
-            used = np.zeros(period * (self.max_exp + 1), dtype=bool)
+            codes = self.terms_pos[high].astype(np.intp) * (self.max_exp + 1) + e[high]
+            used = np.zeros(self.n_slots * (self.max_exp + 1), dtype=bool)
             used[codes] = True
-            index = np.where(e == 0, 0, 1 + slot)
-            index[high] = period + np.cumsum(used)[codes]
             pairs = np.flatnonzero(used)
+            index = self.terms_pos.astype(_int_type(1 + self.n_slots + len(pairs))) + 1
+            index[e == 0] = 0  # exponent 0, the pad slot's too, reads 1.0
+            index[high] = self.n_slots + np.cumsum(used)[codes]
             # columns copied contiguous: take is slower over strided indices
-            self._tables[period] = (*divmod(pairs, self.max_exp + 1), list(index.T.copy()))
-        return self._tables[period]
+            self._compose_table = (*divmod(pairs, self.max_exp + 1), list(index.T.copy()))
+        return self._compose_table
 
     def compose(self, values):
         """prod over packed terms of slot value**exp, per leading row.
 
         ``values`` covers the slots or one period of them: slot s reads
-        values[..., s % L] for L = values.shape[-1].  A level's input is the
-        level below repeated over the blocks, so it is passed untiled.  The
-        table holds 1.0 (exponent 0 and the pad slot), each value (exponent 1)
-        and only the powers >= 2 that some index uses, built by an elementwise
-        power over an exponent array: numpy's fast path for a broadcast scalar
-        exponent rounds differently.  Each index then multiplies its gathered
-        table entries left to right, one row at a time.
+        values[..., s % L] for L = values.shape[-1], which must divide the
+        slot count.  A level's input is the level below repeated over the
+        blocks, so it is passed untiled and tiled here.  The table holds 1.0
+        (exponent 0 and the pad slot), each value (exponent 1) and only the
+        powers >= 2 that some index uses, built by an elementwise power over
+        an exponent array: numpy's fast path for a broadcast scalar exponent
+        rounds differently.  Each index then multiplies its gathered table
+        entries left to right, one row at a time.
         """
         s = np.asarray(values, dtype=float)
         lead, period = s.shape[:-1], s.shape[-1]
-        power_slots, power_exps, gather = self._table(period)
+        if self.n_slots % period:
+            raise ValueError(f"{period} values do not tile {self.n_slots} slots")
+        power_slots, power_exps, gather = self._table()
+        gather = [col.astype(np.intp) for col in gather]  # else take widens them per row
         rows = s.reshape(-1, period)
         table = np.concatenate(
-            [np.ones((len(rows), 1)), rows, np.power(rows[:, power_slots], power_exps)], axis=1
+            [np.ones((len(rows), 1)), *[rows] * (self.n_slots // period),
+             np.power(rows[:, power_slots % period], power_exps)], axis=1
         )
         out = np.empty((len(rows), len(self.own_degree)))
         factor = np.empty(len(self.own_degree))
@@ -639,8 +656,7 @@ def _pack_level(level_no, arch, prev, trunc):
     lv = _Level.__new__(_Level)
     lv.level = level_no
     lv.prev = prev
-    lv._layout = lv._xexp = None
-    lv._tables = {}  # compose()'s exponents and gather columns per period
+    lv._layout = lv._xexp = lv._compose_table = None
     if level_no == 0:
         lv.n_slots = arch.input_dim
         lv.slot_block = lv.slot_prev = None
@@ -684,9 +700,9 @@ def _pack_level(level_no, arch, prev, trunc):
     return lv
 
 
-# Byte ceiling on the towers flat_space keeps.  A dumped tower holds about 140
-# bytes per top-level entry at truncation 5 (2.3 MB for a tanh (2, (3, 2, 1))
-# net's 16,532, 13.1 MB for a tanh (3, (3, 2, 1)) net's 99,972): four of those.
+# Byte ceiling on the towers flat_space keeps.  A dumped tower holds 60 to 70
+# bytes per top-level entry at truncation 5 (1.1 MB for a tanh (2, (3, 2, 1))
+# net's 16,532, 5.9 MB for a tanh (3, (3, 2, 1)) net's 99,972): ten of those.
 _TOWER_BYTES = 64 << 20
 _TOWERS = _LRUCache(_TOWER_BYTES, FlatSpace.nbytes)
 

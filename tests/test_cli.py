@@ -200,6 +200,28 @@ def test_flatten_dumps_match_golden_digests(tmp_path):
     assert digests == GOLDEN_DUMPS
 
 
+def test_flatten_out_leaves_one_narrow_compose_table_per_level(tmp_path):
+    arch = netcore.Architecture(1, (2, 2, 1), (act.tanh(),) * 3)
+    cfg = write_json(tmp_path / "cfg.json", {
+        "architecture": {"input_dim": 1, "widths": [2, 2, 1], "activations": ["tanh"] * 3},
+        "truncation": 7, "seed": 2,
+    })
+    assert run("flatten", cfg, str(tmp_path / "report.json")) == 0
+    hits = pf.flat_space.cache_info().hits
+    space = pf.flat_space(arch, 7)
+    assert pf.flat_space.cache_info().hits == hits + 1  # the tower flatten built
+    for lv in space.levels:
+        # the feature, metric and weight passes shared one table over all slots
+        table = lv._compose_table
+        slots, _, gather = table
+        width = 1 + lv.n_slots + len(slots)
+        assert all(col.dtype == np.min_scalar_type(-1 - width) for col in gather), lv.level
+        period = lv.n_slots if lv.level == 0 else len(lv.prev.own_degree)
+        lv.compose(np.ones(period))
+        lv.compose(np.ones(lv.n_slots))
+        assert lv._compose_table is table, lv.level
+
+
 def test_atomic_write_leaves_no_temp(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", poly_config(tmp_path))
     out = str(tmp_path / "report.json")
@@ -1571,6 +1593,24 @@ def test_sparsity_nan_flat_weight_exits_3_naming_its_layer(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numerical domain failure: layer 0: the flat weight holds a NaN\n"
     )
+
+
+def test_sparsity_past_the_float_range_reports_inf_with_no_warning(tmp_path, capsys):
+    # (1e20)**17 overflows with no zero weight to meet it: exit 0, and "inf"
+    # is the documented vacuous value (this printed NumPy's overflow warning)
+    path = tmp_path / "weights.txt"
+    netcore.save_weights(path, netcore.WeightSet((np.array([[1e20, 1e-5]]),)))
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [1], "activations": ["tanh"]},
+        "truncation": 17, "weights": str(path), "intervals": [0.5], "epsilons": [0.5],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+    out, err = capsys.readouterr()
+    results = json.loads(out)["results"]
+    assert (results["weight_sup"], results["bridge_norm"]) == ("inf", "inf")
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
