@@ -140,9 +140,7 @@ def rademacher_bound_ball(ball_radius, kernel_trace_mean, n):
 
 
 def _sample_array(arch, sample):
-    xs = np.asarray(sample, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
-        raise ValueError(f"sample must be (N, {arch.input_dim})")
+    xs = netcore.input_rows(arch, sample)
     if xs.shape[0] == 0:
         raise ValueError("sample is empty")
     return xs

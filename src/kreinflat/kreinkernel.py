@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as act
+from . import netcore
 from .errors import DomainError
 
 VARIANTS = ("krein", "associated")
@@ -110,12 +111,7 @@ def gram(defn, points):
     offending entry (i, j), in row-major order, attached; a domain violation
     anywhere is raised before a non-finite value.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != defn.arch.input_dim:
-        raise ValueError(
-            f"points must be a 2-d array with {defn.arch.input_dim} columns "
-            f"(one row per sample), got shape {points.shape}"
-        )
+    points = netcore.input_rows(defn.arch, points)
     out = points @ points.T
     n = len(out)
     rows = max(1, _BLOCK_BYTES // (8 * n or 1))

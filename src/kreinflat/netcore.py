@@ -94,6 +94,14 @@ def check_shapes(arch, weights, stack=()):
         raise ValueError(f"weight shapes {shapes} do not match {expected}")
 
 
+def input_rows(arch, xs):
+    """xs as a float array; ValueError unless it is (N, D) rows for D = arch.input_dim."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
+        raise ValueError(f"inputs must have shape (N, {arch.input_dim}), got {xs.shape}")
+    return xs
+
+
 # Most weights init_weights allocates: 128 MiB of float64.
 MAX_WEIGHTS = 1 << 24
 
@@ -118,10 +126,7 @@ def _layers(arch, weights, xs, stack=()):
     """Pre- and post-activation arrays per layer, each stack + (H_q, N), for an (N, D)
     batch; ``stack`` is the leading shape every weight matrix carries."""
     check_shapes(arch, weights, stack)
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
-        raise ValueError(f"inputs must have shape (N, {arch.input_dim}), got {xs.shape}")
-    return propagate(arch, weights, xs.T)
+    return propagate(arch, weights, input_rows(arch, xs).T)
 
 
 def propagate(arch, weights, z):

@@ -27,14 +27,15 @@ gives the flat machine's value with no tower, from truncated power series.
 
 Index storage is flat numpy: packed (slot, exponent) term arrays per level,
 enumerated by count pattern (how many slots each group of equal composed
-degree gives), plus per-index gamma coefficients, metric values and per-block
-degree profiles.  Index arrays are stored in the narrowest signed dtype that
-holds their range (_int_type).  A level's composed input exponents are built
-at the first read by the weight push or a dump layout; the layout (sort
-order, head and tag ids into tables of distinct texts) is cached too.  Tags
-are ids built bottom-up from the level below's ids, with a text only per
-distinct id.  compose keeps one narrow gather table per level.  A dump
-streams out in blocks of lines.
+degree gives), plus metric values and per-block degree profiles.  Index
+arrays are stored in the narrowest signed dtype that holds their range
+(_int_type).  Above level 0, slot s is (block, child) = divmod(s, m) over the
+m indices of the level below, computed where it is needed.  A level builds
+three members at their first read and keeps them: its composed input
+exponents (read by the weight push and dump layouts), compose's one narrow
+gather table, and the dump layout (sort order, head and tag ids into tables
+of distinct texts).  Tags are ids built bottom-up from the level below's
+ids, with a text only per distinct id.  A dump streams out in blocks of lines.
 flat_space refuses to build a tower past DEFAULT_MAX_ENTRIES stored indices
 at some level (SizeLimitError); level_counts() gives the exact per-level
 counts without enumerating anything, and takes any other limit.  flat_space
@@ -43,6 +44,7 @@ keeps built towers within a byte budget.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -140,28 +142,11 @@ class SeriesVector:
     aligned, which is what flat_inner needs.
     """
 
-    __slots__ = ("values", "_space", "_entries")
+    __slots__ = ("values", "_space")
 
     def __init__(self, values, space):
         self.values = np.asarray(values, dtype=float)
         self._space = space
-        self._entries = None
-
-    @property
-    def entries(self):
-        """dict exponent tuple -> value over the nonzero stored entries.
-
-        An exponent tuple has one entry per position of the space: an input
-        coordinate at level 0, a slot above it.
-        """
-        if self.values.ndim != 1:
-            raise ValueError("a stacked vector has no entries; take row j with like(values[j])")
-        if self._entries is None:
-            rows = self._space.exponent_rows().tolist()
-            self._entries = {
-                tuple(k): v for k, v in zip(rows, self.values.tolist()) if v != 0.0
-            }
-        return self._entries
 
     def like(self, values):
         """A vector holding ``values`` on this vector's space."""
@@ -219,9 +204,7 @@ def flat_values(arch, weights, xs, truncation=DEFAULT_TRUNCATION):
     (r_{q-1} + H_{q-1} + T + 2) (a factor of W h, a Horner step's product and a_k).
     """
     mats, stack = _stacked(arch, weights)
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != arch.input_dim:
-        raise ValueError(f"inputs of shape {xs.shape} are not rows of length {arch.input_dim}")
+    xs = netcore.input_rows(arch, xs)
     h = np.stack([np.zeros_like(xs.T), xs.T], axis=-1)  # the inputs t x: (D, N, 2)
     for q, (w, spec) in enumerate(zip(mats, arch.activations)):
         u = sum(w[..., b, None, None] * h[..., b, None, :, :] for b in range(w.shape[-1]))
@@ -256,98 +239,71 @@ class _Level:
 
     Row i of terms_pos/terms_exp holds index i's (slot, exponent) pairs in
     ascending slot order, padded with the pad slot n_slots and exponent 0.
+    Slot s above level 0 is (block, child) = divmod(s, m) over the m indices
+    of the level below.  xexp, table and dump_layout are built at their
+    first read and kept.
     """
 
-    __slots__ = (
-        "level",
-        "n_slots",
-        "slot_block",
-        "slot_prev",
-        "terms_pos",
-        "terms_exp",
-        "own_degree",
-        "composed_degree",
-        "gamma",
-        "metric",
-        "block_profile",
-        "prev",
-        "max_exp",
-        "_compose_table",
-        "_xexp",
-        "_layout",
-    )
-
-    def exponent_rows(self):
-        """Dense exponents over the slots, shape (m, n_slots)."""
-        dense = np.zeros((len(self.own_degree), self.n_slots + 1), dtype=self.terms_exp.dtype)
-        np.put_along_axis(dense, self.terms_pos, self.terms_exp, axis=1)
-        return dense[:, : self.n_slots]
-
-    @property
+    @functools.cached_property
     def xexp(self):
-        """Composed input exponents per stored index, (m, D), built at first read.
-
-        Level 0's are its dense exponents.  Above it a slot carries the
-        exponents of its index on the level below (the pad slot carries 0).
-        The weight push and dump layouts read them.  Stored in the composed
+        """Composed input exponents per stored index, (m, D), in the composed
         degrees' dtype.
+
+        A slot carries the exponents of its child: an input coordinate at
+        level 0, an index of the level below above it (the pad slot carries
+        0).  The weight push and dump layouts read them.
         """
-        if self._xexp is None:
-            if self.level == 0:
-                self._xexp = self.exponent_rows().astype(self.composed_degree.dtype)
-            else:
-                below = self.prev.xexp
-                padded = np.vstack([below, np.zeros_like(below[:1])])
-                child = np.append(self.slot_prev, len(below))
-                # every partial sum is at most the composed degree, so the
-                # composed degrees' dtype holds it; one term column at a time
-                xexp = np.zeros((len(self.own_degree), below.shape[1]), self.composed_degree.dtype)
-                for pos, exp in zip(self.terms_pos.T, self.terms_exp.T):
-                    xexp += exp[:, None] * padded[child[pos]]
-                self._xexp = xexp
-        return self._xexp
+        dtype = self.composed_degree.dtype
+        below = self.prev.xexp if self.level else np.eye(self.n_slots, dtype=dtype)
+        padded = np.vstack([below, np.zeros_like(below[:1])])
+        child = np.append(np.arange(self.n_slots) % len(below), len(below))
+        # every partial sum is at most the composed degree, so its dtype
+        # holds it; one term column at a time
+        xexp = np.zeros((len(self.own_degree), below.shape[1]), dtype)
+        for pos, exp in zip(self.terms_pos.T, self.terms_exp.T):
+            xexp += exp[:, None] * padded[child[pos]]
+        return xexp
 
     def nbytes(self):
-        """Bytes held by the level's arrays, compose table and dump layout."""
+        """Bytes held by the level's arrays and the members built so far."""
+        built = vars(self)
         arrays = [
-            self.slot_block, self.slot_prev, self.terms_pos, self.terms_exp,
-            self.own_degree, self.composed_degree, self.gamma, self.metric,
-            self.block_profile, self._xexp,
+            self.terms_pos, self.terms_exp, self.own_degree, self.composed_degree,
+            self.metric, self.block_profile, built.get("xexp"),
         ]
-        if self._compose_table is not None:
-            slots, exps, gather = self._compose_table
+        if "table" in built:
+            slots, exps, gather = self.table
             arrays += [slots, exps, *gather]
         text = 0
-        if self._layout is not None:
-            arrays += list(self._layout)
-            text = sum(map(sys.getsizeof, [*self._layout[3], *self._layout[4]]))  # the texts
+        if "dump_layout" in built:
+            layout = self.dump_layout
+            arrays += list(layout)
+            text = sum(map(sys.getsizeof, [*layout[3], *layout[4]]))  # the texts
         return sum(a.nbytes for a in arrays if a is not None) + text
 
+    @functools.cached_property
     def dump_layout(self):
-        """(permutation, head ids, tag ids, heads, tags) of a dump, computed
-        once per level.
+        """(permutation, head ids, tag ids, heads, tags) of a dump.
 
         Rows sort by (degree, exponents, tag); the sort is stable, so ties
         keep stored order.  Line j, of row permutation[j], starts with
         heads[head_ids[j]] + tags[tag_ids[j]]: object arrays of the distinct
         "exponents | " and "tag | " texts.
         """
-        if self._layout is None:
-            xexp = self.xexp
-            tag_ids, texts = self.tag_ids()
-            # np.lexsort's last key is the primary one
-            perm = np.lexsort([tag_ids, *xexp.T[::-1], xexp.sum(axis=1)])
-            # equal exponent rows are adjacent in sorted order: one head per run
-            rows = xexp[perm]
-            starts = np.ones(len(rows), dtype=bool)
-            starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-            heads = [" ".join(map(str, r)) + " | " for r in rows[starts].tolist()]
-            head_ids = (np.cumsum(starts) - 1).astype(_int_type(len(heads)))
-            self._layout = (
-                perm.astype(_int_type(len(perm))), head_ids, tag_ids[perm],
-                np.array(heads, dtype=object), np.array([t + " | " for t in texts], dtype=object),
-            )
-        return self._layout
+        xexp = self.xexp
+        tag_ids, texts = self.tag_ids()
+        # np.lexsort's last key is the primary one
+        perm = np.lexsort([tag_ids, *xexp.T[::-1], xexp.sum(axis=1)])
+        # equal exponent rows are adjacent in sorted order: one head per run
+        rows = xexp[perm]
+        starts = np.ones(len(rows), dtype=bool)
+        starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        heads = [" ".join(map(str, r)) + " | " for r in rows[starts].tolist()]
+        head_ids = (np.cumsum(starts) - 1).astype(_int_type(len(heads)))
+        return (
+            perm.astype(_int_type(len(perm))), head_ids, tag_ids[perm],
+            np.array(heads, dtype=object), np.array([t + " | " for t in texts], dtype=object),
+        )
 
     def tag_ids(self):
         """(tag id per stored index, the distinct tag texts sorted), built on
@@ -366,7 +322,8 @@ class _Level:
             if self.level == 1:  # children at level 0 print as "-"
                 child, texts = np.zeros_like(child), ["-"]
             names = [f"{b}:({t})" for b in range(self.n_slots // len(child)) for t in texts]
-            slot_name = self.slot_block.astype(np.intp) * len(texts) + child[self.slot_prev]
+            block, k = np.divmod(np.arange(self.n_slots), len(child))
+            slot_name = block * len(texts) + child[k]
         # a pair is the code name * radix + exponent, and a pad is 0
         radix = self.max_exp + 1
         code = np.append(slot_name * radix, 0).astype(_int_type(len(names) * radix))
@@ -391,29 +348,28 @@ class _Level:
         ids[order] = np.repeat(rank, np.diff(np.append(np.flatnonzero(starts), len(starts))))
         return ids, texts[by_text].tolist()
 
-    def _table(self):
-        """(slots, exponents, gather columns) of compose's table, built once.
+    @functools.cached_property
+    def table(self):
+        """(slots, exponents, gather columns) of compose's table.
 
         A table row is [1.0 | values | powers]: one value per slot, and one
         power values[slot]**exponent per distinct (slot, exponent >= 2) pair
         that some stored index uses.  The gather columns are stored in the
         narrowest dtype that holds the table's width.
         """
-        if self._compose_table is None:
-            e = self.terms_exp
-            high = e >= 2
-            # a bitmap over every (slot, exponent) code: its set cells in
-            # order are the used pairs, its running count their ranks
-            codes = self.terms_pos[high].astype(np.intp) * (self.max_exp + 1) + e[high]
-            used = np.zeros(self.n_slots * (self.max_exp + 1), dtype=bool)
-            used[codes] = True
-            pairs = np.flatnonzero(used)
-            index = self.terms_pos.astype(_int_type(1 + self.n_slots + len(pairs))) + 1
-            index[e == 0] = 0  # exponent 0, the pad slot's too, reads 1.0
-            index[high] = self.n_slots + np.cumsum(used)[codes]
-            # columns copied contiguous: take is slower over strided indices
-            self._compose_table = (*divmod(pairs, self.max_exp + 1), list(index.T.copy()))
-        return self._compose_table
+        e = self.terms_exp
+        high = e >= 2
+        # a bitmap over every (slot, exponent) code: its set cells in
+        # order are the used pairs, its running count their ranks
+        codes = self.terms_pos[high].astype(np.intp) * (self.max_exp + 1) + e[high]
+        used = np.zeros(self.n_slots * (self.max_exp + 1), dtype=bool)
+        used[codes] = True
+        pairs = np.flatnonzero(used)
+        index = self.terms_pos.astype(_int_type(1 + self.n_slots + len(pairs))) + 1
+        index[e == 0] = 0  # exponent 0, the pad slot's too, reads 1.0
+        index[high] = self.n_slots + np.cumsum(used)[codes]
+        # columns copied contiguous: take is slower over strided indices
+        return (*divmod(pairs, self.max_exp + 1), list(index.T.copy()))
 
     def compose(self, values):
         """prod over packed terms of slot value**exp, per leading row.
@@ -432,7 +388,7 @@ class _Level:
         lead, period = s.shape[:-1], s.shape[-1]
         if self.n_slots % period:
             raise ValueError(f"{period} values do not tile {self.n_slots} slots")
-        power_slots, power_exps, gather = self._table()
+        power_slots, power_exps, gather = self.table
         gather = [col.astype(np.intp) for col in gather]  # else take widens them per row
         rows = s.reshape(-1, period)
         table = np.concatenate(
@@ -653,20 +609,15 @@ def _level_indices(slot_cdeg, supp, trunc):
 
 
 def _pack_level(level_no, arch, prev, trunc):
-    lv = _Level.__new__(_Level)
+    lv = _Level()
     lv.level = level_no
     lv.prev = prev
-    lv._layout = lv._xexp = lv._compose_table = None
     if level_no == 0:
         lv.n_slots = arch.input_dim
-        lv.slot_block = lv.slot_prev = None
         slot_cdeg = np.ones(arch.input_dim, dtype=np.int64)
     else:
         h = arch.widths[level_no - 1]
-        n_prev = len(prev.own_degree)
-        lv.n_slots = h * n_prev
-        lv.slot_block = np.repeat(np.arange(h, dtype=_int_type(h)), n_prev)
-        lv.slot_prev = np.tile(np.arange(n_prev, dtype=_int_type(n_prev)), h)
+        lv.n_slots = h * len(prev.own_degree)
         slot_cdeg = np.tile(prev.composed_degree, h)
 
     spec = arch.activations[level_no]
@@ -680,29 +631,29 @@ def _pack_level(level_no, arch, prev, trunc):
     lv.terms_exp = exp
     lv.own_degree = own
     lv.composed_degree = comp
-    lv.gamma = _multinomials(exp, level_no) * np.array(act.taylor_series(spec, trunc))[own]
+    gamma = _multinomials(exp, level_no) * np.array(act.taylor_series(spec, trunc))[own]
     lv.max_exp = int(exp.max(initial=0))
 
     # above level 0, the per-block degree profile the weight generators need
     lv.block_profile = None
     if level_no >= 1:  # exponent sums per (index, block): at most the own degree
         lv.block_profile = np.zeros((m, h), dtype=exp.dtype)
-        block = np.append(lv.slot_block, 0)  # the pad slot adds exponent 0 to block 0
+        block = np.append(np.arange(lv.n_slots) // len(prev.own_degree), 0)  # pad: block 0
         rows = np.arange(m)
         for pos_col, exp_col in zip(pos.T, exp.T):  # one cell per row: += adds every term
             lv.block_profile[rows, block[pos_col]] += exp_col
 
     # metric recursion: g = gamma o phi(previous metric replicated over blocks)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused next
-        lv.metric = lv.gamma.copy() if level_no == 0 else lv.gamma * lv.compose(prev.metric)
+        lv.metric = gamma if level_no == 0 else gamma * lv.compose(prev.metric)
     if np.isnan(lv.metric).any():  # inf * 0: a gamma or power past the float range
         raise DomainError(f"level {level_no}: the flat metric holds a NaN", layer=level_no)
     return lv
 
 
-# Byte ceiling on the towers flat_space keeps.  A dumped tower holds 60 to 70
-# bytes per top-level entry at truncation 5 (1.1 MB for a tanh (2, (3, 2, 1))
-# net's 16,532, 5.9 MB for a tanh (3, (3, 2, 1)) net's 99,972): ten of those.
+# Byte ceiling on the towers flat_space keeps.  A dumped tower holds 51 to 59
+# bytes per top-level entry at truncation 5 (975 kB for a tanh (2, (3, 2, 1))
+# net's 16,532, 5.1 MB for a tanh (3, (3, 2, 1)) net's 99,972): ten of those.
 _TOWER_BYTES = 64 << 20
 _TOWERS = _LRUCache(_TOWER_BYTES, FlatSpace.nbytes)
 
@@ -862,7 +813,7 @@ def dump_series(vec):
     """
     if vec.values.ndim != 1:
         raise ValueError("a stacked vector has no dump; dump row j as like(values[j])")
-    perm, head_ids, tag_ids, heads, tags = vec._space.dump_layout()
+    perm, head_ids, tag_ids, heads, tags = vec._space.dump_layout
     vals = vec.values[perm]
     keep = np.flatnonzero(vals != 0.0)
     blocks = (keep[s : s + _DUMP_LINES] for s in range(0, len(keep), _DUMP_LINES))

@@ -221,6 +221,18 @@ def _expand_power_sum(n, p):
     return terms
 
 
+def _entries(vec):
+    """{exponent tuple over the slots: value} over the nonzero stored entries
+    of ``vec``; a stacked vector is refused."""
+    if vec.values.ndim != 1:
+        raise ValueError("a stacked vector has no entries; take row j with like(values[j])")
+    lv = vec._space
+    dense = np.zeros((len(lv.own_degree), lv.n_slots + 1), dtype=np.int64)
+    np.put_along_axis(dense, lv.terms_pos.astype(np.intp), lv.terms_exp.astype(np.int64), axis=1)
+    rows = dense[:, : lv.n_slots].tolist()
+    return {tuple(k): v for k, v in zip(rows, vec.values.tolist()) if v != 0.0}
+
+
 def test_criterion_04_multinomial_gamma_oracle():
     # The activation contract requires a positive linear coefficient, so the
     # pure power t**p is carried as the degree-p slice of t + t**p.  That
@@ -233,11 +245,11 @@ def test_criterion_04_multinomial_gamma_oracle():
         else:
             spec = act.polynomial((0.0, 1.0) + (0.0,) * (p - 2) + (1.0,))
         for n in range(1, 4):
-            gamma = pf.flatten_metric(netcore.Architecture(n, (1,), (spec,)), p)
+            gamma = _entries(pf.flatten_metric(netcore.Architecture(n, (1,), (spec,)), p))
             brute = _expand_power_sum(n, p)
             for expo, coef in brute.items():
-                assert gamma.entries.get(expo, 0.0) == float(coef)
-            stored = sum(1 for key in gamma.entries if sum(key) == p)
+                assert gamma.get(expo, 0.0) == float(coef)
+            stored = sum(1 for key in gamma if sum(key) == p)
             assert stored == len(brute)
 
 

@@ -212,14 +212,14 @@ def test_flatten_out_leaves_one_narrow_compose_table_per_level(tmp_path):
     assert pf.flat_space.cache_info().hits == hits + 1  # the tower flatten built
     for lv in space.levels:
         # the feature, metric and weight passes shared one table over all slots
-        table = lv._compose_table
+        table = vars(lv)["table"]
         slots, _, gather = table
         width = 1 + lv.n_slots + len(slots)
         assert all(col.dtype == np.min_scalar_type(-1 - width) for col in gather), lv.level
         period = lv.n_slots if lv.level == 0 else len(lv.prev.own_degree)
         lv.compose(np.ones(period))
         lv.compose(np.ones(lv.n_slots))
-        assert lv._compose_table is table, lv.level
+        assert lv.table is table, lv.level
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

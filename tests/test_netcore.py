@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreinflat import activations as act
+from kreinflat import analysis
 from kreinflat import kreinkernel as kk
 from kreinflat import netcore
+from kreinflat import pushforward as pf
 from kreinflat.errors import DivergenceError
 
 
@@ -453,6 +455,20 @@ def test_check_shapes_mismatch():
     bad = as_weights(np.zeros((2, 2)), np.zeros((1, 3)))
     with pytest.raises(ValueError):
         netcore.check_shapes(arch, bad)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda arch, xs: netcore.forward_batch(arch, netcore.init_weights(arch, seed=0), xs),
+    lambda arch, xs: pf.flat_values(arch, netcore.init_weights(arch, seed=0), xs, 3),
+    lambda arch, xs: analysis.rademacher_bound_net(arch, 1.0, xs),
+    lambda arch, xs: kk.gram(kk.KernelDefinition(arch), xs),
+], ids=["netcore", "pushforward", "analysis", "kreinkernel"])
+@pytest.mark.parametrize("shape", [(4,), (4, 3)])
+def test_every_entry_point_refuses_inputs_that_are_not_rows(refuse, shape):
+    # one check of (N, D) input rows, netcore.input_rows, behind all four
+    arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
+    with pytest.raises(ValueError, match=r"inputs must have shape \(N, 2\), got \(4,"):
+        refuse(arch, np.ones(shape))
 
 
 def test_init_weights_shapes_and_determinism():

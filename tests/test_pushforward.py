@@ -42,6 +42,27 @@ def monomial_features(x, truncation):
     return pf.flatten_feature_map(one_layer(act.exp(), len(x)), x, truncation)
 
 
+def _entries(vec):
+    """{exponent tuple: value} over the nonzero stored entries of ``vec``.
+
+    An exponent tuple has one entry per slot of the vector's level: an input
+    coordinate at level 0.  A stacked vector is refused.
+    """
+    if vec.values.ndim != 1:
+        raise ValueError("a stacked vector has no entries; take row j with like(values[j])")
+    lv = vec._space
+    dense = np.zeros((len(lv.own_degree), lv.n_slots + 1), dtype=np.int64)
+    np.put_along_axis(dense, lv.terms_pos.astype(np.intp), lv.terms_exp.astype(np.int64), axis=1)
+    rows = dense[:, : lv.n_slots].tolist()
+    return {tuple(k): v for k, v in zip(rows, vec.values.tolist()) if v != 0.0}
+
+
+def _gamma(arch, trunc, lv):
+    """gamma_i = multinomial(i) * a_{|i|} per stored index of a level."""
+    coeffs = np.array(act.taylor_series(arch.activations[lv.level], trunc))
+    return pf._multinomials(lv.terms_exp, lv.level) * coeffs[lv.own_degree]
+
+
 def exponents(n, max_degree):
     """Every exponent tuple over n positions of total degree <= max_degree."""
     return [e for e in itertools.product(range(max_degree + 1), repeat=n) if sum(e) <= max_degree]
@@ -75,18 +96,18 @@ def test_multinomial_values():
 
 
 def test_monomial_features_values():
-    v = monomial_features(np.array([2.0, 3.0]), 3)
-    assert v.entries.get((1, 2), 0.0) == 18.0
-    assert v.entries.get((0, 0), 0.0) == 1.0
-    assert v.entries.get((3, 0), 0.0) == 8.0
-    assert v.entries[(1, 2)] == 18.0
-    assert v.entries.get((2, 2), 0.0) == 0.0  # degree above the truncation
-    assert v.entries.get((1, 1, 0), 0.0) == 0.0  # another dimension
+    v = _entries(monomial_features(np.array([2.0, 3.0]), 3))
+    assert v.get((1, 2), 0.0) == 18.0
+    assert v.get((0, 0), 0.0) == 1.0
+    assert v.get((3, 0), 0.0) == 8.0
+    assert v[(1, 2)] == 18.0
+    assert v.get((2, 2), 0.0) == 0.0  # degree above the truncation
+    assert v.get((1, 1, 0), 0.0) == 0.0  # another dimension
 
 
 def test_monomial_features_all_ones():
     v = monomial_features(np.array([1.0, 1.0, 1.0]), 2)
-    assert v.entries == {expo: 1.0 for expo in exponents(3, 2)}
+    assert _entries(v) == {expo: 1.0 for expo in exponents(3, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -122,44 +143,44 @@ def test_gamma_matches_brute_force_monomial_power(n, p):
         coeffs[1] = 1.0
         coeffs[p] = 1.0
         spec = act.polynomial(tuple(coeffs))  # t + t^p
-    gamma = level0_metric(spec, n, max(p, 1))
+    gamma = _entries(level0_metric(spec, n, max(p, 1)))
     expected = _expand_power_sum(n, p)
     a_p = act.taylor_coefficient(spec, p)
     for expo, c in expected.items():
-        assert gamma.entries.get(expo, 0.0) == pytest.approx(float(c) * a_p, rel=1e-15), expo
+        assert gamma.get(expo, 0.0) == pytest.approx(float(c) * a_p, rel=1e-15), expo
     # degree-p entries not present in the expansion must be absent/zero
     for expo in exponents(n, max(p, 1)):
         if sum(expo) == p and expo not in expected:
-            assert gamma.entries.get(expo, 0.0) == 0.0
+            assert gamma.get(expo, 0.0) == 0.0
 
 
 def test_gamma_quadratic_example():
-    g = level0_metric(act.polynomial((0.0, 1.0, 1.0)), 2, 2)
-    assert g.entries.get((2, 0), 0.0) == 1.0
-    assert g.entries.get((1, 1), 0.0) == 2.0
-    assert g.entries.get((0, 2), 0.0) == 1.0
+    g = _entries(level0_metric(act.polynomial((0.0, 1.0, 1.0)), 2, 2))
+    assert g.get((2, 0), 0.0) == 1.0
+    assert g.get((1, 1), 0.0) == 2.0
+    assert g.get((0, 2), 0.0) == 1.0
 
 
 def test_gamma_constant_term():
-    g = level0_metric(act.logistic(), 3, 2)
-    assert g.entries.get((0, 0, 0), 0.0) == pytest.approx(0.5)
+    g = _entries(level0_metric(act.logistic(), 3, 2))
+    assert g.get((0, 0, 0), 0.0) == pytest.approx(0.5)
 
 
 def test_gamma_linear_is_indicator_of_degree_one():
-    g = level0_metric(act.linear(), 3, 3)
-    for idx, val in g.entries.items():
+    g = _entries(level0_metric(act.linear(), 3, 3))
+    for idx, val in g.items():
         assert sum(idx) == 1 and val == 1.0
-    assert len(g.entries) == 3
+    assert len(g) == 3
 
 
 def test_gamma_general_formula_spot_checks():
     # gamma_i = (|i|! / prod_j i_j!) a_{|i|}
-    g = level0_metric(act.tanh(), 2, 5)
+    g = _entries(level0_metric(act.tanh(), 2, 5))
     a3 = act.taylor_coefficient(act.tanh(), 3)
     a5 = act.taylor_coefficient(act.tanh(), 5)
-    assert g.entries.get((2, 1), 0.0) == pytest.approx(3.0 * a3, rel=1e-15)
-    assert g.entries.get((3, 2), 0.0) == pytest.approx(10.0 * a5, rel=1e-15)
-    assert g.entries.get((1, 1), 0.0) == 0.0  # tanh has no even terms
+    assert g.get((2, 1), 0.0) == pytest.approx(3.0 * a3, rel=1e-15)
+    assert g.get((3, 2), 0.0) == pytest.approx(10.0 * a5, rel=1e-15)
+    assert g.get((1, 1), 0.0) == 0.0  # tanh has no even terms
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +298,7 @@ def test_flat_equivalence_depth_one_is_weights_on_monomials():
     phi = pf.flatten_feature_map(arch, x, 1)
     assert pf.flat_eval(v, phi, g) == pytest.approx(0.5 - 2.0 - 1.0, rel=1e-14)
     # weight entries are exactly the matrix entries on the degree-1 slots
-    assert v.entries == {(1, 0, 0): 0.5, (0, 1, 0): -1.0, (0, 0, 1): 2.0}
+    assert _entries(v) == {(1, 0, 0): 0.5, (0, 1, 0): -1.0, (0, 0, 1): 2.0}
 
 
 def test_semiflat_product_equals_forward():
@@ -328,6 +349,14 @@ def _pairs(lv):
     ]
 
 
+def _slot_maps(lv):
+    """(block, child) of every slot of a level above 0, as the int64 tower
+    built them: np.repeat and np.tile over the blocks."""
+    n_prev = len(lv.prev.own_degree)
+    h = lv.n_slots // n_prev
+    return np.repeat(np.arange(h, dtype=np.int64), n_prev), np.tile(np.arange(n_prev), h)
+
+
 def _stable_keys(lv):
     """Truncation-independent identities of a level's stored indices: the
     exponent tuple at level 0, above it the sorted ((block, child identity),
@@ -335,7 +364,7 @@ def _stable_keys(lv):
     if lv.level == 0:
         return [tuple(row) for row in lv.xexp.tolist()]
     below = _stable_keys(lv.prev)
-    slot = [(b, below[k]) for b, k in zip(lv.slot_block.tolist(), lv.slot_prev.tolist())]
+    slot = [(b, below[k]) for b, k in zip(*(m.tolist() for m in _slot_maps(lv)))]
     return [tuple(sorted((slot[p], e) for p, e in pairs)) for pairs in _pairs(lv)]
 
 
@@ -502,7 +531,7 @@ def test_levels_store_the_reference_enumeration_in_order(arch, trunc):
         want_mnom = [float(pf.multinomial([e for _, e in pairs])) for pairs, _, _ in got]
         spec = arch.activations[lv.level]
         coeff = [act.taylor_coefficient(spec, k) for k in lv.own_degree.tolist()]
-        assert lv.gamma.tolist() == [m * c for m, c in zip(want_mnom, coeff)]
+        assert _gamma(arch, trunc, lv).tolist() == [m * c for m, c in zip(want_mnom, coeff)]
 
 
 @given(m=st.integers(1, 6), e=st.integers(0, 6))
@@ -700,7 +729,8 @@ def test_untiled_compose_is_the_tiled_full_table_bit_for_bit(arch, trunc):
         vals = _tiled_compose(lv, _tiled(space, lv, vals))
         assert _same_bits(got, vals), lv.level
     for lv in space.levels[1:]:  # the metric recursion
-        want = lv.gamma * _tiled_compose(lv, _tiled(space, lv, lv.prev.metric[None]))[0]
+        tiled = _tiled_compose(lv, _tiled(space, lv, lv.prev.metric[None]))[0]
+        want = _gamma(arch, trunc, lv) * tiled
         assert _same_bits(lv.metric, want), lv.level
 
 
@@ -737,7 +767,7 @@ def test_compact_table_compose_is_the_full_table_bit_for_bit(arch, trunc):
         vals = _full_table_compose(lv, vals)
         assert _same_bits(got, vals), lv.level
     for lv in space.levels[1:]:
-        want = lv.gamma * _full_table_compose(lv, lv.prev.metric)[0]
+        want = _gamma(arch, trunc, lv) * _full_table_compose(lv, lv.prev.metric)[0]
         assert _same_bits(lv.metric, want), lv.level
     weights = netcore.init_weights(arch, seed=2)
     for q in range(arch.depth - 1):
@@ -925,10 +955,7 @@ def _reference_tags(lv):
     else:
         prev = lv.prev
         child = _reference_tags(prev) if prev.level > 0 else ["-"] * len(prev.own_degree)
-        slots = [
-            f"{b}:({child[k]})"
-            for b, k in zip(lv.slot_block.tolist(), lv.slot_prev.tolist())
-        ]
+        slots = [f"{b}:({child[k]})" for b, k in zip(*(m.tolist() for m in _slot_maps(lv)))]
     # pieces laid out like compose's table over all slots, so its gather
     # picks a row's pieces column by column; exponent 0 is "", and every
     # piece after a row's first carries its "*"
@@ -1010,7 +1037,7 @@ def test_dump_blocks_drop_zero_lines_across_block_edges(monkeypatch):
     monkeypatch.setattr(pf, "_DUMP_LINES", 3)
     arch = poly_arch(2, (2, 1), [[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
     metric = pf.flatten_metric(arch, 2)
-    perm = metric._space.dump_layout()[0]
+    perm = metric._space.dump_layout[0]
     # zero every third line of the dump and its first: kept lines straddle each block edge
     values = metric.values.copy()
     values[perm[::3]] = 0.0
@@ -1040,7 +1067,7 @@ def test_writing_a_tower_dump_holds_no_whole_file_text(tmp_path):
     # about 1.1 MB in blocks of _DUMP_LINES lines
     arch = netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3)
     metric = pf.flatten_metric(arch, 5)
-    metric._space.dump_layout()
+    metric._space.dump_layout
     path = tmp_path / "metric.txt"
     tracemalloc.start()
     try:
@@ -1058,7 +1085,7 @@ def test_a_dump_formats_its_values_one_block_at_a_time(tmp_path, monkeypatch):
     # at 2.06 MB traced, and at 1.02 MB formatted per block
     arch = netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3)
     _, flat = pf.pushed_weights(arch, netcore.init_weights(arch, seed=4), 5)
-    flat._space.dump_layout()
+    flat._space.dump_layout
     path = tmp_path / "flat.txt"
     tracemalloc.start()
     try:
@@ -1147,7 +1174,7 @@ def test_stacked_push_rows_are_the_single_draw_pushes(arch, trunc):
     empty = netcore.WeightSet(tuple(np.zeros((0,) + s) for s in arch.layer_shapes()))
     assert pf.flat_weight(arch, empty, trunc).values.shape == (0, m)
     with pytest.raises(ValueError, match="stacked"):
-        flat.entries
+        _entries(flat)
 
 
 def test_stacked_push_refuses_a_ragged_stack():
@@ -1216,7 +1243,7 @@ def test_exponents_on_demand_are_the_eager_exponents(arch, trunc):
     mats = [w[None] for w in weights]
     for q in range(arch.depth):  # the push reads level 0's exponents alone
         pf._weight_values(space, mats, q)
-    assert all(lv._xexp is None for lv in space.levels[1:])
+    assert all("xexp" not in vars(lv) for lv in space.levels[1:])
     for lv, want in zip(space.levels, _eager_xexp(space)):
         # stored narrow, in the composed degrees' dtype
         assert lv.xexp.dtype == np.min_scalar_type(-1 - trunc), lv.level
@@ -1239,7 +1266,7 @@ def _unique_table(lv):
 def test_bitmap_table_is_the_unique_table(arch, trunc):
     # one table per level, over all its slots: a shorter input is tiled
     for lv in pf.flat_space(arch, trunc).levels:
-        got, want = lv._table(), _unique_table(lv)
+        got, want = lv.table, _unique_table(lv)
         for a, b in zip(got[:2], want[:2]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert len(got[2]) == len(want[2])
@@ -1293,17 +1320,14 @@ def _int64_tower(arch, trunc):
     arrays and a bincount block profile."""
     levels, prev = [], None
     for q, spec in enumerate(arch.activations):
-        lv = pf._Level.__new__(pf._Level)
-        lv.level, lv.prev, lv._layout, lv._xexp, lv._compose_table = q, prev, None, None, None
+        lv = pf._Level()
+        lv.level, lv.prev = q, prev
         if q == 0:
             lv.n_slots = arch.input_dim
-            lv.slot_block = lv.slot_prev = None
             slot_cdeg = np.ones(arch.input_dim, dtype=np.int64)
         else:
-            h, n_prev = arch.widths[q - 1], len(prev.own_degree)
-            lv.n_slots = h * n_prev
-            lv.slot_block = np.repeat(np.arange(h, dtype=np.int64), n_prev)
-            lv.slot_prev = np.tile(np.arange(n_prev, dtype=np.int64), h)
+            h = arch.widths[q - 1]
+            lv.n_slots = h * len(prev.own_degree)
             slot_cdeg = np.tile(prev.composed_degree, h)
         own, comp, pos, exp = _int64_level_indices(slot_cdeg, act.support_degrees(spec, trunc), trunc)
         m = len(own)
@@ -1315,7 +1339,7 @@ def _int64_tower(arch, trunc):
         lv.max_exp = int(exp.max(initial=0))
         lv.block_profile = None
         if q >= 1:
-            cells = np.arange(m)[:, None] * h + np.append(lv.slot_block, 0)[lv.terms_pos]
+            cells = np.arange(m)[:, None] * h + np.append(_slot_maps(lv)[0], 0)[lv.terms_pos]
             profile = np.bincount(cells.ravel(), exp.ravel(), minlength=m * h)
             lv.block_profile = profile.astype(np.int64).reshape(m, h)
         lv.metric = lv.gamma.copy() if q == 0 else lv.gamma * lv.compose(prev.metric)
@@ -1359,21 +1383,21 @@ def test_compact_tower_is_the_int64_tower(arch_trunc):
             "composed_degree": trunc, "xexp": trunc,
         }
         if lv.level > 0:
-            bounds.update(block_profile=top, slot_block=arch.widths[lv.level - 1],
-                          slot_prev=len(lv.prev.own_degree))
+            bounds.update(block_profile=top)
         for name, bound in bounds.items():
             got = getattr(lv, name)
             assert got.dtype == np.min_scalar_type(-1 - bound), (lv.level, name, got.dtype)
             assert np.array_equal(got, xexp if name == "xexp" else getattr(want, name)), name
         # compose's gather columns: narrow for the table's width, equal to the
         # int64 tower's np.unique table
-        slots, _, gather = lv._table()
+        slots, _, gather = lv.table
         width = 1 + lv.n_slots + len(slots)
         for got, col in zip(gather, _unique_table(want)[2]):
             assert got.dtype == np.min_scalar_type(-1 - width), (lv.level, got.dtype)
             assert np.array_equal(got, col), lv.level
         assert lv.max_exp == want.max_exp
-        assert _same_bits(lv.gamma, want.gamma) and _same_bits(lv.metric, want.metric), lv.level
+        assert _same_bits(_gamma(arch, trunc, lv), want.gamma), lv.level
+        assert _same_bits(lv.metric, want.metric), lv.level
     assert "".join(pf.dump_series(pf.SeriesVector(space.top.metric, space.top))) == _per_line_dump(
         pf.SeriesVector(ref.top.metric, ref.top)
     )
@@ -1400,7 +1424,7 @@ def test_a_dump_layout_builds_no_str_per_stored_index():
     space = pf._tower(arch, 5)
     tracemalloc.start()
     try:
-        space.top.dump_layout()
+        space.top.dump_layout
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1472,10 +1496,19 @@ def test_tower_bytes_count_what_a_dump_layout_holds():
     # are str objects, which nbytes counts by their size, not per pointer
     arch = netcore.Architecture(input_dim=2, widths=(3, 2, 1), activations=(act.tanh(),) * 3)
     space = pf._tower(arch, 5)
+    # level 0's members are built at their first read, and counted from then:
+    # its exponents, then the table of its first compose (its metric took none)
+    lv, before = space.levels[0], space.nbytes()
+    assert not {"xexp", "table", "dump_layout"} & set(vars(lv))
+    xexp = lv.xexp
+    assert space.nbytes() == before + xexp.nbytes
+    lv.compose(np.ones((1, lv.n_slots)))
+    slots, exps, gather = vars(lv)["table"]
+    assert space.nbytes() == before + xexp.nbytes + sum(a.nbytes for a in (slots, exps, *gather))
     before = space.nbytes()
     tracemalloc.start()
     try:
-        space.top.dump_layout()
+        space.top.dump_layout
         grown = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
