@@ -12,7 +12,7 @@ cli           the command-line front end
 """
 
 from . import activations, analysis, kreinkernel, ksvm, netcore, pushforward
-from .errors import DivergenceError, DomainError, NearSingularError, SizeLimitError
+from .errors import DivergenceError, DomainError, InputError, NearSingularError, SizeLimitError
 
 __all__ = [
     "activations",
@@ -23,6 +23,7 @@ __all__ = [
     "pushforward",
     "DivergenceError",
     "DomainError",
+    "InputError",
     "NearSingularError",
     "SizeLimitError",
 ]

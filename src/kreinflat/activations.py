@@ -391,23 +391,19 @@ def _global_lipschitz(spec):
     return None
 
 
-_GRID_POINTS = 10_001
-_GRID_INFLATION = 1.01
-
-
 def lipschitz_on(spec, interval_sup):
     """sup |sigma'| over [0, m].
 
     m = inf returns the exact global constant for globally Lipschitz kinds and
-    raises otherwise.  Finite m uses a 10001-point grid inflated by 1% (an
-    upper proxy; suprema of the monotone derivative envelopes here are bracketed
-    far tighter than 1%).
+    raises otherwise.  Finite m gives the smaller of that constant and sigma-bar'(m),
+    as |sigma'(x)| <= sigma-bar'(|x|), nondecreasing: the exact sup for associated
+    kinds, tanh, erf and logistic, else an upper bound (inf, silently, on overflow).
     """
     m = float(interval_sup)
     if m <= 0:
         raise ValueError("interval endpoint must be positive")
+    g = _global_lipschitz(spec)
     if math.isinf(m):
-        g = _global_lipschitz(spec)
         if g is None:
             raise ValueError(f"{spec.kind} has no global Lipschitz constant")
         return g
@@ -415,8 +411,9 @@ def lipschitz_on(spec, interval_sup):
         raise DomainError(
             f"interval [0, {m}] exceeds the convergence radius of {spec.kind}"
         )
-    grid = np.linspace(0.0, m, _GRID_POINTS)
-    return _GRID_INFLATION * float(np.max(np.abs(derivative(spec, grid))))
+    with np.errstate(over="ignore"):
+        local = float(derivative(associated(spec), m))
+    return local if g is None else min(g, local)
 
 
 def is_odd_concave(spec):

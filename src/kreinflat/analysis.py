@@ -19,7 +19,7 @@ import numpy as np
 from . import activations as act
 from . import kreinkernel as kk
 from . import netcore
-from .errors import DomainError
+from .errors import DomainError, InputError
 
 #: memory ceiling of one block of the Monte-Carlo estimate (hypothesis draws or sign trials)
 _BLOCK_BYTES = 512 << 10
@@ -161,7 +161,7 @@ def rademacher_bound_net(arch, radius, sample, n=None):
     radius = float(radius)
     width_gm, lip = netcore.geometric_means(arch)  # m = inf
     if lip is None:
-        raise ValueError(
+        raise InputError(
             "some activation has no global Lipschitz constant; "
             "the kernel-trace bound is unavailable"
         )
@@ -202,7 +202,7 @@ def growth_envelope(arch, xi):
     """
     bad = [q for q, s in enumerate(arch.activations) if not act.is_odd_concave(s)]
     if bad:
-        raise ValueError(
+        raise InputError(
             f"growth envelope needs odd, concave-on-nonnegatives activations; "
             f"layers {bad} do not qualify"
         )

@@ -6,8 +6,10 @@ by --seed/--trunc, and emits one JSON report with the sections config_echo /
 results / diagnostics / warnings.  Reports are written atomically and contain
 nothing run-dependent, so rerunning a config reproduces the bytes exactly.
 
-Exit codes: 0 success, 2 configuration/validation problems, 3 numerical
-domain failures (series domain violations, near-singular solves, divergence).
+Exit codes are decided by the error's type: 0 success; 2 InputError (a bad
+config, dataset, weights file or combination of keys), SizeLimitError or
+OSError; 3 DomainError, NearSingularError, DivergenceError or
+numpy.linalg.LinAlgError.  Any other exception is a bug and propagates (exit 1).
 """
 
 from __future__ import annotations
@@ -29,14 +31,10 @@ from . import kreinkernel as kk
 from . import ksvm
 from . import netcore
 from . import pushforward as pf
-from .errors import DivergenceError, DomainError, NearSingularError, SizeLimitError
+from .errors import DivergenceError, DomainError, InputError, NearSingularError, SizeLimitError
 from .netcore import write_text
 
 DEFAULT_TRUNCATION = pf.DEFAULT_TRUNCATION
-
-
-class ConfigError(ValueError):
-    """Configuration input that fails validation (exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +130,7 @@ def _get(cfg, key):
 
     A dotted key is a field of an object key.  A missing (or null) key gives
     the default.  A missing required key, or a value of the wrong type or out
-    of range, raises ConfigError naming the key.
+    of range, raises InputError naming the key.
     """
     spec = CONFIG_KEYS[key]
     spec = replace(spec, **spec.by_command.get(cfg.command, {}))
@@ -140,7 +138,7 @@ def _get(cfg, key):
     value = (_get(cfg, parent) if parent else cfg).get(name)
     if value is None:
         if spec.default is REQUIRED:
-            raise ConfigError(f"'{key}' is required")
+            raise InputError(f"'{key}' is required")
         return spec.default
     return _checked(key, spec, value)
 
@@ -153,7 +151,7 @@ def _checked(key, spec, value):
     if many != (type(value) is list) or not all(_fits(spec, v) for v in values):
         choices = spec.choices and "one of " + ", ".join(spec.choices)
         expected = " ".join(filter(None, (_TYPES[kind][0], spec.range, choices)))
-        raise ConfigError(f"'{key}' must be {'a list, each ' if many else ''}{expected}")
+        raise InputError(f"'{key}' must be {'a list, each ' if many else ''}{expected}")
     return float(value) if spec.type == "number" else value
 
 
@@ -168,15 +166,15 @@ def _activation_from_entry(entry):
         unknown = [name for name in entry if name != "kind" and name not in _ACTIVATION_FIELDS]
         if unknown:
             fields = ", ".join(("kind", *_ACTIVATION_FIELDS))
-            raise ConfigError(f"unknown field {unknown[0]!r} (the fields are {fields})")
+            raise InputError(f"unknown field {unknown[0]!r} (the fields are {fields})")
         if "kind" not in entry:
-            raise ConfigError("missing field 'kind'")
+            raise InputError("missing field 'kind'")
         for name, type_ in _ACTIVATION_FIELDS.items():
             if entry.get(name) is not None:
                 _checked(name, Key(type_, ()), entry[name])
         return act.ActivationSpec(**entry)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad activation entry {entry!r}: {exc}") from exc
+        raise InputError(f"bad activation entry {entry!r}: {exc}") from exc
 
 
 def architecture_from_config(cfg):
@@ -186,7 +184,7 @@ def architecture_from_config(cfg):
     try:
         return netcore.Architecture(input_dim, widths, acts)
     except ValueError as exc:
-        raise ConfigError(f"bad architecture: {exc}") from exc
+        raise InputError(f"bad architecture: {exc}") from exc
 
 
 def load_config(path):
@@ -194,11 +192,11 @@ def load_config(path):
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise InputError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise InputError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
     return cfg
 
 
@@ -209,14 +207,14 @@ def load_dataset(path, input_dim):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise ConfigError(f"cannot read dataset: {exc}") from exc
+        raise InputError(f"cannot read dataset: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != expected:
-        raise ConfigError(
+        raise InputError(
             f"dataset header must be {','.join(expected)} (file {path!r})"
         )
     lines = [n for n, row in enumerate(rows[1:], start=2) if len(row) > 1 or row and row[0].strip()]
     if not lines:
-        raise ConfigError("dataset has no samples")
+        raise InputError("dataset has no samples")
     try:  # one conversion; NumPy parses each field as float() does
         table = np.array([rows[n - 1] for n in lines], dtype=float)
         ok = table.shape[1:] == (input_dim + 1,) and np.isfinite(table).all()
@@ -225,8 +223,8 @@ def load_dataset(path, input_dim):
     if not ok:  # row by row, to name the first bad line
         try:
             table = np.array([netcore.read_floats(rows[n - 1], n, input_dim + 1) for n in lines])
-        except ValueError as exc:
-            raise ConfigError(f"dataset {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"dataset {exc}") from exc
     return table[:, :input_dim], table[:, input_dim], lines
 
 
@@ -236,10 +234,13 @@ def _weights_for(cfg, arch):
         try:
             weights = netcore.load_weights(path)
         except OSError as exc:
-            raise ConfigError(f"cannot read weights: {exc}") from exc
+            raise InputError(f"cannot read weights: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"malformed weights file: {exc}") from exc
+        try:
+            netcore.check_shapes(arch, weights)
         except ValueError as exc:
-            raise ConfigError(f"malformed weights file: {exc}") from exc
-        netcore.check_shapes(arch, weights)  # ValueError: exit 2
+            raise InputError(str(exc)) from exc
         return weights
     return netcore.init_weights(arch, _get(cfg, "seed"))
 
@@ -293,8 +294,6 @@ def _sidecars(out, names, skipped, artifacts):
 # ---------------------------------------------------------------------------
 # steps the subcommands share
 # ---------------------------------------------------------------------------
-# A handler reads every key it uses before its first computation: compare's
-# bounds step makes a ValueError a warning, and ConfigError is a ValueError.
 
 FitKeys = namedtuple("FitKeys", "loss lam seed steps step_size reg_scale")  # netcore.train's order
 Gram = namedtuple("Gram", "defn values eigs keys alpha residual")
@@ -350,6 +349,8 @@ def _bounds(arch, radius, xs, n, trials, draws, seed):
     """Every bound on the ball of ``radius``, and the Monte-Carlo estimate if trials > 0."""
     report = analysis.rademacher_bound_net(arch, radius, xs, n)
     if trials:
+        if radius == math.inf:  # the weights overflowed: no ball to draw hypotheses in
+            raise DomainError("the weight-ball radius overflowed to inf")
         report.empirical_estimate = analysis.empirical_rademacher(
             arch, radius, xs, trials=trials, hypothesis_draws=draws, seed=seed
         )
@@ -462,7 +463,7 @@ def run_compare(cfg, out=None):
     warnings, bounds = [], None
     try:
         bounds = vars(_bounds(arch, radius, xs, None, *monte_carlo))
-    except (ValueError, DomainError) as exc:
+    except (InputError, DomainError) as exc:
         warnings.append(f"bounds unavailable: {exc}")
 
     results = {
@@ -501,7 +502,7 @@ def run_bounds(cfg, out=None):
     if tight:
         try:
             results["tight"] = vars(analysis.tight_bound(arch, radius, xs, n))
-        except ValueError as exc:
+        except (InputError, DomainError) as exc:
             warnings.append(f"tight bound precondition not met: {exc}")
     diagnostics = {
         "mean_input_norm_sq": float(np.mean(analysis.squared_norms(xs))),
@@ -593,16 +594,13 @@ def main(argv=None):
             sys.stdout.write(text)
         else:
             write_text(args.out, (text,))
-    # LinAlgError subclasses ValueError, so it must be caught before the exit-2 clause
+    except (InputError, SizeLimitError, OSError) as exc:
+        kind = "size guard" if isinstance(exc, SizeLimitError) else "invalid configuration"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return 2
     except (DomainError, NearSingularError, DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical domain failure: {exc}", file=sys.stderr)
         return 3
-    except SizeLimitError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -1,7 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; cli.main maps each to an exit code."""
 
 
-class DomainError(ValueError):
+class InputError(ValueError):
+    """Outside input that fails validation: a config key or keys that do not fit
+    together, a dataset, weights or model file (exit code 2).  It stays a ValueError
+    because the loaders' public contract is a ValueError for a malformed file."""
+
+
+class DomainError(Exception):
     """An evaluation left the validated domain of a series or closed form.
 
     ``layer`` (when set) is the index of the offending network layer;
@@ -23,7 +29,7 @@ class NearSingularError(RuntimeError):
     """A linear solve was requested too close to a singular operator."""
 
 
-class SizeLimitError(ValueError):
+class SizeLimitError(Exception):
     """A flattening request would materialize more entries than the guard allows."""
 
     def __init__(self, message, *, requested=None, limit=None):

@@ -21,7 +21,7 @@ import numpy as np
 from . import activations as act
 from . import kreinkernel as kk
 from . import netcore
-from .errors import DivergenceError, NearSingularError
+from .errors import DivergenceError, InputError, NearSingularError
 
 SolveResult = namedtuple("SolveResult", "alpha residual")
 GDResult = namedtuple("GDResult", "alpha grad_norm")
@@ -154,7 +154,7 @@ def _spec_from_tokens(tokens, lineno):
     if kind == "polynomial":
         return act.polynomial(tuple(params))
     if len(params) > 1:
-        raise ValueError(f"line {lineno}: {kind} takes at most one parameter, got {len(params)}")
+        raise InputError(f"line {lineno}: {kind} takes at most one parameter, got {len(params)}")
     return act.ActivationSpec(kind, sharpness=params[0] if params else None)
 
 
@@ -180,7 +180,7 @@ _MODEL_KEYS = ("lambda", "variant", "input_dim", "widths", "activation", "points
 
 
 def load_model(path):
-    """Model from a save_model file; ValueError for a missing key, or naming the line
+    """Model from a save_model file; InputError for a missing key, or naming the line
     of an unknown or repeated key, a key without its value, a count (input_dim,
     width, points) that is not a whole number, a point row of the wrong width, an
     alpha count other than the point count, a non-finite number or a variant that
@@ -198,9 +198,9 @@ def load_model(path):
             unknown = unknown or f"line {lineno}: unknown key {head!r}"
             continue
         if head in fields:
-            raise ValueError(f"line {lineno}: {head} repeats line {fields[head][1]}")
+            raise InputError(f"line {lineno}: {head} repeats line {fields[head][1]}")
         if not tokens and head in ("activation", "variant", "input_dim", "widths", "points"):
-            raise ValueError(f"line {lineno}: {head} has no value")
+            raise InputError(f"line {lineno}: {head} has no value")
         if head == "activation":
             specs.append(_spec_from_tokens(tokens, lineno))
         elif head == "points":
@@ -211,9 +211,9 @@ def load_model(path):
             fields[head] = tokens, lineno
     missing = [k for k in _MODEL_KEYS if k != "activation" and k not in fields]
     if missing:
-        raise ValueError(f"model file lacks {', '.join(missing)}")
+        raise InputError(f"model file lacks {', '.join(missing)}")
     if unknown:  # after the missing keys, so point rows without their header report that
-        raise ValueError(unknown)
+        raise InputError(unknown)
     arch = netcore.Architecture(
         input_dim=netcore.read_counts(*fields["input_dim"], 1, "input_dim")[0],
         widths=tuple(netcore.read_counts(*fields["widths"], what="width")),
@@ -222,7 +222,7 @@ def load_model(path):
     points = [netcore.read_floats(t, n, arch.input_dim) for n, t in fields["points"][0]]
     tokens, lineno = fields["variant"]
     if len(tokens) != 1 or tokens[0] not in kk.VARIANTS:
-        raise ValueError(f"line {lineno}: unknown variant {' '.join(tokens)!r}")
+        raise InputError(f"line {lineno}: unknown variant {' '.join(tokens)!r}")
     return TrainedKSVM(
         alpha=np.array(netcore.read_floats(*fields["alpha"], len(points))),
         training_points=np.array(points, dtype=float).reshape(len(points), arch.input_dim),

@@ -21,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from . import activations as act
-from .errors import DivergenceError, DomainError, SizeLimitError
+from .errors import DivergenceError, InputError, SizeLimitError
 
 
 @dataclass(frozen=True)
@@ -288,14 +288,12 @@ def geometric_means(arch, intervals=None):
     """
     ms = [math.inf] * arch.depth if intervals is None else [float(m) for m in intervals]
     if len(ms) != arch.depth:
-        raise ValueError("need one interval per layer")
+        raise InputError("need one interval per layer")
     width_gm = _geomean([float(h) for h in arch.widths])
     values = []
     for spec, m in zip(arch.activations, ms):
         try:
             values.append(act.lipschitz_on(spec, m))
-        except DomainError:
-            raise
         except ValueError:
             return width_gm, None
     return width_gm, _geomean(values)
@@ -384,49 +382,49 @@ def save_weights(path, weights):
 
 
 def read_floats(tokens, lineno, count=None):
-    """Floats of file line ``lineno``; ValueError names the line of a bad value or count."""
+    """Floats of file line ``lineno``; InputError names the line of a bad value or count."""
     if count is not None and len(tokens) != count:
-        raise ValueError(f"line {lineno}: expected {count} values, got {len(tokens)}")
+        raise InputError(f"line {lineno}: expected {count} values, got {len(tokens)}")
     try:
         values = [float(t) for t in tokens]
     except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from exc
+        raise InputError(f"line {lineno}: {exc}") from exc
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"line {lineno}: values must be finite")
+        raise InputError(f"line {lineno}: values must be finite")
     return values
 
 
 def read_counts(tokens, lineno, count=None, what="count"):
-    """Whole numbers of file line ``lineno``; ValueError names the line of a count that is
+    """Whole numbers of file line ``lineno``; InputError names the line of a count that is
     negative or not an integer, or of the wrong number of counts."""
     if count is not None and len(tokens) != count:
-        raise ValueError(f"line {lineno}: expected {count} values, got {len(tokens)}")
+        raise InputError(f"line {lineno}: expected {count} values, got {len(tokens)}")
     for t in tokens:
         if not t.isdecimal():
-            raise ValueError(f"line {lineno}: {what} {t!r} is not a whole number")
+            raise InputError(f"line {lineno}: {what} {t!r} is not a whole number")
     return [int(t) for t in tokens]
 
 
 def load_weights(path):
-    """Weights from a save_weights file; ValueError names a malformed or non-finite line,
+    """Weights from a save_weights file; InputError names a malformed or non-finite line,
     a bad count, the line a short file ends on, or the first line past the last layer."""
     with open(path) as fh:
         rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
     if not rows:
-        raise ValueError("the file holds no layer count")
+        raise InputError("the file holds no layer count")
     (depth,) = read_counts(rows[0][1], rows[0][0], 1, "layer count")
     mats = []
     pos = 1
     for q in range(depth):
         if pos == len(rows):
-            raise ValueError(f"line {rows[-1][0]}: the file ends after {q} of {depth} layers")
+            raise InputError(f"line {rows[-1][0]}: the file ends after {q} of {depth} layers")
         n, header = rows[pos]
         h, f = read_counts(header, n, 2, "shape count")
         block = [read_floats(tokens, r, f) for r, tokens in rows[pos + 1 : pos + 1 + h]]
         if len(block) != h:
-            raise ValueError(f"line {n}: header says {h} rows, file has {len(block)}")
+            raise InputError(f"line {n}: header says {h} rows, file has {len(block)}")
         pos += 1 + h
         mats.append(np.array(block, dtype=float).reshape(h, f))
     if pos < len(rows):
-        raise ValueError(f"line {rows[pos][0]}: the file goes on after {depth} of {depth} layers")
+        raise InputError(f"line {rows[pos][0]}: the file goes on after {depth} of {depth} layers")
     return WeightSet(tuple(mats))

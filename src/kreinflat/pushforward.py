@@ -711,11 +711,9 @@ def _feature_values(space, xs):
 
 def flatten_feature_map(arch, x, truncation=DEFAULT_TRUNCATION):
     """The composed feature map of the network at input x, on the top level."""
+    xs = netcore.input_rows(arch, np.asarray(x, dtype=float)[None])
     space = flat_space(arch, truncation)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (arch.input_dim,):
-        raise ValueError(f"input shape {x.shape} != ({arch.input_dim},)")
-    return SeriesVector(_feature_values(space, x[None])[-1][0], space.top)
+    return SeriesVector(_feature_values(space, xs)[-1][0], space.top)
 
 
 def flatten_metric(arch, truncation=DEFAULT_TRUNCATION):

@@ -340,7 +340,7 @@ def test_logistic_radius_is_pi():
     assert act.derivative(a, -2.0) == pytest.approx((1.0 + math.tan(1.0) ** 2) / 4.0, rel=1e-15)
     with pytest.raises(DomainError, match=r"outside radius 3\.141592653589793"):
         act.evaluate(a, 3.2)
-    assert act.lipschitz_on(act.logistic(), 2.0) == pytest.approx(0.25 * 1.01, rel=1e-12)
+    assert act.lipschitz_on(act.logistic(), 2.0) == pytest.approx(0.25, rel=1e-15)
     with pytest.raises(DomainError):
         act.lipschitz_on(act.logistic(), math.pi)
 
@@ -481,9 +481,8 @@ def test_no_global_constant_raises():
 def test_interval_lipschitz_tan():
     t = act.associated(act.tanh())
     got = act.lipschitz_on(t, 1.0)
-    # grid supremum with 1% inflation: 1.01 sec^2(1)
-    assert got == pytest.approx(3.4597740090229063, rel=1e-3)
-    assert got >= 1.0 / math.cos(1.0) ** 2  # valid upper bound
+    # tan' is nondecreasing on [0, 1], so its sup is tan'(1) = sec^2(1)
+    assert got == pytest.approx(1.0 / math.cos(1.0) ** 2, rel=1e-15)
 
 
 def test_interval_lipschitz_is_an_upper_bound():

@@ -22,6 +22,7 @@ from kreinflat import cli, ksvm, netcore
 from kreinflat import pushforward as pf
 from kreinflat import activations as act
 from kreinflat import kreinkernel as kk
+from kreinflat.errors import InputError
 
 SECTIONS = {"config_echo", "results", "diagnostics", "warnings"}
 
@@ -553,7 +554,7 @@ def _row_by_row_load_dataset(path, input_dim):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != expected:
-        raise cli.ConfigError(f"dataset header must be {','.join(expected)} (file {path!r})")
+        raise InputError(f"dataset header must be {','.join(expected)} (file {path!r})")
     data = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -561,9 +562,9 @@ def _row_by_row_load_dataset(path, input_dim):
         try:
             data.append(netcore.read_floats(row, lineno, input_dim + 1))
         except ValueError as exc:
-            raise cli.ConfigError(f"dataset {exc}") from exc
+            raise InputError(f"dataset {exc}") from exc
     if not data:
-        raise cli.ConfigError("dataset has no samples")
+        raise InputError("dataset has no samples")
     table = np.array(data, dtype=float)
     return table[:, :input_dim], table[:, input_dim]
 
@@ -598,7 +599,7 @@ def _csv_bodies(draw):
 def _load_outcome(load, path):
     try:
         xs, ys = load(path, 2)[:2]
-    except cli.ConfigError as exc:
+    except InputError as exc:
         return "error", str(exc)
     return "table", xs.shape, xs.tobytes(), ys.tobytes()
 
@@ -625,7 +626,7 @@ def test_one_conversion_loads_what_the_row_by_row_parse_loads(tmp_path_factory, 
 ])
 def test_dataset_errors_name_the_first_bad_line(tmp_path, body, message):
     (tmp_path / "data.csv").write_text(body)
-    with pytest.raises(cli.ConfigError) as exc:
+    with pytest.raises(InputError) as exc:
         cli.load_dataset(str(tmp_path / "data.csv"), 2)
     assert str(exc.value) == message
 
@@ -1611,6 +1612,94 @@ def test_sparsity_past_the_float_range_reports_inf_with_no_warning(tmp_path, cap
     results = json.loads(out)["results"]
     assert (results["weight_sup"], results["bridge_norm"]) == ("inf", "inf")
     assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# exit codes decided by the error's type
+# ---------------------------------------------------------------------------
+
+_MODEL_TEXT = "lambda 0.5\nvariant krein\ninput_dim 1\nwidths 1\nactivation tanh\npoints 1\n0.5\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("config.json", '{"seed": 1,\n "truncation": oops}\n', r"not valid JSON: .*line 2"),
+    ("data.csv", "x0,x1,y\n0.1,0.2,0.3\n1,2,oops\n", r"^dataset line 3: could not convert"),
+    ("weights.txt", "1\n1 2\n0.5 nan\n", r"^line 3: values must be finite"),
+    ("model.txt", _MODEL_TEXT + "alpha 1e400\n", r"^line 8: values must be finite"),
+])
+def test_every_loader_raises_input_error_on_a_bad_line(tmp_path, name, text, message):
+    loaders = {
+        "config.json": cli.load_config,
+        "data.csv": lambda path: cli.load_dataset(path, 2),
+        "weights.txt": netcore.load_weights,
+        "model.txt": ksvm.load_model,
+    }
+    (tmp_path / name).write_text(text)
+    with pytest.raises(InputError, match=message):
+        loaders[name](str(tmp_path / name))
+
+
+def test_a_value_error_inside_a_handler_propagates(tmp_path, monkeypatch):
+    # only the typed errors have exit codes: any other exception is a bug (exit 1)
+    def broken(cfg, out=None):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setitem(cli.HANDLERS, "kernel", broken)
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path))
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        run("kernel", cfg)
+
+
+def _exp_config(tmp_path, **extra):
+    cfg_obj = tanh_config(tmp_path, **extra)
+    cfg_obj["architecture"]["activations"] = ["exp", "linear"]
+    return write_json(tmp_path / "cfg.json", cfg_obj)
+
+
+_NO_GLOBAL_CONSTANT = (
+    "some activation has no global Lipschitz constant; the kernel-trace bound is unavailable"
+)
+
+
+def test_bounds_on_an_exp_net_exits_2_naming_the_missing_constant(tmp_path, capsys):
+    assert run("bounds", _exp_config(tmp_path)) == 2
+    assert capsys.readouterr().err == f"invalid configuration: {_NO_GLOBAL_CONSTANT}\n"
+
+
+def test_compare_on_an_exp_net_warns_that_its_bounds_are_unavailable(tmp_path, capsys):
+    assert run("compare", _exp_config(tmp_path, train={"steps": 5})) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["bounds"] is None
+    assert report["warnings"] == [f"bounds unavailable: {_NO_GLOBAL_CONSTANT}"]
+
+
+def test_sparsity_intervals_of_the_wrong_length_exit_2(tmp_path, capsys):
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [2, 1], "activations": ["tanh", "tanh"]},
+        "truncation": 3,
+        "weights": admissible_weights_file(tmp_path),
+        "intervals": [0.5],
+    }
+    assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 2
+    assert capsys.readouterr().err == "invalid configuration: need one interval per layer\n"
+
+
+def test_an_overflowing_weight_ball_radius_exits_3_with_trials(tmp_path, capsys):
+    # ||W||_F^2 of a 1e200 entry overflows: the bounds report "inf", but the
+    # Monte-Carlo estimate has no ball to draw in (this exited 2)
+    path = tmp_path / "weights.txt"
+    netcore.save_weights(path, netcore.WeightSet((np.array([[1e200, 0.0], [0.0, 1.0]]),
+                                                  np.array([[1.0, 1.0]]))))
+    cfg_obj = tanh_config(tmp_path, weights=str(path))
+    cfg_obj["architecture"]["activations"] = ["linear", "linear"]
+    assert run("bounds", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["weight_ball_radius"] == results["bound_kernel_trace"] == "inf"
+    cfg_obj["trials"] = 3
+    assert run("bounds", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
+    assert capsys.readouterr().err == (
+        "numerical domain failure: the weight-ball radius overflowed to inf\n"
+    )
 
 
 # ---------------------------------------------------------------------------
