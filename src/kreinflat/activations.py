@@ -408,9 +408,7 @@ def lipschitz_on(spec, interval_sup):
             raise ValueError(f"{spec.kind} has no global Lipschitz constant")
         return g
     if m >= convergence_radius(spec):
-        raise DomainError(
-            f"interval [0, {m}] exceeds the convergence radius of {spec.kind}"
-        )
+        raise DomainError(f"interval [0, {m}] exceeds the convergence radius of {spec.kind}")
     with np.errstate(over="ignore"):
         local = float(derivative(associated(spec), m))
     return local if g is None else min(g, local)

@@ -324,9 +324,7 @@ def _count(name, value):
     return int(value)
 
 
-def empirical_rademacher(
-    arch, radius, sample, trials=200, hypothesis_draws=200, seed=0
-):
+def empirical_rademacher(arch, radius, sample, trials=200, hypothesis_draws=200, seed=0):
     """Monte-Carlo lower estimate of the empirical Rademacher complexity.
 
     Hypotheses are weight sets drawn from per-layer Gaussians scaled so the
@@ -369,9 +367,7 @@ def empirical_rademacher(
     if pending.size:
         pool = np.delete(pool, pending, axis=0)
     if not pool.size:
-        raise DomainError(
-            "no admissible hypothesis draw found inside the radius ball"
-        )
+        raise DomainError("no admissible hypothesis draw found inside the radius ball")
     pool = _exact_grid(pool, n)
 
     # per trial: its signs as integers and floats, and its product row (abs in place)

@@ -193,7 +193,7 @@ def load_config(path):
             cfg = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, not UTF-8, or an int past int()'s digit limit
         raise InputError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
@@ -206,12 +206,10 @@ def load_dataset(path, input_dim):
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read dataset: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != expected:
-        raise InputError(
-            f"dataset header must be {','.join(expected)} (file {path!r})"
-        )
+        raise InputError(f"dataset header must be {','.join(expected)} (file {path!r})")
     lines = [n for n, row in enumerate(rows[1:], start=2) if len(row) > 1 or row and row[0].strip()]
     if not lines:
         raise InputError("dataset has no samples")

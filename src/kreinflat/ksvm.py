@@ -185,8 +185,7 @@ def load_model(path):
     width, points) that is not a whole number, a point row of the wrong width, an
     alpha count other than the point count, a non-finite number or a variant that
     is not exactly one known name."""
-    with open(path) as fh:
-        rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
+    rows = netcore.read_rows(path)
     fields = {}  # head -> (tokens, line number); points -> (rows, line number)
     specs = []
     unknown = None  # the error of the first line no key names

@@ -402,14 +402,25 @@ def read_counts(tokens, lineno, count=None, what="count"):
     for t in tokens:
         if not t.isdecimal():
             raise InputError(f"line {lineno}: {what} {t!r} is not a whole number")
-    return [int(t) for t in tokens]
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:  # more digits than int() converts
+        raise InputError(f"line {lineno}: {what}: {exc}") from exc
+
+
+def read_rows(path):
+    """(line number, tokens) of each non-blank line; InputError if the file does not decode."""
+    try:
+        with open(path) as fh:
+            return [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"not a text file: {exc}") from exc
 
 
 def load_weights(path):
     """Weights from a save_weights file; InputError names a malformed or non-finite line,
     a bad count, the line a short file ends on, or the first line past the last layer."""
-    with open(path) as fh:
-        rows = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
+    rows = read_rows(path)
     if not rows:
         raise InputError("the file holds no layer count")
     (depth,) = read_counts(rows[0][1], rows[0][0], 1, "layer count")

@@ -483,6 +483,7 @@ def test_interval_lipschitz_tan():
     got = act.lipschitz_on(t, 1.0)
     # tan' is nondecreasing on [0, 1], so its sup is tan'(1) = sec^2(1)
     assert got == pytest.approx(1.0 / math.cos(1.0) ** 2, rel=1e-15)
+    assert got >= 1.0 / math.cos(1.0) ** 2  # valid upper bound
 
 
 def test_interval_lipschitz_is_an_upper_bound():

@@ -1639,6 +1639,46 @@ def test_every_loader_raises_input_error_on_a_bad_line(tmp_path, name, text, mes
         loaders[name](str(tmp_path / name))
 
 
+@pytest.mark.parametrize("name, data, message", [
+    ("config.json", b'{"seed": "\xe9"}', r"^config is not valid JSON: .*codec can't decode"),
+    ("config.json", b'{"seed": ' + b"1" * 5000 + b"}", r"^config is not valid JSON: Exceeds"),
+    ("data.csv", b"x0,x1,y\n0.1,\xe9,0.3\n", r"^cannot read dataset: .*codec can't decode"),
+    ("data.csv", b'x0,x1,y\n"' + b"1" * 200_000 + b'",0.2,0.3\n', r"^cannot read dataset: field"),
+    ("weights.txt", b"1\n1 2\n0.5 \xe9\n", r"^not a text file: .*codec can't decode"),
+    ("weights.txt", b"1" * 5000 + b"\n", r"^line 1: layer count: Exceeds"),
+    ("model.txt", _MODEL_TEXT.encode() + b"alpha \xe9\n", r"^not a text file: .*codec"),
+], ids=["config-latin1", "config-int-digits", "dataset-latin1", "dataset-long-field",
+        "weights-latin1", "weights-int-digits", "model-latin1"])
+def test_every_loader_raises_input_error_on_undecodable_or_oversized_text(
+    tmp_path, name, data, message
+):
+    # a non-UTF-8 byte, an int past int()'s digit limit and a CSV field past the
+    # csv module's size limit are plain ValueErrors (or csv.Error) unless the loader types them
+    loaders = {
+        "config.json": cli.load_config,
+        "data.csv": lambda path: cli.load_dataset(path, 2),
+        "weights.txt": netcore.load_weights,
+        "model.txt": ksvm.load_model,
+    }
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(InputError, match=message):
+        loaders[name](str(tmp_path / name))
+
+
+@pytest.mark.parametrize("broken", ["config", "dataset", "weights"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, broken):
+    cfg_obj = tanh_config(tmp_path, weights=str(tmp_path / "weights.txt"))
+    latin1 = "x0,x1,y\n0.1,caf\xe9,0.3\n" if broken == "dataset" else "1\n1 2\ncaf\xe9 1\n"
+    path = tmp_path / ("data.csv" if broken == "dataset" else "weights.txt")
+    path.write_bytes(latin1.encode("latin-1"))
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    if broken == "config":
+        (tmp_path / "cfg.json").write_bytes('{"seed": "caf\xe9"}'.encode("latin-1"))
+    assert run("bounds", cfg) == 2
+    assert re.fullmatch(r"invalid configuration: .*codec can't decode byte 0xe9.*\n",
+                        capsys.readouterr().err)
+
+
 def test_a_value_error_inside_a_handler_propagates(tmp_path, monkeypatch):
     # only the typed errors have exit codes: any other exception is a bug (exit 1)
     def broken(cfg, out=None):
