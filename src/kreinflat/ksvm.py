@@ -151,11 +151,14 @@ def _spec_tokens(spec):
 
 def _spec_from_tokens(tokens, lineno):
     kind, params = tokens[0], netcore.read_floats(tokens[1:], lineno)
-    if kind == "polynomial":
-        return act.polynomial(tuple(params))
-    if len(params) > 1:
+    if kind != "polynomial" and len(params) > 1:
         raise InputError(f"line {lineno}: {kind} takes at most one parameter, got {len(params)}")
-    return act.ActivationSpec(kind, sharpness=params[0] if params else None)
+    try:
+        if kind == "polynomial":
+            return act.polynomial(tuple(params))
+        return act.ActivationSpec(kind, sharpness=params[0] if params else None)
+    except ValueError as exc:  # an unknown kind, or a parameter it refuses
+        raise InputError(f"line {lineno}: {exc}") from exc
 
 
 def save_model(path, model):
@@ -183,8 +186,9 @@ def load_model(path):
     """Model from a save_model file; InputError for a missing key, or naming the line
     of an unknown or repeated key, a key without its value, a count (input_dim,
     width, points) that is not a whole number, a point row of the wrong width, an
-    alpha count other than the point count, a non-finite number or a variant that
-    is not exactly one known name."""
+    alpha count other than the point count, a non-finite number, a variant that
+    is not exactly one known name, or an input_dim, widths or activation line that
+    the architecture or activation refuses."""
     rows = netcore.read_rows(path)
     fields = {}  # head -> (tokens, line number); points -> (rows, line number)
     specs = []
@@ -213,11 +217,13 @@ def load_model(path):
         raise InputError(f"model file lacks {', '.join(missing)}")
     if unknown:  # after the missing keys, so point rows without their header report that
         raise InputError(unknown)
-    arch = netcore.Architecture(
-        input_dim=netcore.read_counts(*fields["input_dim"], 1, "input_dim")[0],
-        widths=tuple(netcore.read_counts(*fields["widths"], what="width")),
-        activations=tuple(specs),
-    )
+    input_dim = netcore.read_counts(*fields["input_dim"], 1, "input_dim")[0]
+    widths = netcore.read_counts(*fields["widths"], what="width")
+    try:
+        arch = netcore.Architecture(input_dim, tuple(widths), tuple(specs))
+    except ValueError as exc:  # a zero count, a last width other than 1, an activation per layer
+        key = "input_dim" if input_dim < 1 else "widths"
+        raise InputError(f"line {fields[key][1]}: {exc}") from exc
     points = [netcore.read_floats(t, n, arch.input_dim) for n, t in fields["points"][0]]
     tokens, lineno = fields["variant"]
     if len(tokens) != 1 or tokens[0] not in kk.VARIANTS:

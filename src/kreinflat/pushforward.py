@@ -26,16 +26,17 @@ are all nonzero, stores every monomial up to the truncation.  flat_values
 gives the flat machine's value with no tower, from truncated power series.
 
 Index storage is flat numpy: packed (slot, exponent) term arrays per level,
-enumerated by count pattern (how many slots each group of equal composed
-degree gives), plus metric values and per-block degree profiles.  Index
-arrays are stored in the narrowest signed dtype that holds their range
-(_int_type).  Above level 0, slot s is (block, child) = divmod(s, m) over the
-m indices of the level below, computed where it is needed.  A level builds
-three members at their first read and keeps them: its composed input
-exponents (read by the weight push and dump layouts), compose's one narrow
-gather table, and the dump layout (sort order, head and tag ids into tables
-of distinct texts).  Tags are ids built bottom-up from the level below's
-ids, with a text only per distinct id.  A dump streams out in blocks of lines.
+enumerated by one walk that grows every slot multiset by a draw per own
+degree, plus metric values.  Index arrays are stored in the narrowest signed
+dtype that holds their range (_int_type).  Above level 0, slot s is (block,
+child) = divmod(s, m) over the m indices of the level below, computed where
+it is needed.  A level builds four members at their first read and keeps
+them: its composed input exponents (read by the weight push and dump
+layouts), its per-block degree profiles (the weight push's exponents above
+level 0), compose's one narrow gather table, and the dump layout (sort
+order, head and tag ids into tables of distinct texts).  Tags are ids built
+bottom-up from the level below's ids, with a text only per distinct id.  A
+dump streams out in blocks of lines.
 flat_space refuses to build a tower past DEFAULT_MAX_ENTRIES stored indices
 at some level (SizeLimitError); level_counts() gives the exact per-level
 counts without enumerating anything, and takes any other limit.  flat_space
@@ -44,6 +45,7 @@ keeps built towers within a byte budget.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
@@ -240,8 +242,8 @@ class _Level:
     Row i of terms_pos/terms_exp holds index i's (slot, exponent) pairs in
     ascending slot order, padded with the pad slot n_slots and exponent 0.
     Slot s above level 0 is (block, child) = divmod(s, m) over the m indices
-    of the level below.  xexp, table and dump_layout are built at their
-    first read and kept.
+    of the level below.  xexp, block_profile, table and dump_layout are
+    built at their first read and kept.
     """
 
     @functools.cached_property
@@ -264,12 +266,27 @@ class _Level:
             xexp += exp[:, None] * padded[child[pos]]
         return xexp
 
+    @functools.cached_property
+    def block_profile(self):
+        """Exponent sums per (stored index, block) above level 0, (m, H), in
+        the exponents' dtype: each is at most the own degree.  The weight push
+        reads them as its generators' exponents.  None at level 0."""
+        if self.level == 0:
+            return None
+        m = len(self.prev.own_degree)
+        block = np.append(np.arange(self.n_slots) // m, 0)  # pad: block 0
+        profile = np.zeros((len(self.own_degree), self.n_slots // m), self.terms_exp.dtype)
+        rows = np.arange(len(profile))
+        for pos, exp in zip(self.terms_pos.T, self.terms_exp.T):  # one cell per row: += adds every term
+            profile[rows, block[pos]] += exp
+        return profile
+
     def nbytes(self):
         """Bytes held by the level's arrays and the members built so far."""
         built = vars(self)
         arrays = [
             self.terms_pos, self.terms_exp, self.own_degree, self.composed_degree,
-            self.metric, self.block_profile, built.get("xexp"),
+            self.metric, built.get("block_profile"), built.get("xexp"),
         ]
         if "table" in built:
             slots, exps, gather = self.table
@@ -517,95 +534,70 @@ def _ranges(sizes):
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
-def _multisets(m, e):
-    """Every multiset of at most e draws from range(m), as (index, count) rows.
-
-    Returns (index, count, starts): the multisets of k draws are rows
-    starts[k]:starts[k + 1].  A row lists its distinct indices ascending,
-    padded with index -1 and count 0 to width min(m, e).
-    """
-    width = min(m, e)
-    index, count = [np.full((1, width), -1, dtype=np.int64)], [np.zeros((1, width), np.int64)]
-    last = used = np.zeros(1, dtype=np.int64)  # each row's last draw and distinct indices
-    for _ in range(e):  # extend each nondecreasing draw by every j >= its last
-        parent, offset = _ranges(m - last)
-        new = (offset > 0) | (used[parent] == 0)  # j opens a column, or repeats the last
-        col = used[parent] - 1 + new
-        rows = np.arange(len(parent))
-        last, used = last[parent] + offset, used[parent] + new
-        index.append(index[-1][parent])
-        count.append(count[-1][parent])
-        index[-1][rows, col] = last
-        count[-1][rows, col] += 1
-    sizes = [len(i) for i in index]
-    return np.concatenate(index), np.concatenate(count), np.cumsum([0] + sizes)
-
-
 def _level_indices(slot_cdeg, supp, trunc):
     """The stored indices of one level, in stored order.
 
-    Slots fall into groups of equal composed degree.  A count pattern takes
-    k_g slots (with repetition) from each group g, with sum k_g in supp and
-    sum k_g * cd_g <= trunc; its indices are the Cartesian product of the
-    groups' multisets, every pattern's at once.  A row's pairs are sorted by
-    slot; the stored order is by own degree, then by the (slot, exponent)
-    pairs as a tuple.
+    One walk grows every multiset of slots by one draw per own degree.  Slots
+    are renumbered by composed degree, so the slots a row may still draw (at
+    or after its last draw, within trunc minus its composed degree) are one
+    searchsorted range.  A row is held as packed (slot + 1) * radix + count
+    codes: drawing its last slot again adds to that count, and any other slot
+    opens a column.  A row that cannot reach the next degree in supp, even by
+    repeating its last slot, is dropped; the rows at each degree in supp are
+    kept.  Their codes are mapped back to the slots' own numbers, each row's
+    pairs sorted by slot, and the rows sorted by own degree, then by the
+    (slot, exponent) pairs as a tuple.
 
-    Returns (own degree, composed degree, slots, exponents), each in the
-    narrowest dtype for its range: the largest degree in supp bounds own
-    degrees and exponents, trunc composed degrees.  Slots and exponents are
-    (m, w) with pads -1 and 0.
+    supp is ascending.  Returns (own degree, composed degree, slots,
+    exponents), each in the narrowest dtype for its range: the largest degree
+    in supp bounds own degrees and exponents, trunc composed degrees.  Slots
+    and exponents are (m, w) with w >= 1 and pads -1 and 0.
     """
     max_own = max(supp, default=0)
-    stored = np.zeros(max_own + 1, dtype=bool)  # own degree -> in supp
-    stored[list(supp)] = True
-    cds, group = np.unique(slot_cdeg, return_inverse=True)
-    # count patterns, group by group; a partial pattern that is not stored and
-    # cannot take a slot of a later group is dropped
-    pattern = np.zeros((1, 0), dtype=np.int64)
-    own = comp = np.zeros(1, dtype=np.int64)
-    for cd, nxt in zip(cds.tolist(), cds[1:].tolist() + [trunc + 1]):
-        room = max_own - own if cd == 0 else np.minimum(max_own - own, (trunc - comp) // cd)
-        row, add = _ranges(room + 1)
-        own, comp = own[row] + add, comp[row] + add * cd
-        keep = stored[own] | ((own < max_own) & (comp + nxt <= trunc))
-        pattern = np.column_stack([pattern[row], add])[keep]
-        own, comp = own[keep], comp[keep]
-    keep = stored[own]
-    pattern = pattern[keep]
-    own, comp = own[keep].astype(_int_type(max_own)), comp[keep].astype(_int_type(trunc))
-    # a row's offset in its pattern's product, read in mixed radix, picks one
-    # multiset per group
-    tables = [_multisets(np.count_nonzero(group == g), pattern[:, g].max(initial=0))
-              for g in range(len(cds))]
-    sizes = np.ones(len(pattern), dtype=np.int64)
-    for g, (_, _, starts) in enumerate(tables):
-        sizes *= np.diff(starts)[pattern[:, g]]
-    rows, offset = _ranges(sizes)
-    # a pair (slot, exponent) is the code (slot + 1) * radix + exponent; pads
-    # hold a code above every pair while rows are sorted, then 0
     radix = max_own + 1
     pad = (len(slot_cdeg) + 1) * radix
-    # every group's codes go into one array of a dtype that holds pad
-    codes = np.empty((len(rows), sum(t[0].shape[1] for t in tables)), _int_type(pad))
-    end = 0
-    for g, (index, count, starts) in enumerate(tables):
-        digit = np.diff(starts)[pattern[:, g]][rows]
-        np.divmod(offset, digit, out=(offset, digit))
-        digit += starts[pattern[:, g]][rows]
-        slot = np.flatnonzero(group == g)[index] + 1
-        start, end = end, end + index.shape[1]
-        codes[:, start:end] = np.where(count > 0, slot * radix + count, pad).take(digit, axis=0)
+    dtype = _int_type(pad)
+    by_cdeg = np.argsort(slot_cdeg, kind="stable")
+    cdeg = np.asarray(slot_cdeg, dtype=np.int64)[by_cdeg]
+    # walk code (r + 1) * radix + count -> the code of slot by_cdeg[r]; the
+    # pad 0 -> pad, above every pair while a row's pairs are sorted
+    lookup = (np.append(-1, by_cdeg)[:, None] + 1) * radix + np.arange(radix)
+    lookup[0] = pad
+    lookup = lookup.ravel().astype(dtype)
+    codes = np.zeros((1, max(1, min(max_own, len(cdeg)))), dtype)  # the empty row
+    last = used = np.zeros(1, dtype=np.intp)  # each row's last draw and columns
+    comp = np.zeros(1, dtype=np.int64)
+    found = []  # (composed degrees, codes) of the rows stored at each own degree
+    for k in range(max_own + 1):
+        i = bisect.bisect_right(supp, k)  # supp[i] is the next degree in supp
+        found.append((comp, codes) if i and supp[i - 1] == k else (comp[:0], codes[:0]))
+        if i == len(supp):
+            break
+        # a row that cannot reach supp[i], even by repeating its last slot,
+        # extends by no slot
+        keep = comp + (supp[i] - k) * cdeg[last] <= trunc
+        hi = np.searchsorted(cdeg, trunc - comp, side="right")
+        parent, offset = _ranges(np.where(keep, hi - last, 0))
+        new = (offset > 0) | (used[parent] == 0)
+        last, used = last[parent] + offset, used[parent] + new
+        comp = comp[parent] + cdeg[last]
+        codes = codes[parent]
+        rows, col = np.arange(len(codes)), used - 1
+        codes[rows, col] = np.where(new, (last + 1) * radix, codes[rows, col]) + 1
+    own = np.repeat(np.arange(len(found)), [len(c) for c, _ in found]).astype(_int_type(max_own))
+    comp, codes = (np.concatenate(a) for a in zip(*found))
+    comp = comp.astype(_int_type(trunc))
+    codes = lookup[codes]
     codes.sort(axis=1)
-    codes = codes[:, : int(np.count_nonzero(codes.min(axis=0, initial=pad) < pad))]
+    codes = codes[:, : max(1, int(np.count_nonzero(codes.min(axis=0, initial=pad) < pad)))]
     codes[codes == pad] = 0  # so a pair tuple sorts before its extensions
     # np.lexsort's last key is the primary one
-    order = np.lexsort([*codes.T[::-1], own[rows]])
-    rows, codes = rows[order], codes[order]
+    order = np.lexsort([*codes.T[::-1], own])
+    own, comp, codes = own[order], comp[order], codes[order]
     exp = np.empty(codes.shape, own.dtype)
     np.divmod(codes, radix, out=(codes, exp))  # codes becomes slot + 1, in place
     codes -= 1
-    return own[rows], comp[rows], codes.astype(_int_type(len(slot_cdeg)), copy=False), exp
+    return own, comp, codes.astype(_int_type(len(slot_cdeg)), copy=False), exp
 
 
 def _pack_level(level_no, arch, prev, trunc):
@@ -622,10 +614,6 @@ def _pack_level(level_no, arch, prev, trunc):
 
     spec = arch.activations[level_no]
     own, comp, pos, exp = _level_indices(slot_cdeg, act.support_degrees(spec, trunc), trunc)
-    m = len(own)
-    if pos.shape[1] == 0:  # keep one (pad) column
-        pos = np.full((m, 1), -1, dtype=pos.dtype)
-        exp = np.zeros((m, 1), dtype=exp.dtype)
     pos[pos < 0] = lv.n_slots  # pad slot
     lv.terms_pos = pos
     lv.terms_exp = exp
@@ -633,15 +621,6 @@ def _pack_level(level_no, arch, prev, trunc):
     lv.composed_degree = comp
     gamma = _multinomials(exp, level_no) * np.array(act.taylor_series(spec, trunc))[own]
     lv.max_exp = int(exp.max(initial=0))
-
-    # above level 0, the per-block degree profile the weight generators need
-    lv.block_profile = None
-    if level_no >= 1:  # exponent sums per (index, block): at most the own degree
-        lv.block_profile = np.zeros((m, h), dtype=exp.dtype)
-        block = np.append(np.arange(lv.n_slots) // len(prev.own_degree), 0)  # pad: block 0
-        rows = np.arange(m)
-        for pos_col, exp_col in zip(pos.T, exp.T):  # one cell per row: += adds every term
-            lv.block_profile[rows, block[pos_col]] += exp_col
 
     # metric recursion: g = gamma o phi(previous metric replicated over blocks)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused next

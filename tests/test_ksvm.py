@@ -16,7 +16,7 @@ from kreinflat import activations as act
 from kreinflat import kreinkernel as kk
 from kreinflat import ksvm
 from kreinflat import netcore
-from kreinflat.errors import DivergenceError, NearSingularError
+from kreinflat.errors import DivergenceError, InputError, NearSingularError
 
 
 def _fd_objective_gradient(alpha, gram, y, lam, loss, h=1e-6):
@@ -662,6 +662,20 @@ def test_load_model_names_the_line_of_a_bad_count(tmp_path, lineno, text, messag
     path = _edited_model_file(tmp_path, lineno, text)
     with pytest.raises(ValueError, match=f"^{message}$"):
         ksvm.load_model(path)
+
+
+@pytest.mark.parametrize("lineno, text, message", [
+    # each raised a plain ValueError without naming the line
+    (3, "input_dim 0", "input_dim must be at least 1"),
+    (4, "widths 0 1", "widths must be positive"),
+    (4, "widths 2 2", "last width must be 1 (scalar output)"),
+    (5, "activation nope", "unknown activation kind 'nope'"),
+])
+def test_load_model_names_the_line_the_architecture_refuses(tmp_path, lineno, text, message):
+    path = _edited_model_file(tmp_path, lineno, text)
+    with pytest.raises(InputError) as err:
+        ksvm.load_model(path)
+    assert str(err.value) == f"line {lineno}: {message}"
 
 
 @pytest.mark.parametrize("text", ["activation relu_surrogate 0.25 7", "activation tanh 0.5 1"])
