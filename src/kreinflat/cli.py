@@ -197,6 +197,13 @@ def load_config(path):
         raise InputError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
+    # a field of an object key goes by its dotted name; a key any command reads is listed
+    unknown = [k for k in cfg if "." in k or k not in CONFIG_KEYS] + [
+        f"{k}.{name}" for k, spec in CONFIG_KEYS.items() if spec.type == "object"
+        and type(cfg.get(k)) is dict for name in cfg[k] if f"{k}.{name}" not in CONFIG_KEYS
+    ]
+    if unknown:
+        raise InputError(f"unknown key {unknown[0]!r}")
     return cfg
 
 

@@ -30,13 +30,14 @@ enumerated by one walk that grows every slot multiset by a draw per own
 degree, plus metric values.  Index arrays are stored in the narrowest signed
 dtype that holds their range (_int_type).  Above level 0, slot s is (block,
 child) = divmod(s, m) over the m indices of the level below, computed where
-it is needed.  A level builds four members at their first read and keeps
-them: its composed input exponents (read by the weight push and dump
-layouts), its per-block degree profiles (the weight push's exponents above
-level 0), compose's one narrow gather table, and the dump layout (sort
-order, head and tag ids into tables of distinct texts).  Tags are ids built
-bottom-up from the level below's ids, with a text only per distinct id.  A
-dump streams out in blocks of lines.
+it is needed.  Every tower value comes from a level's compose: features,
+the metric, and each weight row replicated over the blocks of its level's
+slots.  A level builds three members at their first read and keeps them:
+its composed input exponents (read by the dump layouts), compose's one
+narrow gather table, and the dump layout (sort order, head and tag ids into
+tables of distinct texts).  Tags are ids built bottom-up from the level
+below's ids, with a text only per distinct id.  A dump streams out in blocks
+of lines.
 flat_space refuses to build a tower past DEFAULT_MAX_ENTRIES stored indices
 at some level (SizeLimitError); level_counts() gives the exact per-level
 counts without enumerating anything, and takes any other limit.  flat_space
@@ -242,8 +243,8 @@ class _Level:
     Row i of terms_pos/terms_exp holds index i's (slot, exponent) pairs in
     ascending slot order, padded with the pad slot n_slots and exponent 0.
     Slot s above level 0 is (block, child) = divmod(s, m) over the m indices
-    of the level below.  xexp, block_profile, table and dump_layout are
-    built at their first read and kept.
+    of the level below.  xexp, table and dump_layout are built at their
+    first read and kept.
     """
 
     @functools.cached_property
@@ -253,7 +254,7 @@ class _Level:
 
         A slot carries the exponents of its child: an input coordinate at
         level 0, an index of the level below above it (the pad slot carries
-        0).  The weight push and dump layouts read them.
+        0).  The dump layouts read them.
         """
         dtype = self.composed_degree.dtype
         below = self.prev.xexp if self.level else np.eye(self.n_slots, dtype=dtype)
@@ -266,27 +267,12 @@ class _Level:
             xexp += exp[:, None] * padded[child[pos]]
         return xexp
 
-    @functools.cached_property
-    def block_profile(self):
-        """Exponent sums per (stored index, block) above level 0, (m, H), in
-        the exponents' dtype: each is at most the own degree.  The weight push
-        reads them as its generators' exponents.  None at level 0."""
-        if self.level == 0:
-            return None
-        m = len(self.prev.own_degree)
-        block = np.append(np.arange(self.n_slots) // m, 0)  # pad: block 0
-        profile = np.zeros((len(self.own_degree), self.n_slots // m), self.terms_exp.dtype)
-        rows = np.arange(len(profile))
-        for pos, exp in zip(self.terms_pos.T, self.terms_exp.T):  # one cell per row: += adds every term
-            profile[rows, block[pos]] += exp
-        return profile
-
     def nbytes(self):
         """Bytes held by the level's arrays and the members built so far."""
         built = vars(self)
         arrays = [
             self.terms_pos, self.terms_exp, self.own_degree, self.composed_degree,
-            self.metric, built.get("block_profile"), built.get("xexp"),
+            self.metric, built.get("xexp"),
         ]
         if "table" in built:
             slots, exps, gather = self.table
@@ -706,28 +692,16 @@ def flatten_metric(arch, truncation=DEFAULT_TRUNCATION):
     return SeriesVector(top.metric.copy(), top)
 
 
-def _powers(w, base):
-    """prod_j w[..., r, j] ** base[i, j] per row r and index i, shape (..., R, n).
-
-    Bit-equal to np.prod(w[..., :, None, :] ** base, axis=-1): each power
-    w[..., r, j] ** e, for e up to the largest in base, comes once from an
-    elementwise np.power over an exponent array, and the same np.prod runs
-    over the powers gathered at every (i, j).
-    """
-    top = int(base.max(initial=0))
-    table = np.power(w[..., None], np.arange(top + 1))
-    table = table.reshape(w.shape[:-1] + (w.shape[-1] * (top + 1),))
-    return np.prod(table[..., np.arange(base.shape[1]) * (top + 1) + base], axis=-1)
-
-
 def _weight_values(space, mats, q):
     """Pushed weight values of layer q on the top level, (k, m), for mats
     stacked (k, H_q, H_{q-1}) per layer."""
     levels = space.levels
-    # rows of W_q become per-block generator values on the slots of level q+1 (the
-    # output's one row: the top's own), exponents over inputs at q = 0, blocks above
-    gen = _powers(mats[q], levels[0].xexp if q == 0 else levels[q].block_profile)
-    vals = gen.reshape(len(gen), math.prod(gen.shape[1:]))  # (k, H_q * n_idx_q)
+    # row r of W_q, replicated over the blocks of level q's slots (one copy per
+    # input at level 0), goes through phi like an input: (k, H_q, m_q), whose
+    # rows are per-block slot values of level q+1 (the output's one row: the top)
+    w = np.repeat(mats[q], levels[q].n_slots // space.arch.fan_ins[q], axis=-1)
+    vals = levels[q].compose(w)
+    vals = vals.reshape(len(vals), math.prod(vals.shape[1:]))  # (k, H_q * m_q)
     for level in levels[q + 1 :]:
         vals = level.compose(vals)
     return vals

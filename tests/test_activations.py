@@ -467,6 +467,9 @@ def test_global_lipschitz_constants():
     # sup of the surrogate derivative sits at xi = c: (1+erf(1))/2 + e^-1/sqrt(pi)
     assert act.lipschitz_on(act.relu_surrogate(0.01), math.inf) == pytest.approx(
         1.128904145185155, rel=1e-12)
+    # a degree-1 polynomial's derivative is its a_1, trailing zeros or not
+    assert act.lipschitz_on(act.polynomial((0.5, 0.75)), math.inf) == 0.75
+    assert act.lipschitz_on(act.polynomial((0.0, 0.75, 0.0)), math.inf) == 0.75
 
 
 def test_no_global_constant_raises():

@@ -167,15 +167,17 @@ def test_seed_override_changes_initialization(tmp_path):
 
 
 # sha256 of the six dumps of a 3-level tanh tower, taken before the tower was
-# built from index arrays; 2,240 distinct "exponents | tag" prefixes share its
-# 3,288 lines, so the bytes also pin the stored order that breaks their ties
+# built from index arrays (the three weight dumps above layer 0 re-taken when
+# pushed weights went through compose); 2,240 distinct "exponents | tag"
+# prefixes share its 3,288 lines, so the bytes also pin the stored order that
+# breaks their ties
 GOLDEN_DUMPS = {
     "feature_map": "bc6e905b7d00224ae14e168b82629984f52284b391e4bb322e4bb7cc78e562ff",
-    "flat_weight": "268a7539a1d34145529d4d0a65eb6f6a0162a691789e2a97b881960fe1a19513",
+    "flat_weight": "fb453d560c4f8105ce2cced8d664707d884258009bc4e76c8319b7d593788617",
     "metric": "56c9ff191281cc89ebc47654907002aae8ebfdc001f3c9377598620a16b3f2e3",
     "weight_layer0": "af07c39a61ae743b8ec670164bbfb08d731ded2214e22ca980925451a474f0c7",
-    "weight_layer1": "ce416017675a3993c7648416d2c5ca7157e93145d1c6728b547fab63a2cc2d86",
-    "weight_layer2": "d782cc9b4450b0c967f8893c349c2fac58b75bfbdf51198d51177698790bcf12",
+    "weight_layer1": "ff3ae07f26d2a7fcfc3bd4f4e9d7014261b11ba510a4e93be5f7bfeb2bf72677",
+    "weight_layer2": "230cc4ef294eb5f2715340a108e258b0ca1e6ac5126c679a221f79363eeaef87",
 }
 
 
@@ -404,6 +406,34 @@ def test_bad_json_config(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_a_config_that_is_a_json_array_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", [poly_config(tmp_path)])
+    assert run("flatten", cfg) == 2
+    assert "invalid configuration: config must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"truncaton": 3, "train": {"stpes": 5}}, "truncaton"),  # not a run at truncation 8
+    ({"train": {"steps": 5, "stpes": 5}}, "train.stpes"),
+    ({"train.steps": 5}, "train.steps"),  # a field is not a top-level key
+    ({"architecture": {"input_dim": 2, "widths": [1], "activations": ["tanh"], "width": 2}},
+     "architecture.width"),
+])
+def test_an_unknown_key_exits_2_naming_it(tmp_path, capsys, extra, key):
+    cfg = write_json(tmp_path / "cfg.json", poly_config(tmp_path, **extra))
+    assert run("flatten", cfg) == 2
+    assert capsys.readouterr().err == f"invalid configuration: unknown key {key!r}\n"
+    with pytest.raises(InputError, match=f"^unknown key {re.escape(repr(key))}$"):
+        cli.load_config(cfg)
+
+
+def test_a_key_that_another_command_reads_is_accepted(tmp_path, capsys):
+    # the gram benchmark's kernel config carries train-ksvm's lambda
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, train={"steps": 2}))
+    assert run("kernel", cfg) == 0
+    assert json.loads(capsys.readouterr().out)["config_echo"]["lambda"] == 0.5
+
+
 def test_missing_config_file(tmp_path):
     assert run("flatten", str(tmp_path / "nope.json")) == 2
 
@@ -465,6 +495,12 @@ def test_non_finite_weights_file_names_its_line(tmp_path, capsys, value):
     assert run("flatten", cfg, str(out)) == 2
     assert "malformed weights file: line 3: values must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_unreadable_weights_path_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", poly_config(tmp_path, weights=str(tmp_path / "nope.txt")))
+    assert run("flatten", cfg) == 2
+    assert "invalid configuration: cannot read weights: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["flatten", "bounds", "sparsity"])
@@ -1529,6 +1565,20 @@ def test_sparsity_warns_on_inadmissible_weights(tmp_path, capsys):
     assert run("sparsity", cfg) == 0
     report = json.loads(capsys.readouterr().out)
     assert any("admissibility" in w for w in report["warnings"])
+
+
+def test_sparsity_warns_on_a_nonzero_constant_term(tmp_path, capsys):
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [2, 1], "activations": ["logistic", "tanh"]},
+        "truncation": 5,
+        "weights": admissible_weights_file(tmp_path),
+        "intervals": [0.5, 0.5],
+    }
+    assert run("sparsity", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    assert warnings == [
+        "layer 0 activation has a nonzero constant term; the sparsity ceiling is not guaranteed"
+    ]
 
 
 def test_sparsity_overflowing_interval_exits_3_naming_the_layer(tmp_path, capsys):

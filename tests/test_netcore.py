@@ -420,6 +420,13 @@ def test_lipschitz_means_on_finite_intervals():
     assert lbar == pytest.approx(single, rel=1e-12)
 
 
+def test_geomean_is_zero_with_a_zero_and_inf_with_an_inf():
+    assert netcore._geomean([]) == 1.0
+    assert netcore._geomean([2.0, 0.0, math.inf]) == 0.0  # a zero wins: no 0 * inf NaN
+    assert netcore._geomean([2.0, math.inf]) == math.inf
+    assert netcore._geomean([2.0, 8.0]) == pytest.approx(4.0, rel=1e-15)
+
+
 def test_interval_count_must_match_depth():
     arch = lin_arch(1, (2, 1))
     with pytest.raises(ValueError):

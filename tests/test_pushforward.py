@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -805,12 +806,11 @@ def test_compact_table_compose_is_the_full_table_bit_for_bit(arch, trunc):
         want = _gamma(arch, trunc, lv) * _full_table_compose(lv, lv.prev.metric)[0]
         assert _same_bits(lv.metric, want), lv.level
     weights = netcore.init_weights(arch, seed=2)
-    for q in range(arch.depth - 1):
-        base = space.levels[0].xexp if q == 0 else space.levels[q].block_profile
-        w = np.asarray(weights[q])
-        vals = np.prod(w[:, None, :] ** base[None, :, :], axis=2).reshape(1, -1)
-        for lv in space.levels[q + 1 :]:
-            vals = _full_table_compose(lv, vals)
+    for q, lv in enumerate(space.levels):
+        w = np.asarray(weights[q])  # each row replicated over the blocks of lv's slots
+        vals = _full_table_compose(lv, np.repeat(w, lv.n_slots // w.shape[1], axis=1)).reshape(1, -1)
+        for above in space.levels[q + 1 :]:
+            vals = _full_table_compose(above, vals)
         got = pf.pushed_weights(arch, weights, trunc)[0][q].values
         assert _same_bits(got, vals[0]), q
 
@@ -1160,20 +1160,56 @@ REFERENCE_TOWERS = [
 ]
 
 
-def _per_draw_weight_values(space, weights, q):
-    """_weight_values before the power table: one draw, every power taken by
-    the broadcast w ** base."""
-    levels = space.levels
-    d = len(levels)
-    w = np.asarray(weights[q], dtype=float)
-    if q == d - 1:
-        top = levels[-1]
-        return np.prod(w[0][None, :] ** (top.xexp if d == 1 else top.block_profile), axis=1)
-    base = levels[0].xexp if q == 0 else levels[q].block_profile
-    vals = levels[q + 1].compose(np.prod(w[:, None, :] ** base[None, :, :], axis=2).reshape(-1))
-    for lvl in range(q + 2, d):
-        vals = levels[lvl].compose(vals)
+def _per_draw_weight_values(space, weights):
+    """Layer 0's pushed values as _weight_values took them before the push
+    went through compose: one draw, every power by the broadcast w ** base,
+    reduced by np.prod."""
+    w = np.asarray(weights[0], dtype=float)
+    vals = np.prod(w[:, None, :] ** space.levels[0].xexp[None], axis=2).reshape(-1)
+    for lv in space.levels[1:]:
+        vals = lv.compose(vals)
     return vals
+
+
+def _weight_exponents(space, q):
+    """The exponent of each entry of W_q (row-major) in each top-level pushed
+    value, (m, H_q * H_{q-1}): the push run on integer exponent vectors, a
+    product becoming a sum and a power a multiple."""
+    h, f = space.arch.layer_shapes()[q]
+    lv = space.levels[q]
+    slot = np.eye(f, dtype=np.int64)[np.arange(lv.n_slots) // (lv.n_slots // f)]
+    own = _level_exponents(lv, slot)  # (m_q, f) for any one row of W_q
+    vals = np.einsum("rR,mf->rmRf", np.eye(h, dtype=np.int64), own).reshape(h * len(own), h * f)
+    for lv in space.levels[q + 1 :]:  # each level's input is tiled over its blocks
+        vals = _level_exponents(lv, vals[np.arange(lv.n_slots) % len(vals)])
+    return vals
+
+
+def _level_exponents(lv, slot_vectors):
+    """Per stored index, the sum over its terms of exponent * its slot's
+    integer vector (the pad slot's is 0)."""
+    padded = np.vstack([slot_vectors, np.zeros_like(slot_vectors[:1])])
+    return np.einsum("mw,mwg->mg", _wide(lv.terms_exp), padded[lv.terms_pos])
+
+
+def _ulps_from_exact(got, weights, exps):
+    """|got - exact| in ulps of the exact product of weights ** exps per row,
+    each distinct row computed once in rational arithmetic."""
+    radix = int(exps.max(initial=0)) + 1  # a row packed into one key
+    keys = exps @ radix ** np.arange(exps.shape[1], dtype=np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows = exps[first]
+    ratios = [w.as_integer_ratio() for w in weights.tolist()]
+    nearest, residual = np.empty(len(rows)), np.empty(len(rows))
+    for i, row in enumerate(rows.tolist()):
+        exact = Fraction(
+            math.prod(n**e for (n, _), e in zip(ratios, row)),
+            math.prod(d**e for (_, d), e in zip(ratios, row)),
+        )
+        nearest[i] = float(exact)
+        residual[i] = float(exact - Fraction(nearest[i]))
+    nearest, residual = nearest[inverse], residual[inverse]
+    return np.abs((got - nearest) - residual) / np.spacing(np.abs(nearest))
 
 
 @pytest.mark.parametrize("arch, trunc", REFERENCE_TOWERS)
@@ -1182,8 +1218,12 @@ def test_tabled_powers_are_the_broadcast_powers_bit_for_bit(arch, trunc, scale):
     space = pf.flat_space(arch, trunc)
     weights = netcore.WeightSet(tuple(scale * w for w in netcore.init_weights(arch, seed=6)))
     layers, _ = pf.pushed_weights(arch, weights, trunc)
-    for q in range(arch.depth):
-        assert _same_bits(layers[q].values, _per_draw_weight_values(space, weights, q)), q
+    # the replicated rows' push is the broadcast power's at layer 0, bit for bit
+    assert _same_bits(layers[0].values, _per_draw_weight_values(space, weights))
+    for q in range(arch.depth):  # every layer within 3 ulp of its exact products
+        w = np.asarray(weights[q], dtype=float).ravel()
+        ulps = _ulps_from_exact(layers[q].values, w, _weight_exponents(space, q))
+        assert ulps.max() <= 3.0, (q, ulps.max())
 
 
 @pytest.mark.parametrize("arch, trunc", REFERENCE_TOWERS)
@@ -1266,8 +1306,7 @@ def _eager_xexp(space):
             slot_xexp = np.eye(space.arch.input_dim, dtype=np.int64)
         else:
             slot_xexp = np.tile(out[-1], (space.arch.widths[lv.level - 1], 1))
-        padded = np.vstack([slot_xexp, np.zeros_like(slot_xexp[:1])])
-        out.append(np.einsum("mw,mwd->md", _wide(lv.terms_exp), padded[lv.terms_pos]))
+        out.append(_level_exponents(lv, slot_xexp))
     return out
 
 
@@ -1276,9 +1315,9 @@ def test_exponents_on_demand_are_the_eager_exponents(arch, trunc):
     space = pf._tower(arch, trunc)  # a fresh, uncached build
     weights = netcore.init_weights(arch, seed=1)
     mats = [w[None] for w in weights]
-    for q in range(arch.depth):  # the push reads level 0's exponents alone
+    for q in range(arch.depth):  # the push reads no exponents
         pf._weight_values(space, mats, q)
-    assert all("xexp" not in vars(lv) for lv in space.levels[1:])
+    assert all("xexp" not in vars(lv) for lv in space.levels)
     for lv, want in zip(space.levels, _eager_xexp(space)):
         # stored narrow, in the composed degrees' dtype
         assert lv.xexp.dtype == np.min_scalar_type(-1 - trunc), lv.level
@@ -1354,7 +1393,7 @@ def _int64_level_indices(slot_cdeg, supp, trunc):
 
 def _int64_tower(arch, trunc):
     """Every level as _pack_level built it before narrow dtypes: int64 index
-    arrays and a bincount block profile."""
+    arrays."""
     levels, prev = [], None
     for q, spec in enumerate(arch.activations):
         lv = pf._Level()
@@ -1374,11 +1413,6 @@ def _int64_tower(arch, trunc):
         lv.own_degree, lv.composed_degree = own, comp
         lv.gamma = pf._multinomials(exp, q) * np.array(act.taylor_series(spec, trunc))[own]
         lv.max_exp = int(exp.max(initial=0))
-        lv.block_profile = None
-        if q >= 1:
-            cells = np.arange(m)[:, None] * h + np.append(_slot_maps(lv)[0], 0)[lv.terms_pos]
-            profile = np.bincount(cells.ravel(), exp.ravel(), minlength=m * h)
-            lv.block_profile = profile.astype(np.int64).reshape(m, h)
         lv.metric = lv.gamma.copy() if q == 0 else lv.gamma * lv.compose(prev.metric)
         levels.append(lv)
         prev = lv
@@ -1419,8 +1453,6 @@ def test_compact_tower_is_the_int64_tower(arch_trunc):
             "terms_pos": lv.n_slots, "terms_exp": top, "own_degree": top,
             "composed_degree": trunc, "xexp": trunc,
         }
-        if lv.level > 0:
-            bounds.update(block_profile=top)
         for name, bound in bounds.items():
             got = getattr(lv, name)
             assert got.dtype == np.min_scalar_type(-1 - bound), (lv.level, name, got.dtype)
