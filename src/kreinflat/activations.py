@@ -8,6 +8,8 @@ which drives the positive-definite companion kernel and all capacity bounds.
 tanh, logistic, erf and exp each have one coefficient stream, built once,
 grown on demand and ended at the last nonzero float; tanh's and logistic's come
 from the Euler zigzag numbers.  Associated kinds read |a_i| of their base kind.
+A series stops where its coefficients end, so a truncation past that end costs
+no more than the end itself.
 """
 
 from __future__ import annotations
@@ -237,12 +239,24 @@ def taylor_coefficient(spec, i):
 
 
 def taylor_series(spec, up_to):
-    """[a_0, ..., a_up_to]."""
-    return [taylor_coefficient(spec, i) for i in range(up_to + 1)]
+    """[a_0, ..., a_n] for n = up_to, or less where every later coefficient is 0 (past a
+    polynomial's last, or where a stream's terms round to 0, the relu surrogate's too)."""
+    kind = _BASE.get(spec.kind, spec.kind)
+    if kind in _STREAMS:
+        _coefficient(kind, max(0, up_to))  # the stream grows to degree up_to or to its end
+        up_to = min(up_to, len(_STREAMS[kind][0]) - 1)
+    elif kind != "relu_surrogate":
+        up_to = min(up_to, len(spec.coefficients or (0.0, 1.0)) - 1)  # linear's are (0, 1)
+    series = []
+    for i in range(up_to + 1):
+        series.append(taylor_coefficient(spec, i))
+        if kind == "relu_surrogate" and i > 1 and i % 2 == 0 and not series[-1]:
+            return series[: max(2, i - 1)]  # its terms fall from their peak: all later are 0
+    return series
 
 
 def support_degrees(spec, up_to):
-    """Degrees i <= up_to with a_i != 0, ascending."""
+    """Degrees i <= up_to with a_i != 0, ascending (no work past the series' end)."""
     return [i for i, a in enumerate(taylor_series(spec, up_to)) if a != 0.0]
 
 

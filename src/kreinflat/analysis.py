@@ -51,43 +51,55 @@ def penalties(arch, weights):
     enter.  On arch.associated() these are the positive companions.  DomainError
     names the first layer to leave its domain (chains in the order q = 0..d-1,
     then flat) or, failing that, the first whose largest argument overflowed.
+    Batch-first: values have the weights' stack shape, each draw bit-equal to its
+    own walk; from a stack, DomainError names the first draw failing alone (C order).
     """
-    netcore.check_shapes(arch, weights)
+    stack = netcore.check_shapes(arch, weights)
     d = arch.depth
-    intervals = [0.0] * d
+    intervals = [np.zeros(stack)] * d
 
-    def step(k, s):  # layer k alone, noting its largest |argument|
-        intervals[k] = max(intervals[k], float(np.max(np.abs(s))))
+    def step(k, s):  # layer k alone, noting each draw's largest |argument|
+        peak = np.max(np.abs(s), axis=tuple(range(len(stack), np.ndim(s))))
+        intervals[k] = np.fmax(intervals[k], peak)
         return kk.chain(arch, s, layers=[k])
 
     layers = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        prefix = float(arch.input_dim)
-        base = 1.0
-        for q, w in enumerate(weights):
-            if q:
-                base = step(q - 1, prefix)
-                prefix = base * arch.widths[q - 1]
-            s = np.sum(step(q, np.sum(w * w, axis=1) * base))
-            for k in range(q + 1, d):
-                s = step(k, s)
-                if k < d - 1:
-                    s = s * arch.widths[k]
-            layers.append(float(s))
-        for k, w in enumerate(weights):
-            sq = w**2
-            t = step(k, np.sum(sq, axis=1) if k == 0 else sq @ t)
-    for q, m in enumerate(intervals):
-        if not math.isfinite(m):
-            raise DomainError(f"layer {q}: a penalty-chain argument overflowed to {m}", layer=q)
-    return Penalties(layers, float(t[0]), intervals)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            prefix = float(arch.input_dim)
+            base = 1.0
+            for q, w in enumerate(weights):
+                if q:
+                    base = step(q - 1, prefix)
+                    prefix = base * arch.widths[q - 1]
+                s = np.sum(step(q, np.sum(w * w, axis=-1) * base), axis=-1)
+                for k in range(q + 1, d):
+                    s = step(k, s)
+                    if k < d - 1:
+                        s = s * arch.widths[k]
+                layers.append(s)
+            for k, w in enumerate(weights):
+                sq = w**2
+                t = step(k, np.sum(sq, axis=-1) if k == 0 else (sq @ t[..., None])[..., 0])
+        for q, m in enumerate(intervals):
+            if not np.isfinite(m).all():
+                raise DomainError(f"layer {q}: a penalty-chain argument overflowed to {m}", layer=q)
+    except DomainError:
+        for i, j in enumerate(np.ndindex(stack) if stack else ()):  # the first draw that fails alone
+            try:
+                penalties(arch, [w[j] for w in weights])
+            except DomainError as exc:
+                raise DomainError(f"draw {i}: {exc}", layer=exc.layer, location=i) from exc
+        raise
+    return Penalties(layers, t[..., 0], intervals)
 
 
 def weight_ball_radius(arch, weights, reg_scale=None):
-    """reg_scale * sum_q ||W_q||_F^2 (reg_scale defaults to 1/depth)."""
+    """reg_scale * sum_q ||W_q||_F^2 (reg_scale defaults to 1/depth) per stacked draw."""
     netcore.check_shapes(arch, weights)
     scale = 1.0 / arch.depth if reg_scale is None else float(reg_scale)
-    return scale * sum(weights.frobenius_sq())
+    with np.errstate(over="ignore"):  # inf: the ball of overflowed weights
+        return scale * sum(netcore.frobenius_sq(weights))
 
 
 def _power(base, exponent):
@@ -146,7 +158,7 @@ def _sample_array(arch, sample):
     return xs
 
 
-def rademacher_bound_net(arch, radius, sample, n=None):
+def rademacher_bound_net(arch, radius, sample, n=None, tight=None):
     """Every bound the architecture supports on the weight ball of ``radius``, as one BoundReport.
 
     The kernel-trace bound is always computed (global Lipschitz constants are
@@ -154,7 +166,8 @@ def rademacher_bound_net(arch, radius, sample, n=None):
     growth-envelope form only when every activation is odd and concave on the
     nonnegative axis.  Domain violations in the associated kernel are reported
     with the offending sample index.  ``empirical_estimate`` is left None for
-    the caller to fill with empirical_rademacher().
+    the caller to fill with empirical_rademacher().  ``tight`` is the
+    tight_bound of the same arguments when the caller has it.
     """
     xs = _sample_array(arch, sample)
     count = xs.shape[0] if n is None else int(n)
@@ -190,7 +203,7 @@ def rademacher_bound_net(arch, radius, sample, n=None):
             _bound_product(_power(width_gm * lip * radius, arch.depth), sq_mean) / count
         )
     if all(act.is_odd_concave(s) for s in arch.activations):
-        report.bound_growth = tight_bound(arch, radius, xs, count).general
+        report.bound_growth = (tight or tight_bound(arch, radius, xs, count)).general
     return report
 
 
@@ -273,28 +286,23 @@ def _hypothesis_block(arch, radius, xs, rng, k):
     Each draw takes its standard normals for all layers in one run of the
     stream (draw-major), so the stream is consumed the same way whatever k
     is.  Draws outside the ball or leaving a pole-limited domain get NaN
-    rows; the caller rejects every row that is not finite.  ``xs`` is a
-    checked sample (see _sample_array) and the draws have the architecture's
-    shapes by construction, so the block goes through the unchecked pass as
-    drawn: each stacked row is bit-equal to its own draw's pass.
+    rows; the caller rejects every row that is not finite.  The block goes
+    through one stacked pass, each row bit-equal to its own draw's pass.
     """
     shapes = arch.layer_shapes()
-    z = rng.standard_normal((k, sum(h * f for h, f in shapes)))
-    mats, start = [], 0
-    for h, f in shapes:
-        std = math.sqrt(0.5 * radius / (h * f))  # the expected ball radius is half the target
-        mats.append(std * z[:, start : start + h * f].reshape(k, h, f))
-        start += h * f
+    sizes = [h * f for h, f in shapes]
+    z = np.split(rng.standard_normal((k, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    mats = [math.sqrt(0.5 * radius / n) * part.reshape((k, *s))  # expected radius: half the target
+            for s, n, part in zip(shapes, sizes, z)]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite draws are rejected
-        # weight_ball_radius per draw, summed in the same order
-        inside = (1.0 / arch.depth) * sum(np.sum(w * w, axis=(1, 2)) for w in mats) <= radius
+        inside = weight_ball_radius(arch, mats) <= radius
         try:
-            values = netcore.propagate(arch, mats, xs.T)[1][-1][:, 0, :]
+            values = netcore.forward_batch(arch, mats, xs)
         except DomainError:  # reject only the draws whose own pass leaves the domain
             values = np.full((k, xs.shape[0]), np.nan)
             for i in np.flatnonzero(inside):
                 with contextlib.suppress(DomainError):
-                    values[i] = netcore.propagate(arch, [w[i] for w in mats], xs.T)[1][-1][0]
+                    values[i] = netcore.forward_batch(arch, [w[i] for w in mats], xs)
     values[~inside] = np.nan
     return values
 

@@ -94,7 +94,7 @@ CONFIG_KEYS = {
     "weights": Key("path", ("flatten", "bounds", "sparsity"), None),
     "seed": Key("integer", ("flatten", "train-net", "compare", "bounds", "sparsity"), 0,
                 ">= 0 and < 2**64"),
-    "truncation": Key("integer", ("flatten", "sparsity"), DEFAULT_TRUNCATION, ">= 1"),
+    "truncation": Key("integer", ("flatten", "sparsity"), DEFAULT_TRUNCATION, ">= 1 and < 2**53"),
     "lambda": Key("number", _FIT, range="> 0"),
     "reg_scale": Key("number", ("train-net", "compare", "bounds", "sparsity"), None, ">= 0"),
     "loss": Key("choice", _FIT, "squared", choices=netcore.LOSSES),
@@ -345,14 +345,14 @@ def _gram(arch, variant, xs, ys=None, lam=None):
 
 
 def _radius(cfg, arch, weights):
-    """The radius of the weight ball that the config's regulariser defines around
-    ``weights``: the ball every bound of the run is over."""
-    return analysis.weight_ball_radius(arch, weights, _get(cfg, "reg_scale"))
+    """The radius of the weight ball the config's regulariser defines around ``weights``."""
+    return float(analysis.weight_ball_radius(arch, weights, _get(cfg, "reg_scale")))
 
 
-def _bounds(arch, radius, xs, n, trials, draws, seed):
-    """Every bound on the ball of ``radius``, and the Monte-Carlo estimate if trials > 0."""
-    report = analysis.rademacher_bound_net(arch, radius, xs, n)
+def _bounds(arch, radius, xs, n, trials, draws, seed, tight=None):
+    """Every bound on the ball of ``radius`` (given its ``tight`` bound, if computed),
+    and the Monte-Carlo estimate if trials > 0."""
+    report = analysis.rademacher_bound_net(arch, radius, xs, n, tight)
     if trials:
         if radius == math.inf:  # the weights overflowed: no ball to draw hypotheses in
             raise DomainError("the weight-ball radius overflowed to inf")
@@ -428,7 +428,7 @@ def run_train_net(cfg, out=None):
         "initial_objective": fit.initial_objective,
         "final_objective": fit.final_objective,
         "final_mean_loss": mean_loss,
-        "layer_frobenius_sq": fit.weights.frobenius_sq(),
+        "layer_frobenius_sq": netcore.frobenius_sq(fit.weights),
         "weight_ball_radius": _radius(cfg, arch, fit.weights),
         "steps": keys.steps,
         "step_size": keys.step_size,
@@ -502,13 +502,15 @@ def run_bounds(cfg, out=None):
     if radius is None:
         radius = _radius(cfg, arch, _weights_for(cfg, arch))
 
-    warnings = []
-    results = dict(vars(_bounds(arch, radius, xs, n, *monte_carlo)))
+    warnings, growth = [], None
     if tight:
         try:
-            results["tight"] = vars(analysis.tight_bound(arch, radius, xs, n))
+            growth = analysis.tight_bound(arch, radius, xs, n)
         except (InputError, DomainError) as exc:
             warnings.append(f"tight bound precondition not met: {exc}")
+    results = dict(vars(_bounds(arch, radius, xs, n, *monte_carlo, growth)))
+    if growth is not None:
+        results["tight"] = vars(growth)
     diagnostics = {
         "mean_input_norm_sq": float(np.mean(analysis.squared_norms(xs))),
         "sample_rows": int(xs.shape[0]),
@@ -537,7 +539,7 @@ def run_sparsity(cfg, out=None):
                 f"layer {q} activation has a nonzero constant term; "
                 "the sparsity ceiling is not guaranteed"
             )
-    fro = weights.frobenius_sq()
+    fro = netcore.frobenius_sq(weights)
     if any(f < 1.0 for f in fro) or max(float(np.max(np.abs(w))) for w in weights) > 1.0:
         warnings.append(
             "weight admissibility (per-layer Frobenius >= 1, entries <= 1) "

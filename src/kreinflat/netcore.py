@@ -4,7 +4,9 @@ A network of depth d maps R^D -> R through layers q = 0..d-1,
 
     f(x) = sigma_{d-1}(W_{d-1} sigma_{d-2}(... sigma_0(W_0 x))),
 
-with W_q of shape (H_q, H_{q-1}), H_{-1} = D and H_{d-1} = 1.  The regularized
+with W_q of shape (H_q, H_{q-1}), H_{-1} = D and H_{d-1} = 1.  A weight set is a
+sequence of float arrays, W_q of shape stack + (H_q, H_{q-1}) with one leading
+stack shared by every layer: () for one network, (k,) for k of them.  The regularized
 empirical risk is mean loss plus lambda * reg_scale * sum_q ||W_q||_F^2 with
 reg_scale defaulting to 1/depth.
 """
@@ -63,35 +65,21 @@ class Architecture:
         )
 
 
-@dataclass(frozen=True)
-class WeightSet:
-    matrices: Tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrices", tuple(np.array(w, dtype=float) for w in self.matrices)
-        )
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def __getitem__(self, q):
-        return self.matrices[q]
-
-    def __len__(self):
-        return len(self.matrices)
-
-    def frobenius_sq(self):
-        with np.errstate(over="ignore"):  # inf is meaningful to divergence checks
-            return [float(np.sum(w * w)) for w in self.matrices]
-
-
-def check_shapes(arch, weights, stack=()):
-    """ValueError unless every matrix has the shape ``stack + (H_q, H_{q-1})``."""
-    shapes = [w.shape for w in weights]
-    expected = [tuple(stack) + s for s in arch.layer_shapes()]
+def check_shapes(arch, weights, stack=None):
+    """The leading shape ``stack`` every matrix carries (None: the first
+    matrix's); ValueError unless each has the shape ``stack + (H_q, H_{q-1})``."""
+    shapes = [np.shape(w) for w in weights]
+    stack = (shapes[0][:-2] if shapes else ()) if stack is None else tuple(stack)
+    expected = [stack + s for s in arch.layer_shapes()]
     if shapes != expected:
         raise ValueError(f"weight shapes {shapes} do not match {expected}")
+    return stack
+
+
+def frobenius_sq(weights):
+    """||W_q||_F^2 per layer, each of the weights' stack shape (inf past the float range)."""
+    with np.errstate(over="ignore"):
+        return [np.sum(w * w, axis=(-2, -1)) for w in weights]
 
 
 def input_rows(arch, xs):
@@ -115,7 +103,7 @@ def init_weights(arch, seed):
         raise SizeLimitError(f"{count} weights in layers of shapes {shapes} (limit {MAX_WEIGHTS})")
     rng = np.random.default_rng(seed)
     mats = [rng.normal(0.0, 0.5 / math.sqrt(f), size=(h, f)) for h, f in shapes]
-    return WeightSet(tuple(mats))
+    return tuple(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +112,9 @@ def init_weights(arch, seed):
 
 def _layers(arch, weights, xs, stack=()):
     """Pre- and post-activation arrays per layer, each stack + (H_q, N), for an (N, D)
-    batch; ``stack`` is the leading shape every weight matrix carries."""
+    batch; ``stack`` is the leading shape every weight matrix carries (None: any)."""
     check_shapes(arch, weights, stack)
-    return propagate(arch, weights, input_rows(arch, xs).T)
-
-
-def propagate(arch, weights, z):
-    """Pre- and post-activation arrays per layer from the (D, N) inputs ``z``, as
-    _layers gives them but without its checks: for callers that check the inputs
-    and weight shapes once for many passes."""
+    z = input_rows(arch, xs).T
     pres, posts = [], []
     for q, w in enumerate(weights):
         pres.append(w @ z)
@@ -147,14 +129,9 @@ def forward(arch, weights, x):
 
 
 def forward_batch(arch, weights, xs):
-    """f over the rows of an (N, D) array; returns shape (N,).
-
-    Matrices stacked along a leading axis, W_q of shape (k, H_q, H_{q-1}),
-    hold k weight sets; f then comes back as (k, N), each row bit-equal to
-    that weight set's own forward pass.
-    """
-    stack = np.shape(weights[0])[:-2] if len(weights) else ()
-    return _layers(arch, weights, xs, stack)[1][-1][..., 0, :]
+    """f over the rows of an (N, D) array, of shape stack + (N,) for the weights'
+    stack: each stacked row bit-equal to its own weight set's forward pass."""
+    return _layers(arch, weights, xs, None)[1][-1][..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +176,8 @@ def _risk(arch, weights, xs, ys, loss, lam, reg_scale, with_gradient=True):
     scale = 1.0 / arch.depth if reg_scale is None else float(reg_scale)
     value, deriv = loss_functions(loss)
     f = posts[-1][0]
-    obj = float(np.mean(value(ys, f))) + lam * scale * sum(weights.frobenius_sq())
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is meaningful to divergence checks
+        obj = float(np.mean(value(ys, f)) + lam * scale * sum(frobenius_sq(weights)))
     if not with_gradient:
         return obj, None, f
     delta = deriv(ys, posts[-1]) / xs.shape[0]  # (1, N)
@@ -210,7 +188,7 @@ def _risk(arch, weights, xs, ys, loss, lam, reg_scale, with_gradient=True):
         grads[q] = 2.0 * lam * scale * weights[q] + delta @ below.T
         if q > 0:
             delta = weights[q].T @ delta
-    return obj, WeightSet(tuple(grads)), f
+    return obj, tuple(grads), f
 
 
 def objective(arch, weights, xs, ys, loss, lam, reg_scale=None):
@@ -251,11 +229,10 @@ def train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale=None):
             mats = tuple(w - step_size * gw for w, gw in zip(current.weights, g))
             if any(not np.all(np.isfinite(m)) for m in mats):
                 raise DivergenceError("weights became non-finite during descent")
-            weights = WeightSet(mats)
-            obj, g, f = _risk(arch, weights, xs, ys, loss, lam, reg_scale, step < steps)
+            obj, g, f = _risk(arch, mats, xs, ys, loss, lam, reg_scale, step < steps)
             if not math.isfinite(obj):
                 raise DivergenceError("objective became non-finite during descent")
-            current = TrainResult(weights, init_obj, obj, f)
+            current = TrainResult(mats, init_obj, obj, f)
             if obj < best.final_objective:
                 best = current
     return current if current.final_objective <= init_obj else best
@@ -374,7 +351,7 @@ def write_text(path, blocks):
 
 
 def save_weights(path, weights):
-    lines = [str(len(weights.matrices))]
+    lines = [str(len(weights))]
     for w in weights:
         lines.append(f"{w.shape[0]} {w.shape[1]}")
         lines += text_rows(w)
@@ -438,4 +415,4 @@ def load_weights(path):
         mats.append(np.array(block, dtype=float).reshape(h, f))
     if pos < len(rows):
         raise InputError(f"line {rows[pos][0]}: the file goes on after {depth} of {depth} layers")
-    return WeightSet(tuple(mats))
+    return tuple(mats)

@@ -158,21 +158,19 @@ class SeriesVector:
     def aligned_with(self, other):
         return isinstance(other, SeriesVector) and self._space is other._space
 
-    def __repr__(self):
-        return f"SeriesVector(level={self._space.level}, stored={len(self.values)})"
-
 
 def flat_inner(metric, *vectors):
-    """sum_i g_i * prod_v v_i over the shared index space."""
+    """sum_i g_i * prod_v v_i over the shared index space, one value per
+    stacked row (batch-first, as pushed_weights), each bit-equal to its own."""
     if not vectors:
         raise ValueError("need at least one vector")
     for v in vectors:
         if not metric.aligned_with(v):
             raise ValueError("series vectors live on different spaces or truncations")
-    prod = metric.values.copy()
+    prod = metric.values
     for v in vectors:
-        prod *= v.values
-    return float(np.sum(prod))
+        prod = prod * v.values
+    return np.sum(prod, axis=-1)
 
 
 def flat_eval(weight_vec, feature_vec, metric_vec):
@@ -180,12 +178,11 @@ def flat_eval(weight_vec, feature_vec, metric_vec):
     return flat_inner(metric_vec, weight_vec, feature_vec)
 
 
-def _stacked(arch, weights):
-    """(weights as (k, H_q, H_{q-1}) arrays, their one leading stack shape)."""
+def _weight_arrays(arch, weights):
+    """The weights as float arrays, checked against arch (any one leading stack)."""
     mats = [np.asarray(w, dtype=float) for w in weights]
-    stack = mats[0].shape[:-2] if mats else ()
-    netcore.check_shapes(arch, mats, stack)
-    return [w.reshape((-1,) + w.shape[-2:]) for w in mats], stack
+    netcore.check_shapes(arch, mats)
+    return mats
 
 
 def flat_values(arch, weights, xs, truncation=DEFAULT_TRUNCATION):
@@ -197,8 +194,8 @@ def flat_values(arch, weights, xs, truncation=DEFAULT_TRUNCATION):
     times an overflowed power is NaN), or sign * exp(log|a_k| + k log|s|) where
     that is not finite.  Above it sigma(W h) is Horner from the top support
     degree K_q, each product cut at degree T.  Sums run in ascending order and
-    every step is elementwise: stacked weights (k, H_q, H_{q-1}) give (k, N),
-    each row bit-equal to its own pass.
+    every step is elementwise: weights stacked stack + (H_q, H_{q-1}) give
+    stack + (N,), each row bit-equal to its own pass.
 
     To first order the value is within gamma_r sum_i |g_i v_i phi_i(x)| (the
     expanded products' absolute sum) of the exact machine: r = r_{d-1} + T
@@ -206,12 +203,13 @@ def flat_values(arch, weights, xs, truncation=DEFAULT_TRUNCATION):
     largest |log|a_k|| + k |log|s|| + 2 of a log-space term) and r_q = K_q
     (r_{q-1} + H_{q-1} + T + 2) (a factor of W h, a Horner step's product and a_k).
     """
-    mats, stack = _stacked(arch, weights)
+    mats = _weight_arrays(arch, weights)
     xs = netcore.input_rows(arch, xs)
+    cut = int(truncation) + 1  # the degrees a product keeps
     h = np.stack([np.zeros_like(xs.T), xs.T], axis=-1)  # the inputs t x: (D, N, 2)
     for q, (w, spec) in enumerate(zip(mats, arch.activations)):
         u = sum(w[..., b, None, None] * h[..., b, None, :, :] for b in range(w.shape[-1]))
-        a = np.array(act.taylor_series(spec, int(truncation)))
+        a = np.array(act.taylor_series(spec, cut - 1))
         supp = np.flatnonzero(a)
         top = int(supp.max(initial=0))
         if q == 0:  # u = s t
@@ -226,11 +224,11 @@ def flat_values(arch, weights, xs, truncation=DEFAULT_TRUNCATION):
             continue
         h = np.full(u.shape[:-1] + (1,), a[top])
         for c in a[:top][::-1]:  # h u + c, cut at degree T
-            h, old = np.zeros(h.shape[:-1] + (min(len(a), h.shape[-1] + u.shape[-1] - 1),)), h
+            h, old = np.zeros(h.shape[:-1] + (min(cut, h.shape[-1] + u.shape[-1] - 1),)), h
             h[..., 0] = c
             for i in range(old.shape[-1]):
                 h[..., i : i + u.shape[-1]] += old[..., i, None] * u[..., : h.shape[-1] - i]
-    return sum(np.moveaxis(h[:, 0], -1, 0)).reshape(stack + (len(xs),))
+    return sum(np.moveaxis(h[..., 0, :, :], -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +513,12 @@ def level_counts(arch, truncation, max_entries=None):
 
 
 def _ranges(sizes):
-    """(owner, offset) over the concatenation of range(size) for each size."""
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    """(owner, offset) over the concatenation of range(size) for each size,
+    each in the narrowest dtype for its range."""
+    owner = np.repeat(np.arange(len(sizes), dtype=_int_type(len(sizes))), sizes)
+    starts = np.repeat((np.cumsum(sizes) - sizes).astype(_int_type(len(owner))), sizes)
+    offset = np.arange(len(owner), dtype=starts.dtype) - starts
+    return owner, offset.astype(_int_type(np.max(sizes, initial=0)), copy=False)
 
 
 def _level_indices(slot_cdeg, supp, trunc):
@@ -544,15 +545,16 @@ def _level_indices(slot_cdeg, supp, trunc):
     pad = (len(slot_cdeg) + 1) * radix
     dtype = _int_type(pad)
     by_cdeg = np.argsort(slot_cdeg, kind="stable")
-    cdeg = np.asarray(slot_cdeg, dtype=np.int64)[by_cdeg]
+    cdeg = np.asarray(slot_cdeg).astype(_int_type(trunc))[by_cdeg]
     # walk code (r + 1) * radix + count -> the code of slot by_cdeg[r]; the
     # pad 0 -> pad, above every pair while a row's pairs are sorted
     lookup = (np.append(-1, by_cdeg)[:, None] + 1) * radix + np.arange(radix)
     lookup[0] = pad
     lookup = lookup.ravel().astype(dtype)
     codes = np.zeros((1, max(1, min(max_own, len(cdeg)))), dtype)  # the empty row
-    last = used = np.zeros(1, dtype=np.intp)  # each row's last draw and columns
-    comp = np.zeros(1, dtype=np.int64)
+    last = np.zeros(1, dtype)  # each row's last draw and its columns used
+    used = np.zeros(1, _int_type(codes.shape[1]))
+    comp = np.zeros(1, cdeg.dtype)
     found = []  # (composed degrees, codes) of the rows stored at each own degree
     for k in range(max_own + 1):
         i = bisect.bisect_right(supp, k)  # supp[i] is the next degree in supp
@@ -561,7 +563,7 @@ def _level_indices(slot_cdeg, supp, trunc):
             break
         # a row that cannot reach supp[i], even by repeating its last slot,
         # extends by no slot
-        keep = comp + (supp[i] - k) * cdeg[last] <= trunc
+        keep = cdeg[last] <= (trunc - comp) // (supp[i] - k)
         hi = np.searchsorted(cdeg, trunc - comp, side="right")
         parent, offset = _ranges(np.where(keep, hi - last, 0))
         new = (offset > 0) | (used[parent] == 0)
@@ -572,7 +574,6 @@ def _level_indices(slot_cdeg, supp, trunc):
         codes[rows, col] = np.where(new, (last + 1) * radix, codes[rows, col]) + 1
     own = np.repeat(np.arange(len(found)), [len(c) for c, _ in found]).astype(_int_type(max_own))
     comp, codes = (np.concatenate(a) for a in zip(*found))
-    comp = comp.astype(_int_type(trunc))
     codes = lookup[codes]
     codes.sort(axis=1)
     codes = codes[:, : max(1, int(np.count_nonzero(codes.min(axis=0, initial=pad) < pad)))]
@@ -693,15 +694,15 @@ def flatten_metric(arch, truncation=DEFAULT_TRUNCATION):
 
 
 def _weight_values(space, mats, q):
-    """Pushed weight values of layer q on the top level, (k, m), for mats
-    stacked (k, H_q, H_{q-1}) per layer."""
+    """Pushed weight values of layer q on the top level, stack + (m,), for mats
+    stacked stack + (H_q, H_{q-1}) per layer."""
     levels = space.levels
     # row r of W_q, replicated over the blocks of level q's slots (one copy per
-    # input at level 0), goes through phi like an input: (k, H_q, m_q), whose
+    # input at level 0), goes through phi like an input: (..., H_q, m_q), whose
     # rows are per-block slot values of level q+1 (the output's one row: the top)
     w = np.repeat(mats[q], levels[q].n_slots // space.arch.fan_ins[q], axis=-1)
     vals = levels[q].compose(w)
-    vals = vals.reshape(len(vals), math.prod(vals.shape[1:]))  # (k, H_q * m_q)
+    vals = vals.reshape(vals.shape[:-2] + (math.prod(vals.shape[-2:]),))  # (..., H_q * m_q)
     for level in levels[q + 1 :]:
         vals = level.compose(vals)
     return vals
@@ -712,13 +713,13 @@ def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION):
 
     Batch-first: matrices stacked (k, H_q, H_{q-1}) give vectors holding
     (k, m) values, row j bit-equal to pushing draw j alone;
-    ``vec.like(vec.values[j])`` is draw j's vector.  A WeightSet of plain
-    matrices is a stack of one, pushed to (m,) values.
+    ``vec.like(vec.values[j])`` is draw j's vector.  Plain (H_q, H_{q-1})
+    matrices are a stack of one, pushed to (m,) values.
 
     Returns (layers, flat): the per-layer vectors and their elementwise
     product, the flat machine's weight vector.
     """
-    (mats, stack), space = _stacked(arch, weights), flat_space(arch, truncation)
+    mats, space = _weight_arrays(arch, weights), flat_space(arch, truncation)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused next
         layers = [_weight_values(space, mats, q) for q in range(arch.depth)]
         flat = np.ones_like(layers[0])
@@ -726,19 +727,16 @@ def pushed_weights(arch, weights, truncation=DEFAULT_TRUNCATION):
             flat = flat * vals
             if np.isnan(flat).any():  # inf * 0: a power or product past the float range
                 raise DomainError(f"layer {q}: the flat weight holds a NaN", layer=q)
-    shape = stack + flat.shape[-1:]
-    layers = [SeriesVector(v.reshape(shape), space.top) for v in layers]
-    return layers, SeriesVector(flat.reshape(shape), space.top)
+    return [SeriesVector(v, space.top) for v in layers], SeriesVector(flat, space.top)
 
 
 def pushforward_weights(arch, weights, q, truncation=DEFAULT_TRUNCATION):
     """Layer q's weights pushed to the top of the flat space (batch-first, as
     pushed_weights)."""
-    (mats, stack), space = _stacked(arch, weights), flat_space(arch, truncation)
+    mats, space = _weight_arrays(arch, weights), flat_space(arch, truncation)
     if not 0 <= q < arch.depth:
         raise ValueError(f"layer {q} out of range")
-    vals = _weight_values(space, mats, q)
-    return SeriesVector(vals.reshape(stack + vals.shape[-1:]), space.top)
+    return SeriesVector(_weight_values(space, mats, q), space.top)
 
 
 def flat_weight(arch, weights, truncation=DEFAULT_TRUNCATION):

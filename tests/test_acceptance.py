@@ -38,9 +38,7 @@ def _random_shape(rng, max_depth=3, max_dim=3):
 
 
 def _uniform_weights(rng, arch, scale):
-    return netcore.WeightSet(
-        tuple(rng.uniform(-scale, scale, size=s) for s in arch.layer_shapes())
-    )
+    return tuple(rng.uniform(-scale, scale, size=s) for s in arch.layer_shapes())
 
 
 def _unit_frobenius(rng, shapes):
@@ -54,7 +52,7 @@ def _unit_frobenius(rng, shapes):
         m = rng.uniform(-1.0, 1.0, size=s)
         m /= np.sqrt(np.sum(m * m))
         mats.append(m)
-    return netcore.WeightSet(tuple(mats))
+    return tuple(mats)
 
 
 def _flat_forward(arch, weights, x, trunc):
@@ -105,7 +103,7 @@ def _max_nested_argument(arch, weights, x):
     h = np.asarray(x, dtype=float)
     peak = 0.0
     for q in range(arch.depth):
-        z = weights.matrices[q] @ h
+        z = weights[q] @ h
         peak = max(peak, float(np.max(np.abs(z))))
         h = act.evaluate(arch.activations[q], z)
     return peak
@@ -128,11 +126,8 @@ def test_criterion_02_analytic_flattening_small_arguments():
             pf.level_counts(arch, 10, max_entries=60_000)
         except pf.SizeLimitError:
             continue
-        weights = netcore.WeightSet(
-            tuple(
-                rng.uniform(-0.45, 0.45, size=s) / np.sqrt(s[1])
-                for s in arch.layer_shapes()
-            )
+        weights = tuple(
+            rng.uniform(-0.45, 0.45, size=s) / np.sqrt(s[1]) for s in arch.layer_shapes()
         )
         xs = rng.uniform(-0.5, 0.5, size=(5, dim))
         if max(_max_nested_argument(arch, weights, x) for x in xs) > 0.3:
@@ -357,8 +352,9 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
     under truncation: the triangle inequality against the folded
     (absolute-coefficient) form, that nonnegative folded sums under-count
     their chain value, and the sup/count ceilings, which only shrink when
-    coordinates are dropped.  Draws are pushed to the flat space in stacked
-    blocks, then checked one by one on their rows.
+    coordinates are dropped.  Each block of draws is pushed to the flat space,
+    and its norms, radii, penalty chains and flat inner products computed, in
+    one stacked call each; the draws are then checked one by one on their rows.
     """
     rng = np.random.default_rng(seed)
     metric = pf.flatten_metric(arch, trunc)
@@ -371,66 +367,70 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
     block = max(1, _PUSH_BYTES // (8 * (d + 1) * len(metric.values)))
     for start in range(0, draws, block):
         drawn = [_unit_frobenius(rng, arch.layer_shapes()) for _ in range(min(block, draws - start))]
-        stacked = netcore.WeightSet(tuple(np.stack(mats) for mats in zip(*drawn)))
+        stacked = tuple(np.stack(mats) for mats in zip(*drawn))
+        # one stacked call per quantity; row j is draw j's own value
         pushed_layers, pushed_flat = pf.pushed_weights(arch, stacked, trunc)
-        for j, weights in enumerate(drawn):
+        fro = netcore.frobenius_sq(stacked)
+        radii = analysis.weight_ball_radius(arch, stacked)
+        pen = analysis.penalties(arch, stacked)
+        signed = [pf.flat_inner(metric, v, v) for v in pushed_layers]
+        folded = [pf.flat_inner(folded_metric, v, v) for v in pushed_layers]
+        layer_sups = [np.max(np.abs(v.values), axis=-1) for v in pushed_layers]
+        flat_signed = pf.flat_inner(metric, pushed_flat, pushed_flat)
+        flat_folded = pf.flat_inner(folded_metric, pushed_flat, pushed_flat)
+        flat_sups = np.max(np.abs(pushed_flat.values), axis=-1)
+        if with_associated:
+            assoc_pen = analysis.penalties(arch.associated(), stacked)
+        for j in range(len(drawn)):
             k = start + j
-            fro = weights.frobenius_sq()
-            radius = analysis.weight_ball_radius(arch, weights)
-            layer_vecs = [v.like(v.values[j]) for v in pushed_layers]
-            flat_vec = pushed_flat.like(pushed_flat.values[j])
+            radius = radii[j]
             cap_scale = (width_gm * lip_global) ** d
-            pen = analysis.penalties(arch, weights)
             for q in range(d):
                 below = float(dim) if q == 0 else float(arch.widths[q - 1])
-                cap = cap_scale * dim / (arch.widths[q] * below) * fro[q]
-                penalty = pen.layers[q]
+                cap = cap_scale * dim / (arch.widths[q] * below) * fro[q][j]
+                penalty = pen.layers[q][j]
                 if not -1e-12 <= penalty <= cap * slack:
                     bad.append(f"draw {k}: layer {q} penalty {penalty} outside [0, {cap}]")
-                signed = pf.flat_inner(metric, layer_vecs[q], layer_vecs[q])
-                folded = pf.flat_inner(folded_metric, layer_vecs[q], layer_vecs[q])
-                if abs(signed) > folded * slack + 1e-12:
-                    bad.append(f"draw {k}: layer {q} |signed| {signed} above folded {folded}")
-                if float(np.max(np.abs(layer_vecs[q].values))) > d * radius * slack:
+                if abs(signed[q][j]) > folded[q][j] * slack + 1e-12:
+                    bad.append(f"draw {k}: layer {q} |signed| {signed[q][j]} above folded {folded[q][j]}")
+                if layer_sups[q][j] > d * radius * slack:
                     bad.append(f"draw {k}: layer {q} sup above depth*radius")
-            flat_chain = pen.flat
-            cap_product = lip_global ** d * float(np.prod(fro))
+            flat_chain = pen.flat[j]
+            cap_product = lip_global ** d * float(np.prod([f[j] for f in fro]))
             cap_ball = (lip_global * radius) ** d
             if not -1e-12 <= flat_chain <= cap_product * slack:
                 bad.append(f"draw {k}: flat penalty {flat_chain} outside [0, {cap_product}]")
             if cap_product > cap_ball * slack:
                 bad.append(f"draw {k}: product cap {cap_product} above ball cap {cap_ball}")
-            flat_signed = pf.flat_inner(metric, flat_vec, flat_vec)
-            flat_folded = pf.flat_inner(folded_metric, flat_vec, flat_vec)
-            if abs(flat_signed) > flat_folded * slack + 1e-12:
-                bad.append(f"draw {k}: |flat signed| {flat_signed} above folded {flat_folded}")
-            if float(np.max(np.abs(flat_vec.values))) > max(1.0, radius) ** d * slack:
+            if abs(flat_signed[j]) > flat_folded[j] * slack + 1e-12:
+                bad.append(f"draw {k}: |flat signed| {flat_signed[j]} above folded {flat_folded[j]}")
+            if flat_sups[j] > max(1.0, radius) ** d * slack:
                 bad.append(f"draw {k}: flat sup above radius**depth")
             if not with_associated:
                 continue
-            assoc_pen = analysis.penalties(arch.associated(), weights)
-            _, lip_folded = netcore.geometric_means(arch.associated(), assoc_pen.intervals)
+            intervals = [m[j] for m in assoc_pen.intervals]
+            _, lip_folded = netcore.geometric_means(arch.associated(), intervals)
             folded_scale = (width_gm * lip_folded) ** d
             for q in range(d):
                 below = float(dim) if q == 0 else float(arch.widths[q - 1])
-                cap = folded_scale * dim / (arch.widths[q] * below) * fro[q]
-                chain = assoc_pen.layers[q]
-                truncated = pf.flat_inner(folded_metric, layer_vecs[q], layer_vecs[q])
+                cap = folded_scale * dim / (arch.widths[q] * below) * fro[q][j]
+                chain = assoc_pen.layers[q][j]
+                truncated = folded[q][j]
                 if not 0.0 <= truncated <= chain * slack:
                     bad.append(f"draw {k}: folded layer {q} truncated {truncated} above chain {chain}")
                 if chain > cap * slack:
                     bad.append(f"draw {k}: folded layer {q} chain {chain} above cap {cap}")
-            folded_chain = assoc_pen.flat
-            cap_product = lip_folded ** d * float(np.prod(fro))
+            folded_chain = assoc_pen.flat[j]
+            cap_product = lip_folded ** d * float(np.prod([f[j] for f in fro]))
             cap_ball = (lip_folded * radius) ** d
-            if flat_folded > folded_chain * slack or folded_chain > cap_product * slack:
+            if flat_folded[j] > folded_chain * slack or folded_chain > cap_product * slack:
                 bad.append(f"draw {k}: folded flat ordering broke")
             if cap_product > cap_ball * slack:
                 bad.append(f"draw {k}: folded product cap above ball cap")
             constants = analysis.SparsityConstants(width_gm, lip_folded, dim, radius)
             levels = tuple(f * d * radius * metric_sup for f in (0.5, 0.1, 0.01))
             profile = analysis.sparsity_profile(
-                metric.values, flat_vec.values, d, constants, epsilons=levels
+                metric.values, pushed_flat.values[j], d, constants, epsilons=levels
             )
             if profile.bridge_norm > profile.bridge_bound * slack:
                 bad.append(
@@ -520,15 +520,15 @@ def test_criterion_09_gradient_finite_difference():
         lam = float(rng.uniform(0.0, 1.0))
         grad = netcore.gradient(arch, weights, xs, ys, loss, lam)
         for q in range(d):
-            for idx in np.ndindex(weights.matrices[q].shape):
+            for idx in np.ndindex(weights[q].shape):
                 probes = []
                 for sign in (1.0, -1.0):
-                    mats = [m.copy() for m in weights.matrices]
+                    mats = [m.copy() for m in weights]
                     mats[q][idx] += sign * step
-                    shifted = netcore.WeightSet(tuple(mats))
+                    shifted = tuple(mats)
                     probes.append(netcore.objective(arch, shifted, xs, ys, loss, lam))
                 want = (probes[0] - probes[1]) / (2.0 * step)
-                got = grad.matrices[q][idx]
+                got = grad[q][idx]
                 assert abs(got - want) <= 1e-5 * (1.0 + abs(want))
 
     for i in range(50):

@@ -146,7 +146,12 @@ def test_polynomial_coefficients_verbatim():
     act.associated(act.logistic()), act.associated(act.erf()),
 ])
 def test_taylor_series_is_the_coefficient_stream(spec):
-    assert act.taylor_series(spec, 25) == [act.taylor_coefficient(spec, i) for i in range(26)]
+    # the series stops where every later coefficient is 0: below degree 25,
+    # only past the last of a linear or polynomial kind
+    series = act.taylor_series(spec, 25)
+    assert series == [act.taylor_coefficient(spec, i) for i in range(len(series))]
+    assert len(series) == {"linear": 2, "polynomial": 3}.get(spec.kind, 26)
+    assert not any(act.taylor_coefficient(spec, i) for i in range(len(series), 26))
     assert act.taylor_series(spec, -1) == []
 
 

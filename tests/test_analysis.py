@@ -22,7 +22,7 @@ def lin_arch(input_dim, widths):
 
 
 def as_weights(*mats):
-    return netcore.WeightSet(tuple(np.asarray(m, dtype=float) for m in mats))
+    return tuple(np.asarray(m, dtype=float) for m in mats)
 
 
 def frob_sq(m):
@@ -38,7 +38,7 @@ def test_layer_penalty_linear_closed_form():
     rng = np.random.default_rng(0)
     arch = lin_arch(3, (4, 2, 1))
     mats = [rng.normal(size=s) for s in arch.layer_shapes()]
-    w = netcore.WeightSet(tuple(mats))
+    w = tuple(mats)
     D, widths = 3.0, (4.0, 2.0, 1.0)
     # q = 0 carries no input-dimension factor; later layers do
     want0 = frob_sq(mats[0]) * widths[1]
@@ -60,7 +60,7 @@ def test_layer_penalty_linear_saturates_width_bound():
         D = int(rng.integers(1, 4))
         arch = lin_arch(D, widths)
         mats = [rng.normal(size=s) for s in arch.layer_shapes()]
-        w = netcore.WeightSet(tuple(mats))
+        w = tuple(mats)
         h_pow = float(np.prod(widths))  # = GM(widths)^d
         pen = analysis.penalties(arch, w).layers
         for q in range(d):
@@ -75,7 +75,7 @@ def test_penalties_match_flat_inner_products():
     specs = (act.polynomial((0.0, 0.9, -0.4)), act.polynomial((0.0, 0.8, 0.3)))
     arch = netcore.Architecture(2, (2, 1), specs)
     mats = [rng.uniform(-0.8, 0.8, size=s) for s in arch.layer_shapes()]
-    w = netcore.WeightSet(tuple(mats))
+    w = tuple(mats)
     trunc = 4
     g = pf.flatten_metric(arch, trunc)
     gbar = g.like(np.abs(g.values))
@@ -119,7 +119,7 @@ def test_chain_intervals_cover_penalty_arguments(monkeypatch):
     rng = np.random.default_rng(3)
     arch = netcore.Architecture(2, (3, 1), (act.erf(), act.tanh()))
     mats = [rng.uniform(-0.9, 0.9, size=s) for s in arch.layer_shapes()]
-    w = netcore.WeightSet(tuple(mats))
+    w = tuple(mats)
     seen = [0.0] * arch.depth
     chain = kk.chain
 
@@ -198,7 +198,7 @@ def penalty_nets(draw):
     )
     scale = draw(st.sampled_from((0.3, 1.0, 3.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    w = netcore.WeightSet(tuple(scale * rng.normal(size=s) for s in arch.layer_shapes()))
+    w = tuple(scale * rng.normal(size=s) for s in arch.layer_shapes())
     return arch, w
 
 
@@ -208,6 +208,78 @@ def test_penalties_equal_the_per_layer_formulas_bit_for_bit(net, associated):
     arch, w = net
     arch = arch.associated() if associated else arch
     assert _outcome(analysis.penalties, arch, w) == _outcome(_reference_penalties, arch, w)
+
+
+# ---------------------------------------------------------------------------
+# stacked weight sets: one call per block of draws
+# ---------------------------------------------------------------------------
+
+# criterion 07's four families (test_acceptance), at their truncations
+STACK_FAMILIES = [
+    (netcore.Architecture(2, (3, 2, 1), (act.linear(),) * 3), 3),
+    (netcore.Architecture(2, (3, 1), (act.erf(),) * 2), 8),
+    (netcore.Architecture(2, (3, 2, 1), (act.tanh(),) * 3), 6),
+    (netcore.Architecture(1, (2, 1), (act.tanh(),) * 2), 9),
+]
+
+
+def _hex(v):
+    return float(v).hex()
+
+
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("arch, trunc", STACK_FAMILIES)
+def test_stacked_rows_are_the_per_draw_calls_bit_for_bit(arch, trunc, k):
+    # the per-draw path is the reference: the per-layer formulas for the
+    # penalties, and plain float sums for the norms, radii and inner products
+    rng = np.random.default_rng(k)
+    draws = []
+    for _ in range(k):
+        mats = [rng.uniform(-1.0, 1.0, size=s) for s in arch.layer_shapes()]
+        draws.append(tuple(m / np.sqrt(np.sum(m * m)) for m in mats))
+    stacked = tuple(np.stack(mats) for mats in zip(*draws))
+    fro = netcore.frobenius_sq(stacked)
+    radii = analysis.weight_ball_radius(arch, stacked)
+    metric = pf.flatten_metric(arch, trunc)
+    layers, flat = pf.pushed_weights(arch, stacked, trunc)
+    inner = [pf.flat_inner(metric, v, v) for v in (*layers, flat)]
+    assert [f.shape for f in fro] == [(k,)] * arch.depth and radii.shape == inner[0].shape == (k,)
+    for j, w in enumerate(draws):
+        assert [_hex(f[j]) for f in fro] == [_hex(frob_sq(m)) for m in w]
+        assert [_hex(f) for f in netcore.frobenius_sq(w)] == [_hex(frob_sq(m)) for m in w]
+        assert _hex(radii[j]) == _hex(analysis.weight_ball_radius(arch, w))
+        assert _hex(radii[j]) == _hex(sum(frob_sq(m) for m in w) / arch.depth)
+        for v, got in zip((*layers, flat), inner):
+            row = v.like(v.values[j])
+            assert _hex(got[j]) == _hex(pf.flat_inner(metric, row, row))
+            assert _hex(got[j]) == _hex(np.sum(metric.values * row.values * row.values))
+    for side in (arch, arch.associated()):
+        want = [_outcome(_reference_penalties, side, w) for w in draws]
+        failed = [j for j, o in enumerate(want) if isinstance(o, tuple)]
+        if failed:  # the first draw whose own walk fails, named with its own error
+            message, layer, _ = want[failed[0]]
+            with pytest.raises(DomainError) as info:
+                analysis.penalties(side, stacked)
+            assert str(info.value) == f"draw {failed[0]}: {message}"
+            assert (info.value.layer, info.value.location) == (layer, failed[0])
+            continue
+        pen = analysis.penalties(side, stacked)
+        for j in range(k):
+            assert [_hex(v[j]) for v in (*pen.layers, pen.flat, *pen.intervals)] == want[j]
+
+
+def test_a_stacked_draw_that_leaves_the_tan_domain_is_named_with_its_layer():
+    arch = netcore.Architecture(1, (2, 1), (act.tanh(), act.tanh())).associated()
+    small = as_weights([[0.3], [0.2]], [[0.4, 0.1]])
+    big = as_weights([[0.3], [0.2]], [[1.5, 1.2]])  # W_1's chain reaches tan's pole at layer 1
+    stacked = tuple(np.stack(mats) for mats in zip(small, small, big, small, big))
+    with pytest.raises(DomainError) as own:
+        analysis.penalties(arch, big)
+    with pytest.raises(DomainError) as info:
+        analysis.penalties(arch, stacked)
+    assert str(info.value) == f"draw 2: {own.value}"
+    assert own.value.layer == info.value.layer == 1 and info.value.location == 2
+    analysis.penalties(arch, small)  # the other draws are inside the domain
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +294,7 @@ def _capacity_sweep(make_spec, lip, seed, draws=30):
         D = int(rng.integers(1, 4))
         arch = netcore.Architecture(D, widths, tuple(make_spec() for _ in range(d)))
         mats = [rng.uniform(-0.7, 0.7, size=s) for s in arch.layer_shapes()]
-        w = netcore.WeightSet(tuple(mats))
+        w = tuple(mats)
         width_gm, _ = netcore.geometric_means(arch)
         hl_pow = (width_gm * lip) ** d
         pen = analysis.penalties(arch, w)
@@ -577,10 +649,10 @@ def _reference_estimate(arch, radius, xs, trials, draws, seed):
     for _ in range(10):  # first attempts of every draw, then the retries
         rejected = []
         for i in pending:
-            weights = netcore.WeightSet(tuple(
+            weights = tuple(
                 math.sqrt(0.5 * radius / (h * f)) * pool_rng.standard_normal(h * f).reshape(h, f)
                 for h, f in arch.layer_shapes()
-            ))
+            )
             reason = None
             if analysis.weight_ball_radius(arch, weights) > radius:
                 reason = "radius"

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreinflat import cli, ksvm, netcore
+from kreinflat import analysis, cli, ksvm, netcore
 from kreinflat import pushforward as pf
 from kreinflat import activations as act
 from kreinflat import kreinkernel as kk
@@ -310,11 +310,62 @@ def test_one_neuron_flatten_at_truncation_12000(tmp_path, capsys, kind, entries)
     assert report["diagnostics"]["stored_top_entries"] == entries
 
 
+def _flatten_report(tmp_path, capsys, cfg_obj, trunc):
+    """Exit status and report of a flatten at --trunc ``trunc``, with the echoed truncation dropped."""
+    status = run("flatten", write_json(tmp_path / "cfg.json", cfg_obj), extra=["--trunc", str(trunc)])
+    out = capsys.readouterr().out
+    if status:
+        return status, None
+    report = json.loads(out)
+    assert report["config_echo"].pop("truncation") == report["results"].pop("truncation") == trunc
+    return status, report
+
+
+def test_a_truncation_past_the_coefficients_costs_what_their_end_costs(tmp_path, capsys):
+    # exp's coefficients round to 0 past degree 177: the largest truncation
+    # accepted is the machine at 177, and builds nothing larger (before, the
+    # series work grew with T: 6.9 s at T = 1e6, and past 5.8 GB at a
+    # 20-digit T)
+    xs = np.array([[0.3, -0.2], [0.1, 0.4]])
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [1], "activations": ["exp"]},
+        "dataset": write_dataset(tmp_path / "data.csv", xs, np.zeros(2)),
+    }
+    want = _flatten_report(tmp_path, capsys, cfg_obj, 177)
+    started = time.monotonic()
+    assert _flatten_report(tmp_path, capsys, cfg_obj, 2**53 - 1) == want
+    assert time.monotonic() - started < 1.0
+    assert want[0] == 0 and want[1]["diagnostics"]["stored_top_entries"] == 178 * 179 // 2
+
+
+def test_a_relu_surrogate_series_ends_where_its_coefficients_round_to_0(tmp_path, capsys):
+    # one exact Fraction per even degree took 37 s at T = 20,000; the series
+    # now stops at its last nonzero coefficient
+    spec = act.relu_surrogate(1.0)
+    end = len(act.taylor_series(spec, 20_000)) - 1
+    assert 100 < end < 1000 and act.taylor_coefficient(spec, end) != 0.0
+    assert not any(act.taylor_coefficient(spec, i) for i in range(end + 1, end + 41))
+    cfg_obj = {"architecture": {"input_dim": 1, "widths": [1],
+                                "activations": [{"kind": "relu_surrogate", "sharpness": 1.0}]},
+               "dataset": write_dataset(tmp_path / "data.csv", np.array([[0.5], [-1.5]]), np.zeros(2))}
+    want = _flatten_report(tmp_path, capsys, cfg_obj, end)
+    assert want[0] == 0
+    assert _flatten_report(tmp_path, capsys, cfg_obj, 20_000) == want
+
+
+@pytest.mark.parametrize("trunc", [2**53, 10**18, 99999999999999999999])
+def test_a_truncation_past_2_53_exits_2_naming_it(tmp_path, capsys, trunc):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "architecture": {"input_dim": 2, "widths": [1], "activations": ["exp"]}})
+    assert run("flatten", cfg, extra=["--trunc", str(trunc)]) == 2
+    assert "'truncation' must be an integer >= 1 and < 2**53" in capsys.readouterr().err
+
+
 def test_one_neuron_flatten_sums_the_terms_whose_powers_overflow(tmp_path, capsys):
     # 1.56**k overflows from k = 1,597, but a_k 1.56**k does not: 27 odd terms
     # up to tanh's last nonzero degree 1,649 are taken in log space (this exited 3)
     weights = tmp_path / "weights.txt"
-    netcore.save_weights(weights, netcore.WeightSet((np.array([[1.0]]),)))
+    netcore.save_weights(weights, (np.array([[1.0]]),))
     xs = np.array([[0.5], [1.56]])
     cfg_obj = {
         "architecture": {"input_dim": 1, "widths": [1], "activations": ["tanh"]},
@@ -927,7 +978,7 @@ def test_train_net_report_and_weights(tmp_path):
     weights = netcore.load_weights(tmp_path / res["weights_file"])
     assert len(weights) == 2
     assert res["weight_ball_radius"] == pytest.approx(
-        0.5 * sum(weights.frobenius_sq()), rel=1e-12
+        0.5 * sum(netcore.frobenius_sq(weights)), rel=1e-12
     )
 
 
@@ -1117,6 +1168,23 @@ def test_bounds_report_traceability(tmp_path):
     assert report["diagnostics"]["mean_input_norm_sq"] > 0.0
 
 
+def test_bounds_tight_computes_the_tight_bound_once(tmp_path, capsys, monkeypatch):
+    # bound_growth and the tight section are one tight_bound's (this ran two)
+    calls = []
+    tight_bound = analysis.tight_bound
+
+    def counted(*args):
+        calls.append(args)
+        return tight_bound(*args)
+
+    monkeypatch.setattr(analysis, "tight_bound", counted)
+    cfg = write_json(tmp_path / "cfg.json", tanh_config(tmp_path, radius=0.7, tight=True))
+    assert run("bounds", cfg) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert len(calls) == 1
+    assert res["bound_growth"] == res["tight"]["general"] > 0.0
+
+
 def test_bounds_tight_precondition_warning(tmp_path, capsys):
     cfg_obj = tanh_config(tmp_path, radius=1.0, tight=True)
     cfg_obj["architecture"]["activations"] = ["tanh", "logistic"]
@@ -1143,7 +1211,7 @@ def test_bounds_weights_seed_default_radius(tmp_path, capsys):
         netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh())), 1
     )
     assert report["results"]["weight_ball_radius"] == pytest.approx(
-        0.5 * sum(w.frobenius_sq()), rel=1e-12
+        0.5 * sum(netcore.frobenius_sq(w)), rel=1e-12
     )
 
 
@@ -1528,7 +1596,7 @@ def test_readme_table_matches_the_config_keys():
 
 def admissible_weights_file(tmp_path):
     arch = netcore.Architecture(1, (2, 1), (act.tanh(), act.tanh()))
-    w = netcore.WeightSet((np.array([[0.8], [0.6]]), np.array([[0.8, 0.6]])))
+    w = (np.array([[0.8], [0.6]]), np.array([[0.8, 0.6]]))
     path = tmp_path / "weights.txt"
     netcore.save_weights(path, w)
     return str(path)
@@ -1633,7 +1701,7 @@ def test_sparsity_nan_flat_weight_exits_3_naming_its_layer(tmp_path, capsys):
     # (1e20)**17 overflows and meets 0**1: inf * 0 (this exited 0 reporting
     # "bridge_norm": "nan" and "weight_sup": "nan")
     path = tmp_path / "weights.txt"
-    netcore.save_weights(path, netcore.WeightSet((np.array([[1e20, 0.0]]),)))
+    netcore.save_weights(path, (np.array([[1e20, 0.0]]),))
     cfg_obj = {
         "architecture": {"input_dim": 2, "widths": [1], "activations": ["tanh"]},
         "truncation": 17, "weights": str(path), "intervals": [0.5], "epsilons": [0.5],
@@ -1650,7 +1718,7 @@ def test_sparsity_past_the_float_range_reports_inf_with_no_warning(tmp_path, cap
     # (1e20)**17 overflows with no zero weight to meet it: exit 0, and "inf"
     # is the documented vacuous value (this printed NumPy's overflow warning)
     path = tmp_path / "weights.txt"
-    netcore.save_weights(path, netcore.WeightSet((np.array([[1e20, 1e-5]]),)))
+    netcore.save_weights(path, (np.array([[1e20, 1e-5]]),))
     cfg_obj = {
         "architecture": {"input_dim": 2, "widths": [1], "activations": ["tanh"]},
         "truncation": 17, "weights": str(path), "intervals": [0.5], "epsilons": [0.5],
@@ -1778,8 +1846,7 @@ def test_an_overflowing_weight_ball_radius_exits_3_with_trials(tmp_path, capsys)
     # ||W||_F^2 of a 1e200 entry overflows: the bounds report "inf", but the
     # Monte-Carlo estimate has no ball to draw in (this exited 2)
     path = tmp_path / "weights.txt"
-    netcore.save_weights(path, netcore.WeightSet((np.array([[1e200, 0.0], [0.0, 1.0]]),
-                                                  np.array([[1.0, 1.0]]))))
+    netcore.save_weights(path, (np.array([[1e200, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0]])))
     cfg_obj = tanh_config(tmp_path, weights=str(path))
     cfg_obj["architecture"]["activations"] = ["linear", "linear"]
     assert run("bounds", write_json(tmp_path / "cfg.json", cfg_obj)) == 0

@@ -24,7 +24,7 @@ def lin_arch(input_dim, widths):
 
 
 def as_weights(*mats):
-    return netcore.WeightSet(tuple(np.asarray(m, dtype=float) for m in mats))
+    return tuple(np.asarray(m, dtype=float) for m in mats)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_forward_batch_matches_loop():
 def test_forward_batch_stacked_weight_sets_bit_equal_to_each_set():
     arch = netcore.Architecture(3, (16, 8, 1), (act.erf(), act.tanh(), act.erf()))
     sets = [netcore.init_weights(arch, seed=s) for s in range(5)]
-    stack = netcore.WeightSet(tuple(np.stack(ws) for ws in zip(*sets)))
+    stack = tuple(np.stack(ws) for ws in zip(*sets))
     xs = np.random.default_rng(3).normal(size=(40, 3))
     out = netcore.forward_batch(arch, stack, xs)
     assert out.shape == (5, 40)
@@ -153,7 +153,7 @@ def _fd_gradient(arch, w, xs, ys, loss, lam, h=1e-6):
             def perturbed(delta):
                 mats = [m.copy() for m in w]
                 mats[q][idx] += delta
-                return netcore.objective(arch, netcore.WeightSet(tuple(mats)),
+                return netcore.objective(arch, tuple(mats),
                                          xs, ys, loss, lam)
             g[idx] = (perturbed(h) - perturbed(-h)) / (2 * h)
         grads.append(g)
@@ -304,7 +304,7 @@ def _reference_train(arch, xs, ys, loss, lam, seed, steps, step_size, reg_scale=
         mats = tuple(w - step_size * gw for w, gw in zip(current, g))
         if any(not np.all(np.isfinite(m)) for m in mats):
             raise DivergenceError("weights became non-finite during descent")
-        current = netcore.WeightSet(mats)
+        current = tuple(mats)
         current_obj = netcore.objective(arch, current, xs, ys, loss, lam, reg_scale)
         if not math.isfinite(current_obj):
             raise DivergenceError("objective became non-finite during descent")
@@ -623,7 +623,7 @@ def test_weight_roundtrip_keeps_every_float(dim, hidden, data):
                      dtype=float).reshape(h, f) for h, f in arch.layer_shapes()]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "w.txt")
-        netcore.save_weights(path, netcore.WeightSet(tuple(mats)))
+        netcore.save_weights(path, tuple(mats))
         back = netcore.load_weights(path)
     assert [m.shape for m in back] == arch.layer_shapes()
     for a, b in zip(mats, back):

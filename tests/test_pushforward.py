@@ -247,7 +247,7 @@ def random_poly_net(rng, max_depth=3, max_width=3, max_deg=3):
         coeffs.append(c)
     arch = poly_arch(input_dim, widths, coeffs)
     mats = [rng.uniform(-0.7, 0.7, size=s) for s in arch.layer_shapes()]
-    return arch, netcore.WeightSet(tuple(mats)), top_deg
+    return arch, tuple(mats), top_deg
 
 
 def flat_value(arch, weights, x, trunc):
@@ -292,7 +292,7 @@ def test_flat_evaluation_is_the_forward_pass(seed, extra):
 
 def test_flat_equivalence_depth_one_is_weights_on_monomials():
     arch = poly_arch(3, (1,), [[0.0, 1.0]])
-    w = netcore.WeightSet((np.array([[0.5, -1.0, 2.0]]),))
+    w = (np.array([[0.5, -1.0, 2.0]]),)
     v = pf.flat_weight(arch, w, 1)
     g = pf.flatten_metric(arch, 1)
     x = np.array([1.0, 2.0, -0.5])
@@ -330,10 +330,10 @@ def test_flat_weight_is_elementwise_product_of_layers():
 def test_analytic_equivalence_small_arguments():
     # erf/tanh layers, weights and inputs scaled so nested args stay <= 0.3
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.erf()))
-    w = netcore.WeightSet((
+    w = (
         np.array([[0.3, -0.2], [0.1, 0.25]]),
         np.array([[0.4, -0.3]]),
-    ))
+    )
     rng = np.random.default_rng(13)
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, size=2)
@@ -371,10 +371,10 @@ def _stable_keys(lv):
 
 def test_truncation_monotonicity():
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
-    w = netcore.WeightSet((
+    w = (
         np.array([[0.3, 0.1], [-0.2, 0.4]]),
         np.array([[0.5, -0.5]]),
-    ))
+    )
     lo = pf.flat_weight(arch, w, 4)
     hi = pf.flat_weight(arch, w, 6)
     lo_map = dict(zip(_stable_keys(lo._space), lo.values))
@@ -535,6 +535,11 @@ def test_levels_store_the_reference_enumeration_in_order(arch, trunc):
         assert _gamma(arch, trunc, lv).tolist() == [m * c for m, c in zip(want_mnom, coeff)]
 
 
+def _int64_ranges(sizes):
+    """pf._ranges widened to int64, as the int64 references computed it."""
+    return tuple(a.astype(np.int64) for a in pf._ranges(sizes))
+
+
 def _multisets(m, e):
     """Every multiset of at most e draws from range(m), as (index, count) rows.
 
@@ -547,7 +552,7 @@ def _multisets(m, e):
     index, count = [np.full((1, width), -1, dtype=np.int64)], [np.zeros((1, width), np.int64)]
     last = used = np.zeros(1, dtype=np.int64)  # each row's last draw and distinct indices
     for _ in range(e):  # extend each nondecreasing draw by every j >= its last
-        parent, offset = pf._ranges(m - last)
+        parent, offset = _int64_ranges(m - last)
         new = (offset > 0) | (used[parent] == 0)  # j opens a column, or repeats the last
         col = used[parent] - 1 + new
         rows = np.arange(len(parent))
@@ -1026,7 +1031,7 @@ def test_tags_name_slots_bottom_up():
 
 def test_dump_series_format():
     arch = poly_arch(2, (1,), [[0.0, 1.0]])
-    w = netcore.WeightSet((np.array([[2.0, -3.0]]),))
+    w = (np.array([[2.0, -3.0]]),)
     v = pf.flat_weight(arch, w, 1)
     lines = "".join(pf.dump_series(v)).strip().split("\n")
     assert len(lines) == 2
@@ -1088,7 +1093,7 @@ def test_dump_blocks_drop_zero_lines_across_block_edges(monkeypatch):
 @pytest.mark.parametrize("k", [3, 40])
 def test_dump_series_refuses_a_stacked_vector_before_any_block(tmp_path, k):
     arch = poly_arch(2, (1,), [[0.0, 1.0, 0.5]])
-    _, flat = pf.pushed_weights(arch, netcore.WeightSet((np.ones((k, 1, 2)),)), 2)
+    _, flat = pf.pushed_weights(arch, (np.ones((k, 1, 2)),), 2)
     assert flat.values.shape == (k, 5)
     with pytest.raises(ValueError, match=r"stacked.*like\(values\[j\]\)"):
         netcore.write_text(str(tmp_path / "flat.txt"), pf.dump_series(flat))
@@ -1139,7 +1144,7 @@ def test_a_dump_formats_its_values_one_block_at_a_time(tmp_path, monkeypatch):
 
 def test_flat_eval_requires_aligned_spaces():
     arch = poly_arch(2, (1,), [[0.0, 1.0]])
-    w = netcore.WeightSet((np.array([[1.0, 1.0]]),))
+    w = (np.array([[1.0, 1.0]]),)
     v4 = pf.flat_weight(arch, w, 4)
     g5 = pf.flatten_metric(arch, 5)
     phi4 = pf.flatten_feature_map(arch, np.ones(2), 4)
@@ -1216,7 +1221,7 @@ def _ulps_from_exact(got, weights, exps):
 @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0, 30.0])
 def test_tabled_powers_are_the_broadcast_powers_bit_for_bit(arch, trunc, scale):
     space = pf.flat_space(arch, trunc)
-    weights = netcore.WeightSet(tuple(scale * w for w in netcore.init_weights(arch, seed=6)))
+    weights = tuple(scale * w for w in netcore.init_weights(arch, seed=6))
     layers, _ = pf.pushed_weights(arch, weights, trunc)
     # the replicated rows' push is the broadcast power's at layer 0, bit for bit
     assert _same_bits(layers[0].values, _per_draw_weight_values(space, weights))
@@ -1229,10 +1234,10 @@ def test_tabled_powers_are_the_broadcast_powers_bit_for_bit(arch, trunc, scale):
 @pytest.mark.parametrize("arch, trunc", REFERENCE_TOWERS)
 def test_stacked_push_rows_are_the_single_draw_pushes(arch, trunc):
     draws = [
-        netcore.WeightSet(tuple(s * w for w in netcore.init_weights(arch, seed=k)))
+        tuple(s * w for w in netcore.init_weights(arch, seed=k))
         for k, s in enumerate((0.1, 1.0, 3.0, 0.5, 2.0))
     ]
-    stacked = netcore.WeightSet(tuple(np.stack(mats) for mats in zip(*draws)))
+    stacked = tuple(np.stack(mats) for mats in zip(*draws))
     layers, flat = pf.pushed_weights(arch, stacked, trunc)
     each = [pf.pushforward_weights(arch, stacked, q, trunc) for q in range(arch.depth)]
     m = len(pf.flat_space(arch, trunc).top.own_degree)
@@ -1246,7 +1251,7 @@ def test_stacked_push_rows_are_the_single_draw_pushes(arch, trunc):
             assert _same_bits(each[q].values[j], one.values), q
         assert flat.like(flat.values[j]).aligned_with(one_flat)
     assert _same_bits(pf.flat_weight(arch, stacked, trunc).values, flat.values)
-    empty = netcore.WeightSet(tuple(np.zeros((0,) + s) for s in arch.layer_shapes()))
+    empty = tuple(np.zeros((0,) + s) for s in arch.layer_shapes())
     assert pf.flat_weight(arch, empty, trunc).values.shape == (0, m)
     with pytest.raises(ValueError, match="stacked"):
         _entries(flat)
@@ -1254,7 +1259,7 @@ def test_stacked_push_rows_are_the_single_draw_pushes(arch, trunc):
 
 def test_stacked_push_refuses_a_ragged_stack():
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
-    ragged = netcore.WeightSet((np.zeros((3, 2, 2)), np.zeros((4, 1, 2))))
+    ragged = (np.zeros((3, 2, 2)), np.zeros((4, 1, 2)))
     with pytest.raises(ValueError, match="do not match"):
         pf.pushed_weights(arch, ragged, 3)
 
@@ -1360,7 +1365,7 @@ def _int64_level_indices(slot_cdeg, supp, trunc):
     own = comp = np.zeros(1, dtype=np.int64)
     for cd, nxt in zip(cds.tolist(), cds[1:].tolist() + [trunc + 1]):
         room = max_own - own if cd == 0 else np.minimum(max_own - own, (trunc - comp) // cd)
-        row, add = pf._ranges(room + 1)
+        row, add = _int64_ranges(room + 1)
         own, comp = own[row] + add, comp[row] + add * cd
         keep = stored[own] | ((own < max_own) & (comp + nxt <= trunc))
         pattern = np.column_stack([pattern[row], add])[keep]
@@ -1372,7 +1377,7 @@ def _int64_level_indices(slot_cdeg, supp, trunc):
     sizes = np.ones(len(pattern), dtype=np.int64)
     for g, (_, _, starts) in enumerate(tables):
         sizes *= np.diff(starts)[pattern[:, g]]
-    rows, offset = pf._ranges(sizes)
+    rows, offset = _int64_ranges(sizes)
     radix = max_own + 1
     pad = (len(slot_cdeg) + 1) * radix
     parts = [np.empty((len(rows), 0), dtype=np.int64)]
