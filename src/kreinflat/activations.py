@@ -59,9 +59,10 @@ _sp_erf, _sp_erfi = _load_erf()
 
 _SQRT_PI = math.sqrt(math.pi)
 
-#: kinds constructible from config files
+#: the base kinds: each has its own Taylor coefficients
 BASE_KINDS = ("linear", "erf", "tanh", "logistic", "polynomial", "exp", "relu_surrogate")
-#: kinds reachable only through associated()
+#: the associated kinds that differ from their base kind (associated()); configs may name
+#: these as well as the base kinds
 DERIVED_KINDS = ("tan", "erfi", "logistic_assoc", "relu_surrogate_assoc")
 
 # kinds whose closed form is only trusted inside the convergence radius

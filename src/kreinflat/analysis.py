@@ -11,8 +11,6 @@ from __future__ import annotations
 import contextlib
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -121,20 +119,6 @@ def svm_ball_radius(radius, lipschitz, depth):
 # Rademacher bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundReport:
-    weight_ball_radius: float
-    svm_ball_radius: float
-    width_gm: float
-    lipschitz_gm: float
-    kernel_trace_mean: float
-    bound_kernel_trace: float
-    bound_linear: Optional[float]
-    bound_growth: Optional[float]
-    empirical_estimate: Optional[float]
-    sample_size: int
-
-
 def _bound_product(*factors):
     """The product of nonnegative bound factors; 0 when any factor is 0, even next to
     an overflowed one: a zero-radius ball, or a sample every function maps to 0,
@@ -159,15 +143,18 @@ def _sample_array(arch, sample):
 
 
 def rademacher_bound_net(arch, radius, sample, n=None, tight=None):
-    """Every bound the architecture supports on the weight ball of ``radius``, as one BoundReport.
+    """Every bound the architecture supports on the weight ball of ``radius``, as the
+    report's dict: weight_ball_radius, svm_ball_radius, width_gm, lipschitz_gm,
+    kernel_trace_mean, bound_kernel_trace, bound_linear, bound_growth,
+    empirical_estimate and sample_size.
 
     The kernel-trace bound is always computed (global Lipschitz constants are
     required); the closed linear form only for all-linear networks; the
     growth-envelope form only when every activation is odd and concave on the
-    nonnegative axis.  Domain violations in the associated kernel are reported
-    with the offending sample index.  ``empirical_estimate`` is left None for
-    the caller to fill with empirical_rademacher().  ``tight`` is the
-    tight_bound of the same arguments when the caller has it.
+    nonnegative axis (else None).  Domain violations in the associated kernel
+    are reported with the offending sample index.  ``empirical_estimate`` is
+    left None for the caller to fill with empirical_rademacher().  ``tight`` is
+    the tight_bound of the same arguments when the caller has it.
     """
     xs = _sample_array(arch, sample)
     count = xs.shape[0] if n is None else int(n)
@@ -185,25 +172,25 @@ def rademacher_bound_net(arch, radius, sample, n=None, tight=None):
     except DomainError as exc:
         i = exc.location
         raise DomainError(f"sample {i}: {exc}", layer=exc.layer, location=i) from exc
-    report = BoundReport(
-        weight_ball_radius=radius,
-        svm_ball_radius=ball,
-        width_gm=width_gm,
-        lipschitz_gm=lip,
-        kernel_trace_mean=trace,
-        bound_kernel_trace=rademacher_bound_ball(ball, trace, count),
-        bound_linear=None,
-        bound_growth=None,
-        empirical_estimate=None,
-        sample_size=count,
-    )
+    report = {
+        "weight_ball_radius": radius,
+        "svm_ball_radius": ball,
+        "width_gm": width_gm,
+        "lipschitz_gm": lip,
+        "kernel_trace_mean": trace,
+        "bound_kernel_trace": rademacher_bound_ball(ball, trace, count),
+        "bound_linear": None,
+        "bound_growth": None,
+        "empirical_estimate": None,
+        "sample_size": count,
+    }
     sq_mean = float(np.mean(sq))
     if all(s.kind == "linear" for s in arch.activations):
-        report.bound_linear = math.sqrt(
+        report["bound_linear"] = math.sqrt(
             _bound_product(_power(width_gm * lip * radius, arch.depth), sq_mean) / count
         )
     if all(act.is_odd_concave(s) for s in arch.activations):
-        report.bound_growth = (tight or tight_bound(arch, radius, xs, count)).general
+        report["bound_growth"] = (tight or tight_bound(arch, radius, xs, count))["general"]
     return report
 
 
@@ -226,21 +213,16 @@ def growth_envelope(arch, xi):
     return t
 
 
-@dataclass
-class TightBound:
-    general: float
-    lipschitz_form: Optional[float]
-    bounded_form: Optional[float]
-    bounded_layer: Optional[int]
-
-
 def tight_bound(arch, radius, sample, n=None):
-    """Growth-envelope Rademacher bounds (three tightness levels).
+    """Growth-envelope Rademacher bounds (three tightness levels), as the report's dict.
 
     general        : max(1, radius^d)/sqrt(n) * sqrt(mean envelope(|x|)^2)
     lipschitz_form : replaces the envelope by its global Lipschitz cap
+                     (None when some layer has none)
     bounded_form   : discards everything below the deepest [0,1]-bounded
-                     activation (None when there is none)
+                     activation (None when there is none, or when a layer
+                     above it has no global Lipschitz cap)
+    bounded_layer  : that activation's layer (None with bounded_form)
     """
     xs = _sample_array(arch, sample)
     count = xs.shape[0] if n is None else int(n)
@@ -273,7 +255,8 @@ def tight_bound(arch, radius, sample, n=None):
                 d * math.sqrt(netcore._geomean(tail_widths)) * netcore._geomean(tail_lips),
                 d - q - 1,
             )
-    return TightBound(general, lipschitz_form, bounded_form, bounded_layer)
+    return {"general": general, "lipschitz_form": lipschitz_form,
+            "bounded_form": bounded_form, "bounded_layer": bounded_layer}
 
 
 # ---------------------------------------------------------------------------
@@ -392,31 +375,17 @@ def empirical_rademacher(arch, radius, sample, trials=200, hypothesis_draws=200,
 # sparsity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SparsityConstants:
-    width_gm: float
-    lipschitz_assoc_gm: float
-    input_dim: int
-    weight_ball_radius: float
-
-
-@dataclass
-class SparsityProfile:
-    bridge_norm: float
-    bridge_bound: float
-    weight_sup: float
-    weight_sup_bound: float
-    epsilon_counts: list
-    valid_epsilon_max: float
-
-
 def sparsity_profile(metric, weight, depth, constants, epsilons=()):
-    """The 2/depth-power sparsity profile of the flat pair (g, v), two arrays.
+    """The 2/depth-power sparsity profile of the flat pair (g, v), two arrays, as the
+    report's dict: bridge_norm, bridge_bound, weight_sup, weight_sup_bound,
+    epsilon_counts and valid_epsilon_max.
 
-    bridge_norm = sum_i |g_i v_i|^(2/depth), computed in log space so
-    products far below the smallest positive float still contribute.
-    epsilon_counts holds (epsilon, count above epsilon, ceiling) triples,
-    the ceiling being bridge_bound * epsilon^(-2/depth) floored.
+    ``constants`` is a dict of width_gm, lipschitz_assoc_gm, input_dim and
+    weight_ball_radius.  bridge_norm = sum_i |g_i v_i|^(2/depth), computed in
+    log space so products far below the smallest positive float still
+    contribute.  epsilon_counts holds one {"epsilon", "count", "ceiling"} dict
+    per threshold: the count of products above epsilon, and the ceiling
+    bridge_bound * epsilon^(-2/depth) floored.
     """
     g = np.asarray(metric, dtype=float)
     v = np.asarray(weight, dtype=float)
@@ -427,10 +396,10 @@ def sparsity_profile(metric, weight, depth, constants, epsilons=()):
         raise ValueError("depth must be positive")
     c = constants
     bridge_bound = (
-        (c.width_gm * c.lipschitz_assoc_gm) ** d
-        * c.input_dim
-        * c.weight_ball_radius
-        / c.width_gm**2
+        (c["width_gm"] * c["lipschitz_assoc_gm"]) ** d
+        * c["input_dim"]
+        * c["weight_ball_radius"]
+        / c["width_gm"]**2
     )
     mask = (g != 0.0) & (v != 0.0)
     logs = np.log(np.abs(g[mask])) + np.log(np.abs(v[mask]))
@@ -445,12 +414,12 @@ def sparsity_profile(metric, weight, depth, constants, epsilons=()):
             raise ValueError("epsilon thresholds must be positive")
         count = int(np.sum(logs > math.log(eps))) if logs.size else 0
         cap = math.floor(bridge_bound * eps ** (-2.0 / d))
-        counts.append((eps, count, cap))
-    return SparsityProfile(
-        bridge_norm=bridge_norm,
-        bridge_bound=bridge_bound,
-        weight_sup=weight_sup,
-        weight_sup_bound=float(c.weight_ball_radius) ** d,
-        epsilon_counts=counts,
-        valid_epsilon_max=d * c.weight_ball_radius * metric_sup,
-    )
+        counts.append({"epsilon": eps, "count": count, "ceiling": cap})
+    return {
+        "bridge_norm": bridge_norm,
+        "bridge_bound": bridge_bound,
+        "weight_sup": weight_sup,
+        "weight_sup_bound": float(c["weight_ball_radius"]) ** d,
+        "epsilon_counts": counts,
+        "valid_epsilon_max": d * c["weight_ball_radius"] * metric_sup,
+    }

@@ -356,7 +356,7 @@ def _bounds(arch, radius, xs, n, trials, draws, seed, tight=None):
     if trials:
         if radius == math.inf:  # the weights overflowed: no ball to draw hypotheses in
             raise DomainError("the weight-ball radius overflowed to inf")
-        report.empirical_estimate = analysis.empirical_rademacher(
+        report["empirical_estimate"] = analysis.empirical_rademacher(
             arch, radius, xs, trials=trials, hypothesis_draws=draws, seed=seed
         )
     return report
@@ -467,7 +467,7 @@ def run_compare(cfg, out=None):
     svm_pred = gram.values @ gram.alpha
     warnings, bounds = [], None
     try:
-        bounds = vars(_bounds(arch, radius, xs, None, *monte_carlo))
+        bounds = _bounds(arch, radius, xs, None, *monte_carlo)
     except (InputError, DomainError) as exc:
         warnings.append(f"bounds unavailable: {exc}")
 
@@ -508,9 +508,9 @@ def run_bounds(cfg, out=None):
             growth = analysis.tight_bound(arch, radius, xs, n)
         except (InputError, DomainError) as exc:
             warnings.append(f"tight bound precondition not met: {exc}")
-    results = dict(vars(_bounds(arch, radius, xs, n, *monte_carlo, growth)))
+    results = _bounds(arch, radius, xs, n, *monte_carlo, growth)
     if growth is not None:
-        results["tight"] = vars(growth)
+        results["tight"] = growth
     diagnostics = {
         "mean_input_norm_sq": float(np.mean(analysis.squared_norms(xs))),
         "sample_rows": int(xs.shape[0]),
@@ -545,22 +545,15 @@ def run_sparsity(cfg, out=None):
             "weight admissibility (per-layer Frobenius >= 1, entries <= 1) "
             "violated; the sup-norm ceilings are not guaranteed"
         )
-    constants = analysis.SparsityConstants(
-        width_gm=width_gm,
-        lipschitz_assoc_gm=lbar,
-        input_dim=arch.input_dim,
-        weight_ball_radius=radius,
-    )
-    profile = analysis.sparsity_profile(metric.values, vnn.values, arch.depth, constants, epsilons)
-    results = {
-        **vars(profile),
-        "epsilon_counts": [
-            {"epsilon": e, "count": c, "ceiling": cap}
-            for e, c, cap in profile.epsilon_counts
-        ],
+    constants = {
+        "width_gm": width_gm,
+        "lipschitz_assoc_gm": lbar,
+        "input_dim": arch.input_dim,
+        "weight_ball_radius": radius,
     }
+    results = analysis.sparsity_profile(metric.values, vnn.values, arch.depth, constants, epsilons)
     diagnostics = {
-        "constants": vars(constants),
+        "constants": constants,
         "intervals": list(intervals),
         "stored_top_entries": int(len(vnn.values)),
     }

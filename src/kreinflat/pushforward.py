@@ -294,7 +294,7 @@ class _Level:
         xexp = self.xexp
         tag_ids, texts = self.tag_ids()
         # np.lexsort's last key is the primary one
-        perm = np.lexsort([tag_ids, *xexp.T[::-1], xexp.sum(axis=1)])
+        perm = np.lexsort([tag_ids, *xexp.T[::-1], self.composed_degree])
         # equal exponent rows are adjacent in sorted order: one head per run
         rows = xexp[perm]
         starts = np.ones(len(rows), dtype=bool)

@@ -16,6 +16,8 @@ from kreinflat import analysis, cli, ksvm, netcore
 from kreinflat import kreinkernel as kk
 from kreinflat import pushforward as pf
 
+from exact import entries, expand_power_sum
+
 
 # ---------------------------------------------------------------------------
 # shared draw helpers
@@ -53,12 +55,6 @@ def _unit_frobenius(rng, shapes):
         m /= np.sqrt(np.sum(m * m))
         mats.append(m)
     return tuple(mats)
-
-
-def _flat_forward(arch, weights, x, trunc):
-    phi = pf.flatten_feature_map(arch, x, trunc)
-    metric = pf.flatten_metric(arch, trunc)
-    return pf.flat_eval(pf.flat_weight(arch, weights, trunc), phi, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -203,31 +199,6 @@ def test_criterion_03_kernel_identity_both_variants():
 # 4. multinomial coefficients against brute-force polynomial expansion
 # ---------------------------------------------------------------------------
 
-def _expand_power_sum(n, p):
-    """Integer coefficients of (z_0 + ... + z_{n-1})**p by repeated distribution."""
-    terms = {(0,) * n: 1}
-    for _ in range(p):
-        grown = {}
-        for expo, coef in terms.items():
-            for j in range(n):
-                bumped = expo[:j] + (expo[j] + 1,) + expo[j + 1:]
-                grown[bumped] = grown.get(bumped, 0) + coef
-        terms = grown
-    return terms
-
-
-def _entries(vec):
-    """{exponent tuple over the slots: value} over the nonzero stored entries
-    of ``vec``; a stacked vector is refused."""
-    if vec.values.ndim != 1:
-        raise ValueError("a stacked vector has no entries; take row j with like(values[j])")
-    lv = vec._space
-    dense = np.zeros((len(lv.own_degree), lv.n_slots + 1), dtype=np.int64)
-    np.put_along_axis(dense, lv.terms_pos.astype(np.intp), lv.terms_exp.astype(np.int64), axis=1)
-    rows = dense[:, : lv.n_slots].tolist()
-    return {tuple(k): v for k, v in zip(rows, vec.values.tolist()) if v != 0.0}
-
-
 def test_criterion_04_multinomial_gamma_oracle():
     # The activation contract requires a positive linear coefficient, so the
     # pure power t**p is carried as the degree-p slice of t + t**p.  That
@@ -240,8 +211,8 @@ def test_criterion_04_multinomial_gamma_oracle():
         else:
             spec = act.polynomial((0.0, 1.0) + (0.0,) * (p - 2) + (1.0,))
         for n in range(1, 4):
-            gamma = _entries(pf.flatten_metric(netcore.Architecture(n, (1,), (spec,)), p))
-            brute = _expand_power_sum(n, p)
+            gamma = entries(pf.flatten_metric(netcore.Architecture(n, (1,), (spec,)), p))
+            brute = expand_power_sum(n, p)
             for expo, coef in brute.items():
                 assert gamma.get(expo, 0.0) == float(coef)
             stored = sum(1 for key in gamma if sum(key) == p)
@@ -427,16 +398,18 @@ def _inequality_family(arch, trunc, lip_global, with_associated, seed, draws=100
                 bad.append(f"draw {k}: folded flat ordering broke")
             if cap_product > cap_ball * slack:
                 bad.append(f"draw {k}: folded product cap above ball cap")
-            constants = analysis.SparsityConstants(width_gm, lip_folded, dim, radius)
+            constants = dict(width_gm=width_gm, lipschitz_assoc_gm=lip_folded, input_dim=dim,
+                             weight_ball_radius=radius)
             levels = tuple(f * d * radius * metric_sup for f in (0.5, 0.1, 0.01))
             profile = analysis.sparsity_profile(
                 metric.values, pushed_flat.values[j], d, constants, epsilons=levels
             )
-            if profile.bridge_norm > profile.bridge_bound * slack:
+            if profile["bridge_norm"] > profile["bridge_bound"] * slack:
                 bad.append(
-                    f"draw {k}: bridge norm {profile.bridge_norm} above {profile.bridge_bound}"
+                    f"draw {k}: bridge norm {profile['bridge_norm']} above {profile['bridge_bound']}"
                 )
-            for eps, count, ceiling in profile.epsilon_counts:
+            for row in profile["epsilon_counts"]:
+                eps, count, ceiling = row["epsilon"], row["count"], row["ceiling"]
                 if count > ceiling:
                     bad.append(f"draw {k}: {count} entries above {eps} vs ceiling {ceiling}")
     return bad
@@ -477,14 +450,14 @@ def test_criterion_08_bound_ordering():
                 report = analysis.rademacher_bound_net(arch, 0.8, xs, n=n)
                 tight = analysis.tight_bound(arch, 0.8, xs, n=n)
                 ceilings = [
-                    report.bound_kernel_trace,
-                    report.bound_growth,
-                    tight.general,
-                    tight.lipschitz_form,
-                    tight.bounded_form,
+                    report["bound_kernel_trace"],
+                    report["bound_growth"],
+                    tight["general"],
+                    tight["lipschitz_form"],
+                    tight["bounded_form"],
                 ]
                 if has_linear_form:
-                    ceilings.append(report.bound_linear)
+                    ceilings.append(report["bound_linear"])
                 for ceiling in ceilings:
                     if ceiling is not None:
                         assert estimate <= ceiling
@@ -493,8 +466,8 @@ def test_criterion_08_bound_ordering():
     # unit-norm inputs and 100 samples gives exactly 0.2 in both forms
     arch = netcore.Architecture(3, (4, 1), (act.linear(), act.linear()))
     report = analysis.rademacher_bound_net(arch, 1.0, np.eye(3), n=100)
-    assert report.bound_linear == 0.2
-    assert report.bound_kernel_trace == 0.2
+    assert report["bound_linear"] == 0.2
+    assert report["bound_kernel_trace"] == 0.2
 
 
 # ---------------------------------------------------------------------------

@@ -395,13 +395,13 @@ def test_overflowing_bounds_are_infinite():
     xs = np.array([[0.3, -0.2], [0.1, 0.4]])
     for arch in (lin_arch(2, (2, 1)), netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))):
         report = analysis.rademacher_bound_net(arch, 1e308, xs)
-        assert report.svm_ball_radius == math.inf
-        assert report.bound_kernel_trace == math.inf
-        assert report.bound_growth == math.inf
+        assert report["svm_ball_radius"] == math.inf
+        assert report["bound_kernel_trace"] == math.inf
+        assert report["bound_growth"] == math.inf
         tight = analysis.tight_bound(arch, 1e308, xs)
-        assert tight.general == tight.lipschitz_form == math.inf
-    assert report.bound_linear is None
-    assert analysis.rademacher_bound_net(lin_arch(2, (2, 1)), 1e308, xs).bound_linear == math.inf
+        assert tight["general"] == tight["lipschitz_form"] == math.inf
+    assert report["bound_linear"] is None
+    assert analysis.rademacher_bound_net(lin_arch(2, (2, 1)), 1e308, xs)["bound_linear"] == math.inf
 
 
 def test_bound_net_linear_frozen_example():
@@ -409,23 +409,23 @@ def test_bound_net_linear_frozen_example():
     arch = lin_arch(3, (4, 1))
     xs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     report = analysis.rademacher_bound_net(arch, 1.0, xs, n=100)
-    assert report.width_gm == pytest.approx(2.0)
-    assert report.lipschitz_gm == 1.0
-    assert report.svm_ball_radius == 1.0
-    assert report.kernel_trace_mean == pytest.approx(4.0, rel=1e-14)
-    assert report.bound_kernel_trace == pytest.approx(0.2, rel=1e-14)
-    assert report.bound_linear == pytest.approx(0.2, rel=1e-14)
-    assert report.bound_growth is not None
-    assert report.sample_size == 100
+    assert report["width_gm"] == pytest.approx(2.0)
+    assert report["lipschitz_gm"] == 1.0
+    assert report["svm_ball_radius"] == 1.0
+    assert report["kernel_trace_mean"] == pytest.approx(4.0, rel=1e-14)
+    assert report["bound_kernel_trace"] == pytest.approx(0.2, rel=1e-14)
+    assert report["bound_linear"] == pytest.approx(0.2, rel=1e-14)
+    assert report["bound_growth"] is not None
+    assert report["sample_size"] == 100
 
 
 def test_bound_net_zero_radius():
     arch = lin_arch(2, (2, 1))
     xs = np.array([[0.6, 0.8], [1.0, 0.0]])
     report = analysis.rademacher_bound_net(arch, 0.0, xs)
-    assert report.bound_kernel_trace == 0.0
-    assert report.bound_linear == 0.0
-    assert report.weight_ball_radius == 0.0
+    assert report["bound_kernel_trace"] == 0.0
+    assert report["bound_linear"] == 0.0
+    assert report["weight_ball_radius"] == 0.0
 
 
 def test_bound_net_takes_the_weight_ball_radius_of_a_weight_set():
@@ -433,7 +433,7 @@ def test_bound_net_takes_the_weight_ball_radius_of_a_weight_set():
     w = as_weights([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]])
     xs = np.array([[0.3, 0.4]])
     report = analysis.rademacher_bound_net(arch, analysis.weight_ball_radius(arch, w), xs)
-    assert report.weight_ball_radius == pytest.approx(2.0)  # (2 + 2) / 2
+    assert report["weight_ball_radius"] == pytest.approx(2.0)  # (2 + 2) / 2
 
 
 def test_bound_net_tanh_report():
@@ -441,14 +441,14 @@ def test_bound_net_tanh_report():
     rng = np.random.default_rng(7)
     xs = rng.uniform(-0.3, 0.3, size=(20, 2))
     report = analysis.rademacher_bound_net(arch, 0.7, xs)
-    assert report.empirical_estimate is None
-    report.empirical_estimate = 0.01  # the field the CLI fills with its Monte-Carlo estimate
-    assert report.lipschitz_gm == 1.0
-    assert report.kernel_trace_mean > 0.0
-    assert report.bound_kernel_trace > 0.0
-    assert report.bound_linear is None
-    assert report.bound_growth is not None
-    assert report.empirical_estimate == 0.01
+    assert report["empirical_estimate"] is None
+    report["empirical_estimate"] = 0.01  # the field the CLI fills with its Monte-Carlo estimate
+    assert report["lipschitz_gm"] == 1.0
+    assert report["kernel_trace_mean"] > 0.0
+    assert report["bound_kernel_trace"] > 0.0
+    assert report["bound_linear"] is None
+    assert report["bound_growth"] is not None
+    assert report["empirical_estimate"] == 0.01
 
 
 def test_bound_net_rejects_unbounded_slope():
@@ -510,12 +510,12 @@ def test_a_zero_factor_makes_a_bound_zero_next_to_an_overflowed_one():
     # squares of the sample overflow, the radius is 0
     huge = np.array([[1e200, 0.0], [0.0, 1e200]])
     with np.errstate(over="ignore"):
-        assert analysis.rademacher_bound_net(lin_arch(2, (2, 1)), 0.0, huge).bound_linear == 0.0
+        assert analysis.rademacher_bound_net(lin_arch(2, (2, 1)), 0.0, huge)["bound_linear"] == 0.0
     # radius^depth overflows, the sample is all zeros
     zeros = np.zeros((3, 2))
     for arch in (lin_arch(2, (2, 1)), netcore.Architecture(2, (2, 1), (act.tanh(), act.erf()))):
         tight = analysis.tight_bound(arch, 1e308, zeros)
-        assert tight.general == tight.lipschitz_form == 0.0
+        assert tight["general"] == tight["lipschitz_form"] == 0.0
 
 
 def test_tight_bound_linear_frozen_values():
@@ -523,29 +523,29 @@ def test_tight_bound_linear_frozen_values():
     xs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     tb = analysis.tight_bound(arch, 1.0, xs, n=100)
     # envelope(1) = 2 sqrt(4) * 1 = 4 -> general = sqrt(16)/10
-    assert tb.general == pytest.approx(0.4, rel=1e-14)
+    assert tb["general"] == pytest.approx(0.4, rel=1e-14)
     # (d sqrt(GM(4,1)) L)^d = (2 sqrt(2))^2 = 8
-    assert tb.lipschitz_form == pytest.approx(0.8, rel=1e-14)
-    assert tb.bounded_form is None
-    assert tb.bounded_layer is None
+    assert tb["lipschitz_form"] == pytest.approx(0.8, rel=1e-14)
+    assert tb["bounded_form"] is None
+    assert tb["bounded_layer"] is None
 
 
 def test_tight_bound_top_bounded_layer_drops_every_factor():
     arch = netcore.Architecture(2, (2, 1), (act.linear(), act.tanh()))
     xs = np.array([[0.6, 0.8], [1.0, 0.0]])
     tb = analysis.tight_bound(arch, 2.0, xs, n=25)
-    assert tb.bounded_layer == 1
+    assert tb["bounded_layer"] == 1
     # exponent d - q - 1 = 0: only max(1, R^d)/sqrt(n) survives
-    assert tb.bounded_form == pytest.approx(4.0 / 5.0, rel=1e-14)
+    assert tb["bounded_form"] == pytest.approx(4.0 / 5.0, rel=1e-14)
 
 
 def test_tight_bound_bounded_below_top():
     arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.linear()))
     xs = np.array([[0.6, 0.8]])
     tb = analysis.tight_bound(arch, 1.0, xs, n=4)
-    assert tb.bounded_layer == 0
+    assert tb["bounded_layer"] == 0
     # tail: one linear layer of width 1 -> (d * 1 * 1)^(d-1) = 2
-    assert tb.bounded_form == pytest.approx(2.0 / 2.0, rel=1e-14)
+    assert tb["bounded_form"] == pytest.approx(2.0 / 2.0, rel=1e-14)
 
 
 def test_tight_bound_gating_without_global_constants():
@@ -553,16 +553,16 @@ def test_tight_bound_gating_without_global_constants():
     arch = netcore.Architecture(1, (2, 1), (slow, act.tanh()))
     xs = np.array([[0.5], [1.0]])
     tb = analysis.tight_bound(arch, 1.0, xs)
-    assert tb.general > 0.0
-    assert tb.lipschitz_form is None  # the polynomial layer has no global cap
-    assert tb.bounded_layer == 1  # ... but the bounded top needs no tail constants
-    assert tb.bounded_form is not None
+    assert tb["general"] > 0.0
+    assert tb["lipschitz_form"] is None  # the polynomial layer has no global cap
+    assert tb["bounded_layer"] == 1  # ... but the bounded top needs no tail constants
+    assert tb["bounded_form"] is not None
 
     arch2 = netcore.Architecture(1, (2, 1), (act.tanh(), slow))
     tb2 = analysis.tight_bound(arch2, 1.0, xs)
-    assert tb2.lipschitz_form is None
-    assert tb2.bounded_form is None  # the tail above the bounded layer has no cap
-    assert tb2.bounded_layer is None
+    assert tb2["lipschitz_form"] is None
+    assert tb2["bounded_form"] is None  # the tail above the bounded layer has no cap
+    assert tb2["bounded_layer"] is None
 
 
 def test_tight_bound_prefactor_keeps_unit_floor():
@@ -570,8 +570,8 @@ def test_tight_bound_prefactor_keeps_unit_floor():
     xs = np.array([[0.5]])
     small = analysis.tight_bound(arch, 0.0, xs, n=16)
     big = analysis.tight_bound(arch, 2.0, xs, n=16)
-    assert small.general == pytest.approx(math.tanh(0.5) / 4.0, rel=1e-14)
-    assert big.general == pytest.approx(2.0 * math.tanh(0.5) / 4.0, rel=1e-14)
+    assert small["general"] == pytest.approx(math.tanh(0.5) / 4.0, rel=1e-14)
+    assert big["general"] == pytest.approx(2.0 * math.tanh(0.5) / 4.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +602,7 @@ def test_empirical_rademacher_below_kernel_trace_bound():
     xs = rng.uniform(-0.35, 0.35, size=(50, 2))
     est = analysis.empirical_rademacher(arch, 0.5, xs, trials=100, hypothesis_draws=100)
     report = analysis.rademacher_bound_net(arch, 0.5, xs)
-    assert 0.0 < est <= report.bound_kernel_trace
+    assert 0.0 < est <= report["bound_kernel_trace"]
 
 
 def test_empirical_rademacher_scales_inversely_with_sqrt_n():
@@ -684,7 +684,7 @@ _MC_CASES = {
     "radius": (netcore.Architecture(2, (2, 1), (act.tanh(), act.erf())), 0.8, 1.0, "radius"),
     "non-finite": (netcore.Architecture(1, (1, 1), (act.exp(), act.exp())), 2000.0, 1.0,
                    "non-finite"),
-    # a pole-limited kind that configs cannot name: only Python builds this net
+    # a pole-limited kind (a config may name it too)
     "domain": (netcore.Architecture(2, (3, 1), (act.ActivationSpec("tan"),) * 2), 6.0, 0.7,
                "domain"),
     "erf-deep": (netcore.Architecture(5, (16, 8, 1), (act.erf(),) * 3), 1.5, 1.0, None),
@@ -747,27 +747,27 @@ def test_exact_grid_makes_sign_sums_exact(n, rows, exponent, seed):
 def _unit_constants(**over):
     base = dict(width_gm=1.0, lipschitz_assoc_gm=1.0, input_dim=1, weight_ball_radius=1.0)
     base.update(over)
-    return analysis.SparsityConstants(**base)
+    return base
 
 
 def test_sparsity_zero_weight_vector():
     prof = analysis.sparsity_profile(
         np.array([1.0, -2.0]), np.zeros(2), 2, _unit_constants(), epsilons=(0.5,)
     )
-    assert prof.bridge_norm == 0.0
-    assert prof.weight_sup == 0.0
-    assert prof.epsilon_counts[0][1] == 0
+    assert prof["bridge_norm"] == 0.0
+    assert prof["weight_sup"] == 0.0
+    assert prof["epsilon_counts"][0]["count"] == 0
 
 
 def test_sparsity_depth_two_is_plain_l1():
     g = np.array([1.0, -2.0, 0.5])
     v = np.array([0.5, 0.25, -2.0])
     prof = analysis.sparsity_profile(g, v, 2, _unit_constants(), epsilons=(0.4,))
-    assert prof.bridge_norm == pytest.approx(2.0, rel=1e-14)  # sum |g v|
-    assert prof.weight_sup == 2.0
-    eps, count, cap = prof.epsilon_counts[0]
-    assert (eps, count) == (0.4, 3)
-    assert cap == math.floor(prof.bridge_bound / 0.4)
+    assert prof["bridge_norm"] == pytest.approx(2.0, rel=1e-14)  # sum |g v|
+    assert prof["weight_sup"] == 2.0
+    row = prof["epsilon_counts"][0]
+    assert (row["epsilon"], row["count"]) == (0.4, 3)
+    assert row["ceiling"] == math.floor(prof["bridge_bound"] / 0.4)
 
 
 def test_sparsity_log_space_handles_tiny_products():
@@ -775,8 +775,8 @@ def test_sparsity_log_space_handles_tiny_products():
     prof = analysis.sparsity_profile(
         np.array([1e-200]), np.array([1e-200]), 6, _unit_constants()
     )
-    assert prof.bridge_norm > 0.0
-    assert prof.bridge_norm == pytest.approx(10.0 ** (-400.0 / 3.0), rel=1e-10)
+    assert prof["bridge_norm"] > 0.0
+    assert prof["bridge_norm"] == pytest.approx(10.0 ** (-400.0 / 3.0), rel=1e-10)
 
 
 def test_sparsity_validation():
@@ -799,7 +799,7 @@ def test_sparsity_profile_of_admissible_network():
     v = pf.flat_weight(arch, w, trunc)
     sup = analysis.penalties(arch.associated(), w).intervals
     width_gm, lbar = netcore.geometric_means(arch.associated(), sup)
-    constants = analysis.SparsityConstants(
+    constants = dict(
         width_gm=width_gm,
         lipschitz_assoc_gm=lbar,
         input_dim=1,
@@ -808,8 +808,8 @@ def test_sparsity_profile_of_admissible_network():
     prof = analysis.sparsity_profile(
         g.values, v.values, arch.depth, constants, epsilons=(1e-3, 1e-2)
     )
-    assert 0.0 < prof.bridge_norm <= prof.bridge_bound
-    assert prof.weight_sup <= prof.weight_sup_bound * (1 + 1e-12)
-    for eps, count, cap in prof.epsilon_counts:
-        assert eps <= prof.valid_epsilon_max
-        assert count <= cap
+    assert 0.0 < prof["bridge_norm"] <= prof["bridge_bound"]
+    assert prof["weight_sup"] <= prof["weight_sup_bound"] * (1 + 1e-12)
+    for row in prof["epsilon_counts"]:
+        assert row["epsilon"] <= prof["valid_epsilon_max"]
+        assert row["count"] <= row["ceiling"]

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -134,6 +135,24 @@ def test_flatten_truncation_override(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["truncation"] == 2
     assert report["config_echo"]["truncation"] == 2
+
+
+@pytest.mark.parametrize("kind", act.DERIVED_KINDS)
+def test_flatten_config_may_name_an_associated_kind(tmp_path, capsys, kind):
+    # a wider relu surrogate than the default sharpness keeps erfi's growth in range
+    entry = {"kind": kind, "sharpness": 1.0} if kind == "relu_surrogate_assoc" else kind
+    cfg_obj = tanh_config(tmp_path, truncation=4)
+    cfg_obj["architecture"]["activations"] = [entry, entry]
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["max_equivalence_residual"] <= 1e-3
+
+
+@pytest.mark.parametrize("kind, radius", [("tan", math.pi / 2), ("logistic_assoc", math.pi)])
+def test_flatten_pole_limited_kind_outside_its_radius_exits_3(tmp_path, capsys, kind, radius):
+    cfg_obj = tanh_config(tmp_path, scale=300.0, truncation=4)
+    cfg_obj["architecture"]["activations"] = [kind, kind]
+    assert run("flatten", write_json(tmp_path / "cfg.json", cfg_obj)) == 3
+    assert capsys.readouterr().err.endswith(f", outside radius {radius!r}\n")
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -1621,6 +1640,50 @@ def test_sparsity_report(tmp_path):
         assert row["count"] <= row["ceiling"]
         assert row["epsilon"] <= res["valid_epsilon_max"]
     assert report["diagnostics"]["constants"]["input_dim"] == 1
+
+
+_BOUND_KEYS = {
+    "weight_ball_radius", "svm_ball_radius", "width_gm", "lipschitz_gm", "kernel_trace_mean",
+    "bound_kernel_trace", "bound_linear", "bound_growth", "empirical_estimate", "sample_size",
+}
+_TIGHT_KEYS = {"general", "lipschitz_form", "bounded_form", "bounded_layer"}
+_PROFILE_KEYS = {
+    "bridge_norm", "bridge_bound", "weight_sup", "weight_sup_bound", "epsilon_counts",
+    "valid_epsilon_max",
+}
+_EPSILON_KEYS = {"epsilon", "count", "ceiling"}
+_CONSTANT_KEYS = {"width_gm", "lipschitz_assoc_gm", "input_dim", "weight_ball_radius"}
+
+
+def test_capacity_sections_are_the_dicts_analysis_returns(tmp_path, capsys):
+    # analysis returns each report section as a dict: these sets are the one
+    # guard against a key misspelled on either side
+    arch = netcore.Architecture(2, (2, 1), (act.tanh(), act.tanh()))
+    xs = np.random.default_rng(1).uniform(-0.3, 0.3, size=(10, 2))
+    assert set(analysis.rademacher_bound_net(arch, 0.7, xs)) == _BOUND_KEYS
+    assert set(analysis.tight_bound(arch, 0.7, xs)) == _TIGHT_KEYS
+    constants = dict.fromkeys(_CONSTANT_KEYS, 1.0)
+    profile = analysis.sparsity_profile(np.ones(3), np.ones(3), 2, constants, (0.1, 1e-3))
+    assert set(profile) == _PROFILE_KEYS
+    assert [set(row) for row in profile["epsilon_counts"]] == [_EPSILON_KEYS] * 2
+
+    cfg = write_json(tmp_path / "bounds.json", tanh_config(tmp_path, radius=0.7, tight=True,
+                                                           trials=5))
+    assert run("bounds", cfg) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert set(res) == _BOUND_KEYS | {"tight"} and set(res["tight"]) == _TIGHT_KEYS
+    assert res["empirical_estimate"] is not None
+    assert run("compare", write_json(tmp_path / "compare.json", tanh_config(tmp_path))) == 0
+    assert set(json.loads(capsys.readouterr().out)["results"]["bounds"]) == _BOUND_KEYS
+    cfg_obj = {
+        "architecture": {"input_dim": 1, "widths": [2, 1], "activations": ["tanh", "tanh"]},
+        "truncation": 7, "weights": admissible_weights_file(tmp_path),
+    }
+    assert run("sparsity", write_json(tmp_path / "sparsity.json", cfg_obj)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["results"]) == _PROFILE_KEYS
+    assert [set(row) for row in report["results"]["epsilon_counts"]] == [_EPSILON_KEYS] * 3
+    assert set(report["diagnostics"]["constants"]) == _CONSTANT_KEYS
 
 
 def test_sparsity_warns_on_inadmissible_weights(tmp_path, capsys):

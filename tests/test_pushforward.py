@@ -22,6 +22,8 @@ from kreinflat import netcore
 from kreinflat import pushforward as pf
 from kreinflat.errors import DomainError, SizeLimitError
 
+from exact import entries, expand_power_sum
+
 
 def poly_arch(input_dim, widths, coeff_lists):
     specs = tuple(act.polynomial(tuple(c)) for c in coeff_lists)
@@ -41,21 +43,6 @@ def monomial_features(x, truncation):
     """phi(x): every Taylor coefficient of exp is nonzero, so level 0 of a
     one-layer exp net stores every monomial up to the truncation."""
     return pf.flatten_feature_map(one_layer(act.exp(), len(x)), x, truncation)
-
-
-def _entries(vec):
-    """{exponent tuple: value} over the nonzero stored entries of ``vec``.
-
-    An exponent tuple has one entry per slot of the vector's level: an input
-    coordinate at level 0.  A stacked vector is refused.
-    """
-    if vec.values.ndim != 1:
-        raise ValueError("a stacked vector has no entries; take row j with like(values[j])")
-    lv = vec._space
-    dense = np.zeros((len(lv.own_degree), lv.n_slots + 1), dtype=np.int64)
-    np.put_along_axis(dense, lv.terms_pos.astype(np.intp), lv.terms_exp.astype(np.int64), axis=1)
-    rows = dense[:, : lv.n_slots].tolist()
-    return {tuple(k): v for k, v in zip(rows, vec.values.tolist()) if v != 0.0}
 
 
 def _gamma(arch, trunc, lv):
@@ -97,7 +84,7 @@ def test_multinomial_values():
 
 
 def test_monomial_features_values():
-    v = _entries(monomial_features(np.array([2.0, 3.0]), 3))
+    v = entries(monomial_features(np.array([2.0, 3.0]), 3))
     assert v.get((1, 2), 0.0) == 18.0
     assert v.get((0, 0), 0.0) == 1.0
     assert v.get((3, 0), 0.0) == 8.0
@@ -108,31 +95,12 @@ def test_monomial_features_values():
 
 def test_monomial_features_all_ones():
     v = monomial_features(np.array([1.0, 1.0, 1.0]), 2)
-    assert _entries(v) == {expo: 1.0 for expo in exponents(3, 2)}
+    assert entries(v) == {expo: 1.0 for expo in exponents(3, 2)}
 
 
 # ---------------------------------------------------------------------------
 # gamma stream vs brute-force expansion
 # ---------------------------------------------------------------------------
-
-def _expand_power_sum(n, p):
-    """Exact coefficients of (sum_j x_j y_j)^p as {exponent-tuple: int}.
-
-    Expansion by repeated distribution; exponents index the x_j (the y_j
-    powers mirror them, so one tuple suffices).
-    """
-    coeffs = {tuple([0] * n): 1}
-    for _ in range(p):
-        nxt = {}
-        for expo, c in coeffs.items():
-            for j in range(n):
-                e = list(expo)
-                e[j] += 1
-                key = tuple(e)
-                nxt[key] = nxt.get(key, 0) + c
-        coeffs = nxt
-    return coeffs
-
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
@@ -144,8 +112,8 @@ def test_gamma_matches_brute_force_monomial_power(n, p):
         coeffs[1] = 1.0
         coeffs[p] = 1.0
         spec = act.polynomial(tuple(coeffs))  # t + t^p
-    gamma = _entries(level0_metric(spec, n, max(p, 1)))
-    expected = _expand_power_sum(n, p)
+    gamma = entries(level0_metric(spec, n, max(p, 1)))
+    expected = expand_power_sum(n, p)
     a_p = act.taylor_coefficient(spec, p)
     for expo, c in expected.items():
         assert gamma.get(expo, 0.0) == pytest.approx(float(c) * a_p, rel=1e-15), expo
@@ -156,19 +124,19 @@ def test_gamma_matches_brute_force_monomial_power(n, p):
 
 
 def test_gamma_quadratic_example():
-    g = _entries(level0_metric(act.polynomial((0.0, 1.0, 1.0)), 2, 2))
+    g = entries(level0_metric(act.polynomial((0.0, 1.0, 1.0)), 2, 2))
     assert g.get((2, 0), 0.0) == 1.0
     assert g.get((1, 1), 0.0) == 2.0
     assert g.get((0, 2), 0.0) == 1.0
 
 
 def test_gamma_constant_term():
-    g = _entries(level0_metric(act.logistic(), 3, 2))
+    g = entries(level0_metric(act.logistic(), 3, 2))
     assert g.get((0, 0, 0), 0.0) == pytest.approx(0.5)
 
 
 def test_gamma_linear_is_indicator_of_degree_one():
-    g = _entries(level0_metric(act.linear(), 3, 3))
+    g = entries(level0_metric(act.linear(), 3, 3))
     for idx, val in g.items():
         assert sum(idx) == 1 and val == 1.0
     assert len(g) == 3
@@ -176,7 +144,7 @@ def test_gamma_linear_is_indicator_of_degree_one():
 
 def test_gamma_general_formula_spot_checks():
     # gamma_i = (|i|! / prod_j i_j!) a_{|i|}
-    g = _entries(level0_metric(act.tanh(), 2, 5))
+    g = entries(level0_metric(act.tanh(), 2, 5))
     a3 = act.taylor_coefficient(act.tanh(), 3)
     a5 = act.taylor_coefficient(act.tanh(), 5)
     assert g.get((2, 1), 0.0) == pytest.approx(3.0 * a3, rel=1e-15)
@@ -299,7 +267,7 @@ def test_flat_equivalence_depth_one_is_weights_on_monomials():
     phi = pf.flatten_feature_map(arch, x, 1)
     assert pf.flat_eval(v, phi, g) == pytest.approx(0.5 - 2.0 - 1.0, rel=1e-14)
     # weight entries are exactly the matrix entries on the degree-1 slots
-    assert _entries(v) == {(1, 0, 0): 0.5, (0, 1, 0): -1.0, (0, 0, 1): 2.0}
+    assert entries(v) == {(1, 0, 0): 0.5, (0, 1, 0): -1.0, (0, 0, 1): 2.0}
 
 
 def test_semiflat_product_equals_forward():
@@ -529,6 +497,8 @@ def test_levels_store_the_reference_enumeration_in_order(arch, trunc):
             )
         ]
         assert got == _reference_indices(slot_cdeg, supp, trunc)
+        # the dump layout sorts by the stored composed degree: its exponents' sum
+        assert lv.xexp.sum(axis=1).tolist() == lv.composed_degree.tolist()
         want_mnom = [float(pf.multinomial([e for _, e in pairs])) for pairs, _, _ in got]
         spec = arch.activations[lv.level]
         coeff = [act.taylor_coefficient(spec, k) for k in lv.own_degree.tolist()]
@@ -1254,7 +1224,7 @@ def test_stacked_push_rows_are_the_single_draw_pushes(arch, trunc):
     empty = tuple(np.zeros((0,) + s) for s in arch.layer_shapes())
     assert pf.flat_weight(arch, empty, trunc).values.shape == (0, m)
     with pytest.raises(ValueError, match="stacked"):
-        _entries(flat)
+        entries(flat)
 
 
 def test_stacked_push_refuses_a_ragged_stack():
