@@ -300,10 +300,25 @@ def _checked(spec, xi):
 
 
 def _horner(coefficients, xi):
-    acc = np.zeros_like(xi)
-    for c in reversed(coefficients):
+    # From the highest nonzero coefficient: a zero accumulator would make 0 * inf = NaN
+    # at an infinite xi.  On finite xi the bits are those of a start from zeros.
+    *rest, top = coefficients[:max(i for i, c in enumerate(coefficients) if c) + 1]
+    acc = np.full_like(xi, top)
+    for c in reversed(rest):
         acc = acc * xi + c
     return acc
+
+
+def _erf(xi):
+    """SciPy's erf as copysign(erf(|xi|), xi), in one fresh buffer.
+
+    The same bits but for a -nan (SciPy's erf reflects a negative argument itself),
+    without its sign branch, which zero-mean arguments mispredict half the time.
+    erfi stays unfolded: SciPy's erfi(+nan) is -nan.
+    """
+    out = np.abs(xi, out=np.empty_like(xi))
+    _sp_erf(out, out=out)
+    return np.copysign(out, xi, out=out)
 
 
 def _logistic(spec, xi):
@@ -335,7 +350,7 @@ _KINDS = {
         lambda spec, xi: _horner(spec.coefficients, xi),
         lambda spec, xi: _horner([i * c for i, c in enumerate(spec.coefficients)][1:], xi),
     ),
-    "erf": ("erfi", lambda spec, xi: _sp_erf(xi),
+    "erf": ("erfi", lambda spec, xi: _erf(xi),
             lambda spec, xi: (2.0 / _SQRT_PI) * np.exp(-xi * xi)),
     "erfi": ("erfi", lambda spec, xi: _sp_erfi(xi),
              lambda spec, xi: (2.0 / _SQRT_PI) * np.exp(xi * xi)),
@@ -349,7 +364,7 @@ _KINDS = {
         lambda spec, xi: 0.25 * (1.0 + np.square(np.tan(xi / 2.0))),
     ),
     "exp": ("exp", lambda spec, xi: np.exp(xi), lambda spec, xi: np.exp(xi)),
-    "relu_surrogate": ("relu_surrogate_assoc", *_relu_forms(_sp_erf, -1.0)),
+    "relu_surrogate": ("relu_surrogate_assoc", *_relu_forms(_erf, -1.0)),
     "relu_surrogate_assoc": ("relu_surrogate_assoc", *_relu_forms(_sp_erfi, 1.0)),
 }
 #: associated kind -> the base kind whose |a_i| it has

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -284,6 +284,31 @@ def test_relu_surrogate_tracks_relu_away_from_kink():
 def test_polynomial_evaluation():
     s = act.polynomial((0.0, 1.0, 0.0, 0.5))
     assert act.evaluate(s, 2.0) == pytest.approx(2.0 + 0.5 * 8.0, rel=1e-15)
+    # a vanishing top coefficient times an infinite argument is no 0 * inf = NaN
+    xi = np.array([math.inf, -math.inf, 1.0])
+    assert act.evaluate(act.polynomial((0.5, 2.0, 0.0)), xi).tolist() == [math.inf, -math.inf, 2.5]
+
+
+def _horner_from_zeros(coefficients, xi):
+    acc = np.zeros_like(xi)
+    for c in reversed(coefficients):
+        acc = acc * xi + c
+    return acc
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+    st.integers(0, 3),
+    hnp.arrays(float, st.integers(1, 6), elements=st.floats(allow_nan=False, allow_infinity=False)),
+)
+def test_horner_is_the_loop_from_zeros_on_finite_inputs(coefficients, zeros, xs):
+    assume(any(coefficients))
+    coefficients += [0.0] * zeros  # vanishing top coefficients are skipped
+    with np.errstate(all="ignore"):
+        for xi in (xs, np.asarray(xs[0])):
+            got = np.asarray(act._horner(coefficients, xi))
+            want = np.asarray(_horner_from_zeros(coefficients, xi))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_series_matches_closed_form_inside_half_radius():
@@ -676,3 +701,31 @@ def test_erf_family_is_scipy_bit_for_bit(spec, reference):
         want_scalars = [reference(sc, np.asarray(x)) for x in grid[:10]]
     assert got.tobytes() == want.tobytes()
     assert np.array(scalars).tobytes() == np.array(want_scalars).tobytes()
+
+
+@pytest.mark.parametrize("spec, reference", [
+    (act.erf(), lambda sc, xi: sc.erf(xi)),
+    (act.relu_surrogate(), lambda sc, xi: 0.5 * xi * (1.0 + sc.erf(xi / 0.01))),
+], ids=["erf", "relu_surrogate"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-8, 1e-3, 0.3, 1.0, 3.0, 30.0, 1e300])
+def test_erf_fold_is_scipy_bit_for_bit_on_the_package_shapes(spec, reference, scale):
+    # erf runs as copysign(erf(|xi|), xi): exact only while SciPy's erf is
+    # bitwise odd, which an upgrade could break
+    import scipy.special as sc
+
+    rng = np.random.default_rng(7)
+    # a Monte-Carlo block (draws x neurons x rows), a Gram, a scalar
+    for shape in ((6, 16, 200), (300, 300), ()):
+        xi = scale * rng.standard_normal(shape)
+        with np.errstate(all="ignore"):
+            got, want = act.evaluate(spec, xi), reference(sc, xi)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("spec", [act.erf(), act.relu_surrogate()], ids=["erf", "relu_surrogate"])
+def test_erf_fold_of_a_negative_nan_is_a_nan(spec):
+    # SciPy gives +nan and the fold -nan: the sign bit differs, no report holds it
+    assert math.isnan(act.evaluate(spec, -np.float64(math.nan)))
+    values = act.evaluate(spec, np.array([1.0, -math.nan]))
+    assert math.isfinite(values[0]) and math.isnan(values[1])

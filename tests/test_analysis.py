@@ -709,6 +709,23 @@ def test_empirical_rademacher_matches_per_draw_reference(case, monkeypatch):
             ) == want
 
 
+@pytest.mark.parametrize("rows", [37, 200])
+def test_empirical_rademacher_is_the_estimate_of_the_raw_scipy_erf(rows, monkeypatch):
+    # erf is evaluated as copysign(erf(|xi|), xi); the estimate keeps every bit
+    arch, radius, _, _ = _MC_CASES["erf-deep"]
+    xs = np.random.default_rng(11).uniform(-1.0, 1.0, size=(rows, arch.input_dim))
+    got = analysis.empirical_rademacher(arch, radius, xs, trials=100, hypothesis_draws=100, seed=5)
+    calls = []
+
+    def raw(spec, xi):
+        calls.append(xi.size)
+        return act._sp_erf(xi)
+
+    monkeypatch.setitem(act._KINDS, "erf", (act._KINDS["erf"][0], raw, act._KINDS["erf"][2]))
+    want = analysis.empirical_rademacher(arch, radius, xs, trials=100, hypothesis_draws=100, seed=5)
+    assert calls and got == want
+
+
 def test_hypothesis_block_rejects_only_the_draws_leaving_the_domain():
     arch, radius, scale, _ = _MC_CASES["domain"]
     xs = np.random.default_rng(11).uniform(-scale, scale, size=(37, 2))

@@ -1489,6 +1489,34 @@ def test_zero_radius_bounds_are_zero_not_nan(tmp_path, capsys):
     assert res["svm_ball_radius"] == res["bound_kernel_trace"] == res["empirical_estimate"] == 0.0
 
 
+@pytest.mark.parametrize("coefficients", [[0, 1], [0.5, 2, 0]])
+@pytest.mark.parametrize("command, extra", [
+    ("bounds", {}),
+    ("compare", {"lambda": 0.1, "train": {"steps": 5, "step_size": 0.01}}),
+], ids=["bounds", "compare"])
+def test_polynomial_on_an_overflowing_chain_reports_inf_not_nan(
+    tmp_path, monkeypatch, capsys, coefficients, command, extra
+):
+    # erfi overflows on these rows, and Horner from an accumulator of zeros
+    # made 0 * inf: exit 0 with "nan" in both keys and NumPy's warning
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("x0,x1,y\n30,20,1\n-25,10,0\n")
+    cfg_obj = {
+        "architecture": {"input_dim": 2, "widths": [3, 1], "activations": [
+            "erf", {"kind": "polynomial", "coefficients": coefficients}]},
+        "dataset": "d.csv", "seed": 1, **extra,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, write_json(tmp_path / "cfg.json", cfg_obj)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "nan" not in captured.out
+    res = json.loads(captured.out)["results"]
+    res = res["bounds"] if command == "compare" else res
+    assert res["kernel_trace_mean"] == res["bound_kernel_trace"] == "inf"
+
+
 # ---------------------------------------------------------------------------
 # the config key table
 # ---------------------------------------------------------------------------
